@@ -5,19 +5,22 @@
 # plan-space sweep (`make plans`), which verifies every enumerated plan
 # point without constructing a transport or executing a step, and the
 # transport-protocol gate (`make protocol`): exhaustive interleaving
-# exploration of the shm protocol model, the seeded-bug mutation suite, and
-# a sanitized live conformance run (see docs/backends.md).
+# exploration of the shm flag-word protocol model, the seeded-bug mutation
+# suite, and a sanitized live conformance run (see docs/backends.md).
 # `make typecheck-strict` is the CI variant that *fails* when mypy is
 # missing instead of skipping.
 # `make perf` benchmarks the world-batched fast path against the loop
 # reference and gates against benchmarks/perf/baseline.json (see
 # docs/performance.md); `make perf REPRO_BACKEND=shm` runs the suite on a
 # different transport backend (see docs/backends.md).
+# `make e2e-smoke` runs the end-to-end benchmark's own tests and its 12-op
+# smoke pass over all five workloads (benchmarks/e2e/README.md): a src/
+# change that breaks the surface the benchmark drives fails here.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint typecheck typecheck-strict test analyze plans protocol perf
+.PHONY: check lint typecheck typecheck-strict test analyze plans protocol perf e2e-smoke
 
 check: lint typecheck test analyze plans protocol
 
@@ -61,3 +64,7 @@ perf:
 	$(PYTHON) -m repro perf --quick --check \
 		--out BENCH$(if $(REPRO_BACKEND),-$(REPRO_BACKEND)).json \
 		$(if $(REPRO_BACKEND),--backend $(REPRO_BACKEND))
+
+e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e/tests -q
+	$(PYTHON) benchmarks/e2e/run.py --smoke --seed 0

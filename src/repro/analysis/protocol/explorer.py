@@ -57,9 +57,9 @@ class ExplorationResult:
 
     def describe(self) -> str:
         status = "clean" if self.ok else ("TRUNCATED" if self.finding is None else "FAIL")
-        wire = " (batched flag-word)" if self.workload.batched else ""
+        reduce = " + reduce" if self.workload.reduce else ""
         return (
-            f"{status}: world {self.workload.world}{wire}, {self.states} states, "
+            f"{status}: world {self.workload.world}{reduce}, {self.states} states, "
             f"{self.transitions} transitions, depth {self.max_depth}, "
             f"{self.elapsed_s * 1000:.0f} ms"
         )
@@ -68,7 +68,7 @@ class ExplorationResult:
         return {
             "world": self.workload.world,
             "rounds": self.workload.rounds,
-            "batched": self.workload.batched,
+            "reduce": self.workload.reduce,
             "ok": self.ok,
             "states": self.states,
             "transitions": self.transitions,

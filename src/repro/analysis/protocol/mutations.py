@@ -39,27 +39,25 @@ from .model import (
     Workload,
 )
 
-#: The small-but-complete default workload: two ranks, two rounds, a pool
-#: mapping and a task per rank — every protocol phase is exercised.
+#: The small-but-complete default workload: two ranks, both rounds staged
+#: as one program per destination, a pool mapping and a task batch per rank
+#: — every protocol phase is exercised.
 DEFAULT_WORKLOAD = Workload()
 
-#: Three pipelined rounds whose records wrap a 256-byte ring: the minimal
-#: shape where skipping the barrier lets a write land on an unread slot.
+#: Two single-round batches whose records wrap a 160-byte ring: the minimal
+#: shape where staging batch 1 before batch 0's barrier lets a write land on
+#: an unread slot.
 _WRAP_WORKLOAD = Workload(
-    world=1, rounds=3, record_sizes=(64, 24), ring_bytes=256, pool=False, task=False
+    world=1, rounds_per_batch=1, record_sizes=(64, 24), ring_bytes=160, pool=False, task=False
 )
-
-#: The default workload spoken over the PR 9 flag-word protocol: both
-#: rounds staged as one batch program per destination, plus the task batch.
-_BATCHED_WORKLOAD = Workload(batched=True)
 
 #: Two single-round batches, rounds only — the minimal shape where batch
 #: 1's flag word can be rung without bumping its seq past batch 0's.
-_STALE_FLAG_WORKLOAD = Workload(batched=True, batch_rounds=1, pool=False, task=False)
+_STALE_FLAG_WORKLOAD = Workload(rounds_per_batch=1, pool=False, task=False)
 
-#: A pool-ref reduce over the batched flag-word protocol: every rank maps
-#: every pool, then executes one in-place reduce chunk (PR 10).
-_REDUCE_WORKLOAD = Workload(world=2, batched=True, reduce=True)
+#: A pool-ref reduce: every rank maps every pool, then executes one
+#: in-place reduce chunk.
+_REDUCE_WORKLOAD = Workload(world=2, reduce=True)
 
 
 @dataclass(frozen=True)
@@ -73,27 +71,24 @@ class Mutation:
     description: str = ""
 
 
-#: The seeded-bug suite (ISSUE 8's eight protocol bugs + three extras the
-#: fault model supports: a leaked segment, pipelined ring overlap, and a
-#: doorbell posted behind a close — plus two batched flag-word bugs from
-#: PR 9: an ack set before the staged program ran, and a flag word rung
-#: without bumping its seq — plus two pool-ref bugs from PR 10: a reduce
-#: descriptor targeting a segment its executor never mapped, and a batch
-#: ack raised before the reduce's peer-segment writes completed).
+#: The seeded-bug suite: one plausible one-line backend bug per entry, each
+#: with the single rule that names its root cause.  In the default workload
+#: rank r's seqs are 0 = the round batch, 1-2 = the two pool doorbells,
+#: 3 = the task batch (batch index 1), 4 = close.
 MUTATIONS: tuple[Mutation, ...] = (
     Mutation(
         name="dropped-ack",
         faults=Faults(drop_ack=((0, 0),)),
         expected_rule=RULE_DEADLOCK,
-        description="worker 0 silently drops its round-0 ack; the parent's "
-        "barrier waits forever",
+        description="worker 0 never raises its ack flag for the round batch; "
+        "the parent's barrier waits forever",
     ),
     Mutation(
         name="stale-seq",
         faults=Faults(stale_seq=((0, 1),)),
         expected_rule=RULE_SEQ,
-        description="round 1's doorbell to rank 0 reuses round 0's sequence "
-        "number",
+        description="rank 0's first pool doorbell reuses the round batch's "
+        "sequence number",
     ),
     Mutation(
         name="early-unlink",
@@ -104,17 +99,18 @@ MUTATIONS: tuple[Mutation, ...] = (
     ),
     Mutation(
         name="skipped-barrier",
-        faults=Faults(skip_barrier=(0,)),
+        faults=Faults(skip_barrier=(1,)),
         expected_rule=RULE_BARRIER,
-        description="the parent never awaits round 0's acks",
+        description="the parent flags the task batch but never waits on its "
+        "ack flags",
     ),
     Mutation(
         name="oversized-record",
         faults=Faults(force_place=True),
         expected_rule=RULE_BUDGET,
         workload=Workload(oversize=True),
-        description="a record larger than the ring is force-placed instead of "
-        "falling back inline",
+        description="a staged record larger than the ring is force-placed "
+        "instead of falling back inline",
     ),
     Mutation(
         name="double-close",
@@ -126,7 +122,8 @@ MUTATIONS: tuple[Mutation, ...] = (
         name="wrong-rank-delivery",
         faults=Faults(wrong_dst=((1, 0),)),
         expected_rule=RULE_DELIVERY,
-        description="round 0's records for rank 1 are stamped for another rank",
+        description="the round batch's records for rank 1 are stamped for "
+        "another rank",
     ),
     Mutation(
         name="orphaned-worker",
@@ -144,28 +141,27 @@ MUTATIONS: tuple[Mutation, ...] = (
         name="post-after-close",
         faults=Faults(post_after_close=(0,)),
         expected_rule=RULE_LOST_WAKEUP,
-        description="a round doorbell is posted to rank 0 behind its close: "
-        "the wakeup is lost in the shutdown",
+        description="a batch is staged and flagged to rank 0 behind its close "
+        "doorbell: the wakeup is lost in the shutdown",
     ),
     Mutation(
         name="pipelined-ring-overlap",
-        faults=Faults(pipeline_rounds=True),
+        faults=Faults(pipeline_batches=True),
         expected_rule=RULE_RING_OVERLAP,
         workload=_WRAP_WORKLOAD,
-        description="rounds are posted without barriering, so a wrapped write "
-        "lands on a slot the worker has not read yet",
+        description="batch 1 is staged before batch 0's ack flag was observed, "
+        "so a wrapped write lands on a slot the worker has not read yet",
     ),
     Mutation(
         name="ack-before-program-end",
         faults=Faults(ack_early=(0,)),
         expected_rule=RULE_PROGRAM,
-        workload=_BATCHED_WORKLOAD,
         description="worker 0 sets its batch ack flag before executing the "
         "staged program: the parent would read echoes that were never written",
     ),
     Mutation(
         name="stale-flag-seq",
-        faults=Faults(stale_flag=((0, 1),)),
+        faults=Faults(stale_seq=((0, 1),)),
         expected_rule=RULE_LOST_WAKEUP,
         workload=_STALE_FLAG_WORKLOAD,
         description="batch 1's doorbell flag word for rank 0 reuses batch 0's "

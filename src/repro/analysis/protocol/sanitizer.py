@@ -21,13 +21,15 @@ assign every event a clock and then check the happens-before rules —
 ``unlink`` after the worker's ``exit``, no doorbell posted to an exited
 worker — exactly as the model checker does, but against a real execution.
 
-Batched-mode streams add two shapes on top: ``stage`` events record
-rounds/tasks the parent appended to a not-yet-flushed per-worker program,
-and a ``post`` with op ``batch`` is the program's single (flag-word)
-doorbell — it participates in the same post → recv → ack exchange, with
-every worker-side event stamped with the batch seq.  The sanitizer checks
-additionally that every staged ``(rank, seq)`` is eventually covered by
-its ``batch`` post: rounds staged but never flushed are a barrier bug.
+The in-process backends emit one synchronous ``round``/``task`` exchange
+per call; shm streams carry two more shapes: ``stage`` events record
+rounds/tasks/reduces the parent appended to a not-yet-flushed per-worker
+program, and a ``post`` with op ``batch`` is the program's single
+(flag-word) doorbell — it participates in the same post → recv → ack
+exchange, with every worker-side event stamped with the batch seq.  The
+sanitizer checks additionally that every staged ``(rank, seq)`` is
+eventually covered by its ``batch`` post: rounds staged but never flushed
+are a barrier bug.
 
 Matching rules (per doorbell exchange) are checked exclusively and each
 rank short-circuits after its first finding, so a single seeded bug yields

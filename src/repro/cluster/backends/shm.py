@@ -7,28 +7,20 @@ aligned), and a record that cannot fit the ring falls back to the control
 pipe inline.  The first 64 bytes of each ring are a header of u64 flag
 words (see below); record data starts at ``_HEADER_BYTES``.
 
-Two steady-state modes:
-
-* **Batched (default, ``batch_rounds=True``)** — the parent *stages* each
-  round's records into the destination rings and returns the delivered
-  payloads immediately (decode∘encode is the identity, so the staged bytes
-  already determine them).  Staged rounds — and ``run_rank_tasks`` work —
-  accumulate into one *program* per worker.  At a flush boundary (an
-  explicit :meth:`flush`, a control-plane op, ring-budget pressure, or
-  close) the parent writes the program as one codec-encoded ring record,
-  publishes its offset/length in the header, and rings a single
-  **flag-word doorbell**: doorbell/ack traffic drops from O(rounds×ranks)
-  pipe messages to O(ranks) flag writes per iteration.  The worker executes
-  the whole program locally, echoes every record through its outbound ring,
-  and acks once per batch with a flag word; the parent byte-compares the
-  echoes against the staged originals.  Pipes are only touched for control
-  (``pool``/``close``) and overflow (a program or reply too large for its
-  ring travels as a ``batch`` pipe message — the oversize/irregular
-  fallback).
-* **Per-round (``batch_rounds=False``)** — the original protocol: every
-  round posts a pipe doorbell per destination and barriers on per-round
-  pipe acks before returning.  Kept as the conservative fallback and as
-  the baseline leg of the ``shm_round_latency`` microbenchmark.
+The parent *stages* each round's records into the destination rings and
+returns the delivered payloads immediately (decode∘encode is the identity,
+so the staged bytes already determine them).  Staged rounds — and
+``run_rank_tasks`` / ``pool_ref_reduce`` work — accumulate into one
+*program* per worker.  At a flush boundary (an explicit :meth:`flush`, a
+control-plane op, ring-budget pressure, or close) the parent writes the
+program as one codec-encoded ring record, publishes its offset/length in
+the header, and rings a single **flag-word doorbell**: O(ranks) flag
+writes per iteration.  The worker executes the whole program locally,
+echoes every record through its outbound ring, and acks once per batch
+with a flag word; the parent byte-compares the echoes against the staged
+originals.  Pipes are only touched for control (``pool``/``close``), error
+acks, and overflow (a program or reply too large for its ring travels as a
+``batch`` pipe message).
 
 Header layout (u64 little-endian words):
 
@@ -216,17 +208,13 @@ class _RingWriter:
         return off, len(data)
 
 
-def _write_encoded(writer: _RingWriter, seq: int, kind: int, data: np.ndarray) -> _Entry:
+def _write_record(writer: _RingWriter, seq: int, payload: Any) -> _Entry:
+    kind, data = _encode(payload)
     placed = writer.write(seq, data)
     if placed is None:
         return (kind, -1, len(data), data.tobytes())
     off, nbytes = placed
     return (kind, off, nbytes, None)
-
-
-def _write_record(writer: _RingWriter, seq: int, payload: Any) -> _Entry:
-    kind, data = _encode(payload)
-    return _write_encoded(writer, seq, kind, data)
 
 
 def _read_record(buf: memoryview, seq: int, entry: _Entry) -> Any:
@@ -290,9 +278,9 @@ def _worker_main(
     """Entry point of one rank server process.
 
     One wait loop serves both doorbell channels: the in-ring flag word
-    (batched programs) is spun on briefly, then the worker sleeps in short
-    ``conn.poll`` slices so pipe doorbells (``round``/``task``/``pool``/
-    ``close`` and the oversize ``batch`` fallback) wake it too.
+    (programs) is spun on briefly, then the worker sleeps in short
+    ``conn.poll`` slices so pipe doorbells (``pool``/``close`` and the
+    oversize ``batch`` fallback) wake it too.
 
     With ``sanitize`` on, the worker records a :class:`ProtocolEvent` for
     every protocol action and piggybacks the buffered events on each ack —
@@ -362,7 +350,7 @@ def _worker_main(
         _U64.pack_into(out_buf, _ACK_FLAG_OFF, ((seq + 1) << 8) | status)
 
     def run_program(seq: int, program: Sequence[tuple[str, Any]], via_pipe: bool) -> None:
-        """Execute one batched program and ack it (ring flag or pipe)."""
+        """Execute one program and ack it (ring flag or pipe)."""
         writer.begin_round()
         reply_items: list[Any] = []
         n_read = 0
@@ -478,35 +466,6 @@ def _worker_main(
                     # travelled over the pipe; payload records may still
                     # live in the ring.
                     run_program(seq, request[2], via_pipe=True)
-                elif op == "round":
-                    payloads = [_read_record(in_buf, seq, e) for e in request[2]]
-                    for payload in payloads:
-                        if type(payload) is PoolRef:
-                            resolve_ref(payload)
-                    emit("ring_read", seq=seq, detail=(len(payloads),))
-                    writer.begin_round()
-                    entries = [_write_record(writer, seq, p) for p in payloads]
-                    emit("ring_write", seq=seq, detail=(len(entries),))
-                    emit("ack_send", seq=seq, op=op)
-                    send("ok", seq, entries)
-                elif op == "task":
-                    fn, args = _read_record(in_buf, seq, request[2])
-                    emit("ring_read", seq=seq, detail=(1,))
-                    result = fn(pools.get(rank), *args)
-                    writer.begin_round()
-                    entry = _write_record(writer, seq, result)
-                    emit("ring_write", seq=seq, detail=(1,))
-                    emit("ack_send", seq=seq, op=op)
-                    send("ok", seq, entry)
-                elif op == "reduce":
-                    spec = _read_record(in_buf, seq, request[2])
-                    emit("ring_read", seq=seq, detail=(1,))
-                    result = run_reduce(spec)
-                    writer.begin_round()
-                    entry = _write_record(writer, seq, result)
-                    emit("ring_write", seq=seq, detail=(1,))
-                    emit("ack_send", seq=seq, op=op)
-                    send("ok", seq, entry)
                 elif op == "pool":
                     owner = request[4]
                     new = shared_memory.SharedMemory(name=request[2])
@@ -585,7 +544,6 @@ class SharedMemoryBackend(TransportBackend):
         timeout_s: float = DEFAULT_TIMEOUT_S,
         start_method: str | None = None,
         sanitize: bool | None = None,
-        batch_rounds: bool = True,
     ) -> None:
         super().__init__()
         if sanitize is not None:
@@ -595,7 +553,6 @@ class SharedMemoryBackend(TransportBackend):
         self.world_size = world_size
         self.ring_bytes = int(ring_bytes)
         self.timeout_s = float(timeout_s)
-        self.batch_rounds = bool(batch_rounds)
         if start_method is None:
             start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
@@ -803,7 +760,7 @@ class SharedMemoryBackend(TransportBackend):
         return seq
 
     # ------------------------------------------------------------------
-    # Batched fast path
+    # Programs: stage, flush, verify
     # ------------------------------------------------------------------
     def _batch(self, handle: _WorkerHandle) -> _PendingBatch:
         """The rank's open batch, flushing first when the program is full."""
@@ -842,7 +799,7 @@ class SharedMemoryBackend(TransportBackend):
         op: str,
         encoded: Sequence[tuple[int, np.ndarray]],
     ) -> tuple[_PendingBatch, list[_Entry]]:
-        """Append one round/task item to the rank's open batch.
+        """Append one round/task/reduce item to the rank's open batch.
 
         A round whose records no longer fit the open batch flushes it and
         restages into a fresh one; a record larger than the ring itself
@@ -861,10 +818,8 @@ class SharedMemoryBackend(TransportBackend):
                 pending.inline_count += 1
             else:
                 pending.placed_bytes += entry[2]
-            # payload_bytes / inline_fallbacks count *round* traffic only, in
-            # both modes: the per-round pipe path never counted task records,
-            # so the batched path must not either or describe() diverges
-            # between modes for the same workload.
+            # payload_bytes / inline_fallbacks count *round* traffic only;
+            # task and reduce records are control traffic.
             if op == "round":
                 if entry[1] < 0:
                     self.shm_stats["inline_fallbacks"] += 1
@@ -1101,12 +1056,6 @@ class SharedMemoryBackend(TransportBackend):
     # ------------------------------------------------------------------
     # Backend contract
     # ------------------------------------------------------------------
-    def route_round(self, messages: Sequence[Message]) -> dict[int, list[Message]]:
-        self.ensure_started()
-        if self.batch_rounds:
-            return self._route_round_batched(messages)
-        return self._route_round_pipe(messages)
-
     def _encode_payload(self, payload: Any) -> tuple[int, np.ndarray]:
         """Like :func:`_encode`, but pool-resident arrays ship as PoolRefs.
 
@@ -1122,7 +1071,7 @@ class SharedMemoryBackend(TransportBackend):
         self.shm_stats["pool_ref_payloads"] += 1
         return _CODEC, np.frombuffer(wire.encode(ref), dtype=np.uint8)
 
-    def _route_round_batched(self, messages: Sequence[Message]) -> dict[int, list[Message]]:
+    def route_round(self, messages: Sequence[Message]) -> dict[int, list[Message]]:
         """Stage the round into per-rank programs; deliver immediately.
 
         Decode∘encode is the identity and the worker's re-encode is
@@ -1132,6 +1081,7 @@ class SharedMemoryBackend(TransportBackend):
         objects through, exactly like the in-process oracle — no
         decode-what-we-just-encoded copy per dense bucket.
         """
+        self.ensure_started()
         by_dst: dict[int, list[Message]] = {}
         for message in messages:
             by_dst.setdefault(message.dst, []).append(message)
@@ -1142,73 +1092,6 @@ class SharedMemoryBackend(TransportBackend):
             self._stage_item(handle, "round", encoded)
         self.shm_stats["rounds"] += 1
         return by_dst
-
-    def _route_round_pipe(self, messages: Sequence[Message]) -> dict[int, list[Message]]:
-        """The per-round pipe protocol (``batch_rounds=False`` fallback)."""
-        from ..transport import Message as MessageCls
-
-        by_dst: dict[int, list[Message]] = {}
-        for message in messages:
-            by_dst.setdefault(message.dst, []).append(message)
-
-        # Phase 1: stage every destination's payloads and ring its doorbell.
-        pending: list[tuple[_WorkerHandle, int, list[Message]]] = []
-        for dst, batch in by_dst.items():
-            handle = self._workers[dst]
-            seq = handle.next_seq()
-            handle.writer.begin_round()
-            entries = []
-            for message in batch:
-                kind, data = self._encode_payload(message.payload)
-                entry = _write_encoded(handle.writer, seq, kind, data)
-                if entry[1] < 0:
-                    self.shm_stats["inline_fallbacks"] += 1
-                self.shm_stats["payload_bytes"] += entry[2]
-                entries.append(entry)
-            try:
-                handle.conn.send(("round", seq, entries))
-            except (BrokenPipeError, OSError) as exc:
-                self.close()
-                raise BackendError(
-                    f"shm worker {dst} pipe is gone ({exc}); backend closed"
-                ) from exc
-            placed = sum(e[2] for e in entries if e[1] >= 0)
-            inline = sum(1 for e in entries if e[1] < 0)
-            self.emit_protocol_event(
-                "post", rank=dst, seq=seq, op="round", detail=(len(entries), placed, inline)
-            )
-            pending.append((handle, seq, batch))
-        self.shm_stats["rounds"] += 1
-
-        # Phase 2: barrier — every participating worker must ack its round
-        # seq and echo the payloads through its outbound ring.
-        inbox: dict[int, list[Message]] = {}
-        for handle, seq, batch in pending:
-            out_entries = self._await_ack(handle, seq)
-            if len(out_entries) != len(batch):
-                self.close()
-                raise BackendError(
-                    f"shm worker {handle.rank} echoed {len(out_entries)} records "
-                    f"for a {len(batch)}-message round; backend closed"
-                )
-            delivered = []
-            for message, entry in zip(batch, out_entries):
-                payload = _read_record(handle.out_shm.buf, seq, entry)
-                if type(payload) is PoolRef:
-                    # The echoed descriptor resolves to the same storage the
-                    # sender's view aliases — the oracle's hand-off semantics.
-                    payload = self._resolve_ref_view(payload)
-                delivered.append(
-                    MessageCls(
-                        src=message.src,
-                        dst=message.dst,
-                        payload=payload,
-                        nbytes=message.nbytes,
-                        match_id=message.match_id,
-                    )
-                )
-            inbox[handle.rank] = delivered
-        return inbox
 
     def allocate_pool(self, rank: int, n_elements: int) -> np.ndarray:
         if not 0 <= rank < self.world_size:
@@ -1237,16 +1120,6 @@ class SharedMemoryBackend(TransportBackend):
             seq = self._post(handle, "pool", pool_shm.name, n, owner)
             self._await_ack(handle, seq)
 
-    def _resolve_ref_view(self, ref: PoolRef) -> np.ndarray:
-        """Parent-side view of the pool region a descriptor names."""
-        entry = self._pools.get(ref.rank)
-        if entry is None or ref.offset < 0 or ref.offset + ref.length > entry[1].shape[0]:
-            raise BackendError(
-                f"pool ref (rank {ref.rank}, offset {ref.offset}, length "
-                f"{ref.length}) targets an unmapped pool segment"
-            )
-        return entry[1][ref.offset : ref.offset + ref.length]
-
     def pool_ref_reduce(
         self,
         refs: Sequence[PoolRef],
@@ -1256,8 +1129,7 @@ class SharedMemoryBackend(TransportBackend):
         """In-place reduction executed by the workers, chunk-parallel.
 
         Chunk ``j`` ships to the worker owning ``refs[j]``'s pool as a
-        ``reduce`` program item (batched mode) or a ``reduce`` pipe
-        doorbell (per-round mode); every involved worker folds and
+        ``reduce`` program item; every involved worker folds and
         broadcasts its owned chunk concurrently with its peers — disjoint
         element ranges, so no inter-worker barrier is needed.  The parent
         posts all the work before awaiting any ack, and each worker's
@@ -1274,55 +1146,21 @@ class SharedMemoryBackend(TransportBackend):
             )
         spec_refs = tuple(refs)
         self.shm_stats["reduces"] += len(chunks)
-        if self.batch_rounds:
-            slots: list[tuple[int, int, int, int]] = []
-            for (lo, hi, order), ref in zip(chunks, refs):
-                handle = self._workers[ref.rank]
-                self._check_alive(handle)
-                spec = (int(lo), int(hi), spec_refs, tuple(order), bool(add_zero))
-                encoded = [_encode(spec)]
-                pending, _entries = self._stage_item(handle, "reduce", encoded)
-                slots.append((ref.rank, len(pending.program) - 1, lo, hi))
-            results = self._flush_ranks(sorted({ref.rank for ref in refs}))
-            for rank, slot, lo, hi in slots:
-                reply = results[rank][slot]
-                if reply != (lo, hi):
-                    self.close()
-                    raise BackendError(
-                        f"shm worker {rank} reduced chunk {reply}, expected "
-                        f"({lo}, {hi}); backend closed"
-                    )
-            return
-        pending_acks: list[tuple[_WorkerHandle, int, int, int]] = []
+        slots: list[tuple[int, int, int, int]] = []
         for (lo, hi, order), ref in zip(chunks, refs):
             handle = self._workers[ref.rank]
             self._check_alive(handle)
-            seq = handle.next_seq()
-            handle.writer.begin_round()
             spec = (int(lo), int(hi), spec_refs, tuple(order), bool(add_zero))
-            entry = _write_record(handle.writer, seq, spec)
-            try:
-                handle.conn.send(("reduce", seq, entry))
-            except (BrokenPipeError, OSError) as exc:
-                self.close()
-                raise BackendError(
-                    f"shm worker {ref.rank} pipe is gone ({exc}); backend closed"
-                ) from exc
-            self.emit_protocol_event(
-                "post",
-                rank=ref.rank,
-                seq=seq,
-                op="reduce",
-                detail=(1, entry[2], int(entry[1] < 0)),
-            )
-            pending_acks.append((handle, seq, lo, hi))
-        for handle, seq, lo, hi in pending_acks:
-            entry = self._await_ack(handle, seq)
-            reply = _read_record(handle.out_shm.buf, seq, entry)
+            encoded = [_encode(spec)]
+            pending, _entries = self._stage_item(handle, "reduce", encoded)
+            slots.append((ref.rank, len(pending.program) - 1, lo, hi))
+        results = self._flush_ranks(sorted({ref.rank for ref in refs}))
+        for rank, slot, lo, hi in slots:
+            reply = results[rank][slot]
             if reply != (lo, hi):
                 self.close()
                 raise BackendError(
-                    f"shm worker {handle.rank} reduced chunk {reply}, expected "
+                    f"shm worker {rank} reduced chunk {reply}, expected "
                     f"({lo}, {hi}); backend closed"
                 )
 
@@ -1331,47 +1169,25 @@ class SharedMemoryBackend(TransportBackend):
         fn: Callable[..., Any],
         args_by_rank: Mapping[int, tuple],
     ) -> dict[int, Any]:
+        """Run ``fn`` on each rank's worker; results return synchronously.
+
+        Tasks join the rank's open program (so an iteration's rounds and
+        its per-rank compute ship as one doorbell) and force a flush.
+        """
         self.ensure_started()
         ranks = sorted(args_by_rank)
-        if self.batch_rounds:
-            # Tasks join the rank's open program (so an iteration's rounds
-            # and its per-rank compute ship as one doorbell) and force a
-            # flush: the caller needs the results synchronously.
-            slots: dict[int, int] = {}
-            for rank in ranks:
-                handle = self._workers[rank]
-                self._check_alive(handle)
-                encoded = [_encode((fn, tuple(args_by_rank[rank])))]
-                pending, _entries = self._stage_item(handle, "task", encoded)
-                slots[rank] = len(pending.program) - 1
-            self.shm_stats["tasks"] += len(ranks)
-            # Post every rank's program before awaiting any ack so the
-            # tasks genuinely overlap across worker processes.
-            results = self._flush_ranks(ranks)
-            return {rank: results[rank][slots[rank]] for rank in ranks}
-        pending_acks: list[tuple[_WorkerHandle, int]] = []
+        slots: dict[int, int] = {}
         for rank in ranks:
             handle = self._workers[rank]
-            seq = handle.next_seq()
-            handle.writer.begin_round()
-            entry = _write_record(handle.writer, seq, (fn, tuple(args_by_rank[rank])))
-            try:
-                handle.conn.send(("task", seq, entry))
-            except (BrokenPipeError, OSError) as exc:
-                self.close()
-                raise BackendError(
-                    f"shm worker {rank} pipe is gone ({exc}); backend closed"
-                ) from exc
-            self.emit_protocol_event(
-                "post", rank=rank, seq=seq, op="task", detail=(1, entry[2], int(entry[1] < 0))
-            )
-            pending_acks.append((handle, seq))
+            self._check_alive(handle)
+            encoded = [_encode((fn, tuple(args_by_rank[rank])))]
+            pending, _entries = self._stage_item(handle, "task", encoded)
+            slots[rank] = len(pending.program) - 1
         self.shm_stats["tasks"] += len(ranks)
-        results: dict[int, Any] = {}
-        for handle, seq in pending_acks:
-            entry = self._await_ack(handle, seq)
-            results[handle.rank] = _read_record(handle.out_shm.buf, seq, entry)
-        return results
+        # Post every rank's program before awaiting any ack so the
+        # tasks genuinely overlap across worker processes.
+        results = self._flush_ranks(ranks)
+        return {rank: results[rank][slots[rank]] for rank in ranks}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1383,7 +1199,6 @@ class SharedMemoryBackend(TransportBackend):
             started=self._started,
             start_method=self.start_method,
             ring_bytes=self.ring_bytes,
-            batch_rounds=self.batch_rounds,
             cpu_count=os.cpu_count(),
             **self.shm_stats,
         )

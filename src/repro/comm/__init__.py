@@ -2,13 +2,8 @@
 
 Public entry points route to the world-batched fast path by default (see
 :mod:`repro.comm.fastpath`); the per-rank loop implementations remain in
-:mod:`repro.comm.collectives` as the reference oracle.  The payload-level
-round helpers ``alltoall`` / ``allgather_payloads`` are deprecated at this
-package level — the batched kernels made them internal plumbing of the loop
-path; import them from ``repro.comm.collectives`` if you really need them.
+:mod:`repro.comm.collectives` as the reference oracle.
 """
-
-import warnings
 
 from .batched import (
     allgather_sizes,
@@ -42,25 +37,6 @@ from .group import CommGroup
 from .hierarchical import HierarchicalComm
 from .scatter_reduce import scatter_reduce
 from .tree import tree_allreduce, tree_broadcast, tree_reduce
-
-#: names served lazily with a DeprecationWarning (PEP 562)
-_DEPRECATED_LOOP_INTERNALS = ("alltoall", "allgather_payloads")
-
-
-def __getattr__(name: str) -> object:
-    if name in _DEPRECATED_LOOP_INTERNALS:
-        warnings.warn(
-            f"repro.comm.{name} is a loop-path internal and deprecated at the "
-            f"package level; use the batched collectives or import it from "
-            f"repro.comm.collectives",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from . import collectives
-
-        return getattr(collectives, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "CommGroup",

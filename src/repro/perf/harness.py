@@ -53,10 +53,6 @@ MIN_SPEEDUP_FLOORS: dict[tuple[str, int], float] = {
 #: acceptance criterion) is only meaningful with ≥4 real cores.
 CONDITIONAL_SPEEDUP_FLOORS: dict[tuple[str, int], tuple[float, int]] = {
     ("epoch_compute_bound", 4): (1.8, 4),
-    # Iteration-batched flag-word doorbells vs per-round pipe doorbells
-    # (PR 9 acceptance criterion): only meaningful when the 4 workers and
-    # the parent are not fighting for 2 cores.
-    ("shm_round_latency", 4): (3.0, 4),
     # Worker-parallel in-place pool reduction vs the parent executing the
     # same chunk schedule serially (PR 10 acceptance criterion): the four
     # workers fold concurrently, so the floor needs ≥4 real cores.
@@ -344,52 +340,8 @@ def _bench_backend_epoch(world: int, repeats: int) -> list[BenchRecord]:
 
 
 # ----------------------------------------------------------------------
-# Round-latency and wire-codec benchmarks (PR 9)
+# Pool-reduce and wire-codec benchmarks
 # ----------------------------------------------------------------------
-def _bench_shm_round_latency(world: int, repeats: int) -> list[BenchRecord]:
-    """Per-round doorbell overhead: flag-word batches vs per-round pipes.
-
-    Drives the same ring-neighbor rounds through two shm backends —
-    ``loop_s`` with per-round pipe doorbells (``batch_rounds=False``, one
-    doorbell + ack pipe crossing per round per rank) and ``fast_s`` with
-    iteration batching (rounds staged into per-worker programs, one
-    flag-word doorbell per flush).  The flush is inside the timed region,
-    so the speedup column is pure signalling overhead: payloads, ring
-    traffic and echo verification are identical on both sides.
-    """
-    from ..cluster.backends.shm import SharedMemoryBackend
-    from ..cluster.transport import Message
-
-    rounds = 64
-    payload = np.arange(256, dtype=np.float64)  # 2 KiB per message
-    times: dict[bool, float] = {}
-    for batched in (False, True):
-        backend = SharedMemoryBackend(
-            world_size=world, ring_bytes=1 << 20, batch_rounds=batched
-        )
-        try:
-
-            def run() -> None:
-                for r in range(rounds):
-                    messages = [
-                        Message(
-                            src=src,
-                            dst=(src + 1) % world,
-                            payload=payload,
-                            nbytes=payload.nbytes,
-                            match_id=f"r{r}s{src}",
-                        )
-                        for src in range(world)
-                    ]
-                    backend.route_round(messages)
-                backend.flush()
-
-            times[batched] = _best_of(run, repeats)
-        finally:
-            backend.close()
-    return [BenchRecord("shm_round_latency", world, rounds, times[False], times[True])]
-
-
 def _bench_shm_pool_reduce(
     world: int, sizes: Iterable[int], repeats: int
 ) -> list[BenchRecord]:
@@ -506,7 +458,6 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
     records += _bench_compressors(worlds, 1024, repeats)
     records += _bench_epoch(WORLDS_QUICK[:1] if quick else worlds)
     records += _bench_backend_epoch(4, repeats)
-    records += _bench_shm_round_latency(4, repeats)
     records += _bench_shm_pool_reduce(4, (1 << 19,) if quick else (1 << 19, 1 << 21), repeats)
     records += _bench_wire_codec(repeats)
 

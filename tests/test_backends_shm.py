@@ -215,7 +215,6 @@ class TestBatchedRounds:
     def test_default_batches_rounds_behind_flag_doorbells(self):
         with Transport(_spec(2), backend="shm") as transport:
             backend = transport.backend
-            assert backend.batch_rounds is True
             for i in range(3):
                 got = transport.exchange([Message(0, 1, np.full(16, float(i)))])
                 assert got[1][0].payload[0] == float(i)
@@ -234,32 +233,6 @@ class TestBatchedRounds:
             backend.flush()
             assert backend.shm_stats["batches"] == batches
 
-    def test_legacy_mode_stays_on_per_round_pipes(self):
-        backend = SharedMemoryBackend(2, batch_rounds=False)
-        with Transport(_spec(2), backend=backend) as transport:
-            got = transport.exchange([Message(0, 1, np.arange(8.0))])[1][0].payload
-            assert np.array_equal(got, np.arange(8.0))
-            backend.flush()
-            stats = backend.shm_stats
-            assert stats["batches"] == 0
-            assert stats["flag_doorbells"] == 0
-
-    def test_batched_and_legacy_deliver_identical_bytes(self):
-        import pickle
-
-        payloads = [
-            np.arange(32.0),
-            {"k": (1, np.arange(3, dtype=np.float32))},
-            b"blob",
-        ]
-        delivered = {}
-        for batched in (False, True):
-            backend = SharedMemoryBackend(2, batch_rounds=batched)
-            with Transport(_spec(2), backend=backend) as transport:
-                inbox = transport.exchange([Message(0, 1, p) for p in payloads])
-                delivered[batched] = [m.payload for m in inbox[1]]
-        assert pickle.dumps(delivered[False]) == pickle.dumps(delivered[True])
-
     def test_tasks_flush_pending_rounds_first(self):
         with Transport(_spec(2), backend="shm") as transport:
             backend = transport.backend
@@ -269,10 +242,6 @@ class TestBatchedRounds:
             # The staged round must drain before the task executes.
             assert backend.run_rank_tasks(scale_task, {1: (3.0,)}) == {1: 12.0}
             assert backend.shm_stats["batches"] >= 1
-
-    def test_describe_reports_batch_mode(self):
-        with Transport(_spec(2), backend="shm") as transport:
-            assert transport.backend.describe()["batch_rounds"] is True
 
 
 class TestShmPoolsAndTasks:
@@ -346,11 +315,10 @@ class TestPoolRefReduce:
             # Any non-pool member keeps the whole collective on the codec path.
             assert backend.resolve_pool_refs([pools[0], np.arange(8.0)], [0, 1]) is None
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "pipe"])
     @pytest.mark.parametrize("add_zero", [True, False], ids=["add-zero", "plain"])
-    def test_worker_parallel_reduce_matches_serial_fold(self, batched, add_zero):
+    def test_worker_parallel_reduce_matches_serial_fold(self, add_zero):
         world = 3
-        backend = SharedMemoryBackend(world, batch_rounds=batched)
+        backend = SharedMemoryBackend(world)
         with Transport(_spec(world), backend=backend):
             rng = np.random.default_rng(61)
             pools = [backend.allocate_pool(rank, 12) for rank in range(world)]
@@ -382,11 +350,10 @@ class TestPoolRefReduce:
             with pytest.raises(ValueError, match="chunk"):
                 backend.pool_ref_reduce(refs, [(0, 8, (0, 1))], add_zero=False)
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "pipe"])
-    def test_round_stats_count_rounds_only(self, batched):
+    def test_round_stats_count_rounds_only(self):
         # payload_bytes / inline_fallbacks are *round* traffic counters:
-        # tasks and pool-ref reduces must not move them in either mode.
-        backend = SharedMemoryBackend(2, batch_rounds=batched)
+        # tasks and pool-ref reduces must not move them.
+        backend = SharedMemoryBackend(2)
         with Transport(_spec(2), backend=backend) as transport:
             pools = [backend.allocate_pool(rank, 8) for rank in range(2)]
             transport.exchange([Message(0, 1, np.arange(8.0))])

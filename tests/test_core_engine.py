@@ -96,13 +96,15 @@ class TestProfilingIteration:
             def setup(self, engine):
                 calls.append("setup")
 
-            def on_backward_done(self, engine, step):
+            def comm_bucket(self, engine, k, step):
+                pass
+
+            def on_step_end(self, engine, step):
                 calls.append(f"step{step}")
 
         engine = make_engine(algorithm=Probe())
         batches = make_batches(rng, 4)
-        with pytest.warns(DeprecationWarning):  # legacy-hook Probe
-            engine.step(batches, loss_fn)
+        engine.step(batches, loss_fn)
         engine.step(batches, loss_fn)
         assert calls == ["setup", "step0", "step1"]
 
@@ -159,43 +161,13 @@ class TestBucketAccessors:
                 np.testing.assert_array_equal(w, new[k])
 
 
-class TestLegacyHookDeprecation:
-    """The on_backward_done() shim is deprecated for algorithms that override it."""
+class TestAlgorithmContract:
+    def test_algorithm_without_comm_bucket_is_rejected_at_construction(self):
+        class NoComm(Algorithm):
+            name = "no-comm"
 
-    class _Legacy(Algorithm):
-        name = "legacy-probe"
-
-        def on_backward_done(self, engine, step):
-            for k in range(engine.num_buckets):
-                grads = engine.grads_of_bucket(k)
-                mean = sum(grads) / len(grads)
-                engine.set_grads_of_bucket(k, [mean] * engine.world_size)
-            for worker in engine.workers:
-                worker.optimizer.step()
-
-    def test_legacy_override_warns_once(self, rng):
-        engine = make_engine(world=2, algorithm=self._Legacy())
-        batches = make_batches(rng, 2)
-        with pytest.warns(DeprecationWarning, match="on_backward_done"):
-            engine.step(batches, loss_fn)
-        # Only the first step warns; later steps are quiet.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.step(batches, loss_fn)
-
-    def test_ported_algorithm_on_legacy_path_is_silent(self, rng):
-        # scheduled=False drives a ported algorithm through the base-class
-        # shim (the equivalence tests do this); that must not warn.
-        spec = ClusterSpec(num_nodes=1, workers_per_node=2)
-        workers = make_workers(spec)
-        models = [make_model() for _ in range(2)]
-        optimizers = [SGD(m.parameters(), lr=0.1) for m in models]
-        engine = BaguaEngine(
-            models, optimizers, AllreduceSGD(), workers, scheduled=False
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine.step(make_batches(rng, 2), loss_fn)
+        with pytest.raises(TypeError, match="NoComm"):
+            make_engine(world=2, algorithm=NoComm())
 
     def test_scheduled_algorithm_never_warns(self, rng):
         engine = make_engine(world=2)

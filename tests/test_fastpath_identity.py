@@ -313,23 +313,6 @@ class TestFastPathSwitch:
         assert resolve_fast_path(False, fast_group.transport) is False
 
 
-class TestDeprecatedLoopInternals:
-    @pytest.mark.parametrize("name", ["alltoall", "allgather_payloads"])
-    def test_package_level_access_warns(self, name):
-        import repro.comm as comm
-        from repro.comm import collectives
-
-        with pytest.warns(DeprecationWarning, match=name):
-            attr = getattr(comm, name)
-        assert attr is getattr(collectives, name)
-
-    def test_unknown_attribute_raises(self):
-        import repro.comm as comm
-
-        with pytest.raises(AttributeError):
-            comm.does_not_exist
-
-
 class TestChunkBoundsCache:
     def test_memoized_and_shared(self):
         chunk_bounds.cache_clear()

@@ -83,17 +83,6 @@ def _drive(backend) -> list[ProtocolEvent]:
 
 @pytest.fixture(scope="module")
 def shm_stream() -> list[ProtocolEvent]:
-    # Pinned to the legacy per-round pipe protocol: the doctored streams
-    # below edit per-round post/ack shapes that batching coalesces away.
-    return _drive(
-        SharedMemoryBackend(
-            world_size=2, ring_bytes=1 << 16, sanitize=True, batch_rounds=False
-        )
-    )
-
-
-@pytest.fixture(scope="module")
-def shm_batched_stream() -> list[ProtocolEvent]:
     return _drive(SharedMemoryBackend(world_size=2, ring_bytes=1 << 16, sanitize=True))
 
 
@@ -115,6 +104,14 @@ class TestLiveConformance:
     def test_stream_has_both_sides_of_the_pipes(self, shm_stream):
         procs = {event.proc for event in shm_stream}
         assert procs == {"parent", "worker:0", "worker:1"}
+
+    def test_stream_stages_then_flushes(self, shm_stream):
+        stages = [e for e in shm_stream if e.kind == "stage"]
+        batch_posts = [e for e in shm_stream if e.kind == "post" and e.op == "batch"]
+        assert stages, "shm run recorded no stage events"
+        assert batch_posts, "shm run recorded no batch doorbells"
+        covered = {(e.rank, e.seq) for e in batch_posts}
+        assert {(e.rank, e.seq) for e in stages} <= covered
 
     @pytest.mark.parametrize("backend_cls", [LocalBackend, BatchedBackend])
     def test_sanitized_in_process_backends_are_clean(self, backend_cls):
@@ -175,10 +172,17 @@ class TestLiveConformance:
 # ----------------------------------------------------------------------
 # Doctored streams: one divergence, one located root-cause finding.
 # ----------------------------------------------------------------------
-def _drop_round_ack(stream):
+def _batch_post(stream):
+    """Rank 1's program doorbell — the exchange every doctor below edits."""
+    return next(
+        e for e in stream if e.kind == "post" and e.op == "batch" and e.rank == 1
+    )
+
+
+def _drop_batch_ack(stream):
     return [
         e for e in stream
-        if not (e.kind == "ack_send" and e.proc == "worker:1" and e.op == "round")
+        if not (e.kind == "ack_send" and e.proc == "worker:1" and e.op == "batch")
     ]
 
 
@@ -198,22 +202,20 @@ def _lose_close_doorbell(stream):
 
 
 def _skip_barrier(stream):
-    first = next(
-        e for e in stream if e.kind == "ack_recv" and e.rank == 1 and e.seq == 0
-    )
-    return [e for e in stream if e is not first]
+    seq = _batch_post(stream).seq
+    return [
+        e for e in stream if not (e.kind == "ack_recv" and e.rank == 1 and e.seq == seq)
+    ]
 
 
 def _reuse_seq(stream):
-    second = next(
-        e for e in stream if e.kind == "post" and e.rank == 1 and e.seq == 1
-    )
-    return [replace(e, seq=0) if e is second else e for e in stream]
+    victim = _batch_post(stream)
+    return [replace(e, seq=victim.seq - 1) if e is victim else e for e in stream]
 
 
 def _misdeliver(stream):
     victim = next(
-        e for e in stream if e.kind == "recv" and e.proc == "worker:1" and e.op == "round"
+        e for e in stream if e.kind == "recv" and e.proc == "worker:1" and e.op == "batch"
     )
     return [replace(e, rank=0) if e is victim else e for e in stream]
 
@@ -240,19 +242,22 @@ def _abandon_worker(stream):
 
 
 def _overflow_budget(stream):
-    victim = next(e for e in stream if e.kind == "post" and e.op == "round" and e.rank == 1)
+    victim = _batch_post(stream)
     return [replace(e, detail=(1, 1 << 20, 0)) if e is victim else e for e in stream]
 
 
 def _phantom_doorbell(stream):
-    victim = next(
-        e for e in stream if e.kind == "post" and e.op == "round" and e.rank == 1
-    )
-    return [e for e in stream if e is not victim]
+    # The parent recorded neither the program's staging nor its doorbell,
+    # yet worker 1 served it.
+    seq = _batch_post(stream).seq
+    return [
+        e for e in stream
+        if not (e.kind in ("stage", "post") and e.rank == 1 and e.seq == seq)
+    ]
 
 
 _DOCTORS = [
-    ("dropped-ack", _drop_round_ack, RULE_LOST_WAKEUP),
+    ("dropped-ack", _drop_batch_ack, RULE_LOST_WAKEUP),
     ("lost-doorbell", _lose_close_doorbell, RULE_LOST_WAKEUP),
     ("skipped-barrier", _skip_barrier, RULE_BARRIER),
     ("reused-seq", _reuse_seq, RULE_SEQ),
@@ -281,43 +286,12 @@ class TestDoctoredStreams:
         finding = the_one_finding(findings)
         assert any("observed:" in line for line in finding.witness), finding.explain()
 
-
-# ----------------------------------------------------------------------
-# Batched flag-word streams: clean replay + doctored divergences.
-# ----------------------------------------------------------------------
-class TestBatchedStreams:
-    def test_sanitized_batched_stream_is_clean(self, shm_batched_stream):
-        assert shm_batched_stream, "sanitize mode recorded no events"
-        assert check_events(shm_batched_stream) == []
-
-    def test_batched_stream_stages_then_flushes(self, shm_batched_stream):
-        stages = [e for e in shm_batched_stream if e.kind == "stage"]
-        batch_posts = [
-            e for e in shm_batched_stream if e.kind == "post" and e.op == "batch"
-        ]
-        assert stages, "batched run recorded no stage events"
-        assert batch_posts, "batched run recorded no batch doorbells"
-        covered = {(e.rank, e.seq) for e in batch_posts}
-        assert {(e.rank, e.seq) for e in stages} <= covered
-
-    def test_dropped_batch_post_is_a_barrier_bug(self, shm_batched_stream):
-        victim = next(
-            e for e in shm_batched_stream
-            if e.kind == "post" and e.op == "batch" and e.rank == 1
-        )
-        doctored = [e for e in shm_batched_stream if e is not victim]
+    def test_dropped_batch_post_is_a_barrier_bug(self, shm_stream):
+        victim = _batch_post(shm_stream)
+        doctored = [e for e in shm_stream if e is not victim]
         finding = the_one_finding(check_events(doctored))
         assert finding.rule == RULE_BARRIER, finding.render()
         assert "never flushed" in finding.message
-
-    def test_dropped_batch_ack_is_a_lost_wakeup(self, shm_batched_stream):
-        victim = next(
-            e for e in shm_batched_stream
-            if e.kind == "ack_send" and e.op == "batch" and e.proc == "worker:1"
-        )
-        doctored = [e for e in shm_batched_stream if e is not victim]
-        finding = the_one_finding(check_events(doctored))
-        assert finding.rule == RULE_LOST_WAKEUP, finding.render()
 
 
 # ----------------------------------------------------------------------
