@@ -99,6 +99,44 @@ def _node_groups(spec: ClusterSpec) -> list[list[int]]:
     return spec.node_groups()
 
 
+def probe_algorithm(name: str) -> Algorithm:
+    """The registered algorithm or baseline ``name``, with its analysis overrides."""
+    if name in BASELINE_REGISTRY:
+        return BASELINE_REGISTRY[name]()
+    # Unknown names raise here, with the known-name list.
+    return make_algorithm(name, **ANALYSIS_OVERRIDES.get(name, {}))
+
+
+def record_dry_run(
+    algorithm: Algorithm,
+    spec: ClusterSpec,
+    steps: int = 5,
+    seed: int = 0,
+    config: BaguaConfig | None = None,
+) -> tuple[BaguaEngine, TraceRecorder]:
+    """Check-by-execution: build a probe engine and record ``steps`` steps.
+
+    This is what obtaining one plan's IR costs when it has to come off a
+    real run — the leg ``repro perf``'s ``symbolic_lowering`` record times
+    against :func:`repro.analysis.symbolic.sweep_variants`.
+    """
+    config = config or BaguaConfig(bucket_bytes=PROBE_BUCKET_BYTES)
+    transport = Transport(spec)
+    workers = make_workers(spec, transport, seed=seed)
+    models = [_ProbeMLP(np.random.default_rng(seed)) for _ in workers]
+    optimizers = [SGD(m.parameters(), lr=0.05, momentum=0.9) for m in models]
+    engine = BaguaEngine(models, optimizers, algorithm, workers, config=config)
+
+    recorder = TraceRecorder(spec.world_size).install(transport)
+    try:
+        for step, batches in enumerate(_probe_batches(spec.world_size, steps, seed)):
+            recorder.begin_step(step)
+            engine.step(batches, _probe_loss)
+    finally:
+        recorder.uninstall()
+    return engine, recorder
+
+
 def analyze_algorithm(
     name: str,
     num_nodes: int = 2,
@@ -114,28 +152,9 @@ def analyze_algorithm(
     ``hb=True`` adds the happens-before rules to every subject and sweeps
     the lowered schedule across all O/F/H × update-mode variants.
     """
-    if algorithm is None:
-        if name in ALGORITHM_REGISTRY:
-            algorithm = make_algorithm(name, **ANALYSIS_OVERRIDES.get(name, {}))
-        elif name in BASELINE_REGISTRY:
-            algorithm = BASELINE_REGISTRY[name]()
-        else:
-            algorithm = make_algorithm(name)  # raises with the known-name list
-    config = config or BaguaConfig(bucket_bytes=PROBE_BUCKET_BYTES)
+    algorithm = algorithm or probe_algorithm(name)
     spec = ClusterSpec(num_nodes=num_nodes, workers_per_node=gpus_per_node)
-    transport = Transport(spec)
-    workers = make_workers(spec, transport, seed=seed)
-    models = [_ProbeMLP(np.random.default_rng(seed)) for _ in workers]
-    optimizers = [SGD(m.parameters(), lr=0.05, momentum=0.9) for m in models]
-    engine = BaguaEngine(models, optimizers, algorithm, workers, config=config)
-
-    recorder = TraceRecorder(spec.world_size).install(transport)
-    try:
-        for step, batches in enumerate(_probe_batches(spec.world_size, steps, seed)):
-            recorder.begin_step(step)
-            engine.step(batches, _probe_loss)
-    finally:
-        recorder.uninstall()
+    engine, recorder = record_dry_run(algorithm, spec, steps, seed, config)
 
     expected_topology = getattr(algorithm, "topology", None)
     if expected_topology != "ring":

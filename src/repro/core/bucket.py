@@ -110,7 +110,8 @@ class TensorBucket:
     # ------------------------------------------------------------------
     def flat_grad(self) -> np.ndarray:
         """Gradients of all parameters concatenated (missing grads are zero)."""
-        out = np.zeros(self.total_elements)
+        alloc = np.empty if self.grads_ready() else np.zeros
+        out = alloc(self.total_elements)
         for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:]):
             if p.grad is not None:
                 out[lo:hi] = p.grad.reshape(-1)

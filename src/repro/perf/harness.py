@@ -59,6 +59,10 @@ CONDITIONAL_SPEEDUP_FLOORS: dict[tuple[str, int], tuple[float, int]] = {
     ("shm_pool_reduce", 4): (2.0, 4),
 }
 
+#: Records the suite reports but :func:`check_against_baseline` never gates,
+#: whatever a baseline document holds for them.
+REPORT_ONLY = frozenset({"symbolic_lowering"})
+
 CALIBRATION_REPEATS = 5
 
 WORLDS_FULL = (4, 16, 64)
@@ -441,6 +445,45 @@ def _bench_wire_codec(repeats: int) -> list[BenchRecord]:
 
 
 # ----------------------------------------------------------------------
+# Plan checking: execution vs symbolic lowering
+# ----------------------------------------------------------------------
+def _bench_symbolic_lowering(repeats: int) -> list[BenchRecord]:
+    """Per-plan cost of obtaining the comm-op IR, over every registered
+    algorithm and baseline at world 4 (``size`` = plans lowered).
+
+    ``loop_s``: check by execution — build a probe engine and record the
+    driver's 5-step dry run.  ``fast_s``: lower one of the sixteen
+    ``sweep_variants`` rewrites from the plan description alone.  The
+    executed leg is bound by autograd speed, which moves for reasons that
+    have nothing to do with the lowering, so the record is
+    :data:`REPORT_ONLY`.
+    """
+    from ..algorithms.registry import ALGORITHM_REGISTRY
+    from ..analysis.driver import probe_algorithm, record_dry_run
+    from ..analysis.symbolic import PlanPoint, sweep_variants
+    from ..baselines import BASELINE_REGISTRY
+
+    names = sorted(ALGORITHM_REGISTRY) + sorted(BASELINE_REGISTRY)
+    spec = ClusterSpec(num_nodes=2, workers_per_node=2)
+    points = [PlanPoint(algorithm=name, world_size=4, workers_per_node=2) for name in names]
+
+    def executed() -> None:
+        for name in names:
+            record_dry_run(probe_algorithm(name), spec)
+
+    def symbolic() -> int:
+        return sum(len(sweep_variants(point)) for point in points)
+
+    plans = symbolic()
+    return [
+        BenchRecord(
+            "symbolic_lowering", 4, plans,
+            _best_of(executed, repeats) / len(names), _best_of(symbolic, repeats) / plans,
+        )
+    ]
+
+
+# ----------------------------------------------------------------------
 # Suite driver
 # ----------------------------------------------------------------------
 def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
@@ -460,6 +503,7 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
     records += _bench_backend_epoch(4, repeats)
     records += _bench_shm_pool_reduce(4, (1 << 19,) if quick else (1 << 19, 1 << 21), repeats)
     records += _bench_wire_codec(repeats)
+    records += _bench_symbolic_lowering(repeats)
 
     from ..cluster.backends import BACKEND_ENV_VAR, DEFAULT_BACKEND
 
@@ -545,7 +589,8 @@ def check_against_baseline(
         for base in baseline["records"]:
             key = (base["name"], base["world"], base["size"])
             cur = cur_index.get(key)
-            if cur is None:  # quick runs cover a subset of the full baseline
+            # Quick runs cover a subset of the full baseline.
+            if cur is None or base["name"] in REPORT_ONLY:
                 continue
             speedups.setdefault(base["name"], []).append(
                 (cur["speedup"], base["speedup"])

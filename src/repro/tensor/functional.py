@@ -1,8 +1,12 @@
 """Differentiable operations on :class:`~repro.tensor.tensor.Tensor`.
 
 Everything here builds graph nodes by hand: forward with numpy, backward as a
-closure.  Convolutions use im2col so proxy CNNs (VGG/AlexNet families) train
-at reasonable speed in pure numpy.
+closure.  Convolutions and pooling use im2col over a strided window view.
+
+Numeric contract: ``linear`` and ``conv2d`` contract with BLAS (``np.matmul``),
+which re-associates sums, so they match a nested-loop reference to ~1e-10
+relative, not bitwise.  Every executor x backend pair runs these same kernels
+and therefore stays bitwise-equal to every other.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor
 
@@ -122,20 +127,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy between ``logits`` [batch, classes] and int targets."""
-    targets = np.asarray(targets)
-    if targets.ndim != 1:
-        targets = targets.reshape(-1)
-    batch = logits.data.shape[0]
-    lsm = log_softmax(logits, axis=-1)
-    picked = lsm.data[np.arange(batch), targets]
-    loss_value = -picked.mean()
-
-    def backward(grad: np.ndarray) -> None:
-        g = np.zeros_like(lsm.data)
-        g[np.arange(batch), targets] = -float(grad) / batch
-        lsm._accumulate(g)
-
-    return Tensor._make(np.asarray(loss_value), (lsm,), backward)
+    return nll_loss(log_softmax(logits, axis=-1), targets)
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -206,127 +198,125 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         full = np.zeros_like(weight.data)
         np.add.at(full, indices.reshape(-1), grad.reshape(-1, weight.data.shape[1]))
-        weight._accumulate(full)
+        weight._accumulate(full, fresh=True)
 
     return Tensor._make(weight.data[indices], (weight,), backward)
 
 
 # ----------------------------------------------------------------------
-# Convolution via im2col
+# Linear, convolution and pooling
 # ----------------------------------------------------------------------
-def _im2col_indices(
-    x_shape: tuple, kh: int, kw: int, stride: int, padding: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    _, channels, height, width = x_shape
-    out_h = (height + 2 * padding - kh) // stride + 1
-    out_w = (width + 2 * padding - kw) // stride + 1
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Fused affine map ``x @ weight.T + bias``: ``x`` [..., in], ``weight`` [out, in].
 
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    return k, i, j, out_h, out_w
+    One graph node; its backward writes ``dW = grad.T @ x`` straight in the
+    weight's layout.  Parents list the bias before the weight so post-grad
+    hooks fire bias-first, the order the unfused ``x @ W.T + b`` graph had.
+    """
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out = x2 @ weight.data.T
+    if bias is not None:
+        out += bias.data
+    parents = (x, weight) if bias is None else (bias, x, weight)
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad.reshape(-1, grad.shape[-1])
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate((g @ weight.data).reshape(x.data.shape))
+        if weight.requires_grad:
+            weight._accumulate(g.T @ x2, fresh=True)
+
+    return Tensor._make(out.reshape(*x.data.shape[:-1], -1), parents, backward)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple[np.ndarray, tuple]:
-    k, i, j, out_h, out_w = _im2col_indices(x.shape, kh, kw, stride, padding)
-    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
-    cols = padded[:, k, i, j]  # [batch, C*kh*kw, out_h*out_w]
-    return cols, (out_h, out_w)
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int = 0) -> np.ndarray:
+    """Windows of zero-padded ``x`` [B, C, H, W] as [B, C, kh, kw, out_h, out_w].
+
+    A strided ``sliding_window_view`` of the padded input, materialised by
+    one copy so the BLAS calls and reductions downstream see dense memory.
+    """
+    if padding:
+        batch, channels, height, width = x.shape
+        padded = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding), x.dtype)
+        padded[:, :, padding:-padding, padding:-padding] = x
+        x = padded
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
 
 
-def _col2im(
-    cols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, padding: int
-) -> np.ndarray:
+def _col2im(dcols: np.ndarray, x_shape: tuple, stride: int, padding: int = 0) -> np.ndarray:
+    """Adjoint of :func:`_im2col`: sum [B, C, kh, kw, out_h, out_w] back into ``x_shape``.
+
+    One strided slice-add per kernel offset: windows overlap across offsets,
+    never within one, so each ``+=`` touches every element at most once.
+    """
     batch, channels, height, width = x_shape
-    k, i, j, _, _ = _im2col_indices(x_shape, kh, kw, stride, padding)
-    padded = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding))
-    np.add.at(padded, (slice(None), k, i, j), cols)
-    if padding == 0:
-        return padded
-    return padded[:, :, padding:-padding, padding:-padding]
+    kh, kw, out_h, out_w = dcols.shape[2:]
+    padded = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding), dcols.dtype)
+    for i, j in np.ndindex(kh, kw):
+        rows, cols = slice(i, i + stride * out_h, stride), slice(j, j + stride * out_w, stride)
+        padded[:, :, rows, cols] += dcols[:, :, i, j]
+    return padded[:, :, padding : padding + height, padding : padding + width]
 
 
 def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int = 0,
+    x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0
 ) -> Tensor:
     """2D convolution: ``x`` [B, C, H, W], ``weight`` [F, C, kh, kw]."""
     filters, _, kh, kw = weight.data.shape
-    cols, (out_h, out_w) = _im2col(x.data, kh, kw, stride, padding)
+    batch = x.data.shape[0]
+    windows = _im2col(x.data, kh, kw, stride, padding)
     w_flat = weight.data.reshape(filters, -1)  # [F, C*kh*kw]
-    out = np.einsum("fc,bcl->bfl", w_flat, cols)
+    cols = windows.reshape(batch, w_flat.shape[1], -1)  # [B, C*kh*kw, L]
+    out = np.matmul(w_flat, cols)  # [B, F, L]
     if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1)
-    out = out.reshape(x.data.shape[0], filters, out_h, out_w)
+        out += bias.data.reshape(1, -1, 1)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad: np.ndarray) -> None:
-        g = grad.reshape(grad.shape[0], filters, -1)  # [B, F, L]
+        g = grad.reshape(batch, filters, -1)  # [B, F, L]
         if weight.requires_grad:
-            dw = np.einsum("bfl,bcl->fc", g, cols).reshape(weight.data.shape)
-            weight._accumulate(dw)
+            dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+            weight._accumulate(dw.reshape(weight.data.shape), fresh=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
         if x.requires_grad:
-            dcols = np.einsum("fc,bfl->bcl", w_flat, g)
-            x._accumulate(_col2im(dcols, x.data.shape, kh, kw, stride, padding))
+            dcols = np.matmul(w_flat.T, g).reshape(windows.shape)
+            x._accumulate(_col2im(dcols, x.data.shape, stride, padding))
 
-    return Tensor._make(out, parents, backward)
+    return Tensor._make(out.reshape(batch, filters, *windows.shape[4:]), parents, backward)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
+    """Max over ``kernel`` x ``kernel`` windows; ties route the gradient to the
+    first maximum in window (row-major) order."""
     stride = stride or kernel
-    batch, channels, height, width = x.data.shape
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
-    cols, _ = _im2col(
-        x.data.reshape(batch * channels, 1, height, width), kernel, kernel, stride, 0
-    )
-    cols = cols.reshape(batch * channels, kernel * kernel, out_h * out_w)
-    argmax = cols.argmax(axis=1)
-    out = np.take_along_axis(cols, argmax[:, None, :], axis=1).reshape(
-        batch, channels, out_h, out_w
-    )
+    windows = _im2col(x.data, kernel, kernel, stride)
+    shape = windows.shape
+    flat = (shape[0], shape[1], kernel * kernel, shape[4], shape[5])
+    cols = windows.reshape(flat)
+    argmax = cols.argmax(axis=2)[:, :, None]
 
     def backward(grad: np.ndarray) -> None:
-        g = grad.reshape(batch * channels, 1, -1)
-        dcols = np.zeros_like(cols)
-        np.put_along_axis(dcols, argmax[:, None, :], g, axis=1)
-        dx = _col2im(
-            dcols, (batch * channels, 1, height, width), kernel, kernel, stride, 0
-        )
-        x._accumulate(dx.reshape(x.data.shape))
+        dcols = np.zeros(shape, grad.dtype)
+        np.put_along_axis(dcols.reshape(flat), argmax, grad[:, :, None], axis=2)
+        x._accumulate(_col2im(dcols, x.data.shape, stride))
 
-    return Tensor._make(out, (x,), backward)
+    return Tensor._make(cols.max(axis=2), (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     stride = stride or kernel
-    batch, channels, height, width = x.data.shape
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
-    cols, _ = _im2col(
-        x.data.reshape(batch * channels, 1, height, width), kernel, kernel, stride, 0
-    )
-    out = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
+    windows = _im2col(x.data, kernel, kernel, stride)
+    shape = windows.shape
 
     def backward(grad: np.ndarray) -> None:
-        g = grad.reshape(batch * channels, 1, -1)
-        dcols = np.broadcast_to(g / (kernel * kernel), (batch * channels, kernel * kernel, out_h * out_w))
-        dx = _col2im(
-            np.ascontiguousarray(dcols), (batch * channels, 1, height, width), kernel, kernel, stride, 0
-        )
-        x._accumulate(dx.reshape(x.data.shape))
+        dcols = np.broadcast_to((grad / (kernel * kernel))[:, :, None, None], shape)
+        x._accumulate(_col2im(dcols, x.data.shape, stride))
 
-    return Tensor._make(out, (x,), backward)
+    return Tensor._make(windows.mean(axis=(2, 3)), (x,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -376,11 +366,9 @@ def batch_norm2d(
         if x.requires_grad:
             dxhat = grad * weight.data.reshape(shape)
             if training:
-                count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
                 mean_dxhat = dxhat.mean(axis=axes).reshape(shape)
                 mean_dxhat_xhat = (dxhat * x_hat).mean(axis=axes).reshape(shape)
                 dx = (dxhat - mean_dxhat - x_hat * mean_dxhat_xhat) * inv_std.reshape(shape)
-                del count
             else:
                 dx = dxhat * inv_std.reshape(shape)
             x._accumulate(dx)
@@ -396,11 +384,10 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     out = x_hat * weight.data + bias.data
 
     def backward(grad: np.ndarray) -> None:
+        axes = tuple(range(grad.ndim - 1))
         if weight.requires_grad:
-            axes = tuple(range(grad.ndim - 1))
             weight._accumulate((grad * x_hat).sum(axis=axes))
         if bias.requires_grad:
-            axes = tuple(range(grad.ndim - 1))
             bias._accumulate(grad.sum(axis=axes))
         if x.requires_grad:
             dxhat = grad * weight.data

@@ -118,8 +118,7 @@ class Tensor:
         return self.data
 
     def copy(self) -> Tensor:
-        t = Tensor(self.data.copy(), requires_grad=self.requires_grad, name=self.name)
-        return t
+        return Tensor(self.data.copy(), requires_grad=self.requires_grad, name=self.name)
 
     def detach(self) -> Tensor:
         return Tensor(self.data, requires_grad=False, name=self.name)
@@ -156,14 +155,23 @@ class Tensor:
             out._backward_fn = backward_fn
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into ``.grad`` without ever writing to ``grad`` itself.
+
+        Interior nodes borrow the array they are handed first (``backward``
+        drops their ``.grad`` right after use).  A leaf's ``.grad`` outlives
+        the pass and is scaled in place (``clip_grad_norm``), so it may alias
+        neither another leaf's ``.grad`` nor an array a caller can still see:
+        leaves copy, unless the kernel vouches the array is ``fresh`` (just
+        computed, referenced by nothing else) and hands it over.
+        """
         if not self.requires_grad:
             return
         grad = _unbroadcast(_as_array(grad), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
+        if self.grad is not None:
             self.grad = self.grad + grad
+        else:
+            self.grad = grad if fresh or self._backward_fn is not None else grad.copy()
 
     def backward(self, grad: ArrayLike | None = None) -> None:
         """Run reverse-mode differentiation from this tensor.
@@ -178,7 +186,7 @@ class Tensor:
                 raise ValueError("backward() without gradient requires a scalar output")
             grad = np.ones_like(self.data)
         else:
-            grad = _as_array(grad)
+            grad = _as_array(grad).copy()  # the root keeps its .grad: never alias the caller's
 
         # Collect the reachable requires-grad subgraph (iteratively: models
         # can be deep enough to overflow Python's recursion limit) ...
@@ -328,31 +336,35 @@ class Tensor:
         return self.transpose()
 
     def sum(self, axis=None, keepdims: bool = False) -> Tensor:
-        def backward(grad: np.ndarray) -> None:
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape))
-
-        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
+        return self._reduced(self.data.sum(axis=axis, keepdims=keepdims), axis, keepdims, 1)
 
     def mean(self, axis=None, keepdims: bool = False) -> Tensor:
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
+        out = self.data.mean(axis=axis, keepdims=keepdims)
+        return self._reduced(out, axis, keepdims, self.data.size // max(out.size, 1))
+
+    def _reduced(self, out: np.ndarray, axis, keepdims: bool, count: int) -> Tensor:
+        """Node for a sum (``count`` 1) or a mean of ``count`` elements over ``axis``."""
 
         def backward(grad: np.ndarray) -> None:
-            g = grad / count
+            g = grad if count == 1 else grad / count
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape))
 
-        return Tensor._make(self.data.mean(axis=axis, keepdims=keepdims), (self,), backward)
+        return Tensor._make(out, (self,), backward)
 
     def __getitem__(self, index) -> Tensor:
+        # Basic indices (ints, slices, Ellipsis, None) select each element at
+        # most once; only advanced indices can repeat and need ``np.add.at``.
+        items = index if isinstance(index, tuple) else (index,)
+        basic = all(isinstance(i, (int, np.integer, slice, type(...), type(None))) for i in items)
+
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
+            if basic:
+                full[index] = grad
+            else:
+                np.add.at(full, index, grad)
             self._accumulate(full)
 
         return Tensor._make(self.data[index], (self,), backward)

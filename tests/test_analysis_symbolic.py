@@ -4,29 +4,20 @@ The tentpole claim of :mod:`repro.analysis.symbolic` is that lowering a plan
 *description* yields IR event-identical to lowering the schedule a really
 constructed engine commits to — for every registered algorithm and baseline,
 across all sixteen O/F/H x update-mode variants, at world sizes {2, 4, 8,
-16} — while being far cheaper than executing anything (the speed test pins
-the >= 50x bound the pruner's economics rest on).
+16} — without constructing a transport or an engine or issuing a round (the
+wall-clock ratio against a dry run is ``repro perf``'s ``symbolic_lowering``
+record, reported there and gated nowhere).
 """
 
 import dataclasses
-import gc
-import time
 
-import numpy as np
 import pytest
 
-from repro.algorithms.registry import ALGORITHM_REGISTRY, make_algorithm
+from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.analysis import run_checkers
 from repro.analysis.checkers import HB_CHECKERS
-from repro.analysis.driver import (
-    ANALYSIS_OVERRIDES,
-    PROBE_BUCKET_BYTES,
-    _probe_batches,
-    _probe_loss,
-    _ProbeMLP,
-)
+from repro.analysis.driver import probe_algorithm, record_dry_run
 from repro.analysis.lowering import lower_schedule
-from repro.analysis.recorder import TraceRecorder
 from repro.analysis.symbolic import (
     PROBE_READY_INVENTORY,
     PlanPoint,
@@ -38,52 +29,24 @@ from repro.analysis.symbolic import (
 from repro.baselines import BASELINE_REGISTRY
 from repro.cluster.topology import ClusterSpec
 from repro.cluster.transport import Transport
-from repro.cluster.worker import make_workers
 from repro.core.engine import BaguaEngine
-from repro.core.optimizer_framework import BaguaConfig
-from repro.tensor.optim import SGD
 
 ALL_NAMES = sorted(ALGORITHM_REGISTRY) + sorted(BASELINE_REGISTRY)
 #: (num_nodes, workers_per_node) -> worlds {2, 4, 8, 16}.
 WORLD_SHAPES = ((1, 2), (2, 2), (2, 4), (4, 4))
 
-#: (name, num_nodes, workers_per_node) -> (engine, seconds to build + step).
+#: (name, num_nodes, workers_per_node) -> engine.
 _ENGINE_CACHE: dict = {}
 
 
 def built_engine(name, num_nodes, workers_per_node):
-    """Check-by-execution: construct an engine and record a dry run.
-
-    This is the driver's canonical executed path (5 recorded steps with a
-    :class:`TraceRecorder` installed) — what verifying one plan costs when
-    the IR has to come off a real run.  Cached per (name, shape); the
-    recorded wall time feeds the speed test.
-    """
+    """Check-by-execution: the driver's canonical executed path (an engine
+    plus 5 recorded steps).  Cached per (name, shape)."""
     key = (name, num_nodes, workers_per_node)
     if key not in _ENGINE_CACHE:
-        if name in ALGORITHM_REGISTRY:
-            algorithm = make_algorithm(name, **ANALYSIS_OVERRIDES.get(name, {}))
-        else:
-            algorithm = BASELINE_REGISTRY[name]()
-        begin = time.perf_counter()
         spec = ClusterSpec(num_nodes=num_nodes, workers_per_node=workers_per_node)
-        transport = Transport(spec)
-        workers = make_workers(spec, transport, seed=0)
-        models = [_ProbeMLP(np.random.default_rng(0)) for _ in workers]
-        optimizers = [SGD(m.parameters(), lr=0.05, momentum=0.9) for m in models]
-        engine = BaguaEngine(
-            models, optimizers, algorithm, workers,
-            config=BaguaConfig(bucket_bytes=PROBE_BUCKET_BYTES),
-        )
-        recorder = TraceRecorder(spec.world_size).install(transport)
-        try:
-            for step, batches in enumerate(_probe_batches(spec.world_size, 5, 0)):
-                recorder.begin_step(step)
-                engine.step(batches, _probe_loss)
-        finally:
-            recorder.uninstall()
-        _ENGINE_CACHE[key] = (engine, time.perf_counter() - begin)
-    return _ENGINE_CACHE[key][0]
+        _ENGINE_CACHE[key], _recorder = record_dry_run(probe_algorithm(name), spec)
+    return _ENGINE_CACHE[key]
 
 
 def variant_grid(schedule):
@@ -152,44 +115,31 @@ def test_probe_profile_matches_live_profiler():
 
 
 # ----------------------------------------------------------------------
-# Speed: the economics the pruner rests on.
+# Nothing executes: the economics the pruner rests on.
 # ----------------------------------------------------------------------
-def test_symbolic_lowering_is_50x_faster_than_execution():
-    """Checking a plan symbolically must be >= 50x cheaper than checking it
-    by execution (engine construction + the driver's recorded dry run), per
-    plan, averaged over the full sweep — no engine, transport or recorded
-    trace on the symbolic side."""
-    executed = 0.0
-    executed_plans = 0
+def test_symbolic_sweep_builds_no_engine_and_issues_no_rounds(monkeypatch):
+    """Lowering every ``sweep_variants`` plan works from the description
+    alone: no ``Transport`` or ``BaguaEngine`` is constructed and no exchange
+    round is issued.  (How much cheaper that is than a dry run is wall-clock,
+    so ``repro perf`` reports it as the ``symbolic_lowering`` record.)"""
+    touched: list[str] = []
+
+    def forbid(cls, method):
+        def trap(*_args, **_kwargs):
+            touched.append(f"{cls.__name__}.{method}")
+            raise AssertionError(f"symbolic lowering called {cls.__name__}.{method}")
+
+        monkeypatch.setattr(cls, method, trap)
+
+    forbid(Transport, "__init__")
+    forbid(Transport, "exchange")
+    forbid(Transport, "exchange_sized")
+    forbid(BaguaEngine, "__init__")
+
     for name in ALL_NAMES:
-        built_engine(name, 2, 2)  # populates the cache and its timing
-        executed += _ENGINE_CACHE[(name, 2, 2)][1]
-        executed_plans += 1
-
-    # timeit-style measurement: collector pauses scale with the whole test
-    # session's live heap, not with the lowering under test, so they must
-    # not be charged to the symbolic side.
-    gc.collect()
-    gc.disable()
-    try:
-        begin = time.perf_counter()
-        symbolic_plans = 0
-        for name in ALL_NAMES:
-            subjects = sweep_variants(
-                PlanPoint(algorithm=name, world_size=4, workers_per_node=2)
-            )
-            symbolic_plans += len(subjects)
-        symbolic = time.perf_counter() - begin
-    finally:
-        gc.enable()
-
-    per_plan_executed = executed / executed_plans
-    per_plan_symbolic = symbolic / symbolic_plans
-    assert per_plan_executed >= 50 * per_plan_symbolic, (
-        f"symbolic lowering only {per_plan_executed / per_plan_symbolic:.1f}x "
-        f"faster than execution ({per_plan_executed * 1e3:.2f}ms vs "
-        f"{per_plan_symbolic * 1e3:.3f}ms per plan)"
-    )
+        subjects = sweep_variants(PlanPoint(algorithm=name, world_size=4, workers_per_node=2))
+        assert len(subjects) == 16 and all(s.trace.num_ops > 0 for s in subjects)
+    assert touched == []
 
 
 # ----------------------------------------------------------------------

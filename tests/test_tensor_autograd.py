@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, ones, randn, tensor, zeros
+from repro.models import VGGProxy
+from repro.models.trainable import bert_base_proxy
+from repro.tensor import Sequential, Tensor, clip_grad_norm, ones, randn, tensor, zeros
+from repro.tensor import functional as F
+from repro.tensor import layers as nn
 from repro.tensor.tensor import _unbroadcast
 
 
@@ -204,3 +208,91 @@ class TestUnbroadcast:
     def test_noop_when_equal(self):
         g = np.ones((2, 2))
         assert _unbroadcast(g, (2, 2)) is g
+
+
+class TestGradientOwnership:
+    """Interior nodes borrow the gradient arrays they are handed; a leaf's
+    ``.grad`` is its own, because callers scale it in place."""
+
+    def test_leaves_sharing_one_upstream_do_not_alias(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        clip_grad_norm([a, b], max_norm=1.0)
+        # Norm sqrt(12) -> every entry scaled exactly once, on both leaves.
+        np.testing.assert_allclose(a.grad, np.full((2, 3), 1 / np.sqrt(12)))
+        np.testing.assert_allclose(b.grad, a.grad)
+
+    def test_leaf_reached_twice_accumulates(self):
+        a = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        (a * a).sum().backward()
+        np.testing.assert_allclose(a.grad, [2.0, -4.0, 6.0])
+
+    def test_upstream_grad_is_never_mutated_or_aliased(self, rng):
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        upstream = rng.standard_normal((2, 3))
+        before = upstream.copy()
+        (a + b).backward(upstream)
+        assert not np.shares_memory(a.grad, upstream)
+        assert not np.shares_memory(b.grad, upstream)
+        clip_grad_norm([a, b], max_norm=1e-3)
+        np.testing.assert_array_equal(upstream, before)
+
+    def test_linear_hands_over_a_weight_grad_nobody_else_sees(self, rng):
+        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        upstream = rng.standard_normal((4, 3))
+        F.linear(x, w, b).backward(upstream)
+        assert w.grad.shape == w.shape and w.grad.flags.c_contiguous
+        for other in (upstream, x.data, w.data, x.grad, b.grad):
+            assert not np.shares_memory(w.grad, other)
+        np.testing.assert_allclose(w.grad, upstream.T @ x.data, rtol=1e-12)
+
+
+def _hook_order(model, inputs, labels) -> list[str]:
+    fired: list[str] = []
+    for name, param in model.named_parameters():
+        param.register_post_grad_hook(lambda _t, name=name: fired.append(name))
+    F.cross_entropy(model(inputs), labels).backward()
+    return fired
+
+
+class TestGradientReadyOrder:
+    """The order post-grad hooks fire in is what ``GradientReadyProfiler``
+    records and bucket layouts are built from.  These lists were recorded
+    before ``Linear`` became one fused node; kernels may change, they may not."""
+
+    def test_vgg_proxy(self, rng):
+        order = _hook_order(VGGProxy(rng=rng), rng.standard_normal((2, 3, 16, 16)), [1, 2])
+        assert order == [
+            "classifier.3.bias", "classifier.3.weight",
+            "classifier.1.bias", "classifier.1.weight",
+            "features.3.weight", "features.3.bias",
+            "features.0.weight", "features.0.bias",
+        ]  # fmt: skip
+
+    def test_wide_mlp(self, rng):
+        mlp = Sequential(
+            nn.Flatten(),
+            nn.Linear(768, 512, rng=rng), nn.ReLU(),
+            nn.Linear(512, 512, rng=rng), nn.ReLU(),
+            nn.Linear(512, 10, rng=rng),
+        )  # fmt: skip
+        order = _hook_order(mlp, Tensor(rng.standard_normal((2, 3, 16, 16))), [1, 2])
+        assert order == ["5.bias", "5.weight", "3.bias", "3.weight", "1.bias", "1.weight"]
+
+    def test_bert_proxy(self, rng):
+        order = _hook_order(bert_base_proxy(rng=rng), rng.integers(0, 64, (2, 8)), [1, 2])
+        block = "layers.0."
+        assert order == ["head.bias", "head.weight"] + [block + name for name in (
+            "ff2.bias", "ff2.weight", "ff1.bias", "ff1.weight",
+            "norm2.weight", "norm2.bias",
+            "attn.out_proj.bias", "attn.out_proj.weight",
+            "attn.v_proj.bias", "attn.v_proj.weight",
+            "attn.k_proj.bias", "attn.k_proj.weight",
+            "attn.q_proj.bias", "attn.q_proj.weight",
+            "norm1.weight", "norm1.bias",
+        )] + ["embed.weight"]  # fmt: skip
