@@ -3,9 +3,9 @@
 Everything here builds graph nodes by hand: forward with numpy, backward as a
 closure.  Convolutions and pooling use im2col over a strided window view.
 
-Numeric contract: ``linear`` and ``conv2d`` contract with BLAS (``np.matmul``),
-which re-associates sums, so they match a nested-loop reference to ~1e-10
-relative, not bitwise.  Every executor x backend pair runs these same kernels
+Numeric contract: ``conv2d`` contracts with BLAS (``np.matmul``), which
+re-associates sums, so it matches a nested-loop reference to ~1e-10 relative,
+not bitwise.  Every executor x backend pair runs these same kernels
 and therefore stays bitwise-equal to every other.
 """
 
@@ -198,39 +198,14 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         full = np.zeros_like(weight.data)
         np.add.at(full, indices.reshape(-1), grad.reshape(-1, weight.data.shape[1]))
-        weight._accumulate(full, fresh=True)
+        weight._accumulate(full)
 
     return Tensor._make(weight.data[indices], (weight,), backward)
 
 
 # ----------------------------------------------------------------------
-# Linear, convolution and pooling
+# Convolution and pooling
 # ----------------------------------------------------------------------
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Fused affine map ``x @ weight.T + bias``: ``x`` [..., in], ``weight`` [out, in].
-
-    One graph node; its backward writes ``dW = grad.T @ x`` straight in the
-    weight's layout.  Parents list the bias before the weight so post-grad
-    hooks fire bias-first, the order the unfused ``x @ W.T + b`` graph had.
-    """
-    x2 = x.data.reshape(-1, x.data.shape[-1])
-    out = x2 @ weight.data.T
-    if bias is not None:
-        out += bias.data
-    parents = (x, weight) if bias is None else (bias, x, weight)
-
-    def backward(grad: np.ndarray) -> None:
-        g = grad.reshape(-1, grad.shape[-1])
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate((g @ weight.data).reshape(x.data.shape))
-        if weight.requires_grad:
-            weight._accumulate(g.T @ x2, fresh=True)
-
-    return Tensor._make(out.reshape(*x.data.shape[:-1], -1), parents, backward)
-
-
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int = 0) -> np.ndarray:
     """Windows of zero-padded ``x`` [B, C, H, W] as [B, C, kh, kw, out_h, out_w].
 
@@ -279,7 +254,7 @@ def conv2d(
         g = grad.reshape(batch, filters, -1)  # [B, F, L]
         if weight.requires_grad:
             dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(dw.reshape(weight.data.shape), fresh=True)
+            weight._accumulate(dw.reshape(weight.data.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
         if x.requires_grad:

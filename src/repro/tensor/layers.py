@@ -35,7 +35,10 @@ class Linear(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.linear(x, self.weight, self.bias)
+        out = x @ self.weight.T
+        if self.bias is not None:
+            out = out + self.bias
+        return out
 
 
 class Conv2d(Module):

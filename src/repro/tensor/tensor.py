@@ -155,23 +155,17 @@ class Tensor:
             out._backward_fn = backward_fn
         return out
 
-    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
-        """Add ``grad`` into ``.grad`` without ever writing to ``grad`` itself.
+    def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` into ``.grad``; never writes to or keeps ``grad`` itself.
 
-        Interior nodes borrow the array they are handed first (``backward``
-        drops their ``.grad`` right after use).  A leaf's ``.grad`` outlives
-        the pass and is scaled in place (``clip_grad_norm``), so it may alias
-        neither another leaf's ``.grad`` nor an array a caller can still see:
-        leaves copy, unless the kernel vouches the array is ``fresh`` (just
-        computed, referenced by nothing else) and hands it over.
+        Every node owns its ``.grad`` (first contribution copied), so a leaf's
+        gradient, which outlives the pass and is scaled in place by
+        ``clip_grad_norm``, aliases neither another leaf's nor the caller's.
         """
         if not self.requires_grad:
             return
         grad = _unbroadcast(_as_array(grad), self.data.shape)
-        if self.grad is not None:
-            self.grad = self.grad + grad
-        else:
-            self.grad = grad if fresh or self._backward_fn is not None else grad.copy()
+        self.grad = grad.copy() if self.grad is None else self.grad + grad
 
     def backward(self, grad: ArrayLike | None = None) -> None:
         """Run reverse-mode differentiation from this tensor.
@@ -186,7 +180,7 @@ class Tensor:
                 raise ValueError("backward() without gradient requires a scalar output")
             grad = np.ones_like(self.data)
         else:
-            grad = _as_array(grad).copy()  # the root keeps its .grad: never alias the caller's
+            grad = _as_array(grad)
 
         # Collect the reachable requires-grad subgraph (iteratively: models
         # can be deep enough to overflow Python's recursion limit) ...

@@ -211,8 +211,9 @@ class TestUnbroadcast:
 
 
 class TestGradientOwnership:
-    """Interior nodes borrow the gradient arrays they are handed; a leaf's
-    ``.grad`` is its own, because callers scale it in place."""
+    """A leaf's ``.grad`` is its own, because callers scale it in place.
+    Holds for today's copy-on-first-contribution rule and must keep holding
+    for a borrowing one (ROADMAP item 2)."""
 
     def test_leaves_sharing_one_upstream_do_not_alias(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -240,12 +241,12 @@ class TestGradientOwnership:
         clip_grad_norm([a, b], max_norm=1e-3)
         np.testing.assert_array_equal(upstream, before)
 
-    def test_linear_hands_over_a_weight_grad_nobody_else_sees(self, rng):
+    def test_affine_weight_grad_is_dense_and_seen_by_nobody_else(self, rng):
         x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
         upstream = rng.standard_normal((4, 3))
-        F.linear(x, w, b).backward(upstream)
+        (x @ w.T + b).backward(upstream)
         assert w.grad.shape == w.shape and w.grad.flags.c_contiguous
         for other in (upstream, x.data, w.data, x.grad, b.grad):
             assert not np.shares_memory(w.grad, other)
