@@ -29,6 +29,9 @@ class QSGD(Algorithm):
             compressor=self.compressor,
             hierarchical=engine.hierarchical,
         )
-        engine.set_grads_of_bucket(k, [s / n for s in summed])
-        for worker in engine.workers:
-            worker.optimizer_step_on_bucket(k)
+        # The primitive's rows are mutually independent, so each is averaged
+        # in place, stored as the worker's gradient and stepped on as is.
+        for worker, grad in zip(engine.workers, summed):
+            grad /= n
+            worker.buckets[k].set_flat_grad(grad)
+            worker.optimizer_step_on_bucket(k, grad)

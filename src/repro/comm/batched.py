@@ -89,6 +89,24 @@ def _merge_rows(matrix: np.ndarray) -> np.ndarray:
     return np.add.reduce(matrix, axis=0) + 0.0
 
 
+def _sum_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.sum(arrays, axis=0)`` of equal-length 1-D rows, without stacking them.
+
+    numpy seeds an ``add`` reduction with ``+0.0`` and, when the reduction
+    axis is strided, folds the rows in order — so ``(0.0 + a0) + a1 + ...``
+    is the same operation sequence, sign of an all-``-0.0`` column included,
+    and the result is a fresh array even for a single row.  One-element rows
+    are the layout whose reduction axis is contiguous: numpy sums those
+    pairwise (different bits from 8 rows up), so they keep the stacked call.
+    """
+    if arrays[0].shape[0] == 1:
+        return np.sum(arrays, axis=0)
+    acc = arrays[0] + 0.0
+    for row in arrays[1:]:
+        acc += row
+    return acc
+
+
 def decompress_compatible(a: Compressor, b: Compressor) -> bool:
     """True when ``a.decompress`` and ``b.decompress`` are interchangeable.
 
@@ -197,6 +215,35 @@ def allgather_sizes(group: CommGroup, payload_bytes: Sequence[float]) -> None:
         sends = []
     if sends:
         group.transport.exchange_sized(sends)
+
+
+def gather_sizes(group: CommGroup, array_bytes: Sequence[float]) -> None:
+    """Stub round matching :func:`repro.comm.collectives.gather` at root 0.
+
+    Members ``1..n-1``, in order, send their ``(i, array)`` envelope of
+    ``array_bytes[i]`` array bytes to member 0 under the loop's
+    ``gather.m{i}`` match ids; a one-member group sends nothing.
+    """
+    ranks = group.ranks
+    group.transport.exchange_sized(
+        [
+            (ranks[i], ranks[0], _HEADER_BYTES + array_bytes[i], f"gather.m{i}")
+            for i in range(1, group.size)
+        ]
+    )
+
+
+def broadcast_sizes(group: CommGroup, array_bytes: float) -> None:
+    """Stub round matching :func:`repro.comm.collectives.broadcast` from root 0.
+
+    Member 0 sends the bare ``array_bytes``-byte array to members
+    ``1..n-1``, in order, under the loop's ``bcast.m{i}`` match ids; a
+    one-member group sends nothing.
+    """
+    ranks = group.ranks
+    group.transport.exchange_sized(
+        [(ranks[0], ranks[i], array_bytes, f"bcast.m{i}") for i in range(1, group.size)]
+    )
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .batched import (
+    _replicate,
+    _sum_rows,
+    broadcast_sizes,
+    gather_sizes,
+    scatter_reduce_batched,
+)
+from .chunking import check_arrays
 from .collectives import broadcast, gather, ring_allreduce
 from .group import CommGroup
 from .scatter_reduce import CompressFn, DecompressFn, scatter_reduce
@@ -127,23 +135,26 @@ class HierarchicalComm:
         worker_errors: Sequence[ErrorFeedback] | None = None,
         server_errors: Sequence[ErrorFeedback] | None = None,
     ) -> list[np.ndarray]:
-        """Hierarchical sum with the world-batched inter-node tier.
+        """Hierarchical sum, world-batched on all three tiers.
 
-        The intra-node tiers (NVLink gather / broadcast) are single star
-        rounds and stay on the loop implementation; the inter-node
-        ScatterReduce — where compression and the per-chunk hot loops live —
-        runs through :func:`repro.comm.batched.scatter_reduce_batched`.
-        Error-feedback stores are indexed by leader-group member, exactly as
-        the loop's compression hooks address them.
+        Bitwise equal to :meth:`allreduce` driven by the codec's hooks,
+        transport and compressor state included.  Each intra-node tier is
+        one stub round carrying the loop ``gather`` / ``broadcast``'s sizes
+        and match ids; the leader folds its node's rows without gathering
+        copies of them and fans the aggregate out with one block store.  The
+        inter-node ScatterReduce — where compression lives — runs through
+        :func:`repro.comm.batched.scatter_reduce_batched`.  Error-feedback
+        stores are indexed by leader-group member, exactly as the loop's
+        compression hooks address them.  Returned rows never share memory
+        with each other or with ``arrays``.
         """
-        from .batched import scatter_reduce_batched
-
+        check_arrays(arrays, self.group)
         per_node = self._split_by_node(arrays)
 
         leader_sums: list[np.ndarray] = []
         for sub, node_arrays in zip(self.node_groups, per_node):
-            gathered = gather(node_arrays, sub, root_index=0)
-            leader_sums.append(np.sum(gathered, axis=0))
+            gather_sizes(sub, [a.nbytes for a in node_arrays])
+            leader_sums.append(_sum_rows(node_arrays))
 
         aggregated = scatter_reduce_batched(
             leader_sums,
@@ -155,7 +166,8 @@ class HierarchicalComm:
 
         results_per_node: list[list[np.ndarray]] = []
         for sub, agg in zip(self.node_groups, aggregated):
-            results_per_node.append(broadcast(agg, sub, root_index=0))
+            broadcast_sizes(sub, float(agg.nbytes))
+            results_per_node.append(_replicate(agg, sub.size))
         return self._merge_from_node(results_per_node)
 
     # ------------------------------------------------------------------

@@ -61,7 +61,11 @@ def c_fp_s(
     group: CommGroup,
     hierarchical: bool = False,
 ) -> list[np.ndarray]:
-    """Centralized full-precision sum: ``x'_i = sum_j x_j`` for all i."""
+    """Centralized full-precision sum: ``x'_i = sum_j x_j`` for all i.
+
+    Returned rows never share memory with each other, on any path (loop,
+    batched, hierarchical, pool-ref): callers may update each in place.
+    """
     _trace_collective(group, "allreduce", arrays[0].size)
     if hierarchical:
         return HierarchicalComm(group).allreduce(arrays)
@@ -92,6 +96,10 @@ def c_lp_s(
     With ``hierarchical=True`` compression applies only between node leaders;
     intra-node traffic stays full-precision (the H optimization, which the
     paper notes "can potentially change the semantics").
+
+    Returned rows never share memory with each other, on any path (loop,
+    batched, hierarchical, with or without error feedback): callers may
+    update each in place.
     """
     if (worker_errors is None) != (server_errors is None):
         raise ValueError("provide both worker_errors and server_errors, or neither")

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.compression import qsgd as qsgd_module
 from repro.compression import (
     COMPRESSOR_REGISTRY,
     CompressedPayload,
+    Compressor,
     ErrorFeedback,
     FP16Compressor,
     IdentityCompressor,
@@ -108,6 +110,68 @@ class TestQSGD:
             QSGDCompressor(bits=1)
         with pytest.raises(ValueError):
             QSGDCompressor(bits=20)
+
+
+class TestQSGDBatchRoundtrip:
+    """The blocked in-place kernel against the base class's per-cell loop."""
+
+    SPECIALS = (0.0, -0.0, -1e-300, 1e-300, 5e-324, -5e-324, 2.5e-310, -1e-162)
+
+    @staticmethod
+    def _both(bits, matrix, bounds):
+        """(kernel output, reference output), asserting equal final RNG state."""
+        fast = QSGDCompressor(bits=bits, rng=np.random.default_rng(7))
+        ref = QSGDCompressor(bits=bits, rng=np.random.default_rng(7))
+        with np.errstate(all="ignore"):
+            out = fast.batch_roundtrip(matrix, bounds)
+            expected = Compressor.batch_roundtrip(ref, matrix, bounds)
+        assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+        return out, expected, fast, ref
+
+    @staticmethod
+    def _bounds(widths):
+        edges = np.concatenate([[0], np.cumsum(widths)])
+        return tuple((int(lo), int(hi)) for lo, hi in zip(edges, edges[1:]))
+
+    @pytest.mark.parametrize("bits", [2, 4, 8, 16])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16])
+    def test_bitwise_equal_to_per_cell_reference(self, rows, bits):
+        block = qsgd_module._BLOCK_ELEMENTS // rows
+        widths = [block - 1, block, block + 1, 2 * block + 3]
+        if rows == 16:
+            widths += [64] * 5
+        bounds = self._bounds(widths)
+        rng = np.random.default_rng(rows * 100 + bits)
+        matrix = rng.standard_normal((rows, bounds[-1][1])) * 10.0 ** rng.integers(-3, 4)
+        salted = rng.random(matrix.shape) < 0.05
+        matrix[salted] = rng.choice(self.SPECIALS, size=int(salted.sum()))
+        pristine = matrix.copy()
+        out, expected, _, _ = self._both(bits, matrix, bounds)
+        assert out.dtype == np.float64 and out.shape == matrix.shape
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(matrix.view(np.uint64), pristine.view(np.uint64))
+        # The salt reaches the case the ``+ 0.0`` exists for: a negative
+        # input quantized to zero comes back as +0.0, never -0.0.
+        zeroed = (out == 0.0) & (matrix < 0.0)
+        assert zeroed.any() and not np.signbit(out[zeroed]).any()
+
+    @pytest.mark.parametrize("poison", [0.0, np.inf, -np.inf, np.nan, 1e200])
+    def test_zero_and_non_finite_norms_take_the_reference(self, poison, monkeypatch):
+        rows, bounds = 3, self._bounds([40, 40, 40])
+        matrix = np.random.default_rng(1).standard_normal((rows, 120))
+        if poison == 0.0:
+            matrix[1, 40:80] = 0.0  # zero norm: the scalar path draws nothing
+        else:
+            matrix[1, 57] = poison
+        calls = []
+        reference = Compressor.batch_roundtrip
+        monkeypatch.setattr(
+            Compressor, "batch_roundtrip",
+            lambda self, m, b: calls.append(self) or reference(self, m, b),
+        )
+        out, expected, fast, ref = self._both(8, matrix, bounds)
+        assert calls == [fast, ref]  # the kernel handed the whole call over
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 class TestOneBit:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.comm import use_fast_path
 from repro.compression import ErrorFeedback, IdentityCompressor, OneBitCompressor, QSGDCompressor
 from repro.core import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
 
@@ -84,6 +85,42 @@ class TestCLPS:
         g_lp = make_group(2, 2)
         c_lp_s(arrays, g_lp, compressor=OneBitCompressor())
         assert g_lp.transport.stats.total_bytes < g_fp.transport.stats.total_bytes / 10
+
+
+class TestCentralizedRowsAreIndependent:
+    """``c_fp_s`` / ``c_lp_s`` promise rows that share no memory: the
+    per-bucket algorithms average each returned row in place."""
+
+    @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (4, 1)], ids=["2x4", "1x4", "4x1"])
+    @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "hierarchical"])
+    @pytest.mark.parametrize("fast", [False, True], ids=["loop", "batched"])
+    @pytest.mark.parametrize("primitive", ["c_fp_s", "c_lp_s", "c_lp_s+ef"])
+    def test_rows_never_share_memory(self, rng, primitive, fast, hierarchical, shape):
+        group = make_group(*shape)
+        arrays = [rng.standard_normal(37) for _ in range(group.size)]
+        with use_fast_path(fast):
+            if primitive == "c_fp_s":
+                outs = c_fp_s(arrays, group, hierarchical=hierarchical)
+            else:
+                stores = [
+                    [ErrorFeedback(OneBitCompressor()) for _ in range(group.size)]
+                    if primitive == "c_lp_s+ef" else None
+                    for _ in range(2)
+                ]
+                outs = c_lp_s(
+                    arrays, group, compressor=OneBitCompressor(),
+                    worker_errors=stores[0], server_errors=stores[1],
+                    hierarchical=hierarchical,
+                )
+        assert len(outs) == group.size
+        for i, a in enumerate(outs):
+            for b in outs[i + 1:]:
+                assert not np.shares_memory(a, b)
+        # What the guarantee is for: an in-place update of one row reaches no other.
+        expected = [out.copy() for out in outs]
+        outs[0] /= 3.0
+        for out, kept in zip(outs[1:], expected[1:]):
+            assert np.array_equal(out, kept)
 
 
 class TestPeerSelectors:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, Transport
 from repro.cluster.netmodel import TCP_25G
-from repro.comm import CommGroup, chunk_bounds, ring_allreduce, scatter_reduce
+from repro.comm import CommGroup, HierarchicalComm, chunk_bounds, ring_allreduce, scatter_reduce
 from repro.comm.fastpath import fast_path_enabled, set_fast_path, use_fast_path
 from repro.compression import (
     ErrorFeedback,
@@ -80,6 +80,26 @@ def _assert_identical(loop_out, fast_out, loop_group, fast_group):
         # array_equal treats -0.0 == 0.0; the contract is bit-for-bit.
         assert np.array_equal(np.signbit(a), np.signbit(b))
     assert _transport_state(loop_group) == _transport_state(fast_group)
+
+
+def _assert_bits_equal(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _codec_state(codec):
+    rng = getattr(codec, "rng", None)
+    return None if rng is None else rng.bit_generator.state
+
+
+def _assert_stores_identical(loop_stores, fast_stores) -> None:
+    """Error-feedback stores: same keys, residual bits and codec RNG state."""
+    assert len(loop_stores) == len(fast_stores)
+    for ef_loop, ef_fast in zip(loop_stores, fast_stores):
+        assert _codec_state(ef_loop.compressor) == _codec_state(ef_fast.compressor)
+        assert set(ef_loop._residuals) == set(ef_fast._residuals)
+        for key, value in ef_loop._residuals.items():
+            _assert_bits_equal(value, ef_fast._residuals[key])
 
 
 def _compare(world: int, length: int, seed: int, run) -> None:
@@ -214,23 +234,124 @@ class TestCompressorMatrix:
         for step_loop, step_fast in zip(outs[False], outs[True]):
             for a, b in zip(step_loop, step_fast):
                 assert np.array_equal(a, b)
-        for ef_loop, ef_fast in zip(efs[False][0] + efs[False][1],
-                                    efs[True][0] + efs[True][1]):
-            assert set(ef_loop._residuals) == set(ef_fast._residuals)
-            for key, value in ef_loop._residuals.items():
-                assert np.array_equal(value, ef_fast._residuals[key])
+        _assert_stores_identical(
+            efs[False][0] + efs[False][1], efs[True][0] + efs[True][1]
+        )
+
+
+class _RoundRecorder:
+    """Minimal transport tracer: keeps every exchanged round's messages."""
+
+    def __init__(self):
+        self.rounds = []
+
+    def on_exchange(self, messages):
+        self.rounds.append([(m.src, m.dst, m.nbytes, m.match_id) for m in messages])
+
+    def on_collective(self, *args, **meta):
+        pass
+
+
+def _hier_group(nodes: int, per_node: int) -> CommGroup:
+    spec = ClusterSpec(num_nodes=nodes, workers_per_node=per_node, inter_node=TCP_25G)
+    return CommGroup(Transport(spec, backend="batched"), list(range(nodes * per_node)))
+
+
+def _hier_inputs(world: int, length: int, seed: int, steps: int = 2) -> list:
+    """Per-step member arrays salted with signed zeros, some in whole columns
+    (a column that is ``-0.0`` on every worker of a node is where a seeded
+    and an unseeded fold part ways)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(steps):
+        arrays = [rng.standard_normal(length) for _ in range(world)]
+        column = rng.random(length) < 0.2
+        for a in arrays:
+            a[column] = -0.0
+            a[rng.random(length) < 0.1] = rng.choice([0.0, -0.0])
+        out.append(arrays)
+    return out
 
 
 class TestHierarchicalIdentity:
-    @pytest.mark.parametrize("codec_name", ["qsgd8", "onebit"])
-    def test_hierarchical_c_lp_s(self, codec_name):
+    """Optimization H: every tier of the batched path against the loop path."""
+
+    @pytest.mark.parametrize("codec_name", ["qsgd8", "onebit", "topk"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nodes=st.integers(1, 3),
+        per_node=st.integers(1, 4),
+        length=st.integers(1, 300),
+        error_feedback=st.booleans(),
+        traced=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_hierarchical_c_lp_s(
+        self, codec_name, nodes, per_node, length, error_feedback, traced, seed
+    ):
         make = CODEC_FACTORIES[codec_name]
-        _compare(
-            8, 129, 5,
-            lambda g, arrs, fp: c_lp_s(
-                arrs, g, make(), hierarchical=True, fast_path=fp
-            ),
-        )
+        world = nodes * per_node
+        steps = _hier_inputs(world, length, seed)
+        runs = {}
+        for fast in (False, True):
+            group = _hier_group(nodes, per_node)
+            recorder = _RoundRecorder()
+            if traced:
+                group.transport.tracer = recorder
+            codec = make()
+            stores = [ErrorFeedback(make()) for _ in range(2 * world)] if error_feedback else []
+            outs = [
+                c_lp_s(
+                    [a.copy() for a in arrays], group, codec,
+                    worker_errors=stores[:world] or None,
+                    server_errors=stores[world:] or None,
+                    hierarchical=True, fast_path=fast,
+                )
+                for arrays in steps
+            ]
+            runs[fast] = (outs, group, codec, stores, recorder)
+        loop_outs, loop_group, loop_codec, loop_stores, loop_recorder = runs[False]
+        fast_outs, fast_group, fast_codec, fast_stores, fast_recorder = runs[True]
+        for loop_step, fast_step in zip(loop_outs, fast_outs):
+            assert len(loop_step) == len(fast_step) == world
+            for a, b in zip(loop_step, fast_step):
+                _assert_bits_equal(a, b)
+        assert _transport_state(loop_group) == _transport_state(fast_group)
+        assert _codec_state(loop_codec) == _codec_state(fast_codec)
+        _assert_stores_identical(loop_stores, fast_stores)
+        assert loop_recorder.rounds == fast_recorder.rounds
+        assert bool(loop_recorder.rounds) == (traced and world > 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nodes=st.integers(1, 3),
+        per_node=st.integers(1, 4),
+        length=st.integers(1, 300),
+        traced=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_full_precision_allreduce_batched(self, nodes, per_node, length, traced, seed):
+        (arrays,) = _hier_inputs(nodes * per_node, length, seed, steps=1)
+        runs = {}
+        for fast in (False, True):
+            group = _hier_group(nodes, per_node)
+            recorder = _RoundRecorder()
+            if traced:
+                group.transport.tracer = recorder
+            comm = HierarchicalComm(group)
+            inputs = [a.copy() for a in arrays]
+            if fast:
+                outs = comm.allreduce_batched(inputs, codec=None)
+            else:
+                with use_fast_path(False):
+                    outs = comm.allreduce(inputs)
+            for a, original in zip(inputs, arrays):
+                _assert_bits_equal(a, original)  # inputs are never written
+            runs[fast] = (outs, group, recorder)
+        for a, b in zip(runs[False][0], runs[True][0]):
+            _assert_bits_equal(a, b)
+        assert _transport_state(runs[False][1]) == _transport_state(runs[True][1])
+        assert runs[False][2].rounds == runs[True][2].rounds
 
 
 class TestScheduleAndAnalysisUnchanged:
@@ -252,21 +373,12 @@ class TestScheduleAndAnalysisUnchanged:
         # With a tracer installed the fast path routes stub messages
         # through exchange(), so recorded rounds must match the loop's
         # message for message.
-        class _Recorder:
-            def __init__(self):
-                self.rounds = []
-
-            def on_exchange(self, messages):
-                self.rounds.append(
-                    [(m.src, m.dst, m.nbytes, m.match_id) for m in messages]
-                )
-
         rng = np.random.default_rng(2)
         base = [rng.standard_normal(50) for _ in range(4)]
         traces = {}
         for fast in (False, True):
             group = _group(4)
-            recorder = _Recorder()
+            recorder = _RoundRecorder()
             group.transport.tracer = recorder
             scatter_reduce([a.copy() for a in base], group, fast_path=fast)
             traces[fast] = recorder.rounds
