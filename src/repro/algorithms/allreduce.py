@@ -21,9 +21,10 @@ class AllreduceSGD(Algorithm):
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
         n = engine.world_size
         grads = engine.grads_of_bucket(k)
-        summed = c_fp_s(grads, engine.group, hierarchical=engine.hierarchical)
-        # The primitive's rows are mutually independent, so each is averaged
-        # in place, stored as the worker's gradient and stepped on as is.
+        summed = c_fp_s(grads, engine.group, hierarchical=engine.hierarchical, out=grads)
+        # The sum landed in the rows it was read from — the workers' gradient
+        # buffers when flattened — so each is averaged in place, (re)bound as
+        # the worker's gradient and stepped on as is.
         for worker, grad in zip(engine.workers, summed):
             grad /= n
             worker.buckets[k].set_flat_grad(grad)

@@ -28,9 +28,11 @@ class QSGD(Algorithm):
             engine.group,
             compressor=self.compressor,
             hierarchical=engine.hierarchical,
+            out=grads,
         )
-        # The primitive's rows are mutually independent, so each is averaged
-        # in place, stored as the worker's gradient and stepped on as is.
+        # The sum landed in the rows it was read from — the workers' gradient
+        # buffers when flattened — so each is averaged in place, (re)bound as
+        # the worker's gradient and stepped on as is.
         for worker, grad in zip(engine.workers, summed):
             grad /= n
             worker.buckets[k].set_flat_grad(grad)

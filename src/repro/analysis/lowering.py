@@ -43,6 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+import numpy as np
+
 from ..comm.hierarchical import hierarchical_phases
 from ..compression.base import Compressor
 from ..core.bucket import TensorBucket
@@ -352,39 +354,38 @@ def layout_from_plan(plan: ExecutionPlan) -> tuple[BucketExtent, ...]:
     return tuple(extents)
 
 
+def _real_extent(name: str, buffer: np.ndarray, arrays: Sequence[np.ndarray]) -> BucketExtent:
+    """``buffer``'s byte range, with one view per array that should lie in it."""
+    base = buffer.__array_interface__["data"][0]
+    views = []
+    for i, array in enumerate(arrays):
+        addr = array.__array_interface__["data"][0]
+        views.append(ParamView(name=f"{name}[{i}]", start=addr, stop=addr + array.nbytes))
+    return BucketExtent(name=name, start=base, stop=base + buffer.nbytes, views=tuple(views))
+
+
 def layout_from_buckets(buckets: Sequence[TensorBucket]) -> tuple[BucketExtent, ...]:
     """Real layout of live buckets.
 
     Flattened buckets use actual byte addresses — a parameter whose storage
     was not re-pointed into the fused buffer, or two buffers that genuinely
-    share memory, show up as real aliasing violations.  Non-flattened buckets
-    have no shared buffer; they get synthetic back-to-back extents so the
-    structural checks (views inside extent, no cross-bucket overlap) still
-    apply.
+    share memory, show up as real aliasing violations.  Each contributes two
+    extents: its weights and, as ``{name}.grad``, its gradient buffer with
+    the slots its parameters accumulate into — gradients are reduced in
+    place, so a slot shared with another slot or with a weight is the same
+    silent corruption.  Non-flattened buckets have no shared buffer; they
+    get synthetic back-to-back extents so the structural checks (views
+    inside extent, no cross-bucket overlap) still apply.
     """
     flattened = [b for b in buckets if b.buffer is not None]
     if len(flattened) == len(buckets):
         extents = []
         for bucket in buckets:
-            buffer = bucket.buffer
-            base = buffer.__array_interface__["data"][0]
-            views = []
-            for i, (param, _lo, _hi) in enumerate(bucket.param_slices()):
-                addr = param.data.__array_interface__["data"][0]
-                views.append(
-                    ParamView(
-                        name=f"{bucket.name}[{i}]",
-                        start=addr,
-                        stop=addr + param.data.nbytes,
-                    )
-                )
+            buffer, grad_buffer = bucket.buffer, bucket.grad_buffer
+            assert buffer is not None and grad_buffer is not None  # flattened, checked above
+            extents.append(_real_extent(bucket.name, buffer, [p.data for p in bucket.params]))
             extents.append(
-                BucketExtent(
-                    name=bucket.name,
-                    start=base,
-                    stop=base + buffer.nbytes,
-                    views=tuple(views),
-                )
+                _real_extent(f"{bucket.name}.grad", grad_buffer, bucket.bound_grad_slots())
             )
         return tuple(extents)
 

@@ -57,11 +57,6 @@ from .model import (
 if TYPE_CHECKING:
     from ...cluster.backends.base import ProtocolEvent
 
-#: Doorbell kinds that participate in the post → recv → ack exchange
-#: ("batch" is a staged program's single flag-word doorbell, "reduce" a
-#: pool-ref in-place reduction shipped by descriptor).
-_DOORBELL_OPS = ("round", "task", "reduce", "pool", "close", "batch")
-
 VectorClock = dict[str, int]
 
 

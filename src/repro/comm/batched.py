@@ -34,7 +34,7 @@ import numpy as np
 
 from ..compression.base import Compressor
 from ..compression.error_feedback import ErrorFeedback
-from .chunking import check_arrays, chunk_bounds
+from .chunking import Rows, check_arrays, chunk_bounds, store_rows
 from .fastpath import resolve_pool_ref
 from .group import CommGroup
 
@@ -46,26 +46,41 @@ _HEADER_BYTES = 16.0
 _F64_BYTES = 8.0
 
 
-def _stack_f64(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-member 1-D arrays stacked into one ``(world, n)`` float64 matrix."""
+def _stack_f64(arrays: Rows) -> np.ndarray:
+    """Per-member 1-D arrays stacked into one ``(world, n)`` float64 matrix.
+
+    ``arrays`` itself when the caller built it as that matrix already: the
+    kernels only ever read the stack.
+    """
+    if isinstance(arrays, np.ndarray) and arrays.dtype == np.float64:
+        return arrays
     out = np.empty((len(arrays), arrays[0].shape[0]))
     for i, a in enumerate(arrays):
         out[i] = a
     return out
 
 
-def _replicate(row: np.ndarray, n: int) -> list[np.ndarray]:
+def _replicate(
+    row: np.ndarray, n: int, out: Sequence[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """``n`` mutually independent copies of ``row`` (``row`` itself is one).
 
-    One block allocation + broadcast store instead of ``n`` separate
+    With ``out`` — one row per member, :func:`~.chunking.check_out`'s
+    convention — ``row`` is stored into each of them (one that *is* ``row``
+    needs no store) and they are what is returned.  Callers fan out only
+    after reading every input, so ``out`` rows may be the inputs.
+
+    Without, one block allocation + broadcast store instead of ``n`` separate
     ``row.copy()`` calls — same bytes, far fewer allocator round trips.  The
     returned rows are disjoint views, so callers may mutate them freely.
     """
+    if out is not None:
+        return store_rows([row] * n, out)
     if n == 1:
         return [row]
-    out = np.empty((n - 1, row.shape[0]))
-    out[:] = row
-    return [*out, row]
+    block = np.empty((n - 1, row.shape[0]))
+    block[:] = row
+    return [*block, row]
 
 
 def _merge_rows(matrix: np.ndarray) -> np.ndarray:
@@ -89,7 +104,7 @@ def _merge_rows(matrix: np.ndarray) -> np.ndarray:
     return np.add.reduce(matrix, axis=0) + 0.0
 
 
-def _sum_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+def _sum_rows(arrays: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """``np.sum(arrays, axis=0)`` of equal-length 1-D rows, without stacking them.
 
     numpy seeds an ``add`` reduction with ``+0.0`` and, when the reduction
@@ -98,10 +113,14 @@ def _sum_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     and the result is a fresh array even for a single row.  One-element rows
     are the layout whose reduction axis is contiguous: numpy sums those
     pairwise (different bits from 8 rows up), so they keep the stacked call.
+
+    ``out`` receives the sum instead of a fresh array.  It must have the
+    rows' dtype: the fold runs in the accumulator's precision, so float32
+    rows folded into a float64 ``out`` would come out with different bits.
     """
     if arrays[0].shape[0] == 1:
-        return np.sum(arrays, axis=0)
-    acc = arrays[0] + 0.0
+        return np.sum(arrays, axis=0, out=out)
+    acc = np.add(arrays[0], 0.0, out=out)
     for row in arrays[1:]:
         acc += row
     return acc
@@ -250,11 +269,12 @@ def broadcast_sizes(group: CommGroup, array_bytes: float) -> None:
 # ScatterReduce
 # ----------------------------------------------------------------------
 def scatter_reduce_batched(
-    arrays: Sequence[np.ndarray],
+    arrays: Rows,
     group: CommGroup,
     codec: Compressor | None = None,
     worker_errors: Sequence[ErrorFeedback] | None = None,
     server_errors: Sequence[ErrorFeedback] | None = None,
+    out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """World-batched ScatterReduce (paper §3.3), sum semantics.
 
@@ -263,6 +283,10 @@ def scatter_reduce_batched(
     two-sided error feedback.  Bitwise equal to
     :func:`repro.comm.scatter_reduce.scatter_reduce` driven by the
     corresponding hooks, including transport and compressor state.
+
+    ``out`` (:func:`~.chunking.check_out`'s convention, validated by the
+    primitives) receives the results instead of fresh rows and may be
+    ``arrays`` itself: every read of an input precedes the first store.
     """
     check_arrays(arrays, group)
     n = group.size
@@ -273,7 +297,7 @@ def scatter_reduce_batched(
     if codec is None and n > 1:
         row_bytes = [_F64_BYTES * w for w in widths]
         if resolve_pool_ref(group.transport):
-            refs = group.transport.backend.resolve_pool_refs(arrays, group.ranks)
+            refs = group.transport.backend.resolve_pool_refs(list(arrays), group.ranks)
             if refs is not None:
                 # Pool-ref fast path: every member's bucket is a dense view
                 # into its own pool segment, so nothing needs to travel —
@@ -289,7 +313,7 @@ def scatter_reduce_batched(
                     refs, [(lo, hi, order) for lo, hi in bounds], add_zero=True
                 )
                 allgather_sizes(group, row_bytes)
-                return list(arrays)
+                return store_rows(list(arrays), out)
         # Full-precision path: nothing is quantized, so the merged partition
         # is a plain sequential fold over the input rows and the (world, n)
         # stack never needs materializing.  ``np.add.reduce`` accumulates the
@@ -303,19 +327,21 @@ def scatter_reduce_batched(
             merged += a
         merged += 0.0
         allgather_sizes(group, row_bytes)
-        return _replicate(merged, n)
+        return _replicate(merged, n, out)
 
     matrix = _stack_f64(arrays)
 
     if n == 1:
         # Single member: no messages; replay the loop's Q(Q(x)) composition.
         if codec is None:
-            return [matrix[0].copy()]
-        if worker_errors is None:
+            result = matrix[0].copy()
+        elif worker_errors is None:
             once = codec.batch_roundtrip(matrix, bounds)
-            return [codec.batch_roundtrip(once, bounds)[0]]
-        once = _ef_row_roundtrip(worker_errors[0], matrix[0], bounds, "w")
-        return [_ef_row_roundtrip(server_errors[0], once, bounds, "s")]
+            result = codec.batch_roundtrip(once, bounds)[0]
+        else:
+            once = _ef_row_roundtrip(worker_errors[0], matrix[0], bounds, "w")
+            result = _ef_row_roundtrip(server_errors[0], once, bounds, "s")
+        return _replicate(result, 1, out)
 
     # Phase 1: every member quantizes its n chunks (row-major, preserving
     # RNG order), then one all-to-all stub round.
@@ -356,7 +382,7 @@ def scatter_reduce_batched(
         ]
     allgather_sizes(group, payload_bytes)
 
-    return _replicate(np.ascontiguousarray(final), n)
+    return _replicate(np.ascontiguousarray(final), n, out)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,10 @@ import numpy as np
 if TYPE_CHECKING:
     from .group import CommGroup
 
+#: One 1-D array per group member: a sequence of them, or the ``(world, n)``
+#: matrix whose rows they are.
+Rows = Sequence[np.ndarray] | np.ndarray
+
 
 @lru_cache(maxsize=4096)
 def chunk_bounds(length: int, parts: int) -> tuple[tuple, ...]:
@@ -41,7 +45,7 @@ def chunk_sizes(length: int, parts: int) -> tuple[int, ...]:
     return tuple(hi - lo for lo, hi in chunk_bounds(length, parts))
 
 
-def check_arrays(arrays: Sequence[np.ndarray], group: CommGroup) -> None:
+def check_arrays(arrays: Rows, group: CommGroup) -> None:
     """Validate the per-member input convention of the collectives.
 
     One 1-D array per group member, all the same shape.
@@ -56,3 +60,39 @@ def check_arrays(arrays: Sequence[np.ndarray], group: CommGroup) -> None:
             )
         if a.shape != shape:
             raise ValueError(f"shape mismatch: member 0 has {shape}, member {i} has {a.shape}")
+
+
+def check_out(out: Sequence[np.ndarray], arrays: Sequence[np.ndarray]) -> None:
+    """Validate the ``out=`` convention of the centralized primitives.
+
+    One float64 row per member, shaped like the inputs.  A row may be that
+    member's own input — every kernel reads all inputs before its first
+    store — but no two rows may share memory, or one member's result would
+    overwrite another's (a bounds check, so it costs microseconds).
+    """
+    if len(out) != len(arrays):
+        raise ValueError(f"expected {len(arrays)} out rows, got {len(out)}")
+    for i, row in enumerate(out):
+        if row.shape != arrays[0].shape or row.dtype != np.float64:
+            raise ValueError(
+                f"out rows must be float64 of shape {arrays[0].shape}; "
+                f"row {i} is {row.dtype} {row.shape}"
+            )
+        for j in range(i):
+            if np.may_share_memory(out[j], row):
+                raise ValueError(f"out rows {j} and {i} share memory")
+
+
+def store_rows(rows: list[np.ndarray], out: Sequence[np.ndarray] | None) -> list[np.ndarray]:
+    """Per-member results copied into the caller's ``out`` rows, if any.
+
+    For paths whose results exist in full before anything is stored — the
+    loop collectives, the in-place pool-ref reduce (whose results *are* the
+    inputs) — so ``out`` rows may be the inputs themselves.
+    """
+    if out is None:
+        return rows
+    for dst, row in zip(out, rows):
+        if dst is not row:
+            dst[...] = row
+    return list(out)

@@ -134,6 +134,7 @@ class HierarchicalComm:
         codec: Compressor | None = None,
         worker_errors: Sequence[ErrorFeedback] | None = None,
         server_errors: Sequence[ErrorFeedback] | None = None,
+        out: Sequence[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         """Hierarchical sum, world-batched on all three tiers.
 
@@ -146,15 +147,31 @@ class HierarchicalComm:
         :func:`repro.comm.batched.scatter_reduce_batched`.  Error-feedback
         stores are indexed by leader-group member, exactly as the loop's
         compression hooks address them.  Returned rows never share memory
-        with each other or with ``arrays``.
+        with each other or, unless they are ``out``'s, with ``arrays``.
+
+        ``out`` (:func:`~.chunking.check_out`'s convention, validated by the
+        primitives) receives the results instead of fresh rows and may be
+        ``arrays`` itself: the first tier has folded every input into the
+        leader sums before the last tiers store anything.
         """
         check_arrays(arrays, self.group)
         per_node = self._split_by_node(arrays)
+        out_per_node = None if out is None else self._split_by_node(out)
 
-        leader_sums: list[np.ndarray] = []
         for sub, node_arrays in zip(self.node_groups, per_node):
             gather_sizes(sub, [a.nbytes for a in node_arrays])
-            leader_sums.append(_sum_rows(node_arrays))
+        leader_sums: np.ndarray | list[np.ndarray]
+        if all(a.dtype == np.float64 for a in arrays):
+            # float64 rows fold straight into the matrix the inter-node
+            # kernel works on.
+            leader_sums = np.empty((len(per_node), arrays[0].shape[0]))
+            for row, node_arrays in zip(leader_sums, per_node):
+                _sum_rows(node_arrays, out=row)
+        else:
+            # Narrower rows fold in their own precision, as the loop does,
+            # and only then widen — into a float64 row they would fold in
+            # float64 and come out with different bits.
+            leader_sums = [_sum_rows(node_arrays) for node_arrays in per_node]
 
         aggregated = scatter_reduce_batched(
             leader_sums,
@@ -162,12 +179,14 @@ class HierarchicalComm:
             codec=codec,
             worker_errors=worker_errors,
             server_errors=server_errors,
+            out=None if out_per_node is None else [rows[0] for rows in out_per_node],
         )
 
         results_per_node: list[list[np.ndarray]] = []
-        for sub, agg in zip(self.node_groups, aggregated):
+        for i, (sub, agg) in enumerate(zip(self.node_groups, aggregated)):
             broadcast_sizes(sub, float(agg.nbytes))
-            results_per_node.append(_replicate(agg, sub.size))
+            node_out = None if out_per_node is None else out_per_node[i]
+            results_per_node.append(_replicate(agg, sub.size, node_out))
         return self._merge_from_node(results_per_node)
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .chunking import check_arrays, chunk_bounds
+from .chunking import check_arrays, chunk_bounds, store_rows
 from .collectives import allgather_payloads, alltoall
 from .fastpath import resolve_fast_path
 from .group import CommGroup
@@ -50,6 +50,7 @@ def scatter_reduce(
     compress_phase2: CompressFn | None = None,
     decompress_phase2: DecompressFn | None = None,
     fast_path: bool | None = None,
+    out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Aggregate (sum) per-member arrays with the ScatterReduce pattern.
 
@@ -64,6 +65,11 @@ def scatter_reduce(
     custom hooks always take the loop path, since arbitrary callables cannot
     be batched.  Codec-driven compression goes through
     :func:`repro.comm.batched.scatter_reduce_batched` via ``c_lp_s``.
+
+    ``out`` (:func:`~.chunking.check_out`'s convention, validated by the
+    primitives) receives the results and may be ``arrays`` itself: the
+    batched kernel stores only after its last read, the loop copies its
+    finished results in.
     """
     hooks_default = (
         compress_phase1 is None
@@ -74,7 +80,7 @@ def scatter_reduce(
     if hooks_default and group.size > 1 and resolve_fast_path(fast_path, group.transport):
         from .batched import scatter_reduce_batched
 
-        return scatter_reduce_batched(arrays, group)
+        return scatter_reduce_batched(arrays, group, out=out)
     check_arrays(arrays, group)
     n = group.size
     c1 = compress_phase1 or _identity_compress
@@ -89,7 +95,7 @@ def scatter_reduce(
         # copy=False: the identity phase-1 hook already copies, and custom
         # hooks never mutate their input — the extra eager copy was waste.
         merged = d2(c2(d1(c1(arrays[0].astype(np.float64, copy=False), 0, 0)), 0, 0))
-        return [merged]
+        return store_rows([merged], out)
 
     # Phase 1: all-to-all of compressed chunks (one message round).
     parts: list[list[object]] = []
@@ -114,8 +120,8 @@ def scatter_reduce(
 
     results: list[np.ndarray] = []
     for i in range(n):
-        out = np.empty(total)
+        full = np.empty(total)
         for j, (lo, hi) in enumerate(bounds):
-            out[lo:hi] = d2(gathered[i][j])
-        results.append(out)
-    return results
+            full[lo:hi] = d2(gathered[i][j])
+        results.append(full)
+    return store_rows(results, out)

@@ -5,9 +5,12 @@ communication.  With flattening enabled, parameter storage is *re-pointed*
 into one contiguous buffer, so the flat view used for communication,
 compression and the optimizer step is zero-copy — exactly the paper's
 "align parameters within a bucket into a continuous memory space" trick
-(and Apex's flat-buffer optimizer).  With flattening disabled the bucket
-still groups tensors but every flat access gathers/scatters copies, which
-is the cost the F-ablation in Table 5 measures.
+(and Apex's flat-buffer optimizer).  Gradients get the same treatment: every
+parameter is bound to its slot of a second contiguous buffer, backward
+accumulates straight into it, and the flat gradient is that buffer.  With
+flattening disabled the bucket still groups tensors but every flat access
+gathers/scatters copies, which is the cost the F-ablation in Table 5
+measures.
 """
 
 from __future__ import annotations
@@ -19,8 +22,23 @@ import numpy as np
 from ..tensor.tensor import Tensor
 
 
+def _is_buffer(flat: np.ndarray, buffer: np.ndarray) -> bool:
+    """Whether ``flat`` is exactly ``buffer``'s memory, as some view of it.
+
+    Identity would miss a re-sliced view of the same storage (what a
+    ``list(arrays)`` or pool-ref round trip hands back), and storing that
+    into the buffer copies it onto itself through a temporary.
+    """
+    return flat is buffer or (
+        flat.shape == buffer.shape
+        and flat.dtype == buffer.dtype
+        and flat.flags.c_contiguous
+        and flat.__array_interface__["data"][0] == buffer.__array_interface__["data"][0]
+    )
+
+
 class TensorBucket:
-    """A fused group of parameters with an optional flattened backing buffer."""
+    """A fused group of parameters with optional flattened backing buffers."""
 
     def __init__(
         self,
@@ -28,6 +46,7 @@ class TensorBucket:
         name: str = "",
         flatten: bool = True,
         buffer: np.ndarray | None = None,
+        grad_buffer: np.ndarray | None = None,
     ) -> None:
         if not params:
             raise ValueError("bucket needs at least one tensor")
@@ -40,31 +59,51 @@ class TensorBucket:
         self.total_elements = int(self._offsets[-1])
 
         self._buffer: np.ndarray | None = None
+        self._grad_buffer: np.ndarray | None = None
+        self._grad_slots: list[np.ndarray] = []
         if flatten:
-            self._materialize(buffer)
-        elif buffer is not None:
+            self._materialize(buffer, grad_buffer)
+        elif buffer is not None or grad_buffer is not None:
             raise ValueError("an external buffer requires flatten=True")
+        else:
+            # Gradients of an unflattened bucket are born per parameter again,
+            # also for parameters an earlier flattened bucket had bound.
+            for p in self.params:
+                p._grad_slot = None
 
-    def _materialize(self, buffer: np.ndarray | None = None) -> None:
+    def _checked_buffer(self, buffer: np.ndarray | None) -> np.ndarray:
+        if buffer is None:
+            return np.empty(self.total_elements, dtype=np.float64)
+        if buffer.shape != (self.total_elements,) or buffer.dtype != np.float64:
+            raise ValueError(
+                f"bucket buffer must be float64 of shape ({self.total_elements},), "
+                f"got {buffer.dtype} {buffer.shape}"
+            )
+        return buffer
+
+    def _materialize(self, buffer: np.ndarray | None, grad_buffer: np.ndarray | None) -> None:
         """Copy parameters into one buffer and re-point their storage at it.
 
-        ``buffer`` lets the caller supply a preallocated slice (e.g. a view
-        into a per-worker flat pool shared by all buckets) instead of a
-        private allocation — the zero-copy bucket path of the fast-path
-        engine.
+        ``buffer`` / ``grad_buffer`` let the caller supply preallocated
+        slices (e.g. views into a per-worker flat pool shared by all
+        buckets) instead of private allocations — the zero-copy bucket path
+        of the fast-path engine.  Every parameter is bound to its slot of
+        ``grad_buffer``: gradients it accumulates from now on are born
+        there, and one it already holds (the profiling iteration's) moves in.
         """
-        if buffer is None:
-            buffer = np.empty(self.total_elements, dtype=np.float64)
-        else:
-            if buffer.shape != (self.total_elements,) or buffer.dtype != np.float64:
-                raise ValueError(
-                    f"bucket buffer must be float64 of shape ({self.total_elements},), "
-                    f"got {buffer.dtype} {buffer.shape}"
-                )
+        buffer = self._checked_buffer(buffer)
+        grad_buffer = self._checked_buffer(grad_buffer)
         for p, lo, hi, shape in zip(self.params, self._offsets, self._offsets[1:], self._shapes):
             buffer[lo:hi] = p.data.reshape(-1)
             p.data = buffer[lo:hi].reshape(shape)
+            slot = grad_buffer[lo:hi].reshape(shape)
+            if p.grad is not None:
+                slot[...] = p.grad.reshape(shape)
+                p.grad = slot
+            p._grad_slot = slot
+            self._grad_slots.append(slot)
         self._buffer = buffer
+        self._grad_buffer = grad_buffer
 
     # ------------------------------------------------------------------
     # Introspection (used by repro.analysis)
@@ -74,12 +113,25 @@ class TensorBucket:
         """The fused backing buffer, or ``None`` when not flattened."""
         return self._buffer
 
+    @property
+    def grad_buffer(self) -> np.ndarray | None:
+        """The fused gradient buffer, or ``None`` when not flattened."""
+        return self._grad_buffer
+
     def param_slices(self) -> list[tuple]:
         """``(param, start, stop)`` element offsets of each parameter."""
         return [
             (p, int(lo), int(hi))
             for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:])
         ]
+
+    def bound_grad_slots(self) -> list[np.ndarray]:
+        """The slots this bucket's parameters accumulate gradients into *now*.
+
+        Inside :attr:`grad_buffer` unless a later bucket re-bound (or an
+        unflattened one unbound) a parameter.
+        """
+        return [p._grad_slot for p in self.params if p._grad_slot is not None]
 
     # ------------------------------------------------------------------
     # Flat views of parameters
@@ -99,7 +151,7 @@ class TensorBucket:
         if flat.shape != (self.total_elements,):
             raise ValueError(f"expected shape ({self.total_elements},), got {flat.shape}")
         if self._buffer is not None:
-            if flat is not self._buffer:
+            if not _is_buffer(flat, self._buffer):
                 self._buffer[...] = flat
             return
         for p, lo, hi, shape in zip(self.params, self._offsets, self._offsets[1:], self._shapes):
@@ -109,19 +161,49 @@ class TensorBucket:
     # Flat views of gradients
     # ------------------------------------------------------------------
     def flat_grad(self) -> np.ndarray:
-        """Gradients of all parameters concatenated (missing grads are zero)."""
-        alloc = np.empty if self.grads_ready() else np.zeros
-        out = alloc(self.total_elements)
-        for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:]):
-            if p.grad is not None:
-                out[lo:hi] = p.grad.reshape(-1)
-        return out
+        """Gradients of all parameters concatenated (missing grads are zero).
+
+        Zero-copy when flattened: the gradient buffer itself, live — writing
+        to it writes the parameters' gradients, and the next backward
+        overwrites it.  Only stragglers cost a store: a parameter without a
+        gradient has its slot zeroed (``.grad`` stays ``None``), an array
+        assigned to ``.grad`` from outside moves into the slot.  Otherwise a
+        gather copy.
+        """
+        if self._grad_buffer is None:
+            alloc = np.empty if self.grads_ready() else np.zeros
+            out = alloc(self.total_elements)
+            for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:]):
+                if p.grad is not None:
+                    out[lo:hi] = p.grad.reshape(-1)
+            return out
+        for p, slot in zip(self.params, self._grad_slots):
+            if p.grad is None:
+                slot[...] = 0.0
+            elif p.grad is not slot:
+                slot[...] = p.grad.reshape(slot.shape)
+                p.grad = slot
+        return self._grad_buffer
 
     def set_flat_grad(self, flat: np.ndarray) -> None:
+        """Make ``flat`` the parameters' gradients.
+
+        Flattened: at most one contiguous store (none when ``flat`` is the
+        gradient buffer) and every ``.grad`` re-pointed at its slot.
+        Otherwise a scatter copy.
+        """
         if flat.shape != (self.total_elements,):
             raise ValueError(f"expected shape ({self.total_elements},), got {flat.shape}")
-        for p, lo, hi, shape in zip(self.params, self._offsets, self._offsets[1:], self._shapes):
-            p.grad = flat[lo:hi].reshape(shape).copy()
+        if self._grad_buffer is None:
+            for p, lo, hi, shape in zip(
+                self.params, self._offsets, self._offsets[1:], self._shapes
+            ):
+                p.grad = flat[lo:hi].reshape(shape).copy()
+            return
+        if not _is_buffer(flat, self._grad_buffer):
+            self._grad_buffer[...] = flat
+        for p, slot in zip(self.params, self._grad_slots):
+            p.grad = slot
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -261,13 +261,16 @@ class BaguaEngine:
         identical by construction, so the ready order is too.
 
         With flattening on, each worker gets ONE contiguous float64 pool for
-        all of its buckets; every bucket's backing buffer is a view into it.
-        Bucket-level flat views stay zero-copy exactly as before, and the
-        whole replica is additionally contiguous (one allocation per worker
-        instead of one per bucket).  The pool's storage comes from the
-        transport backend: in-process backends hand back plain ndarrays, the
-        shm backend maps a shared-memory segment visible to the rank's
-        worker process as well.
+        all of its buckets: weights in the first half, gradients in the
+        second, a bucket at the same offset in both, and every bucket's two
+        backing buffers are views into it.  Bucket-level flat views stay
+        zero-copy exactly as before, and the whole replica is additionally
+        contiguous (one allocation per worker instead of one per bucket).
+        The pool's storage comes from the transport backend: in-process
+        backends hand back plain ndarrays, the shm backend maps a
+        shared-memory segment visible to the rank's worker process as well —
+        one registered pool per rank, so gradient views resolve to pool refs
+        exactly as weight views do.
         """
         assert self.plan is not None
         flatten = self.config.flatten
@@ -275,14 +278,15 @@ class BaguaEngine:
         total = sum(planned.elements for planned in self.plan.buckets)
         for worker in self.workers:
             by_name = dict(worker.model.named_parameters())
-            pool = backend.allocate_pool(worker.rank, total) if flatten else None
+            pool = backend.allocate_pool(worker.rank, 2 * total) if flatten else None
             offset = 0
             buckets = []
             for planned in self.plan.buckets:
                 params = [by_name[name] for name in planned.names]
-                view = None
+                view = grad_view = None
                 if pool is not None:
                     view = pool[offset : offset + planned.elements]
+                    grad_view = pool[total + offset : total + offset + planned.elements]
                     offset += planned.elements
                 buckets.append(
                     TensorBucket(
@@ -290,6 +294,7 @@ class BaguaEngine:
                         name=f"bucket{planned.index}",
                         flatten=flatten,
                         buffer=view,
+                        grad_buffer=grad_view,
                     )
                 )
             worker.buckets = buckets

@@ -2,7 +2,10 @@
 
 All four primitives follow the MPI-like execution model
 ``op(x_1..x_n) -> x'_1..x'_n``: they take one flattened array per group
-member and return the per-member results.
+member and return the per-member results.  The centralized pair also takes
+``out=``: one float64 row per member that receives that member's result —
+the engine passes the gradient-pool rows it read the inputs from, so a
+reduced bucket lands where the optimizer reads it.
 
 * :func:`c_fp_s` — centralized full-precision synchronous: every member ends
   with ``sum_j x_j`` (Allreduce semantics, ScatterReduce implementation).
@@ -29,6 +32,7 @@ from ..comm.batched import (
     gossip_average_batched,
     scatter_reduce_batched,
 )
+from ..comm.chunking import check_out, store_rows
 from ..comm.fastpath import resolve_fast_path
 from ..comm.group import CommGroup
 from ..comm.hierarchical import HierarchicalComm
@@ -60,16 +64,25 @@ def c_fp_s(
     arrays: Sequence[np.ndarray],
     group: CommGroup,
     hierarchical: bool = False,
+    out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Centralized full-precision sum: ``x'_i = sum_j x_j`` for all i.
 
     Returned rows never share memory with each other, on any path (loop,
     batched, hierarchical, pool-ref): callers may update each in place.
+
+    With ``out`` the results are stored into its rows and those are returned
+    — bitwise what ``out=None`` returns, transport state included.  One
+    float64 row per member, no two sharing memory (``ValueError``); a row
+    may be the member's input (``out=arrays``), because on every path each
+    read of an input precedes the first store.
     """
+    if out is not None:
+        check_out(out, arrays)
     _trace_collective(group, "allreduce", arrays[0].size)
     if hierarchical:
-        return HierarchicalComm(group).allreduce(arrays)
-    return scatter_reduce(arrays, group)
+        return store_rows(HierarchicalComm(group).allreduce(arrays), out)
+    return scatter_reduce(arrays, group, out=out)
 
 
 def c_lp_s(
@@ -80,6 +93,7 @@ def c_lp_s(
     server_errors: Sequence[ErrorFeedback] | None = None,
     hierarchical: bool = False,
     fast_path: bool | None = None,
+    out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Centralized low-precision sum with optional error compensation.
 
@@ -100,9 +114,17 @@ def c_lp_s(
     Returned rows never share memory with each other, on any path (loop,
     batched, hierarchical, with or without error feedback): callers may
     update each in place.
+
+    With ``out`` the results are stored into its rows and those are returned
+    — bitwise what ``out=None`` returns, transport, RNG and residual state
+    included.  One float64 row per member, no two sharing memory
+    (``ValueError``); a row may be the member's input (``out=arrays``),
+    because on every path each read of an input precedes the first store.
     """
     if (worker_errors is None) != (server_errors is None):
         raise ValueError("provide both worker_errors and server_errors, or neither")
+    if out is not None:
+        check_out(out, arrays)
     use_ef = worker_errors is not None
     if use_ef and (len(worker_errors) != group.size or len(server_errors) != group.size):
         raise ValueError("need one error-feedback store per group member")
@@ -129,6 +151,7 @@ def c_lp_s(
                 codec=compressor,
                 worker_errors=worker_errors,
                 server_errors=server_errors,
+                out=out,
             )
         return scatter_reduce_batched(
             arrays,
@@ -136,6 +159,7 @@ def c_lp_s(
             codec=compressor,
             worker_errors=worker_errors,
             server_errors=server_errors,
+            out=out,
         )
 
     if use_ef:
@@ -154,13 +178,14 @@ def c_lp_s(
     decompress = compressor.decompress
 
     if hierarchical:
-        return HierarchicalComm(group).allreduce(
+        results = HierarchicalComm(group).allreduce(
             arrays,
             compress_phase1=compress1,
             decompress_phase1=decompress,
             compress_phase2=compress2,
             decompress_phase2=decompress,
         )
+        return store_rows(results, out)
     return scatter_reduce(
         arrays,
         group,
@@ -168,6 +193,7 @@ def c_lp_s(
         decompress_phase1=decompress,
         compress_phase2=compress2,
         decompress_phase2=decompress,
+        out=out,
     )
 
 

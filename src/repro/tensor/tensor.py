@@ -65,6 +65,7 @@ class Tensor:
         "_parents",
         "_post_grad_hooks",
         "_seq",
+        "_grad_slot",
     )
 
     # Global creation counter: children always have a larger sequence number
@@ -86,6 +87,7 @@ class Tensor:
         self._backward_fn: Callable[[np.ndarray], None] | None = None
         self._parents: tuple = ()
         self._post_grad_hooks: list = []
+        self._grad_slot: np.ndarray | None = None
         Tensor._next_seq += 1
         self._seq = Tensor._next_seq
 
@@ -161,11 +163,21 @@ class Tensor:
         Every node owns its ``.grad`` (first contribution copied), so a leaf's
         gradient, which outlives the pass and is scaled in place by
         ``clip_grad_norm``, aliases neither another leaf's nor the caller's.
+        A leaf bound to a bucket's gradient slot accumulates there: the first
+        contribution overwrites all of it, so the slot is never zeroed.
         """
         if not self.requires_grad:
             return
         grad = _unbroadcast(_as_array(grad), self.data.shape)
-        self.grad = grad.copy() if self.grad is None else self.grad + grad
+        slot = self._grad_slot
+        if slot is None:
+            self.grad = grad.copy() if self.grad is None else self.grad + grad
+            return
+        if self.grad is None:
+            np.copyto(slot, grad)
+        else:
+            np.add(self.grad, grad, out=slot)
+        self.grad = slot
 
     def backward(self, grad: ArrayLike | None = None) -> None:
         """Run reverse-mode differentiation from this tensor.

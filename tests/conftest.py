@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.cluster import ClusterSpec, TCP_25G, Transport
 from repro.comm import CommGroup
+
+# CI selects "ci" through HYPOTHESIS_PROFILE: derandomized, so a red build
+# replays with the same examples; unset keeps Hypothesis's random default.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -12,8 +13,11 @@ from repro.analysis import (
     CommTrace,
     ParamView,
     analyze_algorithm,
+    layout_from_buckets,
     run_checkers,
 )
+from repro.core import TensorBucket
+from repro.tensor import Tensor
 
 
 def fired_rules(findings):
@@ -159,6 +163,37 @@ class TestBufferAliasing:
             BucketExtent("b1", 100, 150, views=(ParamView("v", 100, 150),)),
         )
         assert run_checkers(AnalysisSubject(world_size=1, layout=layout)) == []
+
+
+class TestLiveGradientLayout:
+    """``layout_from_buckets``: a flattened bucket's gradient buffer is an
+    extent of its own, disjoint from every other extent."""
+
+    @staticmethod
+    def _buckets(grad_offset):
+        pool = np.zeros(40)
+        params = [Tensor(np.ones(shape), requires_grad=True) for shape in [(2, 3), (4,), (5,)]]
+        b0 = TensorBucket(params[:2], name="b0", buffer=pool[:10], grad_buffer=pool[20:30])
+        b1 = TensorBucket(
+            params[2:], name="b1", buffer=pool[10:15],
+            grad_buffer=pool[grad_offset : grad_offset + 5],
+        )
+        return [b0, b1]
+
+    def test_gradient_halves_are_extents_with_one_view_per_slot(self):
+        layout = layout_from_buckets(self._buckets(grad_offset=30))
+        assert [e.name for e in layout] == ["b0", "b0.grad", "b1", "b1.grad"]
+        assert [len(e.views) for e in layout] == [2, 2, 1, 1]
+        assert layout[1].start - layout[0].start == 20 * 8  # real byte addresses
+        assert run_checkers(AnalysisSubject(world_size=1, layout=layout)) == []
+
+    def test_grad_buffer_overlapping_the_neighbours(self):
+        # b1's gradients start on b0's last gradient element.
+        layout = layout_from_buckets(self._buckets(grad_offset=29))
+        findings = run_checkers(AnalysisSubject(world_size=1, layout=layout))
+        assert len(findings) == 1
+        assert findings[0].rule == "buffer-aliasing"
+        assert "b0.grad" in findings[0].message and "b1.grad" in findings[0].message
 
 
 class TestEFInvariant:

@@ -495,3 +495,35 @@ class TestEngineEndToEnd:
                     assert pool is not None and not pool.flags.owndata
             trainer.transport.close()
         assert records["local"] == records["shm"]
+
+    def test_allreduce_gradients_reduce_in_place_on_shm(self):
+        """Gradients are born in the backend's pool, so on shm the buckets
+        ``allreduce`` hands to ``c_fp_s`` resolve to pool refs and take the
+        worker-parallel in-place reduce — with the oracle's bits."""
+        from repro.algorithms import AllreduceSGD
+        from repro.core.optimizer_framework import BaguaConfig
+        from repro.data.loader import make_sharded_loaders
+        from repro.training import DistributedTrainer, get_task
+
+        task = get_task("VGG16")
+        dataset = task.dataset_factory(0)
+        weights = {}
+        for backend in ("local", "shm"):
+            spec = ClusterSpec(num_nodes=1, workers_per_node=2, inter_node=TCP_25G)
+            trainer = DistributedTrainer(
+                spec, task.model_factory, task.make_optimizer, AllreduceSGD(),
+                config=BaguaConfig(backend=backend), seed=0,
+            )
+            loaders = make_sharded_loaders(dataset, 2, 16, seed=0)
+            batches = zip(*[loader.epoch() for loader in loaders])
+            for _step in range(4):
+                trainer.engine.step(list(next(batches)), task.loss_fn)
+            weights[backend] = [
+                b"".join(bucket.flat_data().tobytes() for bucket in worker.buckets)
+                for worker in trainer.engine.workers
+            ]
+            if backend == "shm":
+                assert trainer.transport.backend.shm_stats["reduces"] > 0
+            trainer.transport.close()
+        assert weights["local"] == weights["shm"]
+        assert weights["shm"][0] == weights["shm"][1]

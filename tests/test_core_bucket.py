@@ -75,6 +75,67 @@ class TestGradients:
         bucket.set_flat_grad(np.arange(4.0))
         np.testing.assert_array_equal(params[1].grad, [[2, 3]])
 
+    def test_set_flat_grad_unflattened_copies(self, rng):
+        params = make_params(rng, [(2,), (1, 2)])
+        bucket = TensorBucket(params, flatten=False)
+        flat = np.arange(4.0)
+        bucket.set_flat_grad(flat)
+        np.testing.assert_array_equal(params[1].grad, [[2, 3]])
+        assert not np.shares_memory(params[1].grad, flat)
+
+    def test_flat_grad_is_live_when_flattened(self, rng):
+        """The contract since gradients are born in the bucket: a view, not a copy."""
+        params = make_params(rng, [(2,), (3,)])
+        bucket = TensorBucket(params, flatten=True)
+        bucket.set_flat_grad(np.arange(5.0))
+        flat = bucket.flat_grad()
+        flat *= 2.0
+        np.testing.assert_array_equal(params[1].grad, [4, 6, 8])
+        params[0].grad[0] = -1.0
+        assert bucket.flat_grad()[0] == -1.0
+
+    def test_existing_grad_is_adopted_at_bind_time(self, rng):
+        params = make_params(rng, [(2,), (2,)])
+        early = np.array([1.0, 2.0])
+        params[0].grad = early  # e.g. the profiling iteration's
+        bucket = TensorBucket(params, flatten=True)
+        assert np.shares_memory(params[0].grad, bucket.grad_buffer)
+        assert not np.shares_memory(params[0].grad, early)
+        assert params[1].grad is None
+        np.testing.assert_array_equal(bucket.flat_grad(), [1, 2, 0, 0])
+
+    @pytest.mark.parametrize("which", ["grad", "data"])
+    def test_storing_a_view_of_the_buffer_stores_nothing(self, rng, which):
+        """A re-sliced view of the buffer is the buffer: with the buffer
+        read-only, any store into it would raise."""
+        params = make_params(rng, [(2, 3), (4,)])
+        bucket = TensorBucket(params, flatten=True)
+        bucket.set_flat_grad(np.arange(10.0))
+        buffer = bucket.grad_buffer if which == "grad" else bucket.buffer
+        get, put = (
+            (bucket.flat_grad, bucket.set_flat_grad)
+            if which == "grad"
+            else (bucket.flat_data, bucket.set_flat_data)
+        )
+        before = buffer.copy()
+        buffer.flags.writeable = False
+        try:
+            put(get()[:])
+            put(get())
+            with pytest.raises(ValueError, match="read-only"):
+                put(before)  # a different array does get stored
+        finally:
+            buffer.flags.writeable = True
+        np.testing.assert_array_equal(buffer, before)
+        assert all(np.shares_memory(p.grad, bucket.grad_buffer) for p in params)
+
+    def test_external_grad_buffer_is_validated(self, rng):
+        params = make_params(rng, [(2,), (2,)])
+        with pytest.raises(ValueError):
+            TensorBucket(params, flatten=True, grad_buffer=np.zeros(3))
+        with pytest.raises(ValueError):
+            TensorBucket(params, flatten=False, grad_buffer=np.zeros(4))
+
     def test_grads_ready(self, rng):
         params = make_params(rng, [(2,), (2,)])
         bucket = TensorBucket(params)

@@ -123,6 +123,92 @@ class TestCentralizedRowsAreIndependent:
             assert np.array_equal(out, kept)
 
 
+def _run_centralized(primitive, arrays, shape, fast, hierarchical, out):
+    """One call on a fresh group; everything it may change, as comparable bits."""
+    group = make_group(*shape)
+    codec = QSGDCompressor(bits=8, rng=np.random.default_rng(3))
+    stores = []
+    with use_fast_path(fast):
+        if primitive == "c_fp_s":
+            outs = c_fp_s(arrays, group, hierarchical=hierarchical, out=out)
+        else:
+            if primitive == "c_lp_s+ef":
+                stores = [
+                    ErrorFeedback(QSGDCompressor(bits=8, rng=np.random.default_rng(5 + i)))
+                    for i in range(2 * group.size)
+                ]
+            outs = c_lp_s(
+                arrays, group, compressor=codec,
+                worker_errors=stores[: group.size] or None,
+                server_errors=stores[group.size :] or None,
+                hierarchical=hierarchical, out=out,
+            )
+    transport = group.transport
+    state = (
+        [clock.now for clock in transport.clocks],
+        transport.stats.messages, transport.stats.rounds, transport.stats.total_bytes,
+        codec.rng.bit_generator.state,
+        [ef.compressor.rng.bit_generator.state for ef in stores],
+        [{key: value.tobytes() for key, value in ef._residuals.items()} for ef in stores],
+    )
+    return outs, state
+
+
+class TestCentralizedOut:
+    """``out=`` changes where the results land, and nothing else."""
+
+    @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (1, 1)], ids=["2x4", "1x4", "1x1"])
+    @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "hierarchical"])
+    @pytest.mark.parametrize("fast", [False, True], ids=["loop", "batched"])
+    @pytest.mark.parametrize("primitive", ["c_fp_s", "c_lp_s", "c_lp_s+ef"])
+    def test_out_equals_fresh_rows_bitwise(self, rng, primitive, fast, hierarchical, shape):
+        world = shape[0] * shape[1]
+        base = [rng.standard_normal(37) for _ in range(world)]
+        base[0][:5] = -0.0
+
+        def run(arrays, out):
+            return _run_centralized(primitive, arrays, shape, fast, hierarchical, out)
+
+        expected, expected_state = run([a.copy() for a in base], None)
+
+        # Fresh rows: they receive the results, the inputs stay untouched.
+        inputs = [a.copy() for a in base]
+        rows = [np.full(37, np.nan) for _ in range(world)]
+        outs, state = run(inputs, rows)
+        assert all(a is b for a, b in zip(outs, rows))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, base))
+        assert [o.tobytes() for o in outs] == [e.tobytes() for e in expected]
+        assert state == expected_state
+
+        # The inputs themselves: every read of an input precedes the first store.
+        inputs = [a.copy() for a in base]
+        outs, state = run(inputs, inputs)
+        assert all(a is b for a, b in zip(outs, inputs))
+        assert [o.tobytes() for o in outs] == [e.tobytes() for e in expected]
+        assert state == expected_state
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["loop", "batched"])
+    @pytest.mark.parametrize("primitive", ["c_fp_s", "c_lp_s"])
+    def test_bad_out_rows_are_rejected(self, rng, group, arrays, primitive, fast):
+        call = (
+            (lambda out: c_fp_s(arrays, group, out=out))
+            if primitive == "c_fp_s"
+            else (lambda out: c_lp_s(arrays, group, compressor=IdentityCompressor(), out=out))
+        )
+        block = np.zeros((group.size, 40))
+        with use_fast_path(fast):
+            with pytest.raises(ValueError, match="share memory"):
+                call([block[0, :37]] + [row[:37] for row in block[:-1]])  # rows 0 and 1 are one
+            with pytest.raises(ValueError, match="share memory"):
+                flat = block.reshape(-1)
+                call([flat[30 * i : 30 * i + 37] for i in range(group.size)])  # partial overlap
+            with pytest.raises(ValueError, match="out rows"):
+                call([row[:37] for row in block[:-1]])  # one row short
+            with pytest.raises(ValueError, match="float64"):
+                call([row[:37] for row in block.astype(np.float32)])
+        assert group.transport.stats.messages == 0  # rejected before anything ran
+
+
 class TestPeerSelectors:
     def test_ring_neighbors(self):
         peers = RingPeers().neighbors(5, step=0)

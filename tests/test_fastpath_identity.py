@@ -322,6 +322,26 @@ class TestHierarchicalIdentity:
         assert loop_recorder.rounds == fast_recorder.rounds
         assert bool(loop_recorder.rounds) == (traced and world > 1)
 
+    @pytest.mark.parametrize("length", [1, 64])
+    def test_float32_rows_fold_in_float32(self, length):
+        """The leader folds its node's rows in *their* precision and widens
+        the sum — the batched path may fold straight into its float64 stack
+        only rows that are float64 already."""
+        rng = np.random.default_rng(length)
+        arrays = [rng.standard_normal(length).astype(np.float32) for _ in range(6)]
+        runs = {}
+        for fast in (False, True):
+            group = _hier_group(2, 3)
+            codec = CODEC_FACTORIES["qsgd8"]()
+            outs = c_lp_s(
+                [a.copy() for a in arrays], group, codec, hierarchical=True, fast_path=fast
+            )
+            runs[fast] = (outs, group, codec)
+        for a, b in zip(runs[False][0], runs[True][0]):
+            _assert_bits_equal(a, b)
+        assert _transport_state(runs[False][1]) == _transport_state(runs[True][1])
+        assert _codec_state(runs[False][2]) == _codec_state(runs[True][2])
+
     @settings(max_examples=40, deadline=None)
     @given(
         nodes=st.integers(1, 3),

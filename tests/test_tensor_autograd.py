@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import TensorBucket
 from repro.models import VGGProxy
 from repro.models.trainable import bert_base_proxy
 from repro.tensor import Sequential, Tensor, clip_grad_norm, ones, randn, tensor, zeros
@@ -211,9 +212,9 @@ class TestUnbroadcast:
 
 
 class TestGradientOwnership:
-    """A leaf's ``.grad`` is its own, because callers scale it in place.
-    Holds for today's copy-on-first-contribution rule and must keep holding
-    for a borrowing one (ROADMAP item 2)."""
+    """A leaf's ``.grad`` is its own, because callers scale it in place: a
+    private array (first contribution copied) on an unbound leaf, the leaf's
+    slot of its bucket's gradient buffer, and nothing else, on a bound one."""
 
     def test_leaves_sharing_one_upstream_do_not_alias(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -251,6 +252,62 @@ class TestGradientOwnership:
         for other in (upstream, x.data, w.data, x.grad, b.grad):
             assert not np.shares_memory(w.grad, other)
         np.testing.assert_allclose(w.grad, upstream.T @ x.data, rtol=1e-12)
+
+    @staticmethod
+    def _bound_pair(rng):
+        """An affine layer's leaves bound to one bucket, and an unbound twin."""
+        w, b = rng.standard_normal((3, 5)), rng.standard_normal(3)
+        bound = [Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)]
+        twin = [Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)]
+        return TensorBucket(bound, flatten=True), bound, twin
+
+    def test_bound_leaf_grad_is_its_slot_and_nothing_else(self, rng):
+        bucket, (w, b), _ = self._bound_pair(rng)
+        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        upstream = rng.standard_normal((4, 3))
+        before = upstream.copy()
+        assert w.grad is None and b.grad is None  # binding alone creates no gradient
+        (x @ w.T + b).backward(upstream)
+        flat = bucket.grad_buffer
+        assert np.shares_memory(w.grad, flat[:15]) and not np.shares_memory(w.grad, flat[15:])
+        assert np.shares_memory(b.grad, flat[15:]) and not np.shares_memory(b.grad, flat[:15])
+        for other in (upstream, x.data, w.data, b.data, x.grad, bucket.buffer):
+            assert not np.shares_memory(w.grad, other)
+            assert not np.shares_memory(b.grad, other)
+        assert bucket.flat_grad() is flat
+        np.testing.assert_array_equal(flat[:15], (upstream.T @ x.data).reshape(-1))
+        np.testing.assert_array_equal(upstream, before)
+
+    def test_clip_grad_norm_scales_the_pool_once(self, rng):
+        bucket, bound, twin = self._bound_pair(rng)
+        for w, b in (bound, twin):
+            (Tensor(np.ones((4, 5))) @ w.T + b).sum().backward()
+        assert clip_grad_norm(bound, max_norm=0.5) == clip_grad_norm(twin, max_norm=0.5)
+        np.testing.assert_array_equal(
+            bucket.grad_buffer, np.concatenate([p.grad.reshape(-1) for p in twin])
+        )
+
+    def test_backward_twice_accumulates_in_the_slot(self, rng):
+        bucket, bound, twin = self._bound_pair(rng)
+        inputs = rng.standard_normal((2, 4, 5))
+        for w, b in (bound, twin):
+            for x in inputs:  # no zero_grad in between
+                ((Tensor(x) @ w.T + b) * (Tensor(x) @ w.T)).sum().backward()
+        for p, q in zip(bound, twin):
+            assert np.shares_memory(p.grad, bucket.grad_buffer)
+            np.testing.assert_array_equal(p.grad, q.grad)  # bitwise, not allclose
+
+    def test_zero_grad_then_backward_leaves_nothing_stale(self, rng):
+        bucket, (w, b), _ = self._bound_pair(rng)
+        (Tensor(np.ones((4, 5))) @ w.T + b).sum().backward()
+        assert bucket.flat_grad().all()
+        bucket.zero_grad()
+        (Tensor(np.ones((4, 5))) @ w.T).sum().backward()  # b takes no part this time
+        assert b.grad is None
+        flat = bucket.flat_grad()
+        np.testing.assert_array_equal(flat[:15], np.full(15, 4.0))
+        np.testing.assert_array_equal(flat[15:], np.zeros(3))
+        assert b.grad is None  # reading the flat gradient did not invent one
 
 
 def _hook_order(model, inputs, labels) -> list[str]:
