@@ -16,11 +16,14 @@
 # `make e2e-smoke` runs the end-to-end benchmark's own tests and its 12-op
 # smoke pass over all five workloads (benchmarks/e2e/README.md): a src/
 # change that breaks the surface the benchmark drives fails here.
+# `make ab PARENT=<rev> [OUT=BENCH_PRnn.json]` is the A/B procedure a
+# perf PR reports (benchmarks/ab_pairs.py): ten alternating 30-s pairs of
+# the gated workloads, <rev> against the working tree, ~45 min on a quiet box.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint typecheck typecheck-strict test analyze plans protocol perf e2e-smoke
+.PHONY: check lint typecheck typecheck-strict test analyze plans protocol perf e2e-smoke ab
 
 check: lint typecheck test analyze plans protocol
 
@@ -68,3 +71,8 @@ perf:
 e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e/tests -q
 	$(PYTHON) benchmarks/e2e/run.py --smoke --seed 0
+
+PARENT ?= HEAD~1
+OUT ?= BENCH_AB.json
+ab:
+	$(PYTHON) benchmarks/ab_pairs.py --parent $(PARENT) --out $(OUT)

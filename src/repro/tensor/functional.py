@@ -1,7 +1,9 @@
 """Differentiable operations on :class:`~repro.tensor.tensor.Tensor`.
 
 Everything here builds graph nodes by hand: forward with numpy, backward as a
-closure.  Convolutions and pooling use im2col over a strided window view.
+closure.  ``conv2d`` is im2col over a window view plus BLAS; the pools make one
+elementwise pass per window offset.  A backward closure never writes into the
+gradient it receives: an interior node may be holding it (``_accumulate``).
 
 Numeric contract: ``conv2d`` contracts with BLAS (``np.matmul``), which
 re-associates sums, so it matches a nested-loop reference to ~1e-10 relative,
@@ -221,6 +223,19 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int = 0) -> n
     return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
 
 
+def _window_slices(shape: tuple, kh: int, kw: int, stride: int) -> list[tuple]:
+    """Per window offset ``(i, j)``, row-major: the index selecting element ``(i, j)``
+    of every ``kh`` x ``kw`` window, ``stride`` apart, of a [B, C, H, W] array."""
+    height, width = shape[2:]
+    if not (1 <= kh <= height and 1 <= kw <= width and stride >= 1):
+        raise ValueError(f"no {kh}x{kw} window with stride {stride} fits an input of shape {shape}")
+    out_h, out_w = (height - kh) // stride + 1, (width - kw) // stride + 1
+    return [
+        (..., slice(i, i + stride * out_h, stride), slice(j, j + stride * out_w, stride))
+        for i, j in np.ndindex(kh, kw)
+    ]
+
+
 def _col2im(dcols: np.ndarray, x_shape: tuple, stride: int, padding: int = 0) -> np.ndarray:
     """Adjoint of :func:`_im2col`: sum [B, C, kh, kw, out_h, out_w] back into ``x_shape``.
 
@@ -228,11 +243,10 @@ def _col2im(dcols: np.ndarray, x_shape: tuple, stride: int, padding: int = 0) ->
     never within one, so each ``+=`` touches every element at most once.
     """
     batch, channels, height, width = x_shape
-    kh, kw, out_h, out_w = dcols.shape[2:]
+    kh, kw = dcols.shape[2:4]
     padded = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding), dcols.dtype)
-    for i, j in np.ndindex(kh, kw):
-        rows, cols = slice(i, i + stride * out_h, stride), slice(j, j + stride * out_w, stride)
-        padded[:, :, rows, cols] += dcols[:, :, i, j]
+    for (i, j), at in zip(np.ndindex(kh, kw), _window_slices(padded.shape, kh, kw, stride)):
+        padded[at] += dcols[:, :, i, j]
     return padded[:, :, padding : padding + height, padding : padding + width]
 
 
@@ -266,32 +280,43 @@ def conv2d(
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max over ``kernel`` x ``kernel`` windows; ties route the gradient to the
-    first maximum in window (row-major) order."""
-    stride = stride or kernel
-    windows = _im2col(x.data, kernel, kernel, stride)
-    shape = windows.shape
-    flat = (shape[0], shape[1], kernel * kernel, shape[4], shape[5])
-    cols = windows.reshape(flat)
-    argmax = cols.argmax(axis=2)[:, :, None]
+    first maximum in window (row-major) order.  A window holding a NaN yields
+    NaN and routes its gradient to one of its elements, unspecified which
+    (``grad_guard`` is the tool for non-finite gradients)."""
+    slices = _window_slices(x.data.shape, kernel, kernel, stride or kernel)
+    best = x.data[slices[0]].copy()
+    winner = np.zeros(best.shape, np.int8 if kernel <= 11 else np.intp)  # holds k*k - 1
+    hit = np.empty(best.shape, bool)
+    for n, at in enumerate(slices[1:], 1):
+        np.greater(x.data[at], best, out=hit)  # strict: the first of equal maxima stays
+        np.putmask(winner, hit, n)
+        np.maximum(best, x.data[at], out=best)
 
     def backward(grad: np.ndarray) -> None:
-        dcols = np.zeros(shape, grad.dtype)
-        np.put_along_axis(dcols.reshape(flat), argmax, grad[:, :, None], axis=2)
-        x._accumulate(_col2im(dcols, x.data.shape, stride))
+        dx, routed = np.zeros_like(x.data), np.empty_like(best)
+        for n, at in enumerate(slices):
+            np.equal(winner, n, out=hit)
+            np.multiply(grad, hit, out=routed)
+            dx[at] += routed  # added, not stored: overlapping windows sum
+        x._accumulate(dx)
 
-    return Tensor._make(cols.max(axis=2), (x,), backward)
+    return Tensor._make(best, (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    stride = stride or kernel
-    windows = _im2col(x.data, kernel, kernel, stride)
-    shape = windows.shape
+    slices = _window_slices(x.data.shape, kernel, kernel, stride or kernel)
+    out = x.data[slices[0]].copy()
+    for at in slices[1:]:
+        out += x.data[at]
+    out /= kernel * kernel
 
     def backward(grad: np.ndarray) -> None:
-        dcols = np.broadcast_to((grad / (kernel * kernel))[:, :, None, None], shape)
-        x._accumulate(_col2im(dcols, x.data.shape, stride))
+        dx, share = np.zeros_like(x.data), grad / (kernel * kernel)
+        for at in slices:
+            dx[at] += share
+        x._accumulate(dx)
 
-    return Tensor._make(windows.mean(axis=(2, 3)), (x,), backward)
+    return Tensor._make(out, (x,), backward)
 
 
 # ----------------------------------------------------------------------

@@ -158,26 +158,29 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``.grad``; never writes to or keeps ``grad`` itself.
+        """Add ``grad`` into ``.grad``; never writes into ``grad`` itself.
 
-        Every node owns its ``.grad`` (first contribution copied), so a leaf's
-        gradient, which outlives the pass and is scaled in place by
-        ``clip_grad_norm``, aliases neither another leaf's nor the caller's.
-        A leaf bound to a bucket's gradient slot accumulates there: the first
-        contribution overwrites all of it, so the slot is never zeroed.
+        An interior node borrows the first array it is handed (``backward``
+        drops its ``.grad`` after use) and sums a later one into a fresh array,
+        never ``+=``: the first may be a caller's or a read-only broadcast view.
+        A leaf's ``.grad`` outlives the pass and is scaled in place, so a leaf
+        owns it: unbound it copies; bound it accumulates in its bucket's gradient
+        slot, which the first contribution overwrites, so it is never zeroed.
         """
         if not self.requires_grad:
             return
         grad = _unbroadcast(_as_array(grad), self.data.shape)
         slot = self._grad_slot
-        if slot is None:
-            self.grad = grad.copy() if self.grad is None else self.grad + grad
-            return
-        if self.grad is None:
-            np.copyto(slot, grad)
+        if slot is not None:
+            if self.grad is None:
+                np.copyto(slot, grad)
+            else:
+                np.add(self.grad, grad, out=slot)
+            self.grad = slot
+        elif self.grad is not None:
+            self.grad = self.grad + grad
         else:
-            np.add(self.grad, grad, out=slot)
-        self.grad = slot
+            self.grad = grad if self._backward_fn is not None else grad.copy()
 
     def backward(self, grad: ArrayLike | None = None) -> None:
         """Run reverse-mode differentiation from this tensor.
@@ -192,7 +195,7 @@ class Tensor:
                 raise ValueError("backward() without gradient requires a scalar output")
             grad = np.ones_like(self.data)
         else:
-            grad = _as_array(grad)
+            grad = _as_array(grad).copy()  # the root keeps its .grad: never the caller's array
 
         # Collect the reachable requires-grad subgraph (iteratively: models
         # can be deep enough to overflow Python's recursion limit) ...

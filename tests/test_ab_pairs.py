@@ -1,0 +1,71 @@
+"""``benchmarks/ab_pairs.py``: the summary arithmetic, on a synthetic pair list."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "ab_pairs.py")
+_spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+SPECS = [
+    {"name": "op_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "ops/s", "better": "higher", "bound": 0.25},
+]
+
+
+def pair(workload, parent, change):
+    return {"workload": workload, "parent": {"metrics": parent}, "change": {"metrics": change}}
+
+
+def steps(workload, parent_ms, change_ms):
+    return [
+        pair(workload, {"op_ms": a, "ops_per_s": 1000 / a}, {"op_ms": b, "ops_per_s": 1000 / b})
+        for a, b in zip(parent_ms, change_ms)
+    ]
+
+
+def test_medians_quartiles_ranges_and_pairs_won():
+    # The change wins three pairs, ties one (which counts for neither side) and loses one.
+    rows = steps("w", [10.0, 12.0, 14.0, 16.0, 18.0], [8.0, 9.0, 14.0, 10.0, 20.0])
+    row = ab_pairs.summarize(rows, SPECS)["w"]["op_ms"]
+    assert row["pairs"] == 5
+    assert (row["parent_median"], row["change_median"]) == (14.0, 10.0)
+    assert row["change_over_parent"] == pytest.approx(10 / 14)
+    assert row["per_pair_ratio"] == pytest.approx([0.8, 0.75, 1.0, 0.625, 20 / 18])
+    assert (row["pairs_change_better"], row["pairs_parent_better"]) == (3, 1)
+    assert (row["parent_iqr"], row["change_iqr"]) == (4.0, 5.0)  # 16 - 12 and 14 - 9
+    assert row["median_gain_over_parent_iqr"] == 1.0  # (14 - 10) / 4
+    assert (row["parent_range"], row["change_range"]) == (8.0, 12.0)
+    assert row["spread_bound"] == 3.5 and row["spread_ok"] is False
+
+
+def test_higher_is_better_flips_who_wins_and_the_gain_sign():
+    rows = steps("w", [10.0, 12.0, 14.0, 16.0, 18.0], [8.0, 9.0, 14.0, 10.0, 20.0])
+    row = ab_pairs.summarize(rows, SPECS)["w"]["ops_per_s"]
+    assert (row["pairs_change_better"], row["pairs_parent_better"]) == (3, 1)
+    assert row["change_median"] == 100.0 and row["median_gain_over_parent_iqr"] > 0
+    assert row["spread_bound"] == pytest.approx(0.25 * 1000 / 14)
+
+
+def test_a_shorter_step_spreads_wider_in_its_reciprocal():
+    """The corridor of ROADMAP item 1: the same +2 ms disturbance on a step
+    made 2x shorter passes the bound in ms and fails it in ops/s."""
+    rows = steps("w", [20.0, 20.0, 22.0], [10.0, 10.0, 12.0])
+    summary = ab_pairs.summarize(rows, SPECS)["w"]
+    assert summary["op_ms"]["spread_ok"] and summary["op_ms"]["change_range"] == 2.0
+    assert summary["ops_per_s"]["change_range"] == pytest.approx(100 - 1000 / 12)  # 16.7 > 12.5
+    assert not summary["ops_per_s"]["spread_ok"]
+
+
+def test_workloads_are_kept_apart_and_failed_runs_left_out():
+    rows = steps("a", [10.0, 10.0], [9.0, 9.0]) + steps("b", [5.0], [6.0])
+    rows.append(pair("a", {"op_ms": 10.0}, {}))  # the change's run failed: no metrics
+    summary = ab_pairs.summarize(rows, SPECS)
+    assert list(summary) == ["a", "b"]
+    assert summary["a"]["op_ms"]["pairs"] == 2 and summary["a"]["op_ms"]["pairs_change_better"] == 2
+    assert summary["b"]["op_ms"]["pairs_parent_better"] == 1
+    assert summary["b"]["op_ms"]["parent_iqr"] == 0.0  # one run has no quartiles
+    assert summary["b"]["op_ms"]["median_gain_over_parent_iqr"] is None

@@ -1,11 +1,13 @@
 """Autograd core: arithmetic, broadcasting, backward, hooks."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core import TensorBucket
 from repro.models import VGGProxy
-from repro.models.trainable import bert_base_proxy
+from repro.models.trainable import LSTMAlexNetProxy, TransformerProxy, bert_base_proxy
 from repro.tensor import Sequential, Tensor, clip_grad_norm, ones, randn, tensor, zeros
 from repro.tensor import functional as F
 from repro.tensor import layers as nn
@@ -214,7 +216,9 @@ class TestUnbroadcast:
 class TestGradientOwnership:
     """A leaf's ``.grad`` is its own, because callers scale it in place: a
     private array (first contribution copied) on an unbound leaf, the leaf's
-    slot of its bucket's gradient buffer, and nothing else, on a bound one."""
+    slot of its bucket's gradient buffer, and nothing else, on a bound one.
+    The root owns a copy of its seed; an interior node borrows the first
+    array it is handed and never writes into it."""
 
     def test_leaves_sharing_one_upstream_do_not_alias(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -252,6 +256,58 @@ class TestGradientOwnership:
         for other in (upstream, x.data, w.data, x.grad, b.grad):
             assert not np.shares_memory(w.grad, other)
         np.testing.assert_allclose(w.grad, upstream.T @ x.data, rtol=1e-12)
+
+    def test_root_keeps_a_copy_of_the_seed(self, rng):
+        a = Tensor(rng.standard_normal(3), requires_grad=True)
+        seed = rng.standard_normal(3)
+        before = seed.copy()
+        root = a * 2.0
+        root.backward(seed)
+        np.testing.assert_array_equal(root.grad, seed)
+        assert not np.shares_memory(root.grad, seed)
+        root.grad *= 0.0  # the root's to scale; the caller's array is not
+        np.testing.assert_array_equal(seed, before)
+
+    def test_interior_node_borrows_first_and_sums_into_a_fresh_array(self):
+        a = Tensor(np.zeros(3), requires_grad=True)
+        hidden = a * 1.0
+        first, second = np.ones(3), np.broadcast_to(2.0, (3,))  # the second is read-only
+        kept = []
+
+        def hands_over(array):
+            return Tensor._make(np.zeros(3), (hidden,), lambda _g: hidden._accumulate(array))
+
+        # Backward runs the node made last first: ``first`` is handed over,
+        # the probe looks at what ``hidden`` holds, then ``second`` is added.
+        nodes = [
+            hands_over(second),
+            Tensor._make(np.zeros(3), (hidden,), lambda _g: kept.append(hidden.grad)),
+            hands_over(first),
+        ]
+        (nodes[0] + nodes[1] + nodes[2]).sum().backward()
+        assert kept[0] is first  # borrowed, not copied
+        np.testing.assert_array_equal(first, np.ones(3))  # and not summed into
+        np.testing.assert_array_equal(a.grad, np.full(3, 3.0))
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_leaves_behind_views_of_one_gradient_alias_nothing(self, rng, bound):
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        bucket = TensorBucket([a, b], flatten=True) if bound else None
+        seed = rng.standard_normal(6)
+        before = seed.copy()
+        root = a.reshape(6) + b.transpose().reshape(6)  # both leaves are handed views of root.grad
+        root.backward(seed)
+        for grad, other in ((a.grad, b.grad), (b.grad, a.grad)):
+            for array in (other, seed, root.grad, a.data, b.data):
+                assert not np.shares_memory(grad, array)
+        if bound:
+            flat = bucket.grad_buffer
+            assert np.shares_memory(a.grad, flat[:6]) and not np.shares_memory(a.grad, flat[6:])
+            assert np.shares_memory(b.grad, flat[6:]) and not np.shares_memory(b.grad, flat[:6])
+        clip_grad_norm([a, b], max_norm=1e-3)
+        np.testing.assert_array_equal(seed, before)
+        np.testing.assert_array_equal(root.grad, before)
 
     @staticmethod
     def _bound_pair(rng):
@@ -308,6 +364,146 @@ class TestGradientOwnership:
         np.testing.assert_array_equal(flat[:15], np.full(15, 4.0))
         np.testing.assert_array_equal(flat[15:], np.zeros(3))
         assert b.grad is None  # reading the flat gradient did not invent one
+
+
+# ----------------------------------------------------------------------
+# The borrow contract, executable: no kernel writes into a gradient it is handed
+# ----------------------------------------------------------------------
+@pytest.fixture
+def read_only_borrows(monkeypatch):
+    """Every array an interior node borrows is read-only for the rest of the
+    test, so a backward closure that writes into a gradient it received (or
+    into one it has handed on) raises.  A view that is read-only already does
+    not own the flag (``broadcast_to``) and is left alone."""
+    accumulate, frozen = Tensor._accumulate, []
+
+    def poisoning(self, grad):
+        first = self.grad is None
+        accumulate(self, grad)
+        kept = self.grad
+        if first and self._backward_fn is not None and kept is not None and kept.flags.writeable:
+            kept.flags.writeable = False
+            frozen.append(kept)
+
+    monkeypatch.setattr(Tensor, "_accumulate", poisoning)
+    yield
+    for array in frozen:  # oldest first: a view thaws after its base
+        array.flags.writeable = True
+
+
+class _Leaves:
+    """``leaves(*shape)`` makes a leaf and returns it behind an interior node,
+    so that what the op under test hands to its inputs is borrowed too."""
+
+    def __init__(self, rng):
+        self.rng, self.made = rng, []
+
+    def __call__(self, *shape, positive=False):
+        data = self.rng.standard_normal(shape)
+        self.made.append(Tensor(np.abs(data) + 0.5 if positive else data, requires_grad=True))
+        return self.made[-1] * 1.0
+
+
+def _mlp(rng):
+    """The wide MLP's shape (``TestGradientReadyOrder.test_wide_mlp``), narrow."""
+    return Sequential(
+        nn.Flatten(), nn.Linear(48, 32, rng=rng), nn.ReLU(), nn.Linear(32, 32, rng=rng),
+        nn.ReLU(), nn.Linear(32, 10, rng=rng),
+    )  # fmt: skip
+
+
+def _model_loss(factory, make_inputs, classes):
+    def graph(t, rng):
+        model = factory(rng=rng)
+        t.made.extend(model.parameters())
+        return F.cross_entropy(model(make_inputs(rng)), rng.integers(0, classes, 2))
+
+    return graph
+
+
+def _images(size):
+    return lambda rng: rng.standard_normal((2, 3, size, size))
+
+
+def _tokens(vocab):
+    return lambda rng: rng.integers(0, vocab, (2, 8))
+
+
+#: name -> graph(leaves, rng) -> root.  The models, then every public op of
+#: ``functional.py`` by name (``test_every_public_op_has_a_graph``), then
+#: the ``Tensor`` methods.
+GRAPHS = {
+    "VGGProxy": _model_loss(VGGProxy, _images(16), 10),
+    "wide MLP": _model_loss(_mlp, lambda rng: Tensor(_images(4)(rng)), 10),
+    "bert_base_proxy": _model_loss(bert_base_proxy, _tokens(64), 4),
+    "TransformerProxy": _model_loss(TransformerProxy, _tokens(64), 4),
+    "LSTMAlexNetProxy": _model_loss(
+        LSTMAlexNetProxy, lambda rng: (_images(12)(rng), _tokens(32)(rng)), 6
+    ),
+    "relu": lambda t, rng: F.relu(t(3, 4)),
+    "tanh": lambda t, rng: F.tanh(t(3, 4)),
+    "sigmoid": lambda t, rng: F.sigmoid(t(3, 4)),
+    "gelu": lambda t, rng: F.gelu(t(3, 4)),
+    "exp": lambda t, rng: F.exp(t(3, 4)),
+    "log": lambda t, rng: F.log(t(3, 4, positive=True)),
+    "sqrt": lambda t, rng: F.sqrt(t(3, 4, positive=True)),
+    "clip": lambda t, rng: F.clip(t(3, 4), -0.5, 0.5),
+    "softmax": lambda t, rng: F.softmax(t(3, 4)),
+    "log_softmax": lambda t, rng: F.log_softmax(t(3, 4)),
+    "cross_entropy": lambda t, rng: F.cross_entropy(t(3, 4), [0, 3, 1]),
+    "mse_loss": lambda t, rng: F.mse_loss(t(3, 4), rng.standard_normal((3, 4))),
+    "nll_loss": lambda t, rng: F.nll_loss(t(3, 4), [0, 3, 1]),
+    "concat": lambda t, rng: F.concat([t(2, 3), t(2, 2)], axis=1),
+    "stack": lambda t, rng: F.stack([t(2, 3), t(2, 3)], axis=1),
+    "dropout": lambda t, rng: F.dropout(t(3, 4), 0.5, rng),
+    "embedding_lookup": lambda t, rng: F.embedding_lookup(t(5, 3), [[0, 2], [2, 4]]),
+    "conv2d": lambda t, rng: F.conv2d(t(2, 2, 5, 5), t(3, 2, 3, 3), t(3), stride=2, padding=1),
+    "max_pool2d": lambda t, rng: F.max_pool2d(t(2, 2, 5, 5), 2, 1),
+    "avg_pool2d": lambda t, rng: F.avg_pool2d(t(2, 2, 5, 5), 2, 1),
+    "batch_norm2d": lambda t, rng: F.batch_norm2d(
+        t(2, 3, 4, 4), t(3), t(3), np.zeros(3), np.ones(3), training=True
+    ),
+    "layer_norm": lambda t, rng: F.layer_norm(t(2, 3, 4), t(4), t(4)),
+    "Tensor methods": lambda t, rng: (
+        ((t(2, 3) @ t(3, 4) - t(4)) / t(2, 4, positive=True) * -t(1, 4)) ** 2 + t(2, 1)
+    ).transpose()[1:3, ::-1].reshape(2, 2, 1).mean(axis=1).sum(axis=0, keepdims=True),
+}  # fmt: skip
+
+
+def _leaf_grads(name) -> list[np.ndarray]:
+    rng = np.random.default_rng(0)
+    leaves = _Leaves(rng)
+    root = GRAPHS[name](leaves, rng)
+    root.backward(rng.standard_normal(root.shape))
+    return [leaf.grad for leaf in leaves.made]
+
+
+class TestBorrowedGradientsAreNeverWrittenInto:
+    def test_every_public_op_has_a_graph(self):
+        public = {
+            name for name, op in vars(F).items()
+            if inspect.isfunction(op) and op.__module__ == F.__name__ and name[0] != "_"
+        }  # fmt: skip
+        assert public <= set(GRAPHS)
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_backward_under_read_only_borrows(self, name, request):
+        plain = _leaf_grads(name)
+        request.getfixturevalue("read_only_borrows")
+        poisoned = _leaf_grads(name)  # nothing may raise
+        assert len(plain) == len(poisoned) > 0
+        for got, want in zip(poisoned, plain):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_the_fixture_catches_a_kernel_that_writes(self, read_only_borrows):
+        a = Tensor(np.ones(3), requires_grad=True)
+
+        def scales_in_place(grad):
+            grad *= 2.0
+            a._accumulate(grad)
+
+        with pytest.raises(ValueError, match="read-only"):
+            Tensor._make(np.zeros(3), (a,), scales_in_place).sum().backward()
 
 
 def _hook_order(model, inputs, labels) -> list[str]:

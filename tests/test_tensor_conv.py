@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.tensor import Tensor
 from repro.tensor import functional as F
@@ -216,3 +217,117 @@ class TestAgainstNaiveReference:
         upstream = rng.standard_normal(expected.shape)
         out.backward(upstream)
         np.testing.assert_allclose(x.grad, grad(upstream), rtol=1e-10, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Window-slice pooling against the im2col pooling it replaced
+# ----------------------------------------------------------------------
+def im2col_pool2d(x, kernel, stride, mode):
+    """The pooling kernels as they were before they sliced (im2col copy,
+    ``argmax`` / ``put_along_axis``, col2im), transcribed as the oracle:
+    ``(out, grad)`` with ``grad(upstream) -> dx``."""
+    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    windows = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+    shape = windows.shape  # [B, C, k, k, out_h, out_w]
+    flat = (shape[0], shape[1], kernel * kernel, shape[4], shape[5])
+
+    def col2im(dcols):
+        dx = np.zeros(x.shape, dcols.dtype)
+        for i, j in np.ndindex(kernel, kernel):
+            rows = slice(i, i + stride * shape[4], stride)
+            cols = slice(j, j + stride * shape[5], stride)
+            dx[:, :, rows, cols] += dcols[:, :, i, j]
+        return dx
+
+    if mode == "avg":
+
+        def avg_grad(upstream):
+            share = (upstream / (kernel * kernel))[:, :, None, None]
+            return col2im(np.broadcast_to(share, shape))
+
+        return windows.mean(axis=(2, 3)), avg_grad
+    cols = windows.reshape(flat)
+    argmax = cols.argmax(axis=2)[:, :, None]
+
+    def max_grad(upstream):
+        dcols = np.zeros(shape, upstream.dtype)
+        np.put_along_axis(dcols.reshape(flat), argmax, upstream[:, :, None], axis=2)
+        return col2im(dcols)
+
+    return cols.max(axis=2), max_grad
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+class TestAgainstIm2colPooling:
+    @settings(max_examples=150, deadline=None)
+    @given(pool_cases(), st.sampled_from(["max", "avg"]), st.booleans())
+    def test_values_and_input_gradient(self, case, mode, salted):
+        shape, kernel, stride, integers, seed = case
+        rng = np.random.default_rng(seed)
+        # Integers in [-2, 0] tie often, and often at zero; the salt makes
+        # some of those zeros negative, so a window's maxima can be +0.0 and -0.0.
+        data = rng.integers(-2, 1, shape).astype(float) if integers else rng.standard_normal(shape)
+        if salted:
+            data[rng.random(shape) < 0.3] = -0.0
+        x = Tensor(data, requires_grad=True)
+        expected, grad = im2col_pool2d(data, kernel, stride, mode)
+        out = (F.max_pool2d if mode == "max" else F.avg_pool2d)(x, kernel, stride)
+        upstream = rng.standard_normal(expected.shape)
+        out.backward(upstream)
+
+        # The gradient is bitwise the oracle's for both pools: the same
+        # addends, added in the same (window-offset) order.
+        np.testing.assert_array_equal(bits(x.grad), bits(grad(upstream)))
+        if mode == "avg":  # a running sum against numpy's two-axis mean
+            np.testing.assert_allclose(out.data, expected, rtol=1e-10, atol=1e-12)
+            return
+        # Maxima that are zeros of both signs compare equal but may differ in
+        # the zero's sign (``np.max`` leaves it open too); all else is bitwise.
+        np.testing.assert_array_equal(out.data, expected)
+        nonzero = expected != 0
+        np.testing.assert_array_equal(bits(out.data[nonzero]), bits(expected[nonzero]))
+
+    def test_kernel_12_needs_the_wide_winner_index(self, rng):
+        data = rng.standard_normal((1, 2, 13, 13))
+        data[:, :, 11, 11] = 100.0  # window offsets 143, 142, 131, 130: none fits int8
+        x = Tensor(data, requires_grad=True)
+        expected, grad = im2col_pool2d(data, 12, 1, "max")
+        out = F.max_pool2d(x, 12, stride=1)
+        np.testing.assert_array_equal(out.data, np.full((1, 2, 2, 2), 100.0))
+        upstream = rng.standard_normal(expected.shape)
+        out.backward(upstream)
+        np.testing.assert_array_equal(bits(x.grad), bits(grad(upstream)))
+        assert np.count_nonzero(x.grad) == 2  # all four windows of a channel route to one element
+
+    @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
+    @pytest.mark.parametrize(
+        "shape, kernel, stride",
+        [((1, 1, 4, 4), 0, None), ((1, 1, 4, 4), -1, 1), ((1, 1, 3, 5), 4, 1),
+         ((1, 1, 5, 3), 4, 1), ((1, 1, 4, 4), 2, -1)],
+    )  # fmt: skip
+    def test_windows_that_do_not_fit_raise(self, pool, shape, kernel, stride):
+        with pytest.raises(ValueError, match=r"(?s)window.*stride.*shape.*\(1, 1, "):
+            pool(Tensor(np.ones(shape), requires_grad=True), kernel, stride)
+
+    @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
+    def test_stride_none_and_zero_mean_the_kernel(self, pool, rng):
+        x = Tensor(rng.standard_normal((1, 2, 6, 6)))
+        for stride in (None, 0):
+            np.testing.assert_array_equal(pool(x, 3, stride).data, pool(x, 3, 3).data)
+
+    def test_nan_window_is_nan_and_routes_to_one_element(self, rng):
+        """The NaN contract: a window holding a NaN yields NaN and hands its
+        gradient to exactly one of its elements, unspecified which."""
+        data = rng.standard_normal((1, 1, 4, 4))
+        data[0, 0, 0, 1] = data[0, 0, 3, 2] = np.nan  # windows (0, 0) and (1, 1)
+        x = Tensor(data, requires_grad=True)
+        out = F.max_pool2d(x, 2)
+        np.testing.assert_array_equal(np.isnan(out.data[0, 0]), [[True, False], [False, True]])
+        upstream = rng.standard_normal((1, 1, 2, 2))
+        out.backward(upstream)
+        for i, j in np.ndindex(2, 2):
+            window = x.grad[0, 0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+            assert np.count_nonzero(window) == 1 and window.sum() == upstream[0, 0, i, j]
