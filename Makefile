@@ -9,10 +9,8 @@
 # suite, and a sanitized live conformance run (see docs/backends.md).
 # `make typecheck-strict` is the CI variant that *fails* when mypy is
 # missing instead of skipping.
-# `make perf` benchmarks the world-batched fast path against the loop
-# reference and gates against benchmarks/perf/baseline.json (see
-# docs/performance.md); `make perf REPRO_BACKEND=shm` runs the suite on a
-# different transport backend (see docs/backends.md).
+# `make perf` prints three report-only microbenches (shm pool reduce, wire
+# codec, symbolic lowering); it gates nothing (see docs/performance.md).
 # `make e2e-smoke` runs the end-to-end benchmark's own tests and its 12-op
 # smoke pass over all five workloads (benchmarks/e2e/README.md): a src/
 # change that breaks the surface the benchmark drives fails here.
@@ -59,14 +57,8 @@ plans:
 protocol:
 	$(PYTHON) -m repro analyze --protocol
 
-# REPRO_BACKEND selects the transport backend for the whole suite
-# (local | batched | shm); unset means the batched default.  The result
-# JSON carries the backend as a suffix so per-backend runs (and their CI
-# artifacts) never clobber each other.
 perf:
-	$(PYTHON) -m repro perf --quick --check \
-		--out BENCH$(if $(REPRO_BACKEND),-$(REPRO_BACKEND)).json \
-		$(if $(REPRO_BACKEND),--backend $(REPRO_BACKEND))
+	$(PYTHON) -m repro perf
 
 e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e/tests -q

@@ -3,6 +3,9 @@
 Too-small buckets pay per-message latency and ramp overhead; too-large
 buckets destroy overlap (the last bucket finishes long after backward ends).
 The 10 MB default sits in the flat basin (DESIGN.md §5).
+
+Beyond tier-1: the only place this sweep is rendered (no `repro run` entry)
+and the basin / both-extremes-worse assertions, which no tier-1 test makes.
 """
 
 from repro.cluster import paper_cluster

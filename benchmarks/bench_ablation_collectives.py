@@ -2,6 +2,10 @@
 
 Why BAGUA's centralized primitives use the hierarchical ScatterReduce:
 compared per tensor size at paper scale (128 workers, 25 Gbps).
+
+Beyond tier-1: the only place these two sweeps are rendered (no `repro run`
+entry) and the flat-vs-hierarchical and peer-topology cost orderings at
+paper scale, which no tier-1 test asserts.
 """
 
 from repro.cluster import paper_cluster

@@ -3,6 +3,11 @@
 C_LP_S's delta/epsilon state is what makes 1-bit compression usable: this
 bench measures the aggregation error of repeated compressed allreduce with
 and without error feedback (DESIGN.md §5).
+
+Beyond tier-1: 30 accumulated steps with a <0.5x error-feedback bound and
+the qsgd8 <0.1 bound (tier-1's
+`test_error_feedback_improves_repeated_aggregation` only orders EF against
+plain 1-bit).
 """
 
 import numpy as np

@@ -3,6 +3,9 @@
 These are genuine pytest-benchmark microbenchmarks (multiple rounds) over
 the compression kernels — the per-element cost that the cost model's
 ``compress_time`` approximates.
+
+Beyond tier-1: wall-clock throughput per codec at 2^18 elements plus the
+wire-size / compression-ratio table in `extra_info`; tier-1 times nothing.
 """
 
 import numpy as np

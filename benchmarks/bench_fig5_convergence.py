@@ -3,6 +3,9 @@
 Runs the full five-task suite on the 8-worker simulated cluster.  The shape
 to observe matches the paper: all systems trace essentially the same loss
 curve, so epoch-time speedups translate to time-to-loss speedups.
+
+Beyond tier-1: all five tasks for 4 epochs (tier-1's `test_fig5_single_task`
+runs VGG16 for 2) and finite final losses for every system on every task.
 """
 
 import numpy as np

@@ -3,6 +3,11 @@
 Qualitative outcomes reproduced: 1-bit Adam diverges on the conv tasks
 (VGG16) while converging on the transformer tasks; Async shows a visible gap
 on BERT-LARGE; the decentralized variants land close to Allreduce.
+
+Beyond tier-1: all five tasks for 5 epochs through the Figure 6 harness —
+1-bit Adam diverging on VGG16 but not BERT-LARGE, QSGD not diverging on
+VGG16, and Async ending above 2x Allreduce's loss on BERT-LARGE (tier-1's
+`test_fig6_single_task` runs BERT-BASE for 2 epochs).
 """
 
 from repro.experiments import fig6_convergence_algorithms

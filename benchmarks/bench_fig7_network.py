@@ -1,4 +1,8 @@
-"""Figure 7: BERT-LARGE epoch time vs bandwidth and vs latency."""
+"""Figure 7: BERT-LARGE epoch time vs bandwidth and vs latency.
+
+Beyond tier-1: the winners on the paper's full default bandwidth / latency
+grids (tier-1's `TestFig7` asserts the same winners on a 3 x 3 grid).
+"""
 
 from repro.experiments import fig7_network_conditions
 

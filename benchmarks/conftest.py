@@ -1,10 +1,12 @@
 """Benchmark-suite configuration.
 
-Every paper table/figure has one bench; each runs its experiment once
-(``benchmark.pedantic`` with a single round — the experiments are themselves
-deterministic simulations, not microbenchmarks) and prints the rendered
-table/series so ``pytest benchmarks/ --benchmark-only -s`` regenerates the
-paper's evaluation in one command.
+``python -m repro run <name|all>`` regenerates the paper's tables and
+figures and tier-1 asserts their shapes; the benches kept here are the ones
+that check something more (each docstring says what): the full-size
+functional-mode figure runs, the design-choice ablations, which have no
+``repro run`` entry, and the codec microbenchmarks.  The experiment benches
+run once (``benchmark.pedantic`` with a single round — they are
+deterministic simulations, not microbenchmarks) and print what they render.
 """
 
 from __future__ import annotations

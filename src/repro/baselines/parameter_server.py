@@ -16,7 +16,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from ..cluster.transport import Message, Transport
-from ..comm.collectives import _chunk_bounds
+from ..comm.chunking import chunk_bounds
 from ..comm.group import CommGroup
 
 
@@ -27,7 +27,7 @@ class ShardedParameterServer:
         self.group = group
         self.server_ranks = [sub.ranks[0] for sub in group.node_subgroups()]
         self.num_shards = len(self.server_ranks)
-        self._bounds = _chunk_bounds(initial.shape[0], self.num_shards)
+        self._bounds = chunk_bounds(initial.shape[0], self.num_shards)
         self.total_elements = initial.shape[0]
         # shard index -> parameter slice held by that server
         self.shards: list[np.ndarray] = [

@@ -131,12 +131,12 @@ class TransportBackend:
 
     #: registry name ("local", "batched", "shm")
     name: str = "base"
-    #: kernel flavor collectives pick when no explicit fast-path override is
-    #: active: the loop reference (False) or the world-batched kernels (True).
+    #: kernel flavor collectives run on this backend — the loop reference
+    #: (False) or the world-batched kernels (True).  The only selector.
     prefers_fast_path: bool = True
-    #: whether pool-resident payloads should route as :class:`PoolRef`
-    #: descriptors by default (``repro.comm`` consults this the same way it
-    #: consults ``prefers_fast_path``).  Every backend *can* execute
+    #: whether dense collectives over pool-resident buckets reduce in place
+    #: through :class:`PoolRef` descriptors (``repro.comm.batched`` asks
+    #: this flag, nothing else).  Every backend *can* execute
     #: :meth:`pool_ref_reduce` over its registered pools; only backends
     #: where the descriptor path actually changes the execution substrate
     #: (the shm worker processes) turn the preference on.

@@ -14,16 +14,36 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from ..topology import ClusterSpec
 from ..transport import Transport
-from ...perf.workloads import EPOCH_ITERS, EPOCH_POOL_ELEMENTS, compute_epoch_task
 
 WORLD = 2
+#: Pool length / iteration count: one rank's task is a few hundred ms of
+#: pure numpy compute, so process dispatch overhead (~1 ms) is noise.
+EPOCH_POOL_ELEMENTS = 120_000
+EPOCH_ITERS = 120
 #: shm wall time must be below this fraction of serial local wall time.
 #: Perfect 2-core scaling is 0.5; 0.85 leaves headroom for dispatch
 #: overhead and noisy shared runners while still proving actual overlap.
 MAX_RATIO = 0.85
 REPEATS = 3
+
+
+def compute_epoch_task(pool: np.ndarray, rank: int, iters: int) -> float:
+    """A compute-bound 'epoch': iterated elementwise math on the rank's pool.
+
+    Module-level because ``run_rank_tasks`` pickles it by reference for the
+    shm workers.  Deterministic in ``(rank, iters, len(pool))`` so results
+    compare bitwise across backends; writes through the pool so the shm
+    backend's cross-process mapping is exercised, and returns a checksum.
+    """
+    x = np.random.default_rng(1000 + rank).standard_normal(pool.shape[0])
+    for _ in range(iters):
+        x = np.tanh(x) + 0.25 * np.sin(x * 1.7) - 0.001 * x * x
+    pool[:] = x
+    return float(x.sum())
 
 
 def _best_run(backend, args) -> tuple[float, dict]:

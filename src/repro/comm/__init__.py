@@ -1,8 +1,10 @@
 """NCCL-like collectives over the simulated transport.
 
-Public entry points route to the world-batched fast path by default (see
-:mod:`repro.comm.fastpath`); the per-rank loop implementations remain in
-:mod:`repro.comm.collectives` as the reference oracle.
+Public entry points ask the group's transport backend which implementation
+to run: ``backend.prefers_fast_path`` selects the world-batched kernels of
+:mod:`repro.comm.batched` (``batched``, ``shm``), otherwise the per-rank loop
+implementations of :mod:`repro.comm.collectives` run — the reference oracle,
+reached with ``backend="local"``.  The two are bitwise indistinguishable.
 """
 
 from .batched import (
@@ -24,14 +26,6 @@ from .collectives import (
     ring_allreduce,
     ring_reduce_scatter,
     send_recv,
-)
-from .fastpath import (
-    fast_path_enabled,
-    pool_ref_enabled,
-    set_fast_path,
-    set_pool_ref,
-    use_fast_path,
-    use_pool_ref,
 )
 from .group import CommGroup
 from .hierarchical import HierarchicalComm
@@ -63,11 +57,4 @@ __all__ = [
     "allgather_sizes",
     "chunk_bounds",
     "chunk_sizes",
-    "fast_path_enabled",
-    "set_fast_path",
-    "use_fast_path",
-    # pool-ref collectives switch
-    "pool_ref_enabled",
-    "set_pool_ref",
-    "use_pool_ref",
 ]

@@ -21,8 +21,9 @@ Everything observable is preserved **bitwise**:
 * compressor state — RNG streams and error-feedback residuals end in the
   same state.
 
-The property tests in ``tests/test_fastpath_identity.py`` enforce this
-contract for every collective x compressor combination.
+The identity harness (``tests/identity_harness.py``; its in-process rows are
+``tests/test_fastpath_identity.py``) enforces this contract for every
+collective x compressor combination against ``backend="local"``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from ..compression.base import Compressor
 from ..compression.error_feedback import ErrorFeedback
 from .chunking import Rows, check_arrays, chunk_bounds, store_rows
-from .fastpath import resolve_pool_ref
 from .group import CommGroup
 
 #: tuple-header bytes of the ``(index, payload)`` envelope the loop
@@ -296,7 +296,7 @@ def scatter_reduce_batched(
 
     if codec is None and n > 1:
         row_bytes = [_F64_BYTES * w for w in widths]
-        if resolve_pool_ref(group.transport):
+        if group.transport.backend.supports_pool_ref:
             refs = group.transport.backend.resolve_pool_refs(list(arrays), group.ranks)
             if refs is not None:
                 # Pool-ref fast path: every member's bucket is a dense view
@@ -491,7 +491,7 @@ def ring_allreduce_batched(
         return [np.asarray(arrays[0], dtype=np.float64).copy()]
     total = arrays[0].shape[0]
     owners = [(i + 1) % n for i in range(n)]
-    if resolve_pool_ref(group.transport):
+    if group.transport.backend.supports_pool_ref:
         refs = group.transport.backend.resolve_pool_refs(arrays, group.ranks)
         if refs is not None:
             # Pool-ref fast path: member i's executor reduces its ring chunk

@@ -18,17 +18,7 @@ import numpy as np
 from ..cluster.transport import Message
 from .chunking import check_arrays as _check_arrays
 from .chunking import chunk_bounds
-from .fastpath import resolve_fast_path
 from .group import CommGroup
-
-
-def _chunk_bounds(length: int, parts: int) -> list[tuple]:
-    """Split ``range(length)`` into ``parts`` contiguous chunks (numpy-style).
-
-    Thin list view over the cached :func:`repro.comm.chunking.chunk_bounds`,
-    kept for callers that predate the shared helper.
-    """
-    return list(chunk_bounds(length, parts))
 
 
 # ----------------------------------------------------------------------
@@ -45,16 +35,14 @@ def send_recv(group: CommGroup, src: int, dst: int, payload: Any) -> Any:
 # ----------------------------------------------------------------------
 # Ring allreduce (Horovod / PyTorch-DDP substrate)
 # ----------------------------------------------------------------------
-def ring_reduce_scatter(
-    arrays: Sequence[np.ndarray], group: CommGroup, fast_path: bool | None = None
-) -> list[np.ndarray]:
+def ring_reduce_scatter(arrays: Sequence[np.ndarray], group: CommGroup) -> list[np.ndarray]:
     """Ring reduce-scatter: member i ends with the full sum of chunk i.
 
     Runs ``n - 1`` rounds; in round r, member i sends chunk ``(i - r) mod n``
     to its right neighbor and accumulates the chunk arriving from the left.
     Returns the reduced chunk owned by each member.
     """
-    if resolve_fast_path(fast_path, group.transport) and group.size > 1:
+    if group.transport.backend.prefers_fast_path and group.size > 1:
         from .batched import ring_reduce_scatter_batched
 
         return ring_reduce_scatter_batched(arrays, group)
@@ -99,14 +87,13 @@ def ring_all_gather_chunks(
     owners: Sequence[int],
     group: CommGroup,
     total: int,
-    fast_path: bool | None = None,
 ) -> list[np.ndarray]:
     """Ring all-gather of per-member chunks into full arrays.
 
     ``chunks[i]`` is the chunk owned by member i whose id is ``owners[i]``;
     chunk ids index into the canonical ``chunk_bounds(total, n)`` layout.
     """
-    if resolve_fast_path(fast_path, group.transport) and group.size > 1:
+    if group.transport.backend.prefers_fast_path and group.size > 1:
         from .batched import ring_all_gather_chunks_batched
 
         return ring_all_gather_chunks_batched(chunks, owners, group, total)
@@ -141,11 +128,9 @@ def ring_all_gather_chunks(
     return results
 
 
-def ring_allreduce(
-    arrays: Sequence[np.ndarray], group: CommGroup, fast_path: bool | None = None
-) -> list[np.ndarray]:
+def ring_allreduce(arrays: Sequence[np.ndarray], group: CommGroup) -> list[np.ndarray]:
     """Classic two-phase ring allreduce (sum); 2(n-1) rounds of S/n bytes."""
-    if resolve_fast_path(fast_path, group.transport) and group.size > 1:
+    if group.transport.backend.prefers_fast_path and group.size > 1:
         from .batched import ring_allreduce_batched
 
         return ring_allreduce_batched(arrays, group)
@@ -154,9 +139,9 @@ def ring_allreduce(
     if n == 1:
         return [arrays[0].astype(np.float64, copy=True)]
     total = arrays[0].shape[0]
-    reduced = ring_reduce_scatter(arrays, group, fast_path=fast_path)
+    reduced = ring_reduce_scatter(arrays, group)
     owners = [(i + 1) % n for i in range(n)]
-    return ring_all_gather_chunks(reduced, owners, group, total, fast_path=fast_path)
+    return ring_all_gather_chunks(reduced, owners, group, total)
 
 
 # ----------------------------------------------------------------------

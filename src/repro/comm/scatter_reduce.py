@@ -24,7 +24,6 @@ import numpy as np
 
 from .chunking import check_arrays, chunk_bounds, store_rows
 from .collectives import allgather_payloads, alltoall
-from .fastpath import resolve_fast_path
 from .group import CommGroup
 
 # A compressor maps (chunk, member_index, chunk_index) -> payload; the matching
@@ -49,7 +48,6 @@ def scatter_reduce(
     decompress_phase1: DecompressFn | None = None,
     compress_phase2: CompressFn | None = None,
     decompress_phase2: DecompressFn | None = None,
-    fast_path: bool | None = None,
     out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Aggregate (sum) per-member arrays with the ScatterReduce pattern.
@@ -60,10 +58,10 @@ def scatter_reduce(
     array each member ends up with (identical across members only when the
     compressors are deterministic or identity).
 
-    With all hooks at their identity defaults the call routes to the
-    world-batched kernel (bitwise-identical results and transport state);
-    custom hooks always take the loop path, since arbitrary callables cannot
-    be batched.  Codec-driven compression goes through
+    With all hooks at their identity defaults, a backend that prefers the
+    batched kernels gets the world-batched one (bitwise-identical results and
+    transport state); custom hooks always take the loop path, since arbitrary
+    callables cannot be batched.  Codec-driven compression goes through
     :func:`repro.comm.batched.scatter_reduce_batched` via ``c_lp_s``.
 
     ``out`` (:func:`~.chunking.check_out`'s convention, validated by the
@@ -77,7 +75,7 @@ def scatter_reduce(
         and compress_phase2 is None
         and decompress_phase2 is None
     )
-    if hooks_default and group.size > 1 and resolve_fast_path(fast_path, group.transport):
+    if hooks_default and group.size > 1 and group.transport.backend.prefers_fast_path:
         from .batched import scatter_reduce_batched
 
         return scatter_reduce_batched(arrays, group, out=out)

@@ -21,7 +21,6 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from ..cluster.worker import WorkerContext
-from ..comm.fastpath import use_fast_path
 from ..comm.group import CommGroup
 from ..tensor.module import Module
 from ..tensor.optim import Optimizer
@@ -196,14 +195,6 @@ class BaguaEngine:
         """One lock-step iteration; returns the mean loss across workers."""
         if len(batches) != self.world_size:
             raise ValueError(f"need {self.world_size} batches, got {len(batches)}")
-        if self.config.fast_path is None:
-            # No explicit choice: collectives follow the transport backend's
-            # kernel preference (resolve_fast_path's backend-aware default).
-            return self._step_inner(batches, loss_fn)
-        with use_fast_path(self.config.fast_path):
-            return self._step_inner(batches, loss_fn)
-
-    def _step_inner(self, batches: Sequence, loss_fn: LossFn) -> float:
         if self.plan is None:
             losses = self._profiling_iteration(batches, loss_fn)
         else:

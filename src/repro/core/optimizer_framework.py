@@ -35,12 +35,11 @@ class BaguaConfig:
     ``backend`` selects the transport execution substrate by registry name
     (``"local"``, ``"batched"``, ``"shm"``; ``None`` defers to
     ``$REPRO_BACKEND`` / the default — see :mod:`repro.cluster.backends`).
-    ``fast_path`` forces the world-batched collective kernels
-    (:mod:`repro.comm.batched`) on or off for every communication the
-    engine issues; ``None`` (the default) lets the backend's kernel
-    preference decide.  Results and simulated timing are bitwise identical
-    either way, so both knobs are purely wall-clock switches (kept for A/B
-    benchmarking and as escape hatches).
+    The backend is also the one selector between the per-rank loop
+    reference (``"local"``) and the world-batched kernels of
+    :mod:`repro.comm.batched` (``"batched"``, ``"shm"``); results and
+    simulated timing are bitwise identical on all three, so it is purely a
+    wall-clock choice.
 
     ``protocol_sanitize`` opts the transport backend into the protocol
     conformance sanitizer (:mod:`repro.analysis.protocol`): the backend
@@ -53,7 +52,6 @@ class BaguaConfig:
     flatten: bool = True
     hierarchical: bool = False
     bucket_bytes: float = DEFAULT_BUCKET_BYTES
-    fast_path: bool | None = None
     backend: str | None = None
     protocol_sanitize: bool | None = None
 

@@ -33,7 +33,6 @@ from ..comm.batched import (
     scatter_reduce_batched,
 )
 from ..comm.chunking import check_out, store_rows
-from ..comm.fastpath import resolve_fast_path
 from ..comm.group import CommGroup
 from ..comm.hierarchical import HierarchicalComm
 from ..comm.scatter_reduce import scatter_reduce
@@ -92,7 +91,6 @@ def c_lp_s(
     worker_errors: Sequence[ErrorFeedback] | None = None,
     server_errors: Sequence[ErrorFeedback] | None = None,
     hierarchical: bool = False,
-    fast_path: bool | None = None,
     out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Centralized low-precision sum with optional error compensation.
@@ -144,7 +142,7 @@ def c_lp_s(
         decompress_compatible(store.compressor, compressor)
         for store in (*worker_errors, *server_errors)
     )
-    if resolve_fast_path(fast_path, group.transport) and batchable and group.size > 1:
+    if group.transport.backend.prefers_fast_path and batchable and group.size > 1:
         if hierarchical:
             return HierarchicalComm(group).allreduce_batched(
                 arrays,
@@ -275,21 +273,17 @@ def d_fp_s(
     peers: PeerSelector,
     step: int = 0,
     hierarchical: bool = False,
-    fast_path: bool | None = None,
 ) -> list[np.ndarray]:
     """Decentralized full-precision averaging: ``x'_i = mean of {x_i} ∪ N(i)``."""
     if hierarchical:
         def exchange(leader_arrays, leader_group):
-            return d_fp_s(
-                leader_arrays, leader_group, peers,
-                step=step, hierarchical=False, fast_path=fast_path,
-            )
+            return d_fp_s(leader_arrays, leader_group, peers, step=step)
 
         return HierarchicalComm(group).decentralized_average(arrays, exchange)
 
     neighbor_sets = peers.neighbors(group.size, step)
     _trace_collective(group, "gossip", arrays[0].size, peers_by_member=neighbor_sets)
-    if resolve_fast_path(fast_path, group.transport):
+    if group.transport.backend.prefers_fast_path:
         return gossip_average_batched(arrays, neighbor_sets, group)
     received = _peer_exchange([a.astype(np.float64, copy=False) for a in arrays], neighbor_sets, group)
     results = []
@@ -311,7 +305,6 @@ def d_lp_s(
     peers: PeerSelector,
     step: int = 0,
     hierarchical: bool = False,
-    fast_path: bool | None = None,
 ) -> list[np.ndarray]:
     """Decentralized low-precision averaging: peers exchange ``Q(x)``.
 
@@ -320,10 +313,7 @@ def d_lp_s(
     """
     if hierarchical:
         def exchange(leader_arrays, leader_group):
-            return d_lp_s(
-                leader_arrays, leader_group, compressor, peers,
-                step=step, hierarchical=False, fast_path=fast_path,
-            )
+            return d_lp_s(leader_arrays, leader_group, compressor, peers, step=step)
 
         return HierarchicalComm(group).decentralized_average(arrays, exchange)
 
@@ -336,7 +326,7 @@ def d_lp_s(
         biased=compressor.biased,
         peers_by_member=neighbor_sets,
     )
-    if resolve_fast_path(fast_path, group.transport):
+    if group.transport.backend.prefers_fast_path:
         return gossip_average_batched(arrays, neighbor_sets, group, codec=compressor)
     payloads = [compressor.compress(a) for a in arrays]
     received = _peer_exchange(payloads, neighbor_sets, group)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 from ..cluster.transport import Message
-from ..comm.collectives import _chunk_bounds
+from ..comm.chunking import chunk_bounds
 from ..comm.group import CommGroup
 from ..core.primitives import PeerSelector
 
@@ -71,8 +71,7 @@ def dry_scatter_reduce(
     start = group.transport.max_time(group.ranks)
     if n == 1:
         return 0.0
-    bounds = _chunk_bounds(elements, n)
-    sizes = [hi - lo for lo, hi in bounds]
+    sizes = [hi - lo for lo, hi in chunk_bounds(elements, n)]
 
     # Staggered all-to-all (matches repro.comm.collectives.alltoall).
     messages = []

@@ -38,6 +38,8 @@ def group(transport: Transport) -> CommGroup:
     return CommGroup(transport, list(range(transport.spec.world_size)))
 
 
-def make_group(num_nodes: int = 2, workers_per_node: int = 4) -> CommGroup:
+def make_group(
+    num_nodes: int = 2, workers_per_node: int = 4, backend: str | None = None
+) -> CommGroup:
     spec = ClusterSpec(num_nodes=num_nodes, workers_per_node=workers_per_node)
-    return CommGroup(Transport(spec), list(range(spec.world_size)))
+    return CommGroup(Transport(spec, backend=backend), list(range(spec.world_size)))

@@ -7,13 +7,14 @@ from repro.comm import (
     CommGroup,
     allreduce_via_root,
     broadcast,
+    chunk_bounds,
     gather,
     reduce_to_root,
     ring_allreduce,
     ring_reduce_scatter,
     send_recv,
 )
-from repro.comm.collectives import _chunk_bounds, allgather_payloads, alltoall
+from repro.comm.collectives import allgather_payloads, alltoall
 
 from .conftest import make_group
 
@@ -25,11 +26,11 @@ def arrays(rng, group):
 
 class TestChunkBounds:
     def test_covers_range_exactly(self):
-        bounds = _chunk_bounds(10, 3)
-        assert bounds == [(0, 4), (4, 7), (7, 10)]
+        bounds = chunk_bounds(10, 3)
+        assert bounds == ((0, 4), (4, 7), (7, 10))
 
     def test_handles_fewer_elements_than_parts(self):
-        bounds = _chunk_bounds(2, 4)
+        bounds = chunk_bounds(2, 4)
         sizes = [hi - lo for lo, hi in bounds]
         assert sum(sizes) == 2
         assert len(bounds) == 4
@@ -101,7 +102,7 @@ class TestRingAllreduce:
     def test_reduce_scatter_chunks(self, group, arrays):
         chunks = ring_reduce_scatter(arrays, group)
         expected = np.sum(arrays, axis=0)
-        bounds = _chunk_bounds(len(arrays[0]), group.size)
+        bounds = chunk_bounds(len(arrays[0]), group.size)
         for i, chunk in enumerate(chunks):
             lo, hi = bounds[(i + 1) % group.size]
             np.testing.assert_allclose(chunk, expected[lo:hi], atol=1e-10)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.comm import use_fast_path
 from repro.compression import ErrorFeedback, IdentityCompressor, OneBitCompressor, QSGDCompressor
 from repro.core import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
 
@@ -93,25 +92,24 @@ class TestCentralizedRowsAreIndependent:
 
     @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (4, 1)], ids=["2x4", "1x4", "4x1"])
     @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "hierarchical"])
-    @pytest.mark.parametrize("fast", [False, True], ids=["loop", "batched"])
+    @pytest.mark.parametrize("backend", ["local", "batched"], ids=["loop", "batched"])
     @pytest.mark.parametrize("primitive", ["c_fp_s", "c_lp_s", "c_lp_s+ef"])
-    def test_rows_never_share_memory(self, rng, primitive, fast, hierarchical, shape):
-        group = make_group(*shape)
+    def test_rows_never_share_memory(self, rng, primitive, backend, hierarchical, shape):
+        group = make_group(*shape, backend=backend)
         arrays = [rng.standard_normal(37) for _ in range(group.size)]
-        with use_fast_path(fast):
-            if primitive == "c_fp_s":
-                outs = c_fp_s(arrays, group, hierarchical=hierarchical)
-            else:
-                stores = [
-                    [ErrorFeedback(OneBitCompressor()) for _ in range(group.size)]
-                    if primitive == "c_lp_s+ef" else None
-                    for _ in range(2)
-                ]
-                outs = c_lp_s(
-                    arrays, group, compressor=OneBitCompressor(),
-                    worker_errors=stores[0], server_errors=stores[1],
-                    hierarchical=hierarchical,
-                )
+        if primitive == "c_fp_s":
+            outs = c_fp_s(arrays, group, hierarchical=hierarchical)
+        else:
+            stores = [
+                [ErrorFeedback(OneBitCompressor()) for _ in range(group.size)]
+                if primitive == "c_lp_s+ef" else None
+                for _ in range(2)
+            ]
+            outs = c_lp_s(
+                arrays, group, compressor=OneBitCompressor(),
+                worker_errors=stores[0], server_errors=stores[1],
+                hierarchical=hierarchical,
+            )
         assert len(outs) == group.size
         for i, a in enumerate(outs):
             for b in outs[i + 1:]:
@@ -123,26 +121,25 @@ class TestCentralizedRowsAreIndependent:
             assert np.array_equal(out, kept)
 
 
-def _run_centralized(primitive, arrays, shape, fast, hierarchical, out):
+def _run_centralized(primitive, arrays, shape, backend, hierarchical, out):
     """One call on a fresh group; everything it may change, as comparable bits."""
-    group = make_group(*shape)
+    group = make_group(*shape, backend=backend)
     codec = QSGDCompressor(bits=8, rng=np.random.default_rng(3))
     stores = []
-    with use_fast_path(fast):
-        if primitive == "c_fp_s":
-            outs = c_fp_s(arrays, group, hierarchical=hierarchical, out=out)
-        else:
-            if primitive == "c_lp_s+ef":
-                stores = [
-                    ErrorFeedback(QSGDCompressor(bits=8, rng=np.random.default_rng(5 + i)))
-                    for i in range(2 * group.size)
-                ]
-            outs = c_lp_s(
-                arrays, group, compressor=codec,
-                worker_errors=stores[: group.size] or None,
-                server_errors=stores[group.size :] or None,
-                hierarchical=hierarchical, out=out,
-            )
+    if primitive == "c_fp_s":
+        outs = c_fp_s(arrays, group, hierarchical=hierarchical, out=out)
+    else:
+        if primitive == "c_lp_s+ef":
+            stores = [
+                ErrorFeedback(QSGDCompressor(bits=8, rng=np.random.default_rng(5 + i)))
+                for i in range(2 * group.size)
+            ]
+        outs = c_lp_s(
+            arrays, group, compressor=codec,
+            worker_errors=stores[: group.size] or None,
+            server_errors=stores[group.size :] or None,
+            hierarchical=hierarchical, out=out,
+        )
     transport = group.transport
     state = (
         [clock.now for clock in transport.clocks],
@@ -159,15 +156,15 @@ class TestCentralizedOut:
 
     @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (1, 1)], ids=["2x4", "1x4", "1x1"])
     @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "hierarchical"])
-    @pytest.mark.parametrize("fast", [False, True], ids=["loop", "batched"])
+    @pytest.mark.parametrize("backend", ["local", "batched"], ids=["loop", "batched"])
     @pytest.mark.parametrize("primitive", ["c_fp_s", "c_lp_s", "c_lp_s+ef"])
-    def test_out_equals_fresh_rows_bitwise(self, rng, primitive, fast, hierarchical, shape):
+    def test_out_equals_fresh_rows_bitwise(self, rng, primitive, backend, hierarchical, shape):
         world = shape[0] * shape[1]
         base = [rng.standard_normal(37) for _ in range(world)]
         base[0][:5] = -0.0
 
         def run(arrays, out):
-            return _run_centralized(primitive, arrays, shape, fast, hierarchical, out)
+            return _run_centralized(primitive, arrays, shape, backend, hierarchical, out)
 
         expected, expected_state = run([a.copy() for a in base], None)
 
@@ -187,25 +184,25 @@ class TestCentralizedOut:
         assert [o.tobytes() for o in outs] == [e.tobytes() for e in expected]
         assert state == expected_state
 
-    @pytest.mark.parametrize("fast", [False, True], ids=["loop", "batched"])
+    @pytest.mark.parametrize("backend", ["local", "batched"], ids=["loop", "batched"])
     @pytest.mark.parametrize("primitive", ["c_fp_s", "c_lp_s"])
-    def test_bad_out_rows_are_rejected(self, rng, group, arrays, primitive, fast):
+    def test_bad_out_rows_are_rejected(self, rng, arrays, primitive, backend):
+        group = make_group(backend=backend)
         call = (
             (lambda out: c_fp_s(arrays, group, out=out))
             if primitive == "c_fp_s"
             else (lambda out: c_lp_s(arrays, group, compressor=IdentityCompressor(), out=out))
         )
         block = np.zeros((group.size, 40))
-        with use_fast_path(fast):
-            with pytest.raises(ValueError, match="share memory"):
-                call([block[0, :37]] + [row[:37] for row in block[:-1]])  # rows 0 and 1 are one
-            with pytest.raises(ValueError, match="share memory"):
-                flat = block.reshape(-1)
-                call([flat[30 * i : 30 * i + 37] for i in range(group.size)])  # partial overlap
-            with pytest.raises(ValueError, match="out rows"):
-                call([row[:37] for row in block[:-1]])  # one row short
-            with pytest.raises(ValueError, match="float64"):
-                call([row[:37] for row in block.astype(np.float32)])
+        with pytest.raises(ValueError, match="share memory"):
+            call([block[0, :37]] + [row[:37] for row in block[:-1]])  # rows 0 and 1 are one
+        with pytest.raises(ValueError, match="share memory"):
+            flat = block.reshape(-1)
+            call([flat[30 * i : 30 * i + 37] for i in range(group.size)])  # partial overlap
+        with pytest.raises(ValueError, match="out rows"):
+            call([row[:37] for row in block[:-1]])  # one row short
+        with pytest.raises(ValueError, match="float64"):
+            call([row[:37] for row in block.astype(np.float32)])
         assert group.transport.stats.messages == 0  # rejected before anything ran
 
 

@@ -1,12 +1,13 @@
-"""Bit-identity contract of the world-batched fast path (PR 5).
+"""Bit-identity of the world-batched kernels: in-process rows of the harness.
 
-The batched kernels in :mod:`repro.comm.batched` must be observationally
-indistinguishable from the per-rank loop reference: same result bits, same
-virtual clocks, same traffic statistics, same round counters, same
-compressor RNG streams and error-feedback residuals, and — through the
-analysis stack — identical lowered schedules and happens-before reports.
-These tests drive both implementations side by side over every collective
-x compressor combination.
+The batched kernels in :mod:`repro.comm.batched` (``backend="batched"``)
+must be observationally indistinguishable from the per-rank loop reference
+(``backend="local"``): same result bits, virtual clocks, traffic statistics,
+round counters, compressor RNG streams and error-feedback residuals, and —
+through the analysis stack — identical lowered schedules and happens-before
+reports.  Every collective x compressor combination runs on both legs
+through :func:`tests.identity_harness.compare`; the rows with shm legs live
+in ``tests/test_backend_identity.py``.
 """
 
 import numpy as np
@@ -14,263 +15,97 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterSpec, Transport
-from repro.cluster.netmodel import TCP_25G
+from repro.cluster import Transport
 from repro.comm import CommGroup, HierarchicalComm, chunk_bounds, ring_allreduce, scatter_reduce
-from repro.comm.fastpath import fast_path_enabled, set_fast_path, use_fast_path
-from repro.compression import (
-    ErrorFeedback,
-    OneBitCompressor,
-    QSGDCompressor,
-    SignSGDCompressor,
-    TernGradCompressor,
-    TopKCompressor,
-)
-from repro.core.primitives import (
-    RandomPeers,
-    RingPeers,
-    c_fp_s,
-    c_lp_s,
-    d_fp_s,
-    d_lp_s,
+from repro.compression import ErrorFeedback
+from repro.core.primitives import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
+
+from .identity_harness import (
+    CODEC_FACTORIES,
+    IN_PROCESS,
+    cluster,
+    compare,
+    inputs,
+    snapshot,
+    train_epoch,
 )
 
-# Codec factories: fresh instances per run so RNG streams start identical.
-CODEC_FACTORIES = {
-    "qsgd8": lambda: QSGDCompressor(bits=8, rng=np.random.default_rng(3)),
-    "qsgd4": lambda: QSGDCompressor(bits=4, rng=np.random.default_rng(11)),
-    "onebit": OneBitCompressor,
-    "terngrad": lambda: TernGradCompressor(rng=np.random.default_rng(5)),
-    "topk": lambda: TopKCompressor(ratio=0.25),
-    "signsgd": SignSGDCompressor,
-}
+seeds = st.integers(0, 2**31)
 
 
-def _group(world: int, backend: str = "batched") -> CommGroup:
-    """Multi-node when divisible into nodes of 4 (mixes NVLink + TCP fabrics)."""
-    if world > 4 and world % 4 == 0:
-        spec = ClusterSpec(
-            num_nodes=world // 4, workers_per_node=4, inter_node=TCP_25G
-        )
-    else:
-        spec = ClusterSpec(num_nodes=1, workers_per_node=world, inter_node=TCP_25G)
-    return CommGroup(Transport(spec, backend=backend), list(range(world)))
-
-
-def _transport_state(group: CommGroup) -> tuple:
-    transport = group.transport
-    stats = transport.stats
-    return (
-        [clock.now for clock in transport.clocks],
-        stats.messages,
-        stats.rounds,
-        stats.total_bytes,
-        stats.inter_node_bytes,
-        stats.intra_node_bytes,
-        dict(stats.per_rank_sent_bytes),
-        transport._round_counter,
-    )
-
-
-def _assert_identical(loop_out, fast_out, loop_group, fast_group):
-    assert len(loop_out) == len(fast_out)
-    for a, b in zip(loop_out, fast_out):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b), "fast path result bits differ from loop"
-        # array_equal treats -0.0 == 0.0; the contract is bit-for-bit.
-        assert np.array_equal(np.signbit(a), np.signbit(b))
-    assert _transport_state(loop_group) == _transport_state(fast_group)
-
-
-def _assert_bits_equal(a: np.ndarray, b: np.ndarray) -> None:
-    assert a.dtype == b.dtype and a.shape == b.shape
-    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-def _codec_state(codec):
-    rng = getattr(codec, "rng", None)
-    return None if rng is None else rng.bit_generator.state
-
-
-def _assert_stores_identical(loop_stores, fast_stores) -> None:
-    """Error-feedback stores: same keys, residual bits and codec RNG state."""
-    assert len(loop_stores) == len(fast_stores)
-    for ef_loop, ef_fast in zip(loop_stores, fast_stores):
-        assert _codec_state(ef_loop.compressor) == _codec_state(ef_fast.compressor)
-        assert set(ef_loop._residuals) == set(ef_fast._residuals)
-        for key, value in ef_loop._residuals.items():
-            _assert_bits_equal(value, ef_fast._residuals[key])
-
-
-def _compare(world: int, length: int, seed: int, run) -> None:
-    rng = np.random.default_rng(seed)
-    base = [rng.standard_normal(length) for _ in range(world)]
-    loop_group, fast_group = _group(world), _group(world)
-    loop_out = run(loop_group, [a.copy() for a in base], False)
-    fast_out = run(fast_group, [a.copy() for a in base], True)
-    _assert_identical(loop_out, fast_out, loop_group, fast_group)
+def _compare(world, length, seed, run, traced=False):
+    return compare(cluster(world), inputs(world, length, seed), run, IN_PROCESS, traced=traced)
 
 
 class TestCollectiveIdentity:
-    """scatter_reduce / ring_allreduce: fast == loop for arbitrary inputs."""
+    """scatter_reduce / ring_allreduce / c_fp_s: batched == loop for arbitrary inputs."""
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        world=st.integers(2, 9),
-        length=st.integers(1, 200),
-        seed=st.integers(0, 2**31),
-    )
+    @given(world=st.integers(2, 9), length=st.integers(1, 200), seed=seeds)
     def test_scatter_reduce(self, world, length, seed):
-        _compare(
-            world, length, seed,
-            lambda g, arrs, fp: scatter_reduce(arrs, g, fast_path=fp),
-        )
+        _compare(world, length, seed, lambda g, arrays: scatter_reduce(arrays, g))
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        world=st.integers(2, 9),
-        length=st.integers(1, 200),
-        seed=st.integers(0, 2**31),
-    )
+    @given(world=st.integers(2, 9), length=st.integers(1, 200), seed=seeds)
     def test_ring_allreduce(self, world, length, seed):
-        _compare(
-            world, length, seed,
-            lambda g, arrs, fp: ring_allreduce(arrs, g, fast_path=fp),
-        )
+        _compare(world, length, seed, lambda g, arrays: ring_allreduce(arrays, g))
 
     def test_multi_node_worlds(self):
         # Worlds of 8 and 16 span two fabrics (NVLink intra, TCP inter);
         # one rank sends on both in a single round, the regime where chain
         # bookkeeping is least trivial.
         for world in (8, 16):
-            _compare(
-                world, 257, world,
-                lambda g, arrs, fp: scatter_reduce(arrs, g, fast_path=fp),
-            )
+            _compare(world, 257, world, lambda g, arrays: scatter_reduce(arrays, g))
 
     def test_c_fp_s_routes_through_default(self):
-        # c_fp_s has no fast_path parameter: it follows the global switch.
-        rng = np.random.default_rng(0)
-        base = [rng.standard_normal(100) for _ in range(4)]
-        loop_group, fast_group = _group(4), _group(4)
-        with use_fast_path(False):
-            loop_out = c_fp_s([a.copy() for a in base], loop_group)
-        with use_fast_path(True):
-            fast_out = c_fp_s([a.copy() for a in base], fast_group)
-        _assert_identical(loop_out, fast_out, loop_group, fast_group)
+        _compare(4, 100, 0, lambda g, arrays: c_fp_s(arrays, g))
 
 
 class TestCompressorMatrix:
-    """Every collective x compressor combination, both directions."""
+    """Every collective x compressor combination."""
 
     @pytest.mark.parametrize("codec_name", sorted(CODEC_FACTORIES))
     @settings(max_examples=15, deadline=None)
-    @given(
-        world=st.integers(2, 8),
-        length=st.integers(2, 120),
-        seed=st.integers(0, 2**31),
-    )
+    @given(world=st.integers(2, 8), length=st.integers(2, 120), seed=seeds)
     def test_c_lp_s(self, codec_name, world, length, seed):
         make = CODEC_FACTORIES[codec_name]
-        _compare(
-            world, length, seed,
-            lambda g, arrs, fp: c_lp_s(arrs, g, make(), fast_path=fp),
-        )
+        _compare(world, length, seed, lambda g, arrays: c_lp_s(arrays, g, make()))
 
     @pytest.mark.parametrize("codec_name", sorted(CODEC_FACTORIES))
     @settings(max_examples=15, deadline=None)
-    @given(
-        world=st.integers(2, 8),
-        length=st.integers(2, 120),
-        seed=st.integers(0, 2**31),
-    )
+    @given(world=st.integers(2, 8), length=st.integers(2, 120), seed=seeds)
     def test_d_lp_s_ring(self, codec_name, world, length, seed):
         make = CODEC_FACTORIES[codec_name]
-        _compare(
-            world, length, seed,
-            lambda g, arrs, fp: d_lp_s(arrs, g, make(), RingPeers(), fast_path=fp),
-        )
+        _compare(world, length, seed, lambda g, arrays: d_lp_s(arrays, g, make(), RingPeers()))
 
     @settings(max_examples=25, deadline=None)
     @given(
-        world=st.integers(2, 8),
-        length=st.integers(1, 120),
-        step=st.integers(0, 5),
-        seed=st.integers(0, 2**31),
+        world=st.integers(2, 8), length=st.integers(1, 120), step=st.integers(0, 5), seed=seeds
     )
     def test_d_fp_s_random_peers(self, world, length, step, seed):
         _compare(
             world, length, seed,
-            lambda g, arrs, fp: d_fp_s(
-                arrs, g, RandomPeers(seed=7), step=step, fast_path=fp
-            ),
+            lambda g, arrays: d_fp_s(arrays, g, RandomPeers(seed=7), step=step),
         )
 
     @pytest.mark.parametrize("codec_name", sorted(CODEC_FACTORIES))
     def test_c_lp_s_error_feedback_two_steps(self, codec_name):
-        # Error feedback carries residual state across steps; both paths
+        # Error feedback carries residual state across steps; both legs
         # must leave the stores bit-identical after a multi-step run.
-        world, length = 4, 97
+        world = 4
         make = CODEC_FACTORIES[codec_name]
-        rng = np.random.default_rng(13)
-        steps = [
-            [rng.standard_normal(length) for _ in range(world)] for _ in range(2)
-        ]
-        outs, efs = {}, {}
-        for fast in (False, True):
-            group = _group(world)
+
+        def run(group, steps):
             codec = make()
             workers = [ErrorFeedback(make()) for _ in range(world)]
             servers = [ErrorFeedback(make()) for _ in range(world)]
-            outs[fast] = [
-                c_lp_s(
-                    [a.copy() for a in arrays], group, codec,
-                    worker_errors=workers, server_errors=servers,
-                    fast_path=fast,
-                )
+            outs = [
+                c_lp_s(arrays, group, codec, worker_errors=workers, server_errors=servers)
                 for arrays in steps
             ]
-            efs[fast] = (workers, servers)
-        for step_loop, step_fast in zip(outs[False], outs[True]):
-            for a, b in zip(step_loop, step_fast):
-                assert np.array_equal(a, b)
-        _assert_stores_identical(
-            efs[False][0] + efs[False][1], efs[True][0] + efs[True][1]
-        )
+            return outs, workers, servers
 
-
-class _RoundRecorder:
-    """Minimal transport tracer: keeps every exchanged round's messages."""
-
-    def __init__(self):
-        self.rounds = []
-
-    def on_exchange(self, messages):
-        self.rounds.append([(m.src, m.dst, m.nbytes, m.match_id) for m in messages])
-
-    def on_collective(self, *args, **meta):
-        pass
-
-
-def _hier_group(nodes: int, per_node: int) -> CommGroup:
-    spec = ClusterSpec(num_nodes=nodes, workers_per_node=per_node, inter_node=TCP_25G)
-    return CommGroup(Transport(spec, backend="batched"), list(range(nodes * per_node)))
-
-
-def _hier_inputs(world: int, length: int, seed: int, steps: int = 2) -> list:
-    """Per-step member arrays salted with signed zeros, some in whole columns
-    (a column that is ``-0.0`` on every worker of a node is where a seeded
-    and an unseeded fold part ways)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(steps):
-        arrays = [rng.standard_normal(length) for _ in range(world)]
-        column = rng.random(length) < 0.2
-        for a in arrays:
-            a[column] = -0.0
-            a[rng.random(length) < 0.1] = rng.choice([0.0, -0.0])
-        out.append(arrays)
-    return out
+        compare(cluster(world), inputs(world, 97, 13, steps=2), run, IN_PROCESS, traced=False)
 
 
 class TestHierarchicalIdentity:
@@ -284,43 +119,34 @@ class TestHierarchicalIdentity:
         length=st.integers(1, 300),
         error_feedback=st.booleans(),
         traced=st.booleans(),
-        seed=st.integers(0, 2**31),
+        seed=seeds,
     )
     def test_hierarchical_c_lp_s(
         self, codec_name, nodes, per_node, length, error_feedback, traced, seed
     ):
         make = CODEC_FACTORIES[codec_name]
         world = nodes * per_node
-        steps = _hier_inputs(world, length, seed)
-        runs = {}
-        for fast in (False, True):
-            group = _hier_group(nodes, per_node)
-            recorder = _RoundRecorder()
-            if traced:
-                group.transport.tracer = recorder
+
+        def run(group, steps):
             codec = make()
             stores = [ErrorFeedback(make()) for _ in range(2 * world)] if error_feedback else []
             outs = [
                 c_lp_s(
-                    [a.copy() for a in arrays], group, codec,
+                    arrays, group, codec,
                     worker_errors=stores[:world] or None,
                     server_errors=stores[world:] or None,
-                    hierarchical=True, fast_path=fast,
+                    hierarchical=True,
                 )
                 for arrays in steps
             ]
-            runs[fast] = (outs, group, codec, stores, recorder)
-        loop_outs, loop_group, loop_codec, loop_stores, loop_recorder = runs[False]
-        fast_outs, fast_group, fast_codec, fast_stores, fast_recorder = runs[True]
-        for loop_step, fast_step in zip(loop_outs, fast_outs):
-            assert len(loop_step) == len(fast_step) == world
-            for a, b in zip(loop_step, fast_step):
-                _assert_bits_equal(a, b)
-        assert _transport_state(loop_group) == _transport_state(fast_group)
-        assert _codec_state(loop_codec) == _codec_state(fast_codec)
-        _assert_stores_identical(loop_stores, fast_stores)
-        assert loop_recorder.rounds == fast_recorder.rounds
-        assert bool(loop_recorder.rounds) == (traced and world > 1)
+            assert all(len(step) == world for step in outs)
+            return outs, codec, stores
+
+        runs = compare(
+            cluster(world, per_node), inputs(world, length, seed, steps=2, signed_zeros=True),
+            run, IN_PROCESS, traced=traced,
+        )
+        assert bool(runs["local"].rounds) == (traced and world > 1)
 
     @pytest.mark.parametrize("length", [1, 64])
     def test_float32_rows_fold_in_float32(self, length):
@@ -328,19 +154,13 @@ class TestHierarchicalIdentity:
         the sum — the batched path may fold straight into its float64 stack
         only rows that are float64 already."""
         rng = np.random.default_rng(length)
-        arrays = [rng.standard_normal(length).astype(np.float32) for _ in range(6)]
-        runs = {}
-        for fast in (False, True):
-            group = _hier_group(2, 3)
+        base = [rng.standard_normal(length).astype(np.float32) for _ in range(6)]
+
+        def run(group, arrays):
             codec = CODEC_FACTORIES["qsgd8"]()
-            outs = c_lp_s(
-                [a.copy() for a in arrays], group, codec, hierarchical=True, fast_path=fast
-            )
-            runs[fast] = (outs, group, codec)
-        for a, b in zip(runs[False][0], runs[True][0]):
-            _assert_bits_equal(a, b)
-        assert _transport_state(runs[False][1]) == _transport_state(runs[True][1])
-        assert _codec_state(runs[False][2]) == _codec_state(runs[True][2])
+            return c_lp_s(arrays, group, codec, hierarchical=True), codec
+
+        compare(cluster(6, 3), base, run, IN_PROCESS, traced=False)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -348,101 +168,63 @@ class TestHierarchicalIdentity:
         per_node=st.integers(1, 4),
         length=st.integers(1, 300),
         traced=st.booleans(),
-        seed=st.integers(0, 2**31),
+        seed=seeds,
     )
     def test_full_precision_allreduce_batched(self, nodes, per_node, length, traced, seed):
-        (arrays,) = _hier_inputs(nodes * per_node, length, seed, steps=1)
-        runs = {}
-        for fast in (False, True):
-            group = _hier_group(nodes, per_node)
-            recorder = _RoundRecorder()
-            if traced:
-                group.transport.tracer = recorder
+        world = nodes * per_node
+        base = inputs(world, length, seed, signed_zeros=True)
+
+        def run(group, arrays):
             comm = HierarchicalComm(group)
-            inputs = [a.copy() for a in arrays]
-            if fast:
-                outs = comm.allreduce_batched(inputs, codec=None)
+            if group.transport.backend.prefers_fast_path:
+                outs = comm.allreduce_batched(arrays, codec=None)
             else:
-                with use_fast_path(False):
-                    outs = comm.allreduce(inputs)
-            for a, original in zip(inputs, arrays):
-                _assert_bits_equal(a, original)  # inputs are never written
-            runs[fast] = (outs, group, recorder)
-        for a, b in zip(runs[False][0], runs[True][0]):
-            _assert_bits_equal(a, b)
-        assert _transport_state(runs[False][1]) == _transport_state(runs[True][1])
-        assert runs[False][2].rounds == runs[True][2].rounds
+                outs = comm.allreduce(arrays)
+            return outs, arrays  # inputs are never written: same bits on every leg
+
+        runs = compare(cluster(world, per_node), base, run, IN_PROCESS, traced=traced)
+        assert runs["local"].bits[1] == snapshot(base)
 
 
 class TestScheduleAndAnalysisUnchanged:
-    """The fast path must not perturb lowered schedules or HB reports."""
+    """The batched kernels must not perturb lowered schedules or HB reports."""
 
-    def test_analyze_hb_identical_across_paths(self):
+    def test_analyze_hb_identical_across_paths(self, monkeypatch):
         from repro.analysis import analyze_algorithm
 
         reports = {}
-        for fast in (False, True):
-            with use_fast_path(fast):
-                reports[fast] = analyze_algorithm(
-                    "allreduce", steps=2, hb=True
-                ).to_dict()
-        assert reports[False] == reports[True]
-        assert reports[True]["ok"]
+        for backend in IN_PROCESS:
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            reports[backend] = analyze_algorithm("allreduce", steps=2, hb=True).to_dict()
+        assert reports["local"] == reports["batched"]
+        assert reports["batched"]["ok"]
 
     def test_traced_rounds_identical(self):
-        # With a tracer installed the fast path routes stub messages
+        # With a tracer installed the batched kernels route stub messages
         # through exchange(), so recorded rounds must match the loop's
         # message for message.
-        rng = np.random.default_rng(2)
-        base = [rng.standard_normal(50) for _ in range(4)]
-        traces = {}
-        for fast in (False, True):
-            group = _group(4)
-            recorder = _RoundRecorder()
-            group.transport.tracer = recorder
-            scatter_reduce([a.copy() for a in base], group, fast_path=fast)
-            traces[fast] = recorder.rounds
-        assert traces[False] == traces[True]
+        runs = _compare(4, 50, 2, lambda g, arrays: scatter_reduce(arrays, g), traced=True)
+        assert runs["local"].rounds
 
 
 class TestFastPathSwitch:
-    def test_default_enabled(self):
-        assert fast_path_enabled()
+    """The backend is the switch; nothing else selects a path."""
 
-    def test_set_and_context_manager_restore(self):
-        assert fast_path_enabled()
-        set_fast_path(False)
-        try:
-            assert not fast_path_enabled()
-            with use_fast_path(True):
-                assert fast_path_enabled()
-            assert not fast_path_enabled()
-        finally:
-            set_fast_path(True)
+    def test_backend_preference_resolves_default(self):
+        # Observable on the wire: loop rounds carry payloads, kernel rounds
+        # carry size stubs.
+        class Payloads:
+            def __init__(self):
+                self.carried = []
 
-    def test_engine_config_controls_path(self):
-        from repro.core.optimizer_framework import BaguaConfig
+            def on_exchange(self, messages):
+                self.carried += [m.payload is not None for m in messages]
 
-        # Default defers to the transport backend's kernel preference.
-        assert BaguaConfig().fast_path is None
-        assert BaguaConfig(fast_path=True).fast_path is True
-        assert BaguaConfig(fast_path=False).fast_path is False
-
-    def test_backend_preference_resolves_default(self, monkeypatch):
-        from repro.comm.fastpath import resolve_fast_path
-
-        monkeypatch.delenv("REPRO_FAST_PATH", raising=False)
-        set_fast_path(None)  # clear any explicit global left by other tests
-        loop_group = _group(2, backend="local")
-        fast_group = _group(2, backend="batched")
-        assert resolve_fast_path(None, loop_group.transport) is False
-        assert resolve_fast_path(None, fast_group.transport) is True
-        # An explicit global (context manager) overrides the preference...
-        with use_fast_path(True):
-            assert resolve_fast_path(None, loop_group.transport) is True
-        # ...and an explicit per-call argument overrides everything.
-        assert resolve_fast_path(True, loop_group.transport) is True
-        assert resolve_fast_path(False, fast_group.transport) is False
+        for backend, carries in (("local", True), ("batched", False)):
+            transport = Transport(cluster(2), backend=backend)
+            transport.tracer = seen = Payloads()
+            ring_allreduce(inputs(2, 8, 0), CommGroup(transport, [0, 1]))
+            assert seen.carried and all(c is carries for c in seen.carried)
 
 
 class TestChunkBoundsCache:
@@ -482,23 +264,7 @@ class TestBucketFlatPool:
         assert float(params[0].data[0, 0]) == 42.0
 
     def test_engine_allocates_one_pool_per_worker(self):
-        from repro.perf.harness import _bench_epoch  # noqa: F401 — import only
-
-        from repro.algorithms import QSGD
-        from repro.cluster import ClusterSpec
-        from repro.core.optimizer_framework import BaguaConfig
-        from repro.data.loader import make_sharded_loaders
-        from repro.training import DistributedTrainer, get_task
-
-        task = get_task("VGG16")
-        spec = ClusterSpec(num_nodes=1, workers_per_node=2, inter_node=TCP_25G)
-        trainer = DistributedTrainer(
-            spec, task.model_factory, task.make_optimizer, QSGD(bits=8),
-            config=BaguaConfig(fast_path=True), seed=0,
-        )
-        dataset = task.dataset_factory(0)
-        loaders = make_sharded_loaders(dataset, 2, 16, seed=0)
-        trainer.train(loaders, task.loss_fn, epochs=1, label="pool")
+        _observed, trainer = train_epoch("batched")
         for worker in trainer.engine.workers:
             pool = worker.state["flat_pool"]
             assert pool is not None
@@ -509,28 +275,5 @@ class TestBucketFlatPool:
 
 class TestEpochLossParity:
     def test_losses_and_traffic_bitwise_equal(self):
-        from repro.algorithms import QSGD
-        from repro.cluster import ClusterSpec
-        from repro.core.optimizer_framework import BaguaConfig
-        from repro.data.loader import make_sharded_loaders
-        from repro.training import DistributedTrainer, get_task
-
-        task = get_task("VGG16")
-        dataset = task.dataset_factory(0)
-        records = {}
-        for fast in (False, True):
-            spec = ClusterSpec(num_nodes=1, workers_per_node=2, inter_node=TCP_25G)
-            trainer = DistributedTrainer(
-                spec, task.model_factory, task.make_optimizer, QSGD(bits=8),
-                config=BaguaConfig(fast_path=fast), seed=0,
-            )
-            loaders = make_sharded_loaders(dataset, 2, 16, seed=0)
-            record = trainer.train(loaders, task.loss_fn, epochs=1, label="parity")
-            records[fast] = (
-                record.epoch_losses,
-                record.epoch_sim_times,
-                record.epoch_comm_bytes,
-                trainer.transport.stats.messages,
-                trainer.transport.stats.total_bytes,
-            )
-        assert records[False] == records[True]
+        observed = {backend: train_epoch(backend)[0] for backend in IN_PROCESS}
+        assert observed["local"] == observed["batched"]

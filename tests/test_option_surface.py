@@ -1,0 +1,35 @@
+"""The option surface is what the docs say: two environment variables, no
+per-call path switch.  Keeps the next perf PR from re-growing one."""
+
+import inspect
+import re
+from pathlib import Path
+
+import repro
+import repro.comm
+import repro.core.primitives
+
+SOURCES = sorted(Path(repro.__file__).parent.rglob("*.py"))
+
+
+def test_environment_variables_are_backend_and_sanitizer():
+    names = {name for path in SOURCES for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())}
+    assert names == {"REPRO_BACKEND", "REPRO_PROTOCOL_SANITIZE"}
+
+
+def test_source_never_writes_the_environment():
+    write = re.compile(r"os\.environ\[[^\]]*\]\s*=[^=]|os\.environ\.(setdefault|update|pop)|putenv")
+    assert [str(path) for path in SOURCES if write.search(path.read_text())] == []
+
+
+def test_no_public_callable_takes_fast_path():
+    public = [getattr(repro.comm, name) for name in repro.comm.__all__]
+    public += [
+        obj for name, obj in inspect.getmembers(repro.core.primitives, inspect.isfunction)
+        if not name.startswith("_")
+    ]
+    offenders = [
+        obj.__qualname__ for obj in public
+        if inspect.isfunction(obj) and "fast_path" in inspect.signature(obj).parameters
+    ]
+    assert offenders == []

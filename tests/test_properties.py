@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays as np_arrays
 
 from repro.cluster import ClusterSpec, Transport
-from repro.comm import CommGroup, ring_allreduce, scatter_reduce
-from repro.comm.collectives import _chunk_bounds
+from repro.comm import CommGroup, chunk_bounds, ring_allreduce, scatter_reduce
 from repro.compression import (
     ErrorFeedback,
     FP16Compressor,
@@ -35,7 +34,7 @@ def float_vectors(min_size=1, max_size=64):
 class TestChunkBoundsProperties:
     @given(length=st.integers(0, 500), parts=st.integers(1, 32))
     def test_partition_is_exact_and_ordered(self, length, parts):
-        bounds = _chunk_bounds(length, parts)
+        bounds = chunk_bounds(length, parts)
         assert len(bounds) == parts
         assert bounds[0][0] == 0
         assert bounds[-1][1] == length
@@ -45,7 +44,7 @@ class TestChunkBoundsProperties:
 
     @given(length=st.integers(1, 500), parts=st.integers(1, 32))
     def test_chunk_sizes_balanced(self, length, parts):
-        sizes = [hi - lo for lo, hi in _chunk_bounds(length, parts)]
+        sizes = [hi - lo for lo, hi in chunk_bounds(length, parts)]
         assert max(sizes) - min(sizes) <= 1
 
 
