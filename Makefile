@@ -17,11 +17,14 @@
 # `make ab PARENT=<rev> [OUT=BENCH_PRnn.json]` is the A/B procedure a
 # perf PR reports (benchmarks/ab_pairs.py): ten alternating 30-s pairs of
 # the gated workloads, <rev> against the working tree, ~45 min on a quiet box.
+# `make loc` prints the source line total and the per-package subtotals a
+# [simplicity] PR quotes for parent and change (CI appends it to the job
+# summary).
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint typecheck typecheck-strict test analyze plans protocol perf e2e-smoke ab
+.PHONY: check lint typecheck typecheck-strict test analyze plans protocol perf e2e-smoke ab loc
 
 check: lint typecheck test analyze plans protocol
 
@@ -68,3 +71,10 @@ PARENT ?= HEAD~1
 OUT ?= BENCH_AB.json
 ab:
 	$(PYTHON) benchmarks/ab_pairs.py --parent $(PARENT) --out $(OUT)
+
+loc:
+	@find src -name '*.py' | xargs wc -l | tail -n 1 | sed 's/total/src/'
+	@for part in src/repro/comm src/repro/cluster/backends \
+		"src/repro/core/primitives.py src/repro/core/engine.py"; do \
+		find $$part -name '*.py' | xargs cat | wc -l | tr '\n' ' '; echo "$$part"; \
+	done

@@ -80,6 +80,28 @@ class PoolRef:
 PoolRefChunk = tuple[int, int, tuple[int, ...]]
 
 
+def ordered_fold(
+    rows: Sequence[np.ndarray], lo: int, hi: int, order: Sequence[int], add_zero: bool
+) -> np.ndarray:
+    """Sum ``rows[k][lo:hi]`` for ``k`` in exactly ``order``, in float64.
+
+    ``acc = rows[order[0]][lo:hi]`` widened into a fresh array, then ``acc +=
+    rows[k][lo:hi]`` member by member — never an axis reduction, whose
+    pairwise summation of width-1 chunks would produce different bits — and
+    with ``add_zero`` the loop oracle's trailing ``+ 0.0`` (its zeros-seeded
+    fold turns a column that is ``-0.0`` on every member into ``+0.0``).
+    The one definition every dense reduce runs: the serial and the
+    worker-parallel :meth:`TransportBackend.pool_ref_reduce` and the
+    ``repro.comm.batched`` kernels over rows outside the pools.
+    """
+    acc = rows[order[0]][lo:hi].astype(np.float64)
+    for member in order[1:]:
+        acc += rows[member][lo:hi]
+    if add_zero:
+        acc += 0.0
+    return acc
+
+
 @dataclass(frozen=True)
 class ProtocolEvent:
     """One observed protocol action, emitted by a backend under sanitation.
@@ -132,15 +154,10 @@ class TransportBackend:
     #: registry name ("local", "batched", "shm")
     name: str = "base"
     #: kernel flavor collectives run on this backend — the loop reference
-    #: (False) or the world-batched kernels (True).  The only selector.
+    #: (False) or the world-batched kernels (True).  The only selector: the
+    #: batched dense kernels reduce pool-resident rows in place through
+    #: :meth:`pool_ref_reduce` on every backend that runs them.
     prefers_fast_path: bool = True
-    #: whether dense collectives over pool-resident buckets reduce in place
-    #: through :class:`PoolRef` descriptors (``repro.comm.batched`` asks
-    #: this flag, nothing else).  Every backend *can* execute
-    #: :meth:`pool_ref_reduce` over its registered pools; only backends
-    #: where the descriptor path actually changes the execution substrate
-    #: (the shm worker processes) turn the preference on.
-    supports_pool_ref: bool = False
 
     def __init__(self) -> None:
         self._transport: Transport | None = None
@@ -332,12 +349,11 @@ class TransportBackend:
         ``refs[i]`` is collective member ``i``'s region; ``chunks[j] =
         (lo, hi, order)`` assigns element range ``[lo, hi)`` (relative to
         each region) to member ``j``'s executor, which folds the members'
-        slices *in exactly the order given* — ``acc = region[order[0]].copy();
-        acc += region[order[k]]`` — optionally appends the loop oracle's
-        trailing ``+ 0.0``, and writes the result into **every** member's
-        slice.  Chunk ranges must be pairwise disjoint, which is what makes
-        the per-chunk executors race-free without a barrier: chunk ``j``
-        reads and writes only ``[lo_j, hi_j)`` of each region.
+        slices *in exactly the order given* (:func:`ordered_fold`) and writes
+        the result into **every** member's slice.  Chunk ranges must be
+        pairwise disjoint, which is what makes the per-chunk executors
+        race-free without a barrier: chunk ``j`` reads and writes only
+        ``[lo_j, hi_j)`` of each region.
 
         The caller (``repro.comm``) picks fold orders that reproduce the
         batched kernels' float operation order bit-for-bit, so in-place
@@ -358,11 +374,7 @@ class TransportBackend:
                 )
             views.append(pool[ref.offset : ref.offset + ref.length])
         for lo, hi, order in chunks:
-            acc = views[order[0]][lo:hi].copy()
-            for member in order[1:]:
-                acc += views[member][lo:hi]
-            if add_zero:
-                acc += 0.0
+            acc = ordered_fold(views, lo, hi, order, add_zero)
             for view in views:
                 view[lo:hi] = acc
 
@@ -371,11 +383,7 @@ class TransportBackend:
     # ------------------------------------------------------------------
     def describe(self) -> dict[str, Any]:
         """Small diagnostic summary (used by the perf harness / docs)."""
-        return {
-            "name": self.name,
-            "prefers_fast_path": self.prefers_fast_path,
-            "supports_pool_ref": self.supports_pool_ref,
-        }
+        return {"name": self.name, "prefers_fast_path": self.prefers_fast_path}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

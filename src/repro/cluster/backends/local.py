@@ -2,11 +2,15 @@
 
 Both deliver payloads by handing the sender's objects straight to the
 receiver (the original single-process execution model); they differ only in
-which kernel flavor collectives pick by default.  ``LocalBackend`` is the
-auditable oracle — per-rank Python loops, one payload per message — and
-``BatchedBackend`` prefers the world-batched ``(world, n)`` kernels of
-:mod:`repro.comm.batched` (bit-identical by the PR 5 contract, so the two
-backends are interchangeable in every observable way except wall-clock).
+which kernel flavor collectives run.  ``LocalBackend`` is the auditable
+oracle — per-rank Python loops, one payload per message, inputs never
+written — and ``BatchedBackend`` runs the world-batched kernels of
+:mod:`repro.comm.batched`: size stubs instead of payloads, and dense float64
+rows that live in the pools :meth:`LocalBackend.allocate_pool` handed out
+reduced in place by the base class's serial ``pool_ref_reduce`` (what the
+shm workers run in parallel).  Results, clocks, stats and traces are
+bit-identical by the PR 5 contract, so the two backends are interchangeable
+in every observable way except wall-clock and where a pool row's sum lands.
 
 Under the protocol sanitizer (``REPRO_PROTOCOL_SANITIZE=1``) the in-process
 backends emit the same doorbell/ack event shape the shm backend does — the
@@ -36,7 +40,6 @@ class LocalBackend(TransportBackend):
 
     def __init__(self) -> None:
         super().__init__()
-        self._pools: dict[int, np.ndarray] = {}
         self._seq: dict[int, int] = {}
 
     def _next_seq(self, rank: int) -> int:
@@ -72,7 +75,6 @@ class LocalBackend(TransportBackend):
 
     def allocate_pool(self, rank: int, n_elements: int) -> np.ndarray:
         pool = np.empty(n_elements, dtype=np.float64)
-        self._pools[rank] = pool
         self._register_pool(rank, pool)
         if self.sanitizing:
             self._emit_exchange("pool", rank, 0)
@@ -87,11 +89,10 @@ class LocalBackend(TransportBackend):
         for rank in sorted(args_by_rank):
             if self.sanitizing:
                 self._emit_exchange("task", rank, 1)
-            results[rank] = fn(self._pools.get(rank), *args_by_rank[rank])
+            results[rank] = fn(self._pool_arrays.get(rank), *args_by_rank[rank])
         return results
 
     def close(self) -> None:
-        self._pools.clear()
         self._pool_arrays.clear()
         if self.sanitizing and self._seq:
             for rank in sorted(self._seq):

@@ -80,7 +80,14 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from . import wire
-from .base import BackendError, PoolRef, PoolRefChunk, ProtocolEvent, TransportBackend
+from .base import (
+    BackendError,
+    PoolRef,
+    PoolRefChunk,
+    ProtocolEvent,
+    TransportBackend,
+    ordered_fold,
+)
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -323,11 +330,7 @@ def _worker_main(
         """
         lo, hi, refs, order, add_zero = spec
         views = [resolve_ref(ref) for ref in refs]
-        acc = views[order[0]][lo:hi].copy()
-        for member in order[1:]:
-            acc += views[member][lo:hi]
-        if add_zero:
-            acc += 0.0
+        acc = ordered_fold(views, lo, hi, order, add_zero)
         for view in views:
             view[lo:hi] = acc
         return (int(lo), int(hi))
@@ -535,7 +538,6 @@ class SharedMemoryBackend(TransportBackend):
 
     name = "shm"
     prefers_fast_path = True
-    supports_pool_ref = True
 
     def __init__(
         self,

@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..cluster.backends.base import PoolRefChunk, ordered_fold
 from ..compression.base import Compressor
 from ..compression.error_feedback import ErrorFeedback
 from .chunking import Rows, check_arrays, chunk_bounds, store_rows
@@ -78,7 +79,7 @@ def _replicate(
         return store_rows([row] * n, out)
     if n == 1:
         return [row]
-    block = np.empty((n - 1, row.shape[0]))
+    block = np.empty((n - 1, row.shape[0]), dtype=row.dtype)
     block[:] = row
     return [*block, row]
 
@@ -220,20 +221,12 @@ def alltoall_sizes(group: CommGroup, part_bytes: Sequence[Sequence[float]]) -> N
             for offset in range(1, n)
             for i in range(n)
         ]
-    if sends:
-        group.transport.exchange_sized(sends)
+    group.transport.exchange_sized(sends)
 
 
 def allgather_sizes(group: CommGroup, payload_bytes: Sequence[float]) -> None:
     """Stub round matching :func:`repro.comm.collectives.allgather_payloads`."""
-    n = group.size
-    ranks = group.ranks
-    if n > 1:
-        sends = _allgather_sends(tuple(ranks), tuple(payload_bytes))
-    else:
-        sends = []
-    if sends:
-        group.transport.exchange_sized(sends)
+    group.transport.exchange_sized(_allgather_sends(tuple(group.ranks), tuple(payload_bytes)))
 
 
 def gather_sizes(group: CommGroup, array_bytes: Sequence[float]) -> None:
@@ -266,6 +259,45 @@ def broadcast_sizes(group: CommGroup, array_bytes: float) -> None:
 
 
 # ----------------------------------------------------------------------
+# The dense reduce (shared by ScatterReduce and the ring)
+# ----------------------------------------------------------------------
+def _reduce_chunks(
+    arrays: Rows,
+    group: CommGroup,
+    chunks: Sequence[PoolRefChunk],
+    add_zero: bool,
+    out: Sequence[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Every member's row with each chunk ``(lo, hi, order)`` summed across members.
+
+    ``chunks[j]`` is the range member ``j`` owns and the order it folds the
+    members in (:func:`~repro.cluster.backends.base.ordered_fold`); the
+    ranges tile the rows.  Where the sums land depends on the inputs alone:
+
+    * dense float64 rows that each live in their member's own backend pool
+      are reduced **in place** by ``backend.pool_ref_reduce`` — serially in
+      this process, or by the shm workers in parallel — so nothing travels
+      and the returned rows *are* the inputs;
+    * any other rows are only read: the sums are assembled in one fresh row
+      and fanned out (:func:`_replicate`).
+
+    Either way ``out`` rows, when given, receive the results, and may be the
+    inputs.  The callers put the kernel's stub rounds around this call, so
+    clocks, stats and traces cannot tell the two cases apart.
+    """
+    backend = group.transport.backend
+    rows = list(arrays)
+    refs = backend.resolve_pool_refs(rows, group.ranks)
+    if refs is not None:
+        backend.pool_ref_reduce(refs, chunks, add_zero=add_zero)
+        return store_rows(rows, out)
+    full = np.empty(rows[0].shape[0])
+    for lo, hi, order in chunks:
+        full[lo:hi] = ordered_fold(rows, lo, hi, order, add_zero)
+    return _replicate(full, group.size, out)
+
+
+# ----------------------------------------------------------------------
 # ScatterReduce
 # ----------------------------------------------------------------------
 def scatter_reduce_batched(
@@ -295,39 +327,16 @@ def scatter_reduce_batched(
     widths = [hi - lo for lo, hi in bounds]
 
     if codec is None and n > 1:
+        # Full precision: nothing is quantized, so partition owner j's merged
+        # chunk is a plain fold of rows 0..n-1 — the loop's zeros-seeded
+        # ``acc += row`` up to the trailing ``+ 0.0`` — and the (world, n)
+        # stack never needs materializing.
         row_bytes = [_F64_BYTES * w for w in widths]
-        if group.transport.backend.supports_pool_ref:
-            refs = group.transport.backend.resolve_pool_refs(list(arrays), group.ranks)
-            if refs is not None:
-                # Pool-ref fast path: every member's bucket is a dense view
-                # into its own pool segment, so nothing needs to travel —
-                # partition owner j folds chunk j across all segments in
-                # place (rows 0..n-1, the sequential-fold order below, with
-                # the same trailing ``+ 0.0``) and writes every member's
-                # slice.  The stub rounds are the ones the byte-moving path
-                # emits, so clocks, stats and traces are untouched by the
-                # optimization.
-                order = tuple(range(n))
-                alltoall_sizes(group, [row_bytes] * n)
-                group.transport.backend.pool_ref_reduce(
-                    refs, [(lo, hi, order) for lo, hi in bounds], add_zero=True
-                )
-                allgather_sizes(group, row_bytes)
-                return store_rows(list(arrays), out)
-        # Full-precision path: nothing is quantized, so the merged partition
-        # is a plain sequential fold over the input rows and the (world, n)
-        # stack never needs materializing.  ``np.add.reduce`` accumulates the
-        # outer axis sequentially from row 0 (pairwise summation applies only
-        # to contiguous-axis reductions), so this fold is the same operation
-        # order as :func:`_merge_rows`; the trailing ``+ 0.0`` normalizes the
-        # all-``-0.0`` column case exactly as there.
+        order = tuple(range(n))
         alltoall_sizes(group, [row_bytes] * n)
-        merged = arrays[0].astype(np.float64)
-        for a in arrays[1:]:
-            merged += a
-        merged += 0.0
+        rows = _reduce_chunks(arrays, group, [(lo, hi, order) for lo, hi in bounds], True, out)
         allgather_sizes(group, row_bytes)
-        return _replicate(merged, n, out)
+        return rows
 
     matrix = _stack_f64(arrays)
 
@@ -388,50 +397,43 @@ def scatter_reduce_batched(
 # ----------------------------------------------------------------------
 # Ring kernels
 # ----------------------------------------------------------------------
-def _ring_reduce_scatter_rounds(
-    group: CommGroup, bounds: Sequence[tuple[int, int]]
+def _ring_rounds(
+    group: CommGroup, bounds: Sequence[tuple[int, int]], phase: str, owners: Sequence[int]
 ) -> None:
-    """The n-1 reduce-scatter stub rounds (shared by both data paths)."""
+    """The n-1 stub rounds of one ring phase (``rs`` or ``ag``).
+
+    In round r member i forwards to its right neighbour the chunk member
+    ``(i - r) % n`` started the phase with: chunk ``owners[(i - r) % n]``.
+    """
     n = group.size
     ranks = group.ranks
-    transport = group.transport
     for r in range(n - 1):
         sends = []
         for i in range(n):
-            chunk = (i - r) % n
+            chunk = owners[(i - r) % n]
             lo, hi = bounds[chunk]
             sends.append(
                 (
                     ranks[i],
                     ranks[(i + 1) % n],
                     _HEADER_BYTES + _F64_BYTES * (hi - lo),
-                    f"rs.r{r}.c{chunk}",
+                    f"{phase}.r{r}.c{chunk}",
                 )
             )
-        transport.exchange_sized(sends)
+        group.transport.exchange_sized(sends)
 
 
-def _ring_all_gather_rounds(
-    group: CommGroup, bounds: Sequence[tuple[int, int]], owners: Sequence[int]
-) -> None:
-    """The n-1 all-gather stub rounds (shared by both data paths)."""
-    n = group.size
-    ranks = group.ranks
-    transport = group.transport
-    for r in range(n - 1):
-        sends = []
-        for i in range(n):
-            chunk_id = owners[(i - r) % n]
-            lo, hi = bounds[chunk_id]
-            sends.append(
-                (
-                    ranks[i],
-                    ranks[(i + 1) % n],
-                    _HEADER_BYTES + _F64_BYTES * (hi - lo),
-                    f"ag.r{r}.c{chunk_id}",
-                )
-            )
-        transport.exchange_sized(sends)
+def _ring_chunks(bounds: Sequence[tuple[int, int]]) -> tuple[list[int], list[PoolRefChunk]]:
+    """``owners[i] = (i+1) % n``, member i's ring chunk, and the chunks to fold.
+
+    The ring's accumulation visits chunk c's rows in arrival order ``c, c+1,
+    ..., c+n-1 (mod n)``; each step adds exactly one row, so the loop's
+    ``received += own`` chain equals this left fold by commutativity of a
+    single IEEE add.
+    """
+    n = len(bounds)
+    owners = [(i + 1) % n for i in range(n)]
+    return owners, [(*bounds[c], tuple((c + t) % n for t in range(n))) for c in owners]
 
 
 def ring_reduce_scatter_batched(
@@ -439,32 +441,17 @@ def ring_reduce_scatter_batched(
 ) -> list[np.ndarray]:
     """World-batched ring reduce-scatter; member i returns chunk ``(i+1) % n``.
 
-    The ring's accumulation visits chunk c's rows in the order
-    ``c, c+1, ..., c+n-1 (mod n)``; each step adds exactly one row, so the
-    loop's ``received += own`` order equals this left fold by commutativity
-    of a single IEEE add.
+    The inputs are only read (the chunks are fresh arrays), whatever they
+    live in.
     """
     check_arrays(arrays, group)
     n = group.size
-    total = arrays[0].shape[0]
     if n == 1:
         return [np.asarray(arrays[0], dtype=np.float64).copy()]
-    bounds = chunk_bounds(total, n)
-    matrix = _stack_f64(arrays)
-    _ring_reduce_scatter_rounds(group, bounds)
-    out = []
-    for i in range(n):
-        chunk = (i + 1) % n
-        lo, hi = bounds[chunk]
-        # Explicit sequential fold in ring order: bitwise equal to the
-        # loop's per-round ``received += own`` chain (single IEEE adds are
-        # commutative), and safe for width-1 chunks where an ``add.reduce``
-        # over fancy-indexed rows would switch to pairwise summation.
-        acc = matrix[chunk, lo:hi].copy()
-        for t in range(1, n):
-            acc += matrix[(chunk + t) % n, lo:hi]
-        out.append(acc)
-    return out
+    bounds = chunk_bounds(arrays[0].shape[0], n)
+    _ring_rounds(group, bounds, "rs", range(n))
+    _owners, chunks = _ring_chunks(bounds)
+    return [ordered_fold(arrays, lo, hi, order, False) for lo, hi, order in chunks]
 
 
 def ring_all_gather_chunks_batched(
@@ -477,42 +464,31 @@ def ring_all_gather_chunks_batched(
     for i in range(n):
         lo, hi = bounds[owners[i]]
         full[lo:hi] = chunks[i]
-    _ring_all_gather_rounds(group, bounds, owners)
+    _ring_rounds(group, bounds, "ag", owners)
     return _replicate(full, n)
 
 
 def ring_allreduce_batched(
     arrays: Sequence[np.ndarray], group: CommGroup
 ) -> list[np.ndarray]:
-    """World-batched two-phase ring allreduce (sum)."""
+    """World-batched two-phase ring allreduce (sum).
+
+    Member i reduces its ring chunk ``(i+1) % n`` in the ring's arrival
+    order (no ``+ 0.0`` — the ring fold never normalizes) and every member
+    receives it: the all-gather phase is the same disjoint-chunk store.
+    Pool-resident float64 rows are reduced in place and returned
+    (:func:`_reduce_chunks`); other inputs are only read.
+    """
     check_arrays(arrays, group)
     n = group.size
     if n == 1:
         return [np.asarray(arrays[0], dtype=np.float64).copy()]
-    total = arrays[0].shape[0]
-    owners = [(i + 1) % n for i in range(n)]
-    if group.transport.backend.supports_pool_ref:
-        refs = group.transport.backend.resolve_pool_refs(arrays, group.ranks)
-        if refs is not None:
-            # Pool-ref fast path: member i's executor reduces its ring chunk
-            # ``(i+1) % n`` in place across all segments, folding rows in the
-            # ring's arrival order ``c, c+1, ..., c+n-1 (mod n)`` (no ``+
-            # 0.0`` — the ring fold never normalizes), then writes every
-            # member's slice — the all-gather phase collapsed into the same
-            # disjoint-chunk write.  Stub rounds are identical to the
-            # byte-moving two-phase path below.
-            bounds = chunk_bounds(total, n)
-            chunks = []
-            for i in range(n):
-                c = owners[i]
-                lo, hi = bounds[c]
-                chunks.append((lo, hi, tuple((c + t) % n for t in range(n))))
-            _ring_reduce_scatter_rounds(group, bounds)
-            group.transport.backend.pool_ref_reduce(refs, chunks, add_zero=False)
-            _ring_all_gather_rounds(group, bounds, owners)
-            return list(arrays)
-    reduced = ring_reduce_scatter_batched(arrays, group)
-    return ring_all_gather_chunks_batched(reduced, owners, group, total)
+    bounds = chunk_bounds(arrays[0].shape[0], n)
+    owners, chunks = _ring_chunks(bounds)
+    _ring_rounds(group, bounds, "rs", range(n))
+    rows = _reduce_chunks(arrays, group, chunks, False)
+    _ring_rounds(group, bounds, "ag", owners)
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,11 @@ from typing import Any
 import numpy as np
 
 from ..cluster.transport import Message
+from .batched import (
+    ring_all_gather_chunks_batched,
+    ring_allreduce_batched,
+    ring_reduce_scatter_batched,
+)
 from .chunking import check_arrays as _check_arrays
 from .chunking import chunk_bounds
 from .group import CommGroup
@@ -42,9 +47,7 @@ def ring_reduce_scatter(arrays: Sequence[np.ndarray], group: CommGroup) -> list[
     to its right neighbor and accumulates the chunk arriving from the left.
     Returns the reduced chunk owned by each member.
     """
-    if group.transport.backend.prefers_fast_path and group.size > 1:
-        from .batched import ring_reduce_scatter_batched
-
+    if group.transport.backend.prefers_fast_path:
         return ring_reduce_scatter_batched(arrays, group)
     _check_arrays(arrays, group)
     n = group.size
@@ -93,9 +96,7 @@ def ring_all_gather_chunks(
     ``chunks[i]`` is the chunk owned by member i whose id is ``owners[i]``;
     chunk ids index into the canonical ``chunk_bounds(total, n)`` layout.
     """
-    if group.transport.backend.prefers_fast_path and group.size > 1:
-        from .batched import ring_all_gather_chunks_batched
-
+    if group.transport.backend.prefers_fast_path:
         return ring_all_gather_chunks_batched(chunks, owners, group, total)
     n = group.size
     bounds = chunk_bounds(total, n)
@@ -129,10 +130,15 @@ def ring_all_gather_chunks(
 
 
 def ring_allreduce(arrays: Sequence[np.ndarray], group: CommGroup) -> list[np.ndarray]:
-    """Classic two-phase ring allreduce (sum); 2(n-1) rounds of S/n bytes."""
-    if group.transport.backend.prefers_fast_path and group.size > 1:
-        from .batched import ring_allreduce_batched
+    """Classic two-phase ring allreduce (sum); 2(n-1) rounds of S/n bytes.
 
+    On a backend that runs the batched kernels, dense float64 rows living in
+    their members' own backend pools are reduced in place — the returned
+    rows *are* the inputs; any other input (other dtypes, arrays owning
+    their storage, every input on ``local``) is only read.  See
+    docs/primitives.md § "Where the result lands".
+    """
+    if group.transport.backend.prefers_fast_path:
         return ring_allreduce_batched(arrays, group)
     _check_arrays(arrays, group)
     n = group.size

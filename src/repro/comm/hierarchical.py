@@ -201,7 +201,12 @@ class HierarchicalComm:
 
         ``leader_exchange`` runs the decentralized step among node leaders
         (e.g. ring or random peer averaging from :mod:`repro.core.primitives`).
+        On a backend that runs the batched kernels no tier sends a payload:
+        the intra-node allreduce and the leaders' gossip are stub-round
+        kernels already, and the fan-out is :meth:`allreduce_batched`'s —
+        one ``broadcast_sizes`` stub round and a block store per node.
         """
+        fast = self.group.transport.backend.prefers_fast_path
         per_node = self._split_by_node(arrays)
 
         node_means: list[np.ndarray] = []
@@ -216,5 +221,9 @@ class HierarchicalComm:
 
         results_per_node: list[list[np.ndarray]] = []
         for sub, result in zip(self.node_groups, exchanged):
-            results_per_node.append(broadcast(result, sub, root_index=0))
+            if fast:
+                broadcast_sizes(sub, float(result.nbytes))
+                results_per_node.append(_replicate(result, sub.size))
+            else:
+                results_per_node.append(broadcast(result, sub, root_index=0))
         return self._merge_from_node(results_per_node)

@@ -22,6 +22,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from .batched import scatter_reduce_batched
 from .chunking import check_arrays, chunk_bounds, store_rows
 from .collectives import allgather_payloads, alltoall
 from .group import CommGroup
@@ -67,7 +68,10 @@ def scatter_reduce(
     ``out`` (:func:`~.chunking.check_out`'s convention, validated by the
     primitives) receives the results and may be ``arrays`` itself: the
     batched kernel stores only after its last read, the loop copies its
-    finished results in.
+    finished results in.  Without ``out`` the inputs are only read — except
+    that the batched kernel reduces dense float64 rows living in their
+    members' own backend pools in place and returns them (docs/primitives.md
+    § "Where the result lands").
     """
     hooks_default = (
         compress_phase1 is None
@@ -75,9 +79,7 @@ def scatter_reduce(
         and compress_phase2 is None
         and decompress_phase2 is None
     )
-    if hooks_default and group.size > 1 and group.transport.backend.prefers_fast_path:
-        from .batched import scatter_reduce_batched
-
+    if hooks_default and group.transport.backend.prefers_fast_path:
         return scatter_reduce_batched(arrays, group, out=out)
     check_arrays(arrays, group)
     n = group.size

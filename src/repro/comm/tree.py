@@ -3,8 +3,8 @@
 The star patterns in :mod:`repro.comm.collectives` serialize the root's NIC
 across ``n - 1`` messages; a binomial tree spreads the load over
 ``ceil(log2 n)`` rounds in which every holder forwards to one new member.
-Used by the hierarchical tier when node counts grow, and benchmarked against
-the star in the ablation suite.
+Loop implementations only (every round carries its payload); nothing in
+``src/`` calls them — they are a public alternative to the star.
 """
 
 from __future__ import annotations

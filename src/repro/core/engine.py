@@ -48,20 +48,6 @@ class WorkerReplica:
     def rank(self) -> int:
         return self.ctx.rank
 
-    def bucket_grads(self) -> list[np.ndarray]:
-        return [b.flat_grad() for b in self.buckets]
-
-    def bucket_weights(self) -> list[np.ndarray]:
-        return [b.flat_data() for b in self.buckets]
-
-    def set_bucket_grads(self, grads: Sequence[np.ndarray]) -> None:
-        for bucket, grad in zip(self.buckets, grads):
-            bucket.set_flat_grad(grad)
-
-    def set_bucket_weights(self, weights: Sequence[np.ndarray]) -> None:
-        for bucket, data in zip(self.buckets, weights):
-            bucket.set_flat_data(data)
-
     def optimizer_step_on_buckets(self, grads: Sequence[np.ndarray] | None = None) -> None:
         """Run the optimizer over the buckets' flat views (paper's flat update).
 

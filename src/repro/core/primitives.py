@@ -75,12 +75,23 @@ def c_fp_s(
     float64 row per member, no two sharing memory (``ValueError``); a row
     may be the member's input (``out=arrays``), because on every path each
     read of an input precedes the first store.
+
+    Without ``out`` the inputs are only read, with one exception: on a
+    backend that runs the batched kernels (``batched``, ``shm``), flat
+    (``hierarchical=False``) and among two or more members, dense float64
+    rows that each live in their member's own backend pool are reduced in
+    place — the returned rows *are* the inputs.  A caller that still needs
+    such an input after the call copies it first (docs/primitives.md §
+    "Where the result lands").
     """
     if out is not None:
         check_out(out, arrays)
     _trace_collective(group, "allreduce", arrays[0].size)
     if hierarchical:
-        return store_rows(HierarchicalComm(group).allreduce(arrays), out)
+        comm = HierarchicalComm(group)
+        if group.transport.backend.prefers_fast_path:
+            return comm.allreduce_batched(arrays, out=out)
+        return store_rows(comm.allreduce(arrays), out)
     return scatter_reduce(arrays, group, out=out)
 
 
@@ -142,7 +153,7 @@ def c_lp_s(
         decompress_compatible(store.compressor, compressor)
         for store in (*worker_errors, *server_errors)
     )
-    if group.transport.backend.prefers_fast_path and batchable and group.size > 1:
+    if group.transport.backend.prefers_fast_path and batchable:
         if hierarchical:
             return HierarchicalComm(group).allreduce_batched(
                 arrays,
@@ -244,10 +255,19 @@ class RandomPeers(PeerSelector):
 # ----------------------------------------------------------------------
 # Decentralized
 # ----------------------------------------------------------------------
-def _peer_exchange(
-    payloads: Sequence, peers: list[list[int]], group: CommGroup
-) -> list[dict]:
-    """One message round delivering ``payloads[i]`` to every peer of i."""
+def _peer_average(
+    arrays: Sequence[np.ndarray],
+    payloads: Sequence,
+    decode,
+    peers: list[list[int]],
+    group: CommGroup,
+) -> list[np.ndarray]:
+    """The loop reference of both gossip primitives.
+
+    One message round delivers ``payloads[i]`` to every peer of i; member j
+    then averages its own ``arrays[j]`` with ``decode(payload)`` of what it
+    received, sources ascending.
+    """
     messages = []
     for i, neigh in enumerate(peers):
         for j in neigh:
@@ -257,14 +277,18 @@ def _peer_exchange(
                     match_id=f"gossip.m{i}->{j}",
                 )
             )
-    received: list[dict] = [{} for _ in range(group.size)]
-    if messages:
-        inbox = group.transport.exchange(messages)
-        for j in range(group.size):
-            for msg in inbox.get(group.ranks[j], []):
-                i, payload = msg.payload
-                received[j][i] = payload
-    return received
+    inbox = group.transport.exchange(messages) if messages else {}
+    results = []
+    for j in range(group.size):
+        received = sorted(dict(msg.payload for msg in inbox.get(group.ranks[j], [])).items())
+        # Accumulate in float64 for associativity-stable sums, but hand the
+        # result back in the caller's dtype — a mixed-precision replica must
+        # not have its weights silently widened by one gossip round.
+        acc = arrays[j].astype(np.float64, copy=True)
+        for _src, payload in received:
+            acc += decode(payload)
+        results.append((acc / (1 + len(received))).astype(arrays[j].dtype, copy=False))
+    return results
 
 
 def d_fp_s(
@@ -285,17 +309,8 @@ def d_fp_s(
     _trace_collective(group, "gossip", arrays[0].size, peers_by_member=neighbor_sets)
     if group.transport.backend.prefers_fast_path:
         return gossip_average_batched(arrays, neighbor_sets, group)
-    received = _peer_exchange([a.astype(np.float64, copy=False) for a in arrays], neighbor_sets, group)
-    results = []
-    for i in range(group.size):
-        # Accumulate in float64 for associativity-stable sums, but hand the
-        # result back in the caller's dtype — a mixed-precision replica must
-        # not have its weights silently widened by one gossip round.
-        acc = arrays[i].astype(np.float64, copy=True)
-        for _src, payload in sorted(received[i].items()):
-            acc += payload
-        results.append((acc / (1 + len(received[i]))).astype(arrays[i].dtype, copy=False))
-    return results
+    payloads = [a.astype(np.float64, copy=False) for a in arrays]
+    return _peer_average(arrays, payloads, lambda payload: payload, neighbor_sets, group)
 
 
 def d_lp_s(
@@ -329,12 +344,4 @@ def d_lp_s(
     if group.transport.backend.prefers_fast_path:
         return gossip_average_batched(arrays, neighbor_sets, group, codec=compressor)
     payloads = [compressor.compress(a) for a in arrays]
-    received = _peer_exchange(payloads, neighbor_sets, group)
-    results = []
-    for i in range(group.size):
-        # Same float64-accumulate / cast-back contract as d_fp_s.
-        acc = arrays[i].astype(np.float64, copy=True)
-        for _src, payload in sorted(received[i].items()):
-            acc += compressor.decompress(payload)
-        results.append((acc / (1 + len(received[i]))).astype(arrays[i].dtype, copy=False))
-    return results
+    return _peer_average(arrays, payloads, compressor.decompress, neighbor_sets, group)

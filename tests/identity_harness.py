@@ -4,9 +4,9 @@ The transport backend is the only selector between the per-rank loop
 reference and the world-batched kernels, so a *leg* is a backend:
 
 * ``local`` — loop kernels in process: the oracle, always ``legs[0]``;
-* ``batched`` — world-batched kernels in process;
-* ``poolref`` — ``batched`` with pool refs on, i.e. the base class's serial
-  in-place ``pool_ref_reduce`` (the oracle of the shm override);
+* ``batched`` — world-batched kernels in process; pool-resident rows are
+  reduced in place by the base class's serial ``pool_ref_reduce`` (the
+  oracle of the shm override);
 * ``loopshm`` — loop kernels over the shm workers, so payload bytes
   genuinely cross the rings;
 * ``shm`` — batched kernels and worker-parallel pool reduces over shm.
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.algorithms import QSGD
 from repro.cluster import ClusterSpec, Transport
-from repro.cluster.backends import BatchedBackend, SharedMemoryBackend
+from repro.cluster.backends import SharedMemoryBackend
 from repro.cluster.netmodel import TCP_25G
 from repro.comm import CommGroup
 from repro.compression import (
@@ -39,6 +39,7 @@ from repro.compression import (
 )
 from repro.compression.base import Compressor
 from repro.core.optimizer_framework import BaguaConfig
+from repro.core.primitives import RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
 from repro.data.loader import make_sharded_loaders
 from repro.training import DistributedTrainer, get_task
 
@@ -52,21 +53,27 @@ CODEC_FACTORIES = {
     "signsgd": SignSGDCompressor,
 }
 
+# The four primitives as ``call(arrays, group, hierarchical)``.
+PRIMITIVES = {
+    "c_fp_s": lambda arrays, g, h: c_fp_s(arrays, g, hierarchical=h),
+    "c_lp_s": lambda arrays, g, h: c_lp_s(
+        arrays, g, CODEC_FACTORIES["qsgd8"](), hierarchical=h
+    ),
+    "d_fp_s": lambda arrays, g, h: d_fp_s(arrays, g, RingPeers(), hierarchical=h),
+    "d_lp_s": lambda arrays, g, h: d_lp_s(
+        arrays, g, CODEC_FACTORIES["qsgd8"](), RingPeers(), hierarchical=h
+    ),
+}
+
 IN_PROCESS = ("local", "batched")
 SHM = ("local", "batched", "loopshm", "shm")
-POOL = ("local", "batched", "poolref", "shm")
+POOL = ("local", "batched", "shm")
 
 
 class LoopShm(SharedMemoryBackend):
     """Shm delivery under the loop kernels (as ``LocalBackend`` is to ``BatchedBackend``)."""
 
     prefers_fast_path = False
-
-
-class PoolRefBatched(BatchedBackend):
-    """In-process kernels reducing pool-resident buckets in place, serially."""
-
-    supports_pool_ref = True
 
 
 # One shm backend per (class, world): workers are expensive to spawn and
@@ -77,8 +84,6 @@ _SHM_CACHE: dict[tuple[type, int], SharedMemoryBackend] = {}
 def backend_for(leg: str, world: int):
     if leg in IN_PROCESS:
         return leg
-    if leg == "poolref":
-        return PoolRefBatched()
     key = (LoopShm if leg == "loopshm" else SharedMemoryBackend, world)
     backend = _SHM_CACHE.get(key)
     if backend is None or backend._closed:
@@ -124,9 +129,11 @@ class Recorder:
     def __init__(self):
         self.rounds = []  # exchanged rounds, message for message
         self.events = []  # collective / local notifications
+        self.payloads = 0  # messages that carried a payload, not a size stub
 
     def on_exchange(self, messages):
         self.rounds.append([(m.src, m.dst, m.nbytes, m.match_id) for m in messages])
+        self.payloads += sum(m.payload is not None for m in messages)
 
     def on_collective(self, group, kind, elements, **meta):
         self.events.append(("collective", kind, elements, tuple(sorted(meta))))
@@ -176,6 +183,7 @@ class LegRun:
     state: tuple  # clocks, traffic stats, round counter
     rounds: list  # traced rounds ([] when untraced)
     events: list
+    payloads: int  # traced messages carrying a payload (the loop kernels' all do)
     pools: list  # final bytes of each member's pool row (pooled cases)
     shm_delta: dict  # growth of the backend's shm_stats ({} in process)
 
@@ -186,8 +194,8 @@ def compare(spec, base, run, legs, *, traced=True, pooled=False) -> dict[str, Le
 
     ``arrays`` is a fresh copy of ``base`` (a list of per-member arrays, or a
     list of such lists for multi-step cases); with ``pooled`` each member's
-    array is a row of the leg backend's own bucket pool instead, which is what
-    lets pool-ref legs reduce in place.  ``traced`` installs a
+    array is a row of the leg backend's own bucket pool instead, which the
+    batched dense kernels reduce in place.  ``traced`` installs a
     :class:`Recorder` — with one, batched kernels route their size stubs
     through ``exchange``; without, through ``exchange_sized``.
     """
@@ -209,7 +217,7 @@ def compare(spec, base, run, legs, *, traced=True, pooled=False) -> dict[str, Le
         bits = snapshot(run(group, arrays))
         after = getattr(transport.backend, "shm_stats", {})
         runs[leg] = LegRun(
-            bits, transport_state(transport), recorder.rounds, recorder.events,
+            bits, transport_state(transport), recorder.rounds, recorder.events, recorder.payloads,
             [a.tobytes() for a in arrays] if pooled else [],
             {key: after[key] - before[key] for key in before},
         )

@@ -24,6 +24,7 @@ from repro.core.primitives import RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
 from .identity_harness import (
     CODEC_FACTORIES,
     POOL,
+    PRIMITIVES,
     SHM,
     LoopShm,
     backend_for,
@@ -94,6 +95,16 @@ class TestCollectiveIdentity:
     def test_gossip_d_fp_s(self, world, size, seed):
         _compare(world, size, seed, lambda g, arrays: d_fp_s(arrays, g, RingPeers()))
 
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_under_h_no_payload_crosses_the_rings(self, name):
+        # 2 nodes x 2: every tier of every primitive under H on the shm legs.
+        runs = compare(
+            cluster(4, 2), inputs(4, 48, 59),
+            lambda g, arrays: PRIMITIVES[name](arrays, g, True), SHM,
+        )
+        assert runs["batched"].payloads == runs["shm"].payloads == 0
+        assert runs["local"].payloads == runs["loopshm"].payloads > 0
+
     def test_multi_node_world_eight(self):
         # Mixes NVLink and TCP fabrics (2 nodes x 4 workers).  Loop kernels
         # only on shm: one set of eight worker processes is enough.
@@ -139,20 +150,19 @@ class TestPoolRefIdentity:
     """Pool-ref collectives (PR 10): in-place reduction vs the loop oracle.
 
     Member arrays live inside each leg backend's bucket pool, so on
-    ``poolref`` (the base class's serial executor) and ``shm`` (the
+    ``batched`` (the base class's serial executor) and ``shm`` (the
     worker-parallel one) the dense batched collectives resolve them to
-    ``PoolRef`` descriptors and reduce in place, while ``local`` / ``batched``
-    keep their inputs.  Results, virtual clocks, traffic stats and traces
-    must all stay bit-identical — the pool-ref path is a wall-clock
-    optimization only — and the two in-place legs must also agree on the
-    final pool contents.
+    ``PoolRef`` descriptors and reduce in place, while ``local`` keeps its
+    inputs.  Results, virtual clocks, traffic stats and traces must all stay
+    bit-identical — where the sum lands is the only difference — and the
+    two in-place legs must also agree on the final pool contents.
     """
 
     def _compare_in_place(self, world, size, seed, run):
         runs = _compare(world, size, seed, run, legs=POOL, pooled=True)
         assert runs["shm"].shm_delta["reduces"] > 0, "pool-ref in-place reduction did not engage"
-        assert runs["poolref"].pools == runs["shm"].pools, "in-place pool contents diverged"
-        assert runs["poolref"].pools != runs["local"].pools  # ... and they were in place
+        assert runs["batched"].pools == runs["shm"].pools, "in-place pool contents diverged"
+        assert runs["batched"].pools != runs["local"].pools  # ... and they were in place
 
     @settings(max_examples=8, deadline=None)
     @given(world=worlds, size=sizes, seed=seeds)
@@ -207,8 +217,7 @@ class TestPoolRefIdentity:
 
     def test_non_pool_payloads_fall_back(self):
         # Plain arrays that own their storage never resolve to PoolRefs:
-        # the collective takes the stub path even on the pool-ref legs, and
-        # stays bit-identical.
+        # the kernels only read them, on every leg, and stay bit-identical.
         runs = _compare(
             4, 72, 47, lambda g, arrays: scatter_reduce(arrays, g), legs=POOL, traced=False
         )

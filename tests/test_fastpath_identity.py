@@ -10,19 +10,30 @@ through :func:`tests.identity_harness.compare`; the rows with shm legs live
 in ``tests/test_backend_identity.py``.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Transport
-from repro.comm import CommGroup, HierarchicalComm, chunk_bounds, ring_allreduce, scatter_reduce
+from repro.algorithms import LocalSGD, OneBitAdam
+from repro.baselines import Horovod, PyTorchDDP, VanillaDPSG
+from repro.comm import (
+    HierarchicalComm,
+    chunk_bounds,
+    ring_all_gather_chunks,
+    ring_allreduce,
+    ring_reduce_scatter,
+    scatter_reduce,
+)
 from repro.compression import ErrorFeedback
 from repro.core.primitives import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
 
 from .identity_harness import (
     CODEC_FACTORIES,
     IN_PROCESS,
+    PRIMITIVES,
     cluster,
     compare,
     inputs,
@@ -38,17 +49,24 @@ def _compare(world, length, seed, run, traced=False):
 
 
 class TestCollectiveIdentity:
-    """scatter_reduce / ring_allreduce / c_fp_s: batched == loop for arbitrary inputs."""
+    """scatter_reduce / ring_allreduce / c_fp_s: batched == loop for arbitrary
+    inputs, a world of one included (every kernel has its one-member branch)."""
 
     @settings(max_examples=40, deadline=None)
-    @given(world=st.integers(2, 9), length=st.integers(1, 200), seed=seeds)
+    @given(world=st.integers(1, 9), length=st.integers(1, 200), seed=seeds)
     def test_scatter_reduce(self, world, length, seed):
         _compare(world, length, seed, lambda g, arrays: scatter_reduce(arrays, g))
 
     @settings(max_examples=40, deadline=None)
-    @given(world=st.integers(2, 9), length=st.integers(1, 200), seed=seeds)
+    @given(world=st.integers(1, 9), length=st.integers(1, 200), seed=seeds)
     def test_ring_allreduce(self, world, length, seed):
-        _compare(world, length, seed, lambda g, arrays: ring_allreduce(arrays, g))
+        def run(g, arrays):
+            reduced = ring_reduce_scatter(arrays, g)
+            owners = [(i + 1) % world for i in range(world)]
+            gathered = ring_all_gather_chunks(reduced, owners, g, length)
+            return ring_allreduce(arrays, g), reduced, gathered
+
+        _compare(world, length, seed, run)
 
     def test_multi_node_worlds(self):
         # Worlds of 8 and 16 span two fabrics (NVLink intra, TCP inter);
@@ -66,7 +84,7 @@ class TestCompressorMatrix:
 
     @pytest.mark.parametrize("codec_name", sorted(CODEC_FACTORIES))
     @settings(max_examples=15, deadline=None)
-    @given(world=st.integers(2, 8), length=st.integers(2, 120), seed=seeds)
+    @given(world=st.integers(1, 8), length=st.integers(2, 120), seed=seeds)
     def test_c_lp_s(self, codec_name, world, length, seed):
         make = CODEC_FACTORIES[codec_name]
         _compare(world, length, seed, lambda g, arrays: c_lp_s(arrays, g, make()))
@@ -180,7 +198,9 @@ class TestHierarchicalIdentity:
                 outs = comm.allreduce_batched(arrays, codec=None)
             else:
                 outs = comm.allreduce(arrays)
-            return outs, arrays  # inputs are never written: same bits on every leg
+            # These inputs own their storage, so no leg writes them (rows in
+            # a backend pool would come back reduced on the batched leg).
+            return outs, arrays
 
         runs = compare(cluster(world, per_node), base, run, IN_PROCESS, traced=traced)
         assert runs["local"].bits[1] == snapshot(base)
@@ -212,19 +232,16 @@ class TestFastPathSwitch:
 
     def test_backend_preference_resolves_default(self):
         # Observable on the wire: loop rounds carry payloads, kernel rounds
-        # carry size stubs.
-        class Payloads:
-            def __init__(self):
-                self.carried = []
-
-            def on_exchange(self, messages):
-                self.carried += [m.payload is not None for m in messages]
-
-        for backend, carries in (("local", True), ("batched", False)):
-            transport = Transport(cluster(2), backend=backend)
-            transport.tracer = seen = Payloads()
-            ring_allreduce(inputs(2, 8, 0), CommGroup(transport, [0, 1]))
-            assert seen.carried and all(c is carries for c in seen.carried)
+        # carry size stubs — for every primitive, flat and under H.
+        for nodes, name, hierarchical in itertools.product((2, 1), PRIMITIVES, (False, True)):
+            world = nodes * 4
+            runs = compare(
+                cluster(world, 4), inputs(world, 24, 0),
+                lambda g, arrays: PRIMITIVES[name](arrays, g, hierarchical), IN_PROCESS,
+            )
+            case = f"{name}(hierarchical={hierarchical}) on {nodes}x4"
+            assert runs["local"].payloads == sum(map(len, runs["local"].rounds)) > 0, case
+            assert runs["batched"].payloads == 0, case
 
 
 class TestChunkBoundsCache:
@@ -275,5 +292,13 @@ class TestBucketFlatPool:
 
 class TestEpochLossParity:
     def test_losses_and_traffic_bitwise_equal(self):
-        observed = {backend: train_epoch(backend)[0] for backend in IN_PROCESS}
-        assert observed["local"] == observed["batched"]
+        # QSGD (the default), then every algorithm that hands pool-resident
+        # buckets to a dense collective without ``out=``: ``batched`` reduces
+        # those rows in place, ``local`` leaves them alone, and the epoch must
+        # not be able to tell.
+        for algorithm in (None, OneBitAdam, LocalSGD, Horovod, PyTorchDDP, VanillaDPSG):
+            observed = {
+                backend: train_epoch(backend, algorithm and algorithm())[0]
+                for backend in IN_PROCESS
+            }
+            assert observed["local"] == observed["batched"], algorithm

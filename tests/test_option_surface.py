@@ -1,5 +1,6 @@
-"""The option surface is what the docs say: two environment variables, no
-per-call path switch.  Keeps the next perf PR from re-growing one."""
+"""The option surface is what the docs say: two environment variables, one
+backend class flag, no per-call path switch.  Keeps the next perf PR from
+re-growing one."""
 
 import inspect
 import re
@@ -8,6 +9,12 @@ from pathlib import Path
 import repro
 import repro.comm
 import repro.core.primitives
+from repro.cluster.backends import (
+    BatchedBackend,
+    LocalBackend,
+    SharedMemoryBackend,
+    TransportBackend,
+)
 
 SOURCES = sorted(Path(repro.__file__).parent.rglob("*.py"))
 
@@ -33,3 +40,12 @@ def test_no_public_callable_takes_fast_path():
         if inspect.isfunction(obj) and "fast_path" in inspect.signature(obj).parameters
     ]
     assert offenders == []
+
+
+def test_the_only_backend_class_flag_is_prefers_fast_path():
+    for backend in (TransportBackend, LocalBackend, BatchedBackend, SharedMemoryBackend):
+        flags = {
+            name for name, value in inspect.getmembers(backend)
+            if isinstance(value, bool) and not name.startswith("_")
+        }
+        assert flags == {"prefers_fast_path"}, backend.__name__
