@@ -17,9 +17,10 @@
 # `make ab PARENT=<rev> [OUT=BENCH_PRnn.json]` is the A/B procedure a
 # perf PR reports (benchmarks/ab_pairs.py): ten alternating 30-s pairs of
 # the gated workloads, <rev> against the working tree, ~45 min on a quiet box.
-# `make loc` prints the source line total and the per-package subtotals a
-# [simplicity] PR quotes for parent and change (CI appends it to the job
-# summary).
+# `make loc` prints the source line total and the per-package subtotals
+# (comm, backends, primitives + engine, analysis, simulation, algorithms,
+# baselines) a [simplicity] PR quotes for parent and change (CI appends it
+# to the job summary).
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -75,6 +76,8 @@ ab:
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -n 1 | sed 's/total/src/'
 	@for part in src/repro/comm src/repro/cluster/backends \
-		"src/repro/core/primitives.py src/repro/core/engine.py"; do \
+		"src/repro/core/primitives.py src/repro/core/engine.py" \
+		src/repro/analysis src/repro/simulation \
+		src/repro/algorithms src/repro/baselines; do \
 		find $$part -name '*.py' | xargs cat | wc -l | tr '\n' ' '; echo "$$part"; \
 	done

@@ -26,6 +26,10 @@ class TopKSGD(Algorithm):
 
     name = "topk-sgd"
     update_mode = "barrier"
+    # Declared, so that registering the class is all the plan verifier needs
+    # (docs/algorithms.md "Declaring an algorithm"); the codec is declared by
+    # assigning ``self.compressor`` below.
+    error_feedback = True
 
     def __init__(self, ratio: float = 0.05) -> None:
         self.compressor = TopKCompressor(ratio=ratio)

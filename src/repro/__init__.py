@@ -39,6 +39,10 @@ Quickstart::
 
 __version__ = "0.1.0"
 
+# ``core`` goes first: its package import reaches ``algorithms.registry``
+# through the tuner and timing mode (core.autotune -> simulation.systems),
+# which only resolves while no algorithm module is itself mid-import.
+from . import core  # noqa: F401
 from . import (  # noqa: F401  (re-exported subpackages)
     algorithms,
     analysis,
@@ -46,7 +50,6 @@ from . import (  # noqa: F401  (re-exported subpackages)
     cluster,
     comm,
     compression,
-    core,
     data,
     experiments,
     models,

@@ -25,10 +25,15 @@ from ..cluster.transport import Message
 from ..compression.base import Compressor
 from ..compression.qsgd import QSGDCompressor
 from ..core.engine import Algorithm, BaguaEngine
+from .async_sgd import AsyncSGD
 
 
-class AsyncQSGD(Algorithm):
-    """Asynchronous centralized DP-SG with quantized pushes and pulls."""
+class AsyncQSGD(AsyncSGD):
+    """Asynchronous centralized DP-SG with quantized pushes and pulls.
+
+    :class:`AsyncSGD`'s server (master copy on rank 0's node, ``lr``
+    resolution, ``1/n`` scaling) with a codec on both directions.
+    """
 
     name = "async-qsgd"
 
@@ -39,22 +44,8 @@ class AsyncQSGD(Algorithm):
         compressor: Compressor | None = None,
         scale_by_world: bool = True,
     ) -> None:
-        self.lr = lr
+        super().__init__(lr=lr, scale_by_world=scale_by_world)
         self.compressor = compressor or QSGDCompressor(bits=bits)
-        self.scale_by_world = scale_by_world
-
-    def setup(self, engine: BaguaEngine) -> None:
-        self._server: list[np.ndarray] = [
-            b.flat_data().copy() for b in engine.workers[0].buckets
-        ]
-        if self.lr is None:
-            lr = getattr(engine.workers[0].optimizer, "lr", None)
-            if lr is None:
-                raise ValueError("AsyncQSGD needs lr (optimizer exposes none)")
-            self.lr = float(lr)
-        if self.scale_by_world:
-            self.lr /= engine.world_size
-        self._server_rank = engine.group.ranks[0]
 
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
         group = engine.group
@@ -84,6 +75,8 @@ class AsyncDecentralizedSGD(Algorithm):
     """Gossip averaging against stale published snapshots (no blocking)."""
 
     name = "async-decentralized"
+    asynchronous = True
+    topology = "random"
 
     def __init__(self, publish_interval: int = 1, seed: int = 0) -> None:
         if publish_interval < 1:

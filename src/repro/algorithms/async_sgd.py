@@ -28,6 +28,7 @@ from ..core.engine import Algorithm, BaguaEngine
 
 class AsyncSGD(Algorithm):
     name = "async"
+    asynchronous = True
 
     def __init__(
         self,
@@ -52,7 +53,9 @@ class AsyncSGD(Algorithm):
         if self.lr is None:
             lr = getattr(engine.workers[0].optimizer, "lr", None)
             if lr is None:
-                raise ValueError("AsyncSGD needs lr (none given, optimizer has no .lr)")
+                raise ValueError(
+                    f"{type(self).__name__} needs lr (none given, optimizer has no .lr)"
+                )
             self.lr = float(lr)
         if self.scale_by_world:
             self.lr /= engine.world_size

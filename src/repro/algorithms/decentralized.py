@@ -17,14 +17,14 @@ The ring topology variant is available via ``topology='ring'``.
 from __future__ import annotations
 
 from ..core.engine import Algorithm, BaguaEngine
-from ..core.primitives import PeerSelector, RandomPeers, RingPeers, d_fp_s
+from ..core.primitives import d_fp_s, make_peer_selector
 
 
 class DecentralizedSGD(Algorithm):
     name = "decentralized"
 
     def __init__(self, topology: str = "random", seed: int = 0) -> None:
-        self.peers = _make_peer_selector(topology, seed)
+        self.peers = make_peer_selector(topology, seed)
         self.topology = topology
 
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
@@ -43,11 +43,3 @@ class DecentralizedSGD(Algorithm):
             hierarchical=engine.hierarchical,
         )
         engine.set_weights_of_bucket(k, averaged)
-
-
-def _make_peer_selector(topology: str, seed: int) -> PeerSelector:
-    if topology == "random":
-        return RandomPeers(seed=seed)
-    if topology == "ring":
-        return RingPeers()
-    raise ValueError(f"unknown topology {topology!r}; use 'random' or 'ring'")

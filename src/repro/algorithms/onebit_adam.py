@@ -27,6 +27,7 @@ from ..core.primitives import c_fp_s, c_lp_s
 
 class OneBitAdam(Algorithm):
     name = "1bit-adam"
+    error_feedback = True
 
     def __init__(
         self,

@@ -29,6 +29,7 @@ from ..core.primitives import c_lp_s
 
 class QSparseLocalSGD(Algorithm):
     name = "qsparse-local-sgd"
+    error_feedback = True
 
     def __init__(self, frequency: int = 2, ratio: float = 0.05) -> None:
         if frequency < 1:

@@ -34,6 +34,19 @@ ALGORITHM_REGISTRY: dict[str, Callable[..., Algorithm]] = {
     "qsparse-local-sgd": QSparseLocalSGD,
 }
 
+#: The six algorithms the paper evaluates end to end (§4.1): what timing
+#: mode prices (:func:`repro.simulation.systems.bagua_system`, which models
+#: neither ``frequency`` nor ``warmup_steps`` and so refuses every other
+#: name) and what the auto-tuner ranks (:data:`repro.core.autotune.CANDIDATES`).
+EVALUATED_ALGORITHMS: tuple[str, ...] = (
+    "allreduce",
+    "qsgd",
+    "1bit-adam",
+    "decentralized",
+    "decentralized-8bit",
+    "async",
+)
+
 
 def make_algorithm(name: str, **kwargs) -> Algorithm:
     if name not in ALGORITHM_REGISTRY:

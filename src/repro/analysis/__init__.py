@@ -92,7 +92,6 @@ from .protocol import (  # noqa: F401
 from .recorder import TraceRecorder, recording  # noqa: F401
 from .report import AnalysisReport, Finding, SweepReport  # noqa: F401
 from .symbolic import (  # noqa: F401
-    CommModel,
     PlanPoint,
     check_plan_static,
     comm_model_of,
@@ -110,7 +109,6 @@ __all__ = [
     "BucketExtent",
     "BufferAliasingChecker",
     "Checker",
-    "CommModel",
     "CommOp",
     "CommPattern",
     "CommTrace",

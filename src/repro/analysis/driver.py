@@ -19,14 +19,12 @@ which is the pre-PR correctness gate wired into ``python -m repro analyze``.
 With ``hb=True`` (the ``--hb`` flag) the happens-before suite runs on every
 subject, and the lowered :class:`~repro.core.schedule.BucketSchedule` is
 additionally swept over every O/F/H × update-mode combination — a cheap
-static enumeration (``dataclasses.replace`` on the frozen schedule) proving
-each rewrite the execution optimizer could emit race- and deadlock-free,
-and the sweep widens to the baseline registry.
+static enumeration (:meth:`~repro.core.schedule.BucketSchedule.variants`)
+proving each rewrite the execution optimizer could emit race- and
+deadlock-free, and the sweep widens to the baseline registry.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -47,6 +45,7 @@ from .ir import AnalysisSubject
 from .lowering import layout_from_buckets, lower_plan, lower_schedule
 from .recorder import TraceRecorder
 from .report import AnalysisReport, SweepReport
+from .symbolic import PROBE_BUCKET_BYTES
 
 #: Constructor overrides so a short dry run reaches each algorithm's
 #: interesting communication path (e.g. 1-bit Adam's compressed stage starts
@@ -56,10 +55,6 @@ ANALYSIS_OVERRIDES: dict[str, dict] = {
     "local-sgd": {"frequency": 2},
     "qsparse-local-sgd": {"frequency": 2},
 }
-
-#: Probe-model bucket cap: small enough that the tiny model still splits into
-#: multiple fused buckets, so bucketing/overlap logic is actually exercised.
-PROBE_BUCKET_BYTES = 256.0
 
 
 class _ProbeMLP(Module):
@@ -156,9 +151,7 @@ def analyze_algorithm(
     spec = ClusterSpec(num_nodes=num_nodes, workers_per_node=gpus_per_node)
     engine, recorder = record_dry_run(algorithm, spec, steps, seed, config)
 
-    expected_topology = getattr(algorithm, "topology", None)
-    if expected_topology != "ring":
-        expected_topology = None
+    expected_topology = "ring" if algorithm.topology == "ring" else None
 
     checker_names = ["rank-symmetry", "peer-matching", "overlap-race",
                      "buffer-aliasing", "ef-invariant"]
@@ -218,21 +211,8 @@ def analyze_algorithm(
         # the schedule: each rewrite the execution optimizer could emit must
         # be provably race- and deadlock-free, not just the one that ran.
         if hb:
-            for overlap in (False, True):
-                for flatten in (False, True):
-                    for hierarchical in (False, True):
-                        for per_bucket in (False, True):
-                            variant = dataclasses.replace(
-                                engine.schedule,
-                                overlap_backward=overlap,
-                                flatten=flatten,
-                                hierarchical=hierarchical,
-                                per_bucket_updates=per_bucket,
-                            )
-                            subject = lower_schedule(
-                                variant, spec.world_size, nodes=nodes
-                            )
-                            check_subject(subject)
+            for variant in engine.schedule.variants():
+                check_subject(lower_schedule(variant, spec.world_size, nodes=nodes))
 
     return report
 

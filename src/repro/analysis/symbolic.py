@@ -46,16 +46,19 @@ from ..algorithms.registry import ALGORITHM_REGISTRY, SUPPORT_MATRIX
 from ..baselines import BASELINE_REGISTRY
 from ..comm.group import node_major_partition
 from ..compression import COMPRESSOR_REGISTRY, make_compressor
+from ..core.engine import Algorithm
 from ..core.optimizer_framework import BaguaConfig, ExecutionOptimizer
-from ..core.primitives import PeerSelector, RandomPeers, RingPeers
+from ..core.primitives import make_peer_selector
 from ..core.profiler import ExecutionProfile, TensorRecord
 from ..core.schedule import UPDATE_PER_BUCKET, BucketSchedule
-from .ir import GOSSIP_KINDS, AnalysisSubject, CommTrace
-from .lowering import CommPattern, emit_iteration, layout_from_schedule
+from .ir import AnalysisSubject, CommTrace
+from .lowering import CommPattern, emit_iteration, layout_from_schedule, lower_schedule
 from .report import Finding
 
-#: Bucket cap used for symbolic probe plans — the same cap the analyzer
-#: driver uses for its dry runs, so both paths bucket identically.
+#: Probe-model bucket cap, for symbolic probe plans and the analyzer
+#: driver's dry runs alike (so both paths bucket identically): small enough
+#: that the tiny model still splits into multiple fused buckets, so
+#: bucketing/overlap logic is actually exercised.
 PROBE_BUCKET_BYTES = 256.0
 
 #: The probe model's gradient-ready inventory: ``(name, elements)`` in the
@@ -85,102 +88,34 @@ def probe_profile() -> ExecutionProfile:
 # ----------------------------------------------------------------------
 # Per-algorithm communication models
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CommModel:
-    """The static shape of one algorithm's per-bucket communication.
+def comm_model_of(name: str) -> Algorithm:
+    """The registered algorithm or baseline ``name``, default-constructed.
 
-    ``kind`` is the comm-op kind each bucket's collective lowers to (the
-    inter-node kind under H).  ``compressor``/``biased``/``error_feedback``
-    describe the codec exactly as the recorder tags live ops.  ``topology``
-    selects the gossip peer structure; ``frequency`` > 1 means the algorithm
-    only communicates every ``frequency``-th step (LocalSGD-style — the
-    steps between lower as silent iterations); ``warmup_steps`` > 0 means
-    the first steps run full-precision allreduce before the compressed path
-    (1-bit Adam's warmup).  ``asynchronous`` records the synchronization
-    relaxation for the Table 1 compatibility rule — the *bucket schedule* of
-    an async algorithm is modeled by its synchronous shape (the lowering has
-    no cross-step pipelining; staleness is checked by ``hb-staleness``
-    against the algorithm's declared bound, not by this model).
+    Its declaration (:class:`~repro.core.engine.Algorithm`: ``compressor``,
+    ``error_feedback``, ``topology``, ``frequency``, ``warmup_steps``,
+    ``asynchronous``, ``update_mode``, ``staleness_bound``) *is* the static
+    shape of its per-bucket communication; a :class:`PlanPoint` can override
+    the codec, topology, EF, frequency and warm-up knobs.  Constructing an
+    algorithm touches no transport and allocates no buckets.
+
+    ``asynchronous`` only feeds the Table 1 compatibility rule: the *bucket
+    schedule* of an async algorithm is modeled by its synchronous shape (the
+    lowering has no cross-step pipelining; staleness is checked by
+    ``hb-staleness`` against the declared bound, not here).
     """
-
-    kind: str = "allreduce"
-    compressor: str = ""
-    biased: bool = False
-    error_feedback: bool = False
-    topology: str = ""
-    frequency: int = 1
-    warmup_steps: int = 0
-    asynchronous: bool = False
-
-
-#: Registry name -> static communication model.  Defaults mirror each
-#: algorithm's constructor defaults (e.g. LocalSGD ``frequency=4``); a
-#: :class:`PlanPoint` can override the codec, topology and EF knobs.
-COMM_MODELS: dict[str, CommModel] = {
-    "allreduce": CommModel(kind="allreduce"),
-    "qsgd": CommModel(kind="compressed_allreduce", compressor="qsgd8"),
-    "1bit-adam": CommModel(
-        kind="compressed_allreduce", compressor="1bit", biased=True,
-        error_feedback=True, warmup_steps=20,
-    ),
-    "decentralized": CommModel(kind="gossip", topology="random"),
-    "decentralized-8bit": CommModel(
-        kind="compressed_gossip", compressor="qsgd8", topology="ring",
-    ),
-    "async": CommModel(kind="allreduce", asynchronous=True),
-    "local-sgd": CommModel(kind="allreduce", frequency=4),
-    "async-qsgd": CommModel(
-        kind="compressed_allreduce", compressor="qsgd8", asynchronous=True,
-    ),
-    "async-decentralized": CommModel(
-        kind="gossip", topology="random", asynchronous=True,
-    ),
-    "qsparse-local-sgd": CommModel(
-        kind="compressed_allreduce", compressor="topk0.05", biased=True,
-        error_feedback=True, frequency=2,
-    ),
-    # Baselines: synchronous full-precision allreduce with a barrier update.
-    "vanilla": CommModel(kind="allreduce"),
-    "pytorch-ddp": CommModel(kind="allreduce"),
-    "horovod": CommModel(kind="allreduce"),
-    "byteps": CommModel(kind="allreduce"),
-}
-
-
-def comm_model_of(name: str) -> CommModel:
-    if name not in COMM_MODELS:
+    factory = ALGORITHM_REGISTRY.get(name) or BASELINE_REGISTRY.get(name)
+    if factory is None:
         known = sorted(set(ALGORITHM_REGISTRY) | set(BASELINE_REGISTRY))
         raise KeyError(f"no communication model for {name!r}; known: {known}")
-    return COMM_MODELS[name]
-
-
-_ALGORITHM_DEFAULTS_CACHE: dict[str, object] = {}
-
-
-def _algorithm_defaults(name: str):
-    """A default-constructed algorithm instance, for declared attributes.
-
-    Constructing an :class:`~repro.core.engine.Algorithm` touches no
-    transport and allocates no buckets — it only fixes declarations like
-    ``update_mode`` and ``staleness_bound``, which is exactly what the
-    symbolic path needs.
-    """
-    if name not in _ALGORITHM_DEFAULTS_CACHE:
-        if name in ALGORITHM_REGISTRY:
-            _ALGORITHM_DEFAULTS_CACHE[name] = ALGORITHM_REGISTRY[name]()
-        elif name in BASELINE_REGISTRY:
-            _ALGORITHM_DEFAULTS_CACHE[name] = BASELINE_REGISTRY[name]()
-        else:
-            raise KeyError(f"unknown algorithm {name!r}")
-    return _ALGORITHM_DEFAULTS_CACHE[name]
+    return factory()
 
 
 def update_mode_of(name: str) -> str:
-    return _algorithm_defaults(name).update_mode
+    return comm_model_of(name).update_mode
 
 
 def staleness_bound_of(name: str) -> int | None:
-    return _algorithm_defaults(name).staleness_bound
+    return comm_model_of(name).staleness_bound
 
 
 # ----------------------------------------------------------------------
@@ -247,40 +182,30 @@ class PlanPoint:
 
 
 def _resolved_codec(
-    point: PlanPoint, model: CommModel
+    point: PlanPoint, model: Algorithm
 ) -> tuple[str, bool, bool] | None:
     """``(name, biased, error_feedback)`` of the effective codec, or None."""
+    codec = model.compressor
     if point.compressor is not None:
         codec = make_compressor(point.compressor)
-        name, biased = codec.name, bool(codec.biased)
-    elif model.compressor:
-        name, biased = model.compressor, model.biased
-    else:
+    if codec is None:
         return None
     ef = model.error_feedback if point.error_feedback is None else point.error_feedback
-    return name, biased, ef
+    return codec.name, bool(codec.biased), ef
 
 
-def _effective_kind(point: PlanPoint, model: CommModel) -> str:
-    """The comm kind after codec overrides (compressing a full-precision
-    algorithm moves it to the compressed variant of the same primitive)."""
-    decentralized = model.kind in GOSSIP_KINDS
+def _effective_kind(point: PlanPoint, model: Algorithm) -> str:
+    """The comm kind each bucket's collective lowers to (the inter-node kind
+    under H): gossip iff the algorithm declares a topology, and the
+    compressed variant of the same primitive iff a codec is in effect."""
     compressed = _resolved_codec(point, model) is not None
-    if decentralized:
+    if model.topology:
         return "compressed_gossip" if compressed else "gossip"
     return "compressed_allreduce" if compressed else "allreduce"
 
 
-def _effective_topology(point: PlanPoint, model: CommModel) -> str:
-    return point.topology or model.topology or "random"
-
-
-def _peer_selector(topology: str, seed: int) -> PeerSelector:
-    if topology == "ring":
-        return RingPeers()
-    if topology == "random":
-        return RandomPeers(seed=seed)
-    raise ValueError(f"unknown gossip topology {topology!r}; use 'ring' or 'random'")
+def _effective_topology(point: PlanPoint, model: Algorithm) -> str:
+    return point.topology or model.topology
 
 
 def gossip_members(point: PlanPoint) -> tuple[int, ...]:
@@ -293,7 +218,7 @@ def gossip_members(point: PlanPoint) -> tuple[int, ...]:
 
 
 def gossip_peer_sets(
-    point: PlanPoint, model: CommModel, step: int = 0
+    point: PlanPoint, model: Algorithm, step: int = 0
 ) -> tuple[tuple[int, ...], ...]:
     """Global-rank neighbor sets for one gossip round, one entry per rank.
 
@@ -308,7 +233,7 @@ def gossip_peer_sets(
             )
         return tuple(tuple(peers) for peers in point.peer_sets)
     members = gossip_members(point)
-    selector = _peer_selector(_effective_topology(point, model), point.seed)
+    selector = make_peer_selector(_effective_topology(point, model), point.seed)
     local = selector.neighbors(len(members), step)
     sets: list[tuple[int, ...]] = [()] * point.world_size
     for i, rank in enumerate(members):
@@ -368,7 +293,7 @@ def symbolic_schedule(
     return BucketSchedule.from_plan(plan, per_bucket_updates=per_bucket)
 
 
-def _pattern_for_step(point: PlanPoint, model: CommModel, step: int) -> CommPattern:
+def _pattern_for_step(point: PlanPoint, model: Algorithm, step: int) -> CommPattern:
     """The :class:`CommPattern` of one iteration of ``point``."""
     frequency = model.frequency if point.frequency is None else point.frequency
     warmup = model.warmup_steps if point.warmup_steps is None else point.warmup_steps
@@ -381,7 +306,7 @@ def _pattern_for_step(point: PlanPoint, model: CommModel, step: int) -> CommPatt
     codec = _resolved_codec(point, model)
     kind = _effective_kind(point, model)
     peer_sets = None
-    if kind in GOSSIP_KINDS:
+    if model.topology:
         peer_sets = gossip_peer_sets(point, model, step=max(step, 0))
     if codec is None:
         return CommPattern(kind=kind, peer_sets=peer_sets)
@@ -421,7 +346,7 @@ def lower_point(
             step=-1 if point.steps == 1 else step,
         )
     expected_topology = None
-    if model.kind in GOSSIP_KINDS and point.peer_sets is None:
+    if model.topology and point.peer_sets is None:
         if _effective_topology(point, model) == "ring":
             expected_topology = "ring"
     subject = AnalysisSubject(
@@ -431,9 +356,8 @@ def lower_point(
         expected_topology=expected_topology,
         source=f"symbolic lowering ({point.describe()}; {schedule.describe()})",
     )
-    bound = staleness_bound_of(point.algorithm)
-    if bound is not None:
-        subject.notes["staleness_bound"] = bound
+    if model.staleness_bound is not None:
+        subject.notes["staleness_bound"] = model.staleness_bound
     return subject
 
 
@@ -443,9 +367,8 @@ def sweep_variants(
     """The symbolic twin of the driver's ``--hb`` variant sweep.
 
     Mirrors :func:`repro.analysis.driver.analyze_algorithm` exactly: the
-    bucket structure is planned once (F on, probe cap) and the sixteen
-    O/F/H × update-mode rewrites are ``dataclasses.replace`` on the frozen
-    schedule — flipping F does *not* re-plan buckets, because the driver's
+    bucket structure is planned once (F on, probe cap) and swept through
+    :meth:`~repro.core.schedule.BucketSchedule.variants` — the driver's
     sweep checks rewrites of one committed plan, not sixteen plans.
     """
     base = symbolic_schedule(
@@ -453,24 +376,10 @@ def sweep_variants(
         profile,
     )
     nodes = node_major_partition(point.world_size, point.workers_per_node)
-    from .lowering import lower_schedule
-
-    subjects = []
-    for overlap in (False, True):
-        for flatten in (False, True):
-            for hierarchical in (False, True):
-                for per_bucket in (False, True):
-                    variant = dataclasses.replace(
-                        base,
-                        overlap_backward=overlap,
-                        flatten=flatten,
-                        hierarchical=hierarchical,
-                        per_bucket_updates=per_bucket,
-                    )
-                    subjects.append(
-                        lower_schedule(variant, point.world_size, nodes=nodes)
-                    )
-    return subjects
+    return [
+        lower_schedule(variant, point.world_size, nodes=nodes)
+        for variant in base.variants()
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +411,7 @@ def _check_hierarchy_split(point: PlanPoint) -> list[Finding]:
     ]
 
 
-def _check_compressor_compat(point: PlanPoint, model: CommModel) -> list[Finding]:
+def _check_compressor_compat(point: PlanPoint, model: Algorithm) -> list[Finding]:
     findings: list[Finding] = []
     if point.compressor is not None and point.compressor not in COMPRESSOR_REGISTRY:
         findings.append(
@@ -530,9 +439,7 @@ def _check_compressor_compat(point: PlanPoint, model: CommModel) -> list[Finding
             )
     sync = "async" if model.asynchronous else "sync"
     precision = "full" if codec is None else "low"
-    centralization = (
-        "decentralized" if model.kind in GOSSIP_KINDS else "centralized"
-    )
+    centralization = "decentralized" if model.topology else "centralized"
     row = next(
         (
             p for p in SUPPORT_MATRIX
@@ -666,7 +573,7 @@ def check_plan_static(
     findings = _check_hierarchy_split(point)
     findings.extend(_check_compressor_compat(point, model))
     findings.extend(_check_bucket_feasibility(point, profile))
-    if model.kind in GOSSIP_KINDS:
+    if model.topology:
         if point.hierarchical and point.world_size % point.workers_per_node != 0:
             return findings  # the split error already explains this plan
         members = gossip_members(point)

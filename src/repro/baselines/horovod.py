@@ -10,28 +10,19 @@ path effectively does, so convergence is indistinguishable in practice).
 
 from __future__ import annotations
 
-from ..comm.collectives import ring_allreduce
 from ..compression.fp16 import FP16Compressor
-from ..core.engine import Algorithm, BaguaEngine
+from ..core.engine import BaguaEngine
+from .vanilla import RingAllreduceBaseline
 
 
-class Horovod(Algorithm):
-    # Fusion-buffer allreduces overlap backward; one optimizer step after.
-    update_mode = "barrier"
-
+class Horovod(RingAllreduceBaseline):
     def __init__(self, fp16: bool = False) -> None:
         self.fp16 = fp16
         self.name = "horovod-16bit" if fp16 else "horovod"
         self._codec = FP16Compressor() if fp16 else None
 
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
-        n = engine.world_size
         grads = engine.grads_of_bucket(k)
         if self._codec is not None:
             grads = [self._codec.decompress(self._codec.compress(g)) for g in grads]
-        summed = ring_allreduce(grads, engine.group)
-        engine.set_grads_of_bucket(k, [s / n for s in summed])
-
-    def on_step_end(self, engine: BaguaEngine, step: int) -> None:
-        for worker in engine.workers:
-            worker.optimizer_step_on_buckets()
+        self.allreduce_mean(engine, k, grads)

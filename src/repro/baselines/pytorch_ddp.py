@@ -11,22 +11,8 @@ Figure 5's observation; the differences are purely in the timing profile
 
 from __future__ import annotations
 
-from ..comm.collectives import ring_allreduce
-from ..core.engine import Algorithm, BaguaEngine
+from .vanilla import RingAllreduceBaseline
 
 
-class PyTorchDDP(Algorithm):
+class PyTorchDDP(RingAllreduceBaseline):
     name = "pytorch-ddp"
-    # Buckets allreduce in ready order (overlapping backward), but the
-    # optimizer steps once after all communication — DDP semantics.
-    update_mode = "barrier"
-
-    def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
-        n = engine.world_size
-        grads = engine.grads_of_bucket(k)
-        summed = ring_allreduce(grads, engine.group)
-        engine.set_grads_of_bucket(k, [s / n for s in summed])
-
-    def on_step_end(self, engine: BaguaEngine, step: int) -> None:
-        for worker in engine.workers:
-            worker.optimizer_step_on_buckets()

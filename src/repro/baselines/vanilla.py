@@ -8,21 +8,38 @@ path end to end.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
+import numpy as np
+
 from ..comm.collectives import ring_allreduce
 from ..core.engine import Algorithm, BaguaEngine
 
 
-class VanillaDPSG(Algorithm):
-    name = "vanilla"
-    # One optimizer step after all communication — the unoptimized baseline.
+class RingAllreduceBaseline(Algorithm):
+    """What Vanilla, PyTorch-DDP and Horovod all do in functional mode.
+
+    Each bucket's gradients are ring-allreduced and averaged in ready order
+    (overlapping backward where the system's timing profile allows it); the
+    three differ in those profiles only (:mod:`repro.simulation.systems`).
+    """
+
+    # One optimizer step after all communication: DDP / Horovod semantics,
+    # and what makes Vanilla the unoptimized baseline.
     update_mode = "barrier"
 
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
+        self.allreduce_mean(engine, k, engine.grads_of_bucket(k))
+
+    def allreduce_mean(self, engine: BaguaEngine, k: int, grads: Sequence[np.ndarray]) -> None:
         n = engine.world_size
-        grads = engine.grads_of_bucket(k)
         summed = ring_allreduce(grads, engine.group)
         engine.set_grads_of_bucket(k, [s / n for s in summed])
 
     def on_step_end(self, engine: BaguaEngine, step: int) -> None:
         for worker in engine.workers:
             worker.optimizer_step_on_buckets()
+
+
+class VanillaDPSG(RingAllreduceBaseline):
+    name = "vanilla"

@@ -215,13 +215,16 @@ class _RingWriter:
         return off, len(data)
 
 
-def _write_record(writer: _RingWriter, seq: int, payload: Any) -> _Entry:
-    kind, data = _encode(payload)
+def _place_record(writer: _RingWriter, seq: int, kind: int, data: np.ndarray) -> _Entry:
+    """One encoded record's entry: in the ring, or inline when it does not fit."""
     placed = writer.write(seq, data)
     if placed is None:
         return (kind, -1, len(data), data.tobytes())
-    off, nbytes = placed
-    return (kind, off, nbytes, None)
+    return (kind, placed[0], placed[1], None)
+
+
+def _write_record(writer: _RingWriter, seq: int, payload: Any) -> _Entry:
+    return _place_record(writer, seq, *_encode(payload))
 
 
 def _read_record(buf: memoryview, seq: int, entry: _Entry) -> Any:
@@ -786,13 +789,10 @@ class SharedMemoryBackend(TransportBackend):
         """Place one round's records; None = batch full, flush and retry."""
         entries: list[_Entry] = []
         for kind, data in encoded:
-            placed = handle.writer.write(pending.seq, data)
-            if placed is None:
-                if not force_inline and (pending.program or entries):
-                    return None
-                entries.append((kind, -1, len(data), data.tobytes()))
-            else:
-                entries.append((kind, placed[0], placed[1], None))
+            entry = _place_record(handle.writer, pending.seq, kind, data)
+            if entry[1] < 0 and not force_inline and (pending.program or entries):
+                return None  # a fresh batch may still have ring room for it
+            entries.append(entry)
         return entries
 
     def _stage_item(

@@ -160,18 +160,16 @@ class HierarchicalComm:
 
         for sub, node_arrays in zip(self.node_groups, per_node):
             gather_sizes(sub, [a.nbytes for a in node_arrays])
-        leader_sums: np.ndarray | list[np.ndarray]
-        if all(a.dtype == np.float64 for a in arrays):
-            # float64 rows fold straight into the matrix the inter-node
-            # kernel works on.
-            leader_sums = np.empty((len(per_node), arrays[0].shape[0]))
-            for row, node_arrays in zip(leader_sums, per_node):
-                _sum_rows(node_arrays, out=row)
-        else:
-            # Narrower rows fold in their own precision, as the loop does,
-            # and only then widen — into a float64 row they would fold in
-            # float64 and come out with different bits.
-            leader_sums = [_sum_rows(node_arrays) for node_arrays in per_node]
+        # One matrix of the rows' own dtype: float64 rows fold straight into
+        # what the inter-node kernel works on; narrower rows fold in their own
+        # precision, as the loop does, and the kernel widens them only then —
+        # into a float64 row they would fold in float64 and come out with
+        # different bits.
+        leader_sums = np.empty(
+            (len(per_node), arrays[0].shape[0]), dtype=np.result_type(*arrays)
+        )
+        for row, node_arrays in zip(leader_sums, per_node):
+            _sum_rows(node_arrays, out=row)
 
         aggregated = scatter_reduce_batched(
             leader_sums,

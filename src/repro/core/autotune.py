@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..algorithms.registry import EVALUATED_ALGORITHMS
 from ..cluster.topology import ClusterSpec
 from ..models.spec import ModelSpec
 from ..simulation.cost import CommCostModel
@@ -36,14 +37,7 @@ from ..simulation.systems import bagua_system
 from .optimizer_framework import BaguaConfig
 from .profiler import profile_from_spec
 
-CANDIDATES = (
-    "allreduce",
-    "qsgd",
-    "1bit-adam",
-    "decentralized",
-    "decentralized-8bit",
-    "async",
-)
+CANDIDATES = EVALUATED_ALGORITHMS
 
 #: World shape the lowered (IR-level) verification runs at.  The static
 #: rules check the *full* cluster shape; the checker/happens-before suites

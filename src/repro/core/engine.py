@@ -22,6 +22,7 @@ import numpy as np
 
 from ..cluster.worker import WorkerContext
 from ..comm.group import CommGroup
+from ..compression.base import Compressor
 from ..tensor.module import Module
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
@@ -315,6 +316,27 @@ class Algorithm:
     #: consumes.  ``None`` = synchronous (no bound to verify); the
     #: happens-before ``hb-staleness`` rule checks declared bounds.
     staleness_bound: int | None = None
+
+    # The declaration: what an algorithm's communication is, stated once.
+    # The symbolic analyzer lowers and checks plans from it, timing mode
+    # prices it and the tuner ranks it (docs/algorithms.md "Declaring an
+    # algorithm"), each from a default-constructed instance — so a subclass
+    # sets these as class attributes or in ``__init__``, never later.
+    #: codec its collectives quantize with; ``None`` = full precision
+    compressor: Compressor | None = None
+    #: the codec runs with error-feedback residuals (what lets a *biased*
+    #: codec converge, §2.2; the ``ef-invariant`` rule holds the trace to it)
+    error_feedback: bool = False
+    #: gossip peer structure, "ring" | "random"; non-empty means the
+    #: algorithm is decentralized
+    topology: str = ""
+    #: communicates on every ``frequency``-th step only (LocalSGD-style)
+    frequency: int = 1
+    #: leading steps that run full-precision allreduce before the codec
+    #: takes over (1-bit Adam's warm-up)
+    warmup_steps: int = 0
+    #: relaxes synchronization (Table 1's "async" rows)
+    asynchronous: bool = False
 
     def setup(self, engine: BaguaEngine) -> None:  # noqa: B027 (intentional no-op)
         pass

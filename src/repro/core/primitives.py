@@ -252,6 +252,15 @@ class RandomPeers(PeerSelector):
         return peers
 
 
+def make_peer_selector(topology: str, seed: int = 0) -> PeerSelector:
+    """The selector an algorithm's declared ``topology`` names."""
+    if topology == "ring":
+        return RingPeers()
+    if topology == "random":
+        return RandomPeers(seed=seed)
+    raise ValueError(f"unknown gossip topology {topology!r}; use 'ring' or 'random'")
+
+
 # ----------------------------------------------------------------------
 # Decentralized
 # ----------------------------------------------------------------------

@@ -22,7 +22,9 @@ simulator and the analyzer can no longer drift apart silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .optimizer_framework import ExecutionPlan
@@ -157,6 +159,25 @@ class BucketSchedule:
     def forward_order(self) -> tuple[ScheduledBucket, ...]:
         """Layer groups in forward order (reverse of gradient-ready order)."""
         return tuple(reversed(self.buckets))
+
+    def variants(self) -> Iterator[BucketSchedule]:
+        """The sixteen O x F x H x update-mode rewrites of this schedule.
+
+        Every rewrite the execution optimizer could emit for one committed
+        bucketing (flipping F does *not* re-plan the buckets), in the order
+        the analyzer sweeps report them: O outermost, update mode innermost,
+        off before on.
+        """
+        for overlap, flatten, hierarchical, per_bucket in itertools.product(
+            (False, True), repeat=4
+        ):
+            yield replace(
+                self,
+                overlap_backward=overlap,
+                flatten=flatten,
+                hierarchical=hierarchical,
+                per_bucket_updates=per_bucket,
+            )
 
     def events(self) -> list[ScheduleEvent]:
         """The gated event stream consumers execute/price/lower.

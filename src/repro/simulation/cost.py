@@ -21,7 +21,7 @@ from ..cluster.topology import ClusterSpec
 from ..cluster.transport import Transport
 from ..comm.group import CommGroup
 from ..compression.base import Compressor
-from ..core.primitives import PeerSelector, RandomPeers, RingPeers
+from ..core.primitives import make_peer_selector
 from . import patterns
 
 #: device memory bandwidth (bytes/s) for memory-bound kernels
@@ -92,7 +92,7 @@ class CommCostModel:
         hierarchical: bool = False,
     ) -> float:
         """D_FP_S / D_LP_S cost under a ring or random peer selector."""
-        peers: PeerSelector = RingPeers() if topology == "ring" else RandomPeers()
+        peers = make_peer_selector(topology)
         key = ("decen", elements, compressor.name if compressor else None, topology, hierarchical)
         wire = self._wire(compressor)
         return self._measure(

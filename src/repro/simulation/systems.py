@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable
 
+from ..algorithms.registry import EVALUATED_ALGORITHMS, make_algorithm
 from ..compression.fp16 import FP16Compressor
-from ..compression.onebit import OneBitCompressor
-from ..compression.qsgd import QSGDCompressor
 from ..core.optimizer_framework import (
     BaguaConfig,
     ExecutionOptimizer,
@@ -152,35 +151,26 @@ def byteps_system(cost: CommCostModel, is_async: bool = False) -> SystemProfile:
 # ----------------------------------------------------------------------
 # BAGUA
 # ----------------------------------------------------------------------
-#: algorithm name -> (pattern kind, codec factory, topology)
-_BAGUA_ALGOS = {
-    "allreduce": ("central", None, None),
-    "qsgd": ("central", lambda: QSGDCompressor(bits=8), None),
-    "1bit-adam": ("central", OneBitCompressor, None),
-    "decentralized": ("decen", None, "random"),
-    "decentralized-8bit": ("decen", lambda: QSGDCompressor(bits=8), "ring"),
-    "async": ("async", None, None),
-}
-
-
 def bagua_system(
     cost: CommCostModel,
     algorithm: str = "allreduce",
     config: BaguaConfig | None = None,
 ) -> SystemProfile:
-    """BAGUA running ``algorithm`` under ``config``'s O/F/H switches."""
-    if algorithm not in _BAGUA_ALGOS:
-        raise KeyError(f"unknown BAGUA algorithm {algorithm!r}; options: {sorted(_BAGUA_ALGOS)}")
-    config = config or BaguaConfig(hierarchical=True)
-    kind, codec_factory, topology = _BAGUA_ALGOS[algorithm]
-    compressor = codec_factory() if codec_factory else None
+    """BAGUA running ``algorithm`` under ``config``'s O/F/H switches.
 
-    if kind == "central":
-        def comm(b: ScheduledBucket) -> float:
-            return cost.centralized(
-                b.elements, compressor=compressor, hierarchical=config.hierarchical
-            )
-    elif kind == "decen":
+    Priced from the algorithm's own declaration
+    (:class:`~repro.core.engine.Algorithm`): its codec, and whether it
+    gossips, pushes and pulls asynchronously, or reduces centrally.
+    """
+    if algorithm not in EVALUATED_ALGORITHMS:
+        raise KeyError(
+            f"unknown BAGUA algorithm {algorithm!r}; options: {sorted(EVALUATED_ALGORITHMS)}"
+        )
+    config = config or BaguaConfig(hierarchical=True)
+    declared = make_algorithm(algorithm)
+    compressor, topology = declared.compressor, declared.topology
+
+    if topology:
         def comm(b: ScheduledBucket) -> float:
             return cost.decentralized(
                 b.elements,
@@ -188,9 +178,15 @@ def bagua_system(
                 topology=topology,
                 hierarchical=config.hierarchical,
             )
-    else:  # async: star push/pull to the master copy, never synchronized
+    elif declared.asynchronous:
+        # star push/pull to the master copy, never synchronized
         def comm(b: ScheduledBucket) -> float:
             return cost.ps_push_pull(b.elements, local_aggregation=True)
+    else:
+        def comm(b: ScheduledBucket) -> float:
+            return cost.centralized(
+                b.elements, compressor=compressor, hierarchical=config.hierarchical
+            )
 
     def kernels(b: ScheduledBucket) -> float:
         if compressor is None:
@@ -210,7 +206,7 @@ def bagua_system(
         overlap_backward=config.overlap,
         # Per-bucket updates let the next forward start layer by layer.
         overlap_forward=config.overlap,
-        is_async=(kind == "async"),
+        is_async=declared.asynchronous,
     )
 
 

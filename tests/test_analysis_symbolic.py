@@ -18,9 +18,11 @@ from repro.analysis import run_checkers
 from repro.analysis.checkers import HB_CHECKERS
 from repro.analysis.driver import probe_algorithm, record_dry_run
 from repro.analysis.lowering import lower_schedule
+from repro.analysis.planspace import verify_point
 from repro.analysis.symbolic import (
     PROBE_READY_INVENTORY,
     PlanPoint,
+    check_plan_static,
     lower_point,
     probe_profile,
     sweep_variants,
@@ -29,24 +31,29 @@ from repro.analysis.symbolic import (
 from repro.baselines import BASELINE_REGISTRY
 from repro.cluster.topology import ClusterSpec
 from repro.cluster.transport import Transport
-from repro.core.engine import BaguaEngine
+from repro.compression.signsgd import SignSGDCompressor
+from repro.core.engine import Algorithm, BaguaEngine
 
 ALL_NAMES = sorted(ALGORITHM_REGISTRY) + sorted(BASELINE_REGISTRY)
 #: (num_nodes, workers_per_node) -> worlds {2, 4, 8, 16}.
 WORLD_SHAPES = ((1, 2), (2, 2), (2, 4), (4, 4))
 
-#: (name, num_nodes, workers_per_node) -> engine.
-_ENGINE_CACHE: dict = {}
+#: (name, num_nodes, workers_per_node) -> (engine, recorder).
+_DRY_RUN_CACHE: dict = {}
 
 
-def built_engine(name, num_nodes, workers_per_node):
+def dry_run(name, num_nodes, workers_per_node):
     """Check-by-execution: the driver's canonical executed path (an engine
     plus 5 recorded steps).  Cached per (name, shape)."""
     key = (name, num_nodes, workers_per_node)
-    if key not in _ENGINE_CACHE:
+    if key not in _DRY_RUN_CACHE:
         spec = ClusterSpec(num_nodes=num_nodes, workers_per_node=workers_per_node)
-        _ENGINE_CACHE[key], _recorder = record_dry_run(probe_algorithm(name), spec)
-    return _ENGINE_CACHE[key]
+        _DRY_RUN_CACHE[key] = record_dry_run(probe_algorithm(name), spec)
+    return _DRY_RUN_CACHE[key]
+
+
+def built_engine(name, num_nodes, workers_per_node):
+    return dry_run(name, num_nodes, workers_per_node)[0]
 
 
 def variant_grid(schedule):
@@ -101,6 +108,33 @@ def test_symbolic_schedule_matches_engine_schedule(name):
     engine = built_engine(name, 2, 2)
     point = PlanPoint(algorithm=name, world_size=4, workers_per_node=2)
     assert symbolic_schedule(point) == engine.schedule
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_recorded_collective_tags_are_the_declared_ones(name):
+    """Declared vs recorded: the tags the primitives put on a live run's
+    collective ops are the ones the algorithm's declaration implies — the
+    full-precision kind during warm-up and without a codec, the compressed
+    kind with the declared codec and EF flag otherwise."""
+    engine, recorder = dry_run(name, 2, 2)
+    declared = engine.algorithm
+    plain = "gossip" if declared.topology else "allreduce"
+    ops = [
+        op for op in recorder.trace.all_ops()
+        if op.kind in (plain, f"compressed_{plain}")
+    ]
+    codec = declared.compressor
+    for op in ops:
+        tags = (op.kind, op.compressor, op.biased, op.error_feedback)
+        if codec is None or op.step < declared.warmup_steps:
+            assert tags == (plain, "", False, False), op
+        else:
+            assert tags == (
+                f"compressed_{plain}", codec.name, codec.biased, declared.error_feedback
+            ), op
+    # Only point-to-point algorithms (async push/pull, the baselines' ring
+    # and parameter-server traffic) go through no primitive at all.
+    assert bool(ops) == (not declared.asynchronous and name in ALGORITHM_REGISTRY)
 
 
 def test_probe_profile_matches_live_profiler():
@@ -219,3 +253,38 @@ def test_1bit_adam_warmup_runs_full_precision_then_compresses():
         assert op.compressor == "1bit" and op.biased and op.error_feedback
     findings = run_checkers(subject) + run_checkers(subject, HB_CHECKERS)
     assert findings == [], [f.render() for f in findings]
+
+
+# ----------------------------------------------------------------------
+# One declaration: a class plus a registry entry is all the analyzer needs.
+# ----------------------------------------------------------------------
+class _SignSGD(Algorithm):
+    """Test-local algorithm: a biased codec, declared with error feedback."""
+
+    name = "sign-sgd"
+    error_feedback = True
+
+    def __init__(self):
+        self.compressor = SignSGDCompressor()
+
+
+def test_registered_class_is_lowered_checked_and_verified_from_its_declaration(monkeypatch):
+    monkeypatch.setitem(ALGORITHM_REGISTRY, "sign-sgd", _SignSGD)
+    point = PlanPoint(algorithm="sign-sgd", world_size=4, workers_per_node=2)
+
+    assert check_plan_static(point) == []
+    collectives = [
+        op for op in lower_point(point).trace.all_ops() if "allreduce" in op.kind
+    ]
+    assert collectives
+    for op in collectives:
+        assert (op.kind, op.compressor, op.biased, op.error_feedback) == (
+            "compressed_allreduce", "signsgd", True, True
+        )
+    verdict = verify_point(point, hb=True)
+    assert verdict.ok and verdict.num_ops > 0, verdict.render()
+
+    # The same class declared without EF is refuted by the static rule alone.
+    monkeypatch.setattr(_SignSGD, "error_feedback", False)
+    (finding,) = check_plan_static(point)
+    assert finding.rule == "plan-compressor-compat" and "signsgd" in finding.message

@@ -9,6 +9,7 @@ from pathlib import Path
 import repro
 import repro.comm
 import repro.core.primitives
+from repro.core.engine import Algorithm
 from repro.cluster.backends import (
     BatchedBackend,
     LocalBackend,
@@ -49,3 +50,27 @@ def test_the_only_backend_class_flag_is_prefers_fast_path():
             if isinstance(value, bool) and not name.startswith("_")
         }
         assert flags == {"prefers_fast_path"}, backend.__name__
+
+
+def test_algorithm_declaration_fields_and_defaults():
+    """What the analyzer, timing mode and the tuner read off an algorithm
+    (docs/algorithms.md "Declaring an algorithm") — and the only statement
+    of it: the per-name mirror tables stay deleted."""
+    declared = {
+        name: value for name, value in vars(Algorithm).items()
+        if not name.startswith("_") and not callable(value)
+    }
+    assert declared == {
+        "name": "base",
+        "update_mode": "per_bucket",
+        "staleness_bound": None,
+        "compressor": None,
+        "error_feedback": False,
+        "topology": "",
+        "frequency": 1,
+        "warmup_steps": 0,
+        "asynchronous": False,
+    }
+    # (spelled in halves so that grepping the repo for them finds nothing)
+    mirrors = re.compile("COMM" "_MODELS|_BAGUA" "_ALGOS|class Comm" "Model")
+    assert [str(path) for path in SOURCES if mirrors.search(path.read_text())] == []

@@ -145,6 +145,25 @@ class TestSystemProfiles:
         with pytest.raises(KeyError):
             bagua_system(cost, "sgd-prime")
 
+    def test_only_the_evaluated_algorithms_price(self, cost):
+        """Timing mode models neither ``frequency`` nor ``warmup_steps``, so a
+        registered algorithm outside the paper's six is refused like an
+        unknown name, and every one of the six prices a bucket."""
+        from repro.algorithms.registry import ALGORITHM_REGISTRY, EVALUATED_ALGORITHMS
+        from repro.core.schedule import ScheduledBucket
+
+        assert "local-sgd" in ALGORITHM_REGISTRY
+        with pytest.raises(KeyError, match="unknown BAGUA algorithm 'local-sgd'"):
+            bagua_system(cost, "local-sgd")
+        bucket = ScheduledBucket(index=0, name="bucket0", elements=1 << 20, ready_index=0)
+        assert len(EVALUATED_ALGORITHMS) == 6
+        for name in EVALUATED_ALGORITHMS:
+            system = bagua_system(cost, name)
+            assert system.comm_time(bucket) > 0.0, name
+            assert (system.comm_kernel_time(bucket) > 0.0) == (
+                ALGORITHM_REGISTRY[name]().compressor is not None
+            ), name
+
     def test_fp16_horovod_cheaper_comm(self, cost, vgg):
         fp32 = simulate_iteration(vgg, cost.spec, horovod_system(cost))
         fp16 = simulate_iteration(vgg, cost.spec, horovod_system(cost, fp16=True))
