@@ -16,13 +16,19 @@ per workload follow: ``--trace 1`` for the per-layer ``*_ms`` rows, and
 agree at equal op counts.  Per workload x end-to-end metric the summary holds
 both medians, quartile distances and ranges, the pairs the change won, and
 ``spread_bound`` = the metric's ``BENCHMARK.json`` bound x the parent's median
-with ``spread_ok`` telling whether the change's range stays inside it.
+with ``spread_ok`` telling whether the change's range stays inside it.  A
+per-op time (unit ``ms``) also gets ROADMAP item 1's corridor: its reciprocal's
+range is bounded at ``bound`` x the parent's median, so a disturbance of
+``d`` ms (``parent_range``) on a step of ``t_c`` ms passes only while
+``t_c (t_c + d) > d t_p / bound``; ``corridor_floor`` is the smallest such
+``t_c`` and ``inside_corridor`` says whether the change's median is above it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -42,6 +48,16 @@ def _iqr(values: list[float]) -> float:
         return 0.0
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q3 - q1
+
+
+def corridor_floor(parent_median: float, disturbance: float, bound: float) -> float:
+    """The smallest ``t_c`` with ``t_c (t_c + d) > d t_p / bound``.
+
+    With ``t_c = t_p`` and the benchmark's bound of 0.25 that is ``t > 3 d``:
+    below it even an unchanged tree spreads too widely in ops/s.
+    """
+    d = disturbance
+    return (math.sqrt(d * d + 4.0 * d * parent_median / bound) - d) / 2.0
 
 
 def summarize(pairs: list[dict], specs: list[dict]) -> dict:
@@ -69,7 +85,7 @@ def summarize(pairs: list[dict], specs: list[dict]) -> dict:
             parent_median, change_median = statistics.median(parent), statistics.median(change)
             parent_iqr, spread_bound = _iqr(parent), spec["bound"] * parent_median
             change_range = max(change) - min(change)
-            summary[workload][name] = {
+            row = summary[workload][name] = {
                 "pairs": len(values),
                 "parent_median": parent_median,
                 "change_median": change_median,
@@ -87,7 +103,26 @@ def summarize(pairs: list[dict], specs: list[dict]) -> dict:
                 "spread_bound": spread_bound,
                 "spread_ok": change_range <= spread_bound,
             }
+            if spec["unit"] == "ms":
+                row["corridor_floor"] = corridor_floor(parent_median, row["parent_range"], spec["bound"])
+                row["inside_corridor"] = change_median > row["corridor_floor"]
     return summary
+
+
+def print_summary(summary: dict) -> None:
+    for workload, rows in summary.items():
+        for name, row in rows.items():
+            line = (
+                f"{workload:16s} {name:16s} {row['parent_median']:.4g} -> {row['change_median']:.4g}"
+                f" ({row['change_over_parent']:.3f}x, change ahead in {row['pairs_change_better']}"
+                f" of {row['pairs']}, spread_ok={row['spread_ok']})"
+            )
+            if "corridor_floor" in row:
+                line += (
+                    f" corridor: t_c > {row['corridor_floor']:.4g} at d = {row['parent_range']:.3g},"
+                    f" inside={row['inside_corridor']}"
+                )
+            print(line)
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +230,7 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump(ledger, handle, indent=1)
     for pair in ledger["traced_smoke"]:
         print("\n".join(pair["compare"]["table"]))
+    print_summary(ledger["summary"])
     pairs = ledger["pairs"] + ledger["traced"] + ledger["traced_smoke"]
     return 0 if all(p[side]["exit"] == 0 and p[side]["correct"] for p in pairs for side in trees) else 1
 

@@ -123,4 +123,7 @@ class AsyncDecentralizedSGD(Algorithm):
             if j == i:
                 continue
             bucket = engine.workers[i].buckets[k]
-            bucket.set_flat_data(0.5 * (bucket.flat_data() + self._mailbox[j][k]))
+            buf = bucket.flat_data()
+            np.add(buf, self._mailbox[j][k], out=buf)
+            buf *= 0.5
+            bucket.set_flat_data(buf)

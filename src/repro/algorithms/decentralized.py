@@ -33,7 +33,9 @@ class DecentralizedSGD(Algorithm):
         # of one iteration gossips with the same partner.
         for worker in engine.workers:
             worker.optimizer_step_on_bucket(k)
-        # Then gossip-average this bucket's weights with the step's peers.
+        # Then gossip-average this bucket's weights with the step's peers,
+        # in the rows they were read from — the workers' weight buffers when
+        # flattened, which makes the store below a no-op.
         weights = engine.weights_of_bucket(k)
         averaged = d_fp_s(
             weights,
@@ -41,5 +43,6 @@ class DecentralizedSGD(Algorithm):
             peers=self.peers,
             step=step,
             hierarchical=engine.hierarchical,
+            out=weights,
         )
         engine.set_weights_of_bucket(k, averaged)

@@ -97,11 +97,11 @@ class LowPrecisionDecentralizedSGD(Algorithm):
                 engine.workers[j].state["views"][k][src] += delta
                 received[j][src] = engine.workers[j].state["views"][k][src]
 
-        # Gossip average with reconstructed neighbor weights.
+        # Gossip average with reconstructed neighbor weights, accumulated in
+        # the bucket's own buffer: what it adds are this worker's private views.
         for i, worker in enumerate(engine.workers):
-            x = worker.buckets[k].flat_data().copy()
-            acc = x.copy()
+            acc = worker.buckets[k].flat_data()
             for _src, neighbor_weights in sorted(received[i].items()):
                 acc += neighbor_weights
-            averaged = acc / (1 + len(received[i]))
-            worker.buckets[k].set_flat_data(averaged)
+            acc /= 1 + len(received[i])
+            worker.buckets[k].set_flat_data(acc)

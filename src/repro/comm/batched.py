@@ -495,10 +495,11 @@ def ring_allreduce_batched(
 # Decentralized gossip averaging
 # ----------------------------------------------------------------------
 def gossip_average_batched(
-    arrays: Sequence[np.ndarray],
+    arrays: Rows,
     neighbor_sets: Sequence[Sequence[int]],
     group: CommGroup,
     codec: Compressor | None = None,
+    out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """World-batched peer averaging for D_FP_S / D_LP_S.
 
@@ -506,38 +507,72 @@ def gossip_average_batched(
     member's tensor is roundtripped (members compress in index order even
     when idle, matching the loop's RNG consumption) and neighbors average
     the decompressed values.  Results keep each input's dtype.
+
+    ``out`` (:func:`~.chunking.check_out`'s ``like_inputs`` convention;
+    ``neighbor_sets`` and ``out`` are validated by the primitives) receives
+    the results and may be ``arrays`` itself; without it they land in fresh
+    rows and the inputs are only read.  One ordering rule makes that safe —
+    *every read of a row precedes the first store into it* — and the
+    neighbor sets and dtypes decide how a member meets it:
+
+    * a mutual pair of float64 rows (each the other's only source and only
+      destination, no codec) is averaged where it lands: ``o_i = x_i + x_j``,
+      halved in place, stored to ``o_j`` — the bits ``(x_j + x_i) / 2`` gives
+      member j, because a single IEEE add commutes;
+    * every other member accumulates its sources ascending into one float64
+      row (with a codec: its row of the private stack), divides it in
+      place, and all those rows — and an idle member's input — are stored
+      after the last read.
     """
     n = group.size
     total = arrays[0].shape[0]
-    if codec is None:
-        # Gossip is communication-sparse (a handful of neighbors per member),
-        # so a (world, n) stack would be pure overhead here — the fast path
-        # is the stub round; accumulation reads the original input rows
-        # directly (ufunc upcasting makes ``acc += arrays[src]`` bitwise
-        # equal to adding the f64 cast the loop receives).
-        contrib: Sequence[np.ndarray] = arrays
-        payload_bytes = [_HEADER_BYTES + _F64_BYTES * total] * n
-    else:
-        matrix = _stack_f64(arrays)
-        contrib = codec.batch_roundtrip(matrix, ((0, total),))
-        payload_bytes = [_HEADER_BYTES + codec.wire_bytes(total)] * n
+    # Gossip is communication-sparse (a handful of neighbors per member), so
+    # without a codec a (world, n) stack would be pure overhead: accumulation
+    # reads the input rows directly, widened by the ufunc.
+    own: Rows = arrays
+    contrib: Rows = arrays
+    payload_bytes = _HEADER_BYTES + _F64_BYTES * total
+    if codec is not None:
+        # list(): a float64 matrix is stacked too, for the rows accumulate.
+        own = stack = _stack_f64(list(arrays))
+        contrib = codec.batch_roundtrip(stack, ((0, total),))
+        payload_bytes = _HEADER_BYTES + codec.wire_bytes(total)
     ranks = group.ranks
     sends = [
-        (ranks[i], ranks[j], payload_bytes[i], f"gossip.m{i}->{j}")
+        (ranks[i], ranks[j], payload_bytes, f"gossip.m{i}->{j}")
         for i, neigh in enumerate(neighbor_sets)
         for j in neigh
     ]
     if sends:
         group.transport.exchange_sized(sends)
-    incoming: list[list[int]] = [[] for _ in range(n)]
-    for j, neigh in enumerate(neighbor_sets):
+    if out is None:
+        out = [np.empty_like(a) for a in arrays]
+    sources: list[list[int]] = [[] for _ in range(n)]
+    for j, neigh in enumerate(neighbor_sets):  # j ascending: each list ends up sorted
         for i in neigh:
-            incoming[i].append(j)
-    results = []
-    for i in range(n):
-        sources = sorted(incoming[i])
-        acc = arrays[i].astype(np.float64) if codec is None else matrix[i].copy()
-        for src in sources:
+            sources[i].append(j)
+    results = list(arrays)  # an idle member's average is its input
+    paired: set[int] = set()
+    for i, srcs in enumerate(sources):
+        if not srcs or i in paired:
+            continue
+        j = srcs[0]
+        if (
+            codec is None
+            and srcs == list(neighbor_sets[i]) == [j]
+            and sources[j] == list(neighbor_sets[j]) == [i]
+            and arrays[i].dtype == arrays[j].dtype == np.float64
+        ):
+            np.add(arrays[i], arrays[j], out=out[i])
+            out[i] /= 2.0
+            out[j][...] = out[i]
+            results[i], results[j] = out[i], out[j]
+            paired.add(j)
+            continue
+        row = np.empty(total) if codec is None else own[i]
+        acc = np.add(own[i], contrib[j], out=row, dtype=np.float64)
+        for src in srcs[1:]:
             acc += contrib[src]
-        results.append((acc / (1 + len(sources))).astype(arrays[i].dtype, copy=False))
-    return results
+        acc /= 1 + len(srcs)
+        results[i] = acc
+    return store_rows(results, out)

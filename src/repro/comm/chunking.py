@@ -62,25 +62,38 @@ def check_arrays(arrays: Rows, group: CommGroup) -> None:
             raise ValueError(f"shape mismatch: member 0 has {shape}, member {i} has {a.shape}")
 
 
-def check_out(out: Sequence[np.ndarray], arrays: Sequence[np.ndarray]) -> None:
-    """Validate the ``out=`` convention of the centralized primitives.
+def check_out(
+    out: Sequence[np.ndarray], arrays: Sequence[np.ndarray], like_inputs: bool = False
+) -> None:
+    """Validate the ``out=`` convention of the primitives.
 
     One float64 row per member, shaped like the inputs.  A row may be that
     member's own input — every kernel reads all inputs before its first
     store — but no two rows may share memory, or one member's result would
     overwrite another's (a bounds check, so it costs microseconds).
+
+    ``like_inputs`` is the gossip primitives' variant: row ``i`` has
+    ``arrays[i]``'s dtype (a peer average keeps its member's precision), and
+    may share memory with no *other* member's input — the gossip kernel
+    stores a pair's average as soon as the pair is read, not after the last
+    read of the call.
     """
     if len(out) != len(arrays):
         raise ValueError(f"expected {len(arrays)} out rows, got {len(out)}")
     for i, row in enumerate(out):
-        if row.shape != arrays[0].shape or row.dtype != np.float64:
+        dtype = arrays[i].dtype if like_inputs else np.dtype(np.float64)
+        if row.shape != arrays[0].shape or row.dtype != dtype:
             raise ValueError(
-                f"out rows must be float64 of shape {arrays[0].shape}; "
+                f"out rows must be {dtype} of shape {arrays[0].shape}; "
                 f"row {i} is {row.dtype} {row.shape}"
             )
         for j in range(i):
             if np.may_share_memory(out[j], row):
                 raise ValueError(f"out rows {j} and {i} share memory")
+        if like_inputs:
+            for j, a in enumerate(arrays):
+                if j != i and np.may_share_memory(a, row):
+                    raise ValueError(f"out row {i} shares memory with another member's input ({j})")
 
 
 def store_rows(rows: list[np.ndarray], out: Sequence[np.ndarray] | None) -> list[np.ndarray]:

@@ -24,7 +24,7 @@ from .batched import (
     gather_sizes,
     scatter_reduce_batched,
 )
-from .chunking import check_arrays
+from .chunking import check_arrays, store_rows
 from .collectives import broadcast, gather, ring_allreduce
 from .group import CommGroup
 from .scatter_reduce import CompressFn, DecompressFn, scatter_reduce
@@ -194,18 +194,29 @@ class HierarchicalComm:
         self,
         arrays: Sequence[np.ndarray],
         leader_exchange: Callable[[Sequence[np.ndarray], CommGroup], list[np.ndarray]],
+        out: Sequence[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         """Intra-node average, leader peer exchange, intra-node broadcast.
 
         ``leader_exchange`` runs the decentralized step among node leaders
-        (e.g. ring or random peer averaging from :mod:`repro.core.primitives`).
-        On a backend that runs the batched kernels no tier sends a payload:
-        the intra-node allreduce and the leaders' gossip are stub-round
-        kernels already, and the fan-out is :meth:`allreduce_batched`'s —
-        one ``broadcast_sizes`` stub round and a block store per node.
+        (e.g. ring or random peer averaging from :mod:`repro.core.primitives`)
+        on the float64 node means, which the leaders own: it may average them
+        in place.  On a backend that runs the batched kernels no tier sends a
+        payload: the intra-node allreduce and the leaders' gossip are
+        stub-round kernels already, and the fan-out is one ``broadcast_sizes``
+        stub round per node.
+
+        Every member's result is stored into its ``out`` row
+        (:func:`~.chunking.check_out`'s ``like_inputs`` convention, validated
+        by the primitives), which may be its input: the first tier has read
+        every input before the last stores anything.  Without ``out`` the
+        rows are fresh, each in its member's input dtype.
         """
         fast = self.group.transport.backend.prefers_fast_path
         per_node = self._split_by_node(arrays)
+        if out is None:
+            out = [np.empty_like(a) for a in arrays]
+        out_per_node = self._split_by_node(out)
 
         node_means: list[np.ndarray] = []
         for sub, node_arrays in zip(self.node_groups, per_node):
@@ -217,11 +228,10 @@ class HierarchicalComm:
 
         exchanged = leader_exchange(node_means, self.leaders)
 
-        results_per_node: list[list[np.ndarray]] = []
-        for sub, result in zip(self.node_groups, exchanged):
+        for sub, result, node_out in zip(self.node_groups, exchanged, out_per_node):
             if fast:
                 broadcast_sizes(sub, float(result.nbytes))
-                results_per_node.append(_replicate(result, sub.size))
+                store_rows([result] * sub.size, node_out)
             else:
-                results_per_node.append(broadcast(result, sub, root_index=0))
-        return self._merge_from_node(results_per_node)
+                store_rows(broadcast(result, sub, root_index=0), node_out)
+        return list(out)

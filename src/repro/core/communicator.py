@@ -92,6 +92,7 @@ class DecentralizedFullPrecision:
         arrays: Sequence[np.ndarray],
         peers: PeerSelector | None = None,
         step: int = 0,
+        out: Sequence[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         return d_fp_s(
             arrays,
@@ -99,6 +100,7 @@ class DecentralizedFullPrecision:
             peers=peers or RingPeers(),
             step=step,
             hierarchical=self._comm.hierarchical,
+            out=out,
         )
 
 
@@ -114,6 +116,7 @@ class DecentralizedLowPrecision:
         compressor: Compressor,
         peers: PeerSelector | None = None,
         step: int = 0,
+        out: Sequence[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         return d_lp_s(
             arrays,
@@ -122,6 +125,7 @@ class DecentralizedLowPrecision:
             peers=peers or RingPeers(),
             step=step,
             hierarchical=self._comm.hierarchical,
+            out=out,
         )
 
 

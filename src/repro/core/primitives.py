@@ -2,10 +2,12 @@
 
 All four primitives follow the MPI-like execution model
 ``op(x_1..x_n) -> x'_1..x'_n``: they take one flattened array per group
-member and return the per-member results.  The centralized pair also takes
-``out=``: one float64 row per member that receives that member's result —
-the engine passes the gradient-pool rows it read the inputs from, so a
-reduced bucket lands where the optimizer reads it.
+member and return the per-member results.  All four also take ``out=``: one
+row per member that receives that member's result (float64 for the
+centralized pair, the member's input dtype for the decentralized one) — the
+engine passes the pool rows it read the inputs from, so a reduced gradient
+bucket lands where the optimizer reads it and an averaged weight bucket
+where the model keeps it.
 
 * :func:`c_fp_s` — centralized full-precision synchronous: every member ends
   with ``sum_j x_j`` (Allreduce semantics, ScatterReduce implementation).
@@ -32,7 +34,7 @@ from ..comm.batched import (
     gossip_average_batched,
     scatter_reduce_batched,
 )
-from ..comm.chunking import check_out, store_rows
+from ..comm.chunking import check_arrays, check_out, store_rows
 from ..comm.group import CommGroup
 from ..comm.hierarchical import HierarchicalComm
 from ..comm.scatter_reduce import scatter_reduce
@@ -264,18 +266,37 @@ def make_peer_selector(topology: str, seed: int = 0) -> PeerSelector:
 # ----------------------------------------------------------------------
 # Decentralized
 # ----------------------------------------------------------------------
+def check_neighbor_sets(neighbor_sets: Sequence[Sequence[int]], n: int) -> None:
+    """Validate one gossip round's peer choice before anything is sent or stored.
+
+    One set per member, every index a member of the group, none the member
+    itself (it would be averaged twice), none listed twice.
+    """
+    if len(neighbor_sets) != n:
+        raise ValueError(f"expected one neighbor set per member ({n}), got {len(neighbor_sets)}")
+    for i, neigh in enumerate(neighbor_sets):
+        if any(not 0 <= j < n for j in neigh):
+            raise ValueError(f"member {i}'s neighbor set {list(neigh)} leaves the group of {n}")
+        if i in neigh:
+            raise ValueError(f"member {i} lists itself as a neighbor")
+        if len(set(neigh)) != len(neigh):
+            raise ValueError(f"member {i}'s neighbor set {list(neigh)} names a peer twice")
+
+
 def _peer_average(
     arrays: Sequence[np.ndarray],
     payloads: Sequence,
     decode,
-    peers: list[list[int]],
+    peers: Sequence[Sequence[int]],
     group: CommGroup,
+    out: Sequence[np.ndarray] | None,
 ) -> list[np.ndarray]:
     """The loop reference of both gossip primitives.
 
     One message round delivers ``payloads[i]`` to every peer of i; member j
     then averages its own ``arrays[j]`` with ``decode(payload)`` of what it
-    received, sources ascending.
+    received, sources ascending.  Every average exists before any is stored
+    into ``out``.
     """
     messages = []
     for i, neigh in enumerate(peers):
@@ -297,7 +318,50 @@ def _peer_average(
         for _src, payload in received:
             acc += decode(payload)
         results.append((acc / (1 + len(received))).astype(arrays[j].dtype, copy=False))
-    return results
+    return store_rows(results, out)
+
+
+def _gossip(
+    arrays: Sequence[np.ndarray],
+    group: CommGroup,
+    compressor: Compressor | None,
+    peers: PeerSelector,
+    step: int,
+    hierarchical: bool,
+    out: Sequence[np.ndarray] | None,
+) -> list[np.ndarray]:
+    """D_FP_S (``compressor=None``) and D_LP_S: validate, then one peer round.
+
+    Under ``hierarchical`` the round runs among the node leaders, in place on
+    the node means :meth:`HierarchicalComm.decentralized_average` hands them.
+    """
+    check_arrays(arrays, group)
+    if out is not None:
+        check_out(out, arrays, like_inputs=True)
+    comm = HierarchicalComm(group) if hierarchical else None
+    gossipers = group if comm is None else comm.leaders
+    neighbor_sets = peers.neighbors(gossipers.size, step)
+    check_neighbor_sets(neighbor_sets, gossipers.size)
+
+    kind, meta = "gossip", {}
+    if compressor is not None:
+        kind, meta = "compressed_gossip", {"compressor": compressor.name, "biased": compressor.biased}
+
+    def exchange(rows, members, dest):
+        _trace_collective(members, kind, rows[0].size, **meta, peers_by_member=neighbor_sets)
+        if members.transport.backend.prefers_fast_path:
+            return gossip_average_batched(rows, neighbor_sets, members, codec=compressor, out=dest)
+        if compressor is None:
+            payloads, decode = [a.astype(np.float64, copy=False) for a in rows], lambda payload: payload
+        else:
+            payloads, decode = [compressor.compress(a) for a in rows], compressor.decompress
+        return _peer_average(rows, payloads, decode, neighbor_sets, members, dest)
+
+    if comm is None:
+        return exchange(arrays, group, out)
+    return comm.decentralized_average(
+        arrays, lambda means, leaders: exchange(means, leaders, means), out=out
+    )
 
 
 def d_fp_s(
@@ -306,20 +370,25 @@ def d_fp_s(
     peers: PeerSelector,
     step: int = 0,
     hierarchical: bool = False,
+    out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
-    """Decentralized full-precision averaging: ``x'_i = mean of {x_i} ∪ N(i)``."""
-    if hierarchical:
-        def exchange(leader_arrays, leader_group):
-            return d_fp_s(leader_arrays, leader_group, peers, step=step)
+    """Decentralized full-precision averaging: ``x'_i = mean of {x_i} ∪ N(i)``.
 
-        return HierarchicalComm(group).decentralized_average(arrays, exchange)
+    Each result has its member's input dtype; returned rows never share
+    memory with each other.  The peer choice is validated before anything is
+    sent (:func:`check_neighbor_sets`, ``ValueError`` naming the member).
 
-    neighbor_sets = peers.neighbors(group.size, step)
-    _trace_collective(group, "gossip", arrays[0].size, peers_by_member=neighbor_sets)
-    if group.transport.backend.prefers_fast_path:
-        return gossip_average_batched(arrays, neighbor_sets, group)
-    payloads = [a.astype(np.float64, copy=False) for a in arrays]
-    return _peer_average(arrays, payloads, lambda payload: payload, neighbor_sets, group)
+    With ``out`` the results are stored into its rows and those are returned
+    — bitwise what ``out=None`` returns, transport state included.  One row
+    per member, shaped and typed like that member's input, no two sharing
+    memory (``ValueError``); a row may be the member's own input
+    (``out=arrays``), because on every path each read of a row precedes the
+    first store into it (docs/primitives.md § "Where the result lands").
+    Without ``out`` the inputs are only read and the rows are fresh — except
+    that under ``hierarchical`` the intra-node tier is ``ring_allreduce``,
+    which sums pool-resident float64 rows in place.
+    """
+    return _gossip(arrays, group, None, peers, step, hierarchical, out)
 
 
 def d_lp_s(
@@ -329,28 +398,13 @@ def d_lp_s(
     peers: PeerSelector,
     step: int = 0,
     hierarchical: bool = False,
+    out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Decentralized low-precision averaging: peers exchange ``Q(x)``.
 
     Each member averages its own full-precision tensor with the decompressed
     tensors received from its neighbors (ref [17]'s compressed gossip).
+    ``out``, dtypes and validation as for :func:`d_fp_s`; the codec's RNG
+    stream does not depend on ``out``.
     """
-    if hierarchical:
-        def exchange(leader_arrays, leader_group):
-            return d_lp_s(leader_arrays, leader_group, compressor, peers, step=step)
-
-        return HierarchicalComm(group).decentralized_average(arrays, exchange)
-
-    neighbor_sets = peers.neighbors(group.size, step)
-    _trace_collective(
-        group,
-        "compressed_gossip",
-        arrays[0].size,
-        compressor=compressor.name,
-        biased=compressor.biased,
-        peers_by_member=neighbor_sets,
-    )
-    if group.transport.backend.prefers_fast_path:
-        return gossip_average_batched(arrays, neighbor_sets, group, codec=compressor)
-    payloads = [compressor.compress(a) for a in arrays]
-    return _peer_average(arrays, payloads, compressor.decompress, neighbor_sets, group)
+    return _gossip(arrays, group, compressor, peers, step, hierarchical, out)

@@ -20,6 +20,7 @@ in-process rows (wide Hypothesis worlds), ``tests/test_backend_identity.py``
 the rows with shm legs (worlds 2-4 and one world 8).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,35 @@ PRIMITIVES = {
         arrays, g, CODEC_FACTORIES["qsgd8"](), RingPeers(), hierarchical=h
     ),
 }
+
+#: where a gossip call's results land: fresh rows the kernel allocates, the
+#: inputs themselves, or fresh rows the caller hands in
+OUT_MODES = ("none", "arrays", "fresh")
+
+
+def gossip_run(name: str, peers, out_mode: str, hierarchical: bool = False, step: int = 0):
+    """A :func:`compare` case: one ``d_fp_s`` / ``d_lp_s`` (qsgd8) round whose
+    results land per ``out_mode``.  Returns the result rows, the codec (its
+    RNG stream) and the inputs as the call left them."""
+
+    def run(group, arrays):
+        out = {
+            "none": None,
+            "arrays": arrays,
+            "fresh": [np.full_like(a, np.nan) for a in arrays],
+        }[out_mode]
+        kwargs = dict(peers=peers, step=step, hierarchical=hierarchical, out=out)
+        codec = CODEC_FACTORIES["qsgd8"]() if name == "d_lp_s" else None
+        if codec is None:
+            rows = d_fp_s(arrays, group, **kwargs)
+        else:
+            rows = d_lp_s(arrays, group, codec, **kwargs)
+        assert out is None or all(row is dst for row, dst in zip(rows, out))
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(rows, 2))
+        return rows, codec, arrays
+
+    return run
+
 
 IN_PROCESS = ("local", "batched")
 SHM = ("local", "batched", "loopshm", "shm")
@@ -231,16 +261,17 @@ def compare(spec, base, run, legs, *, traced=True, pooled=False) -> dict[str, Le
     return runs
 
 
-def train_epoch(backend: str, algorithm=None):
-    """One VGG16-proxy epoch at world 2 on ``backend``; returns the run's
-    observables (losses, simulated times, traffic, final weights) and the
-    trainer, whose transport the caller closes."""
+def train_epoch(backend: str, algorithm=None, world: int = 2, per_node=None, hierarchical=False):
+    """One VGG16-proxy epoch on ``backend`` (at world 2 unless told); returns
+    the run's observables (losses, simulated times, traffic, final weights)
+    and the trainer, whose transport the caller closes."""
     task = get_task("VGG16")
     trainer = DistributedTrainer(
-        cluster(2), task.model_factory, task.make_optimizer, algorithm or QSGD(bits=8),
-        config=BaguaConfig(backend=backend), seed=0,
+        cluster(world, per_node), task.model_factory, task.make_optimizer,
+        algorithm or QSGD(bits=8),
+        config=BaguaConfig(backend=backend, hierarchical=hierarchical), seed=0,
     )
-    loaders = make_sharded_loaders(task.dataset_factory(0), 2, 16, seed=0)
+    loaders = make_sharded_loaders(task.dataset_factory(0), world, 16, seed=0)
     record = trainer.train(loaders, task.loss_fn, epochs=1, label="parity")
     stats = trainer.transport.stats
     weights = [

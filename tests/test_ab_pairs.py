@@ -69,3 +69,24 @@ def test_workloads_are_kept_apart_and_failed_runs_left_out():
     assert summary["b"]["op_ms"]["pairs_parent_better"] == 1
     assert summary["b"]["op_ms"]["parent_iqr"] == 0.0  # one run has no quartiles
     assert summary["b"]["op_ms"]["median_gain_over_parent_iqr"] is None
+
+
+def test_corridor_floor_is_three_disturbances_for_an_unchanged_step():
+    """ROADMAP item 1: with t_c = t_p and a bound of 0.25, ``t_c (t_c + d) > 4 d t_p``
+    is ``t > 3 d`` — a step of exactly 3 d sits on the floor, not inside."""
+    assert ab_pairs.corridor_floor(30.0, 10.0, 0.25) == pytest.approx(30.0)
+    for t, d, inside in [(31.0, 10.0, True), (30.0, 10.0, False), (20.0, 10.0, False)]:
+        same = [t - d / 2, t, t + d / 2]  # median t, range d, on both sides
+        row = ab_pairs.summarize(steps("w", same, same), SPECS)["w"]["op_ms"]
+        assert (row["parent_median"], row["parent_range"]) == (t, d)
+        floor = row["corridor_floor"]
+        assert floor * (floor + d) == pytest.approx(4 * d * t)
+        assert row["inside_corridor"] is inside
+
+
+def test_corridor_is_for_per_op_times_only_and_a_faster_change_can_leave_it():
+    rows = steps("w", [40.0, 44.0, 48.0], [20.0, 21.0, 22.0])  # d = 8, t_p = 44
+    summary = ab_pairs.summarize(rows, SPECS)["w"]
+    assert "corridor_floor" not in summary["ops_per_s"]
+    assert summary["op_ms"]["corridor_floor"] == pytest.approx(33.736, abs=1e-3)
+    assert summary["op_ms"]["inside_corridor"] is False  # 21 ms: its reciprocal would spread too far

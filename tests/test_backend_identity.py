@@ -19,10 +19,11 @@ from repro.cluster import Transport
 from repro.cluster.backends import BACKEND_REGISTRY
 from repro.comm import CommGroup, ring_allreduce, scatter_reduce
 from repro.compression import ErrorFeedback
-from repro.core.primitives import RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
+from repro.core.primitives import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
 
 from .identity_harness import (
     CODEC_FACTORIES,
+    OUT_MODES,
     POOL,
     PRIMITIVES,
     SHM,
@@ -31,6 +32,7 @@ from .identity_harness import (
     close_shm_backends,
     cluster,
     compare,
+    gossip_run,
     inputs,
     train_epoch,
 )
@@ -130,6 +132,25 @@ class TestCompressedIdentity:
         _compare(4, 64, 29, _ef_steps(codec_name))
 
 
+class TestGossipOutIdentity:
+    """``d_fp_s`` / ``d_lp_s`` storing into ``out=``, on the shm legs too."""
+
+    @pytest.mark.parametrize("name", ["d_fp_s", "d_lp_s"])
+    @pytest.mark.parametrize("mode", OUT_MODES)
+    @settings(max_examples=5, deadline=None)
+    @given(world=worlds, size=sizes, seed=seeds, ring=st.booleans(), step=st.integers(0, 3))
+    def test_flat(self, name, mode, world, size, seed, ring, step):
+        peers = RingPeers() if ring else RandomPeers(seed=5)
+        _compare(world, size, seed, gossip_run(name, peers, mode, step=step))
+
+    @pytest.mark.parametrize("name", ["d_fp_s", "d_lp_s"])
+    @pytest.mark.parametrize("mode", OUT_MODES)
+    def test_under_h(self, name, mode):
+        # 2 nodes x 2: the leaders are a mutual pair, in place on their node means.
+        run = gossip_run(name, RandomPeers(seed=5), mode, hierarchical=True)
+        compare(cluster(4, 2), inputs(4, 48, 61), run, SHM)
+
+
 class TestTracedRounds:
     def test_real_trace_recorder_identical(self):
         from repro.analysis.recorder import TraceRecorder
@@ -199,6 +220,21 @@ class TestPoolRefIdentity:
         assert runs["shm"].shm_delta["pool_ref_payloads"] > 0, (
             "dense pool-resident round payloads did not ship as descriptors"
         )
+
+    @pytest.mark.parametrize("topology", ["ring", "random"])
+    def test_gossip_step_lands_in_the_pool(self, topology):
+        # A world of 3: every ring member has two sources; random pairing
+        # averages one pair where it lies and idles the third member.  With
+        # ``out=arrays`` every leg, the oracle included, ends with the averages
+        # in the pool rows the weights were read from.
+        peers = RingPeers() if topology == "ring" else RandomPeers(seed=5)
+        before = inputs(3, 80, 67)
+        runs = _compare(3, 80, 67, gossip_run("d_fp_s", peers, "arrays"), legs=POOL, pooled=True)
+        for leg in POOL:
+            rows = runs[leg].bits[0]
+            assert runs[leg].pools == [row_bytes for _dtype, _shape, row_bytes in rows], leg
+            moved = sum(pool != a.tobytes() for pool, a in zip(runs[leg].pools, before))
+            assert moved == (3 if topology == "ring" else 2), leg
 
     @pytest.mark.parametrize("codec_name", sorted(CODEC_FACTORIES))
     def test_compressed_keeps_codec_path(self, codec_name):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compression import ErrorFeedback, IdentityCompressor, OneBitCompressor, QSGDCompressor
 from repro.core import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
+from repro.core.primitives import PeerSelector
 
 from .conftest import make_group
 
@@ -304,6 +307,159 @@ class TestGossipDtype:
         arrays = [rng.standard_normal(16) for _ in range(group.size)]
         outs = d_fp_s(arrays, group, peers=RingPeers())
         assert all(out.dtype == np.float64 for out in outs)
+
+    @pytest.mark.parametrize("backend", ["local", "batched"], ids=["loop", "batched"])
+    @pytest.mark.parametrize("primitive", ["d_fp_s", "d_lp_s"])
+    def test_hierarchical_preserves_float32(self, rng, primitive, backend):
+        group = make_group(2, 4, backend=backend)
+        arrays = [rng.standard_normal(16).astype(np.float32) for _ in range(group.size)]
+        if primitive == "d_fp_s":
+            outs = d_fp_s(arrays, group, peers=RingPeers(), hierarchical=True)
+        else:
+            outs = d_lp_s(
+                arrays, group, compressor=IdentityCompressor(), peers=RingPeers(),
+                hierarchical=True,
+            )
+        assert all(out.dtype == np.float32 for out in outs)
+        node_means = [np.mean(arrays[:4], axis=0), np.mean(arrays[4:], axis=0)]
+        np.testing.assert_allclose(outs[0], np.mean(node_means, axis=0), rtol=1e-5, atol=1e-6)
+
+
+class FixedPeers(PeerSelector):
+    """Whatever neighbor sets the test dictates, valid or not."""
+
+    def __init__(self, sets):
+        self.sets = sets
+
+    def neighbors(self, n, step):
+        return self.sets
+
+
+def _gossip(primitive, arrays, group, peers, out=None, hierarchical=False):
+    """One gossip call; its rows and everything else it may change, as bits."""
+    codec = QSGDCompressor(bits=8, rng=np.random.default_rng(3))
+    if primitive == "d_fp_s":
+        outs = d_fp_s(arrays, group, peers=peers, hierarchical=hierarchical, out=out)
+    else:
+        outs = d_lp_s(
+            arrays, group, compressor=codec, peers=peers, hierarchical=hierarchical, out=out
+        )
+    transport = group.transport
+    state = (
+        [clock.now for clock in transport.clocks],
+        transport.stats.messages, transport.stats.rounds, transport.stats.total_bytes,
+        codec.rng.bit_generator.state,
+    )
+    return outs, state
+
+
+@st.composite
+def _gossip_cases(draw):
+    """Arbitrary valid neighbor sets — asymmetric edges, chains of overlapping
+    pairs, three and more sources — over mixed float32 / float64 rows."""
+    n = draw(st.integers(1, 7))
+    sets = [
+        draw(st.lists(st.sampled_from([j for j in range(n) if j != i]), unique=True, max_size=4))
+        if n > 1 else []
+        for i in range(n)
+    ]
+    dtypes = [draw(st.sampled_from([np.float64, np.float64, np.float32])) for _ in range(n)]
+    return sets, dtypes, draw(st.integers(1, 40)), draw(st.integers(0, 2**31))
+
+
+class TestGossipOut:
+    """``out=`` changes where the averages land, and nothing else."""
+
+    @pytest.mark.parametrize("backend", ["local", "batched"], ids=["loop", "batched"])
+    @pytest.mark.parametrize("primitive", ["d_fp_s", "d_lp_s"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=_gossip_cases())
+    def test_in_place_equals_fresh_rows_on_any_neighbor_sets(self, primitive, backend, case):
+        # The executable form of "every read of a row precedes the first store
+        # into it": storing into the inputs changes no bit of any result.
+        sets, dtypes, length, seed = case
+        rng = np.random.default_rng(seed)
+        base = [rng.standard_normal(length).astype(dtype) for dtype in dtypes]
+        peers = FixedPeers(sets)
+
+        inputs = [a.copy() for a in base]
+        expected, expected_state = _gossip(
+            primitive, inputs, make_group(1, len(sets), backend=backend), peers
+        )
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, base))  # only read
+        assert [e.dtype for e in expected] == [a.dtype for a in base]
+
+        inputs = [a.copy() for a in base]
+        outs, state = _gossip(
+            primitive, inputs, make_group(1, len(sets), backend=backend), peers, out=inputs
+        )
+        assert all(a is b for a, b in zip(outs, inputs))
+        assert [o.tobytes() for o in outs] == [e.tobytes() for e in expected]
+        assert state == expected_state
+
+    @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "hierarchical"])
+    @pytest.mark.parametrize("backend", ["local", "batched"], ids=["loop", "batched"])
+    @pytest.mark.parametrize("primitive", ["d_fp_s", "d_lp_s"])
+    def test_returned_rows_never_share_memory(self, rng, primitive, backend, hierarchical):
+        group = make_group(2, 4, backend=backend)
+        arrays = [rng.standard_normal(37) for _ in range(group.size)]
+        outs, _state = _gossip(primitive, arrays, group, RandomPeers(seed=2), None, hierarchical)
+        for i, a in enumerate(outs):
+            assert not any(np.shares_memory(a, b) for b in [*outs[i + 1 :], *arrays])
+
+    @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "hierarchical"])
+    @pytest.mark.parametrize("backend", ["local", "batched"], ids=["loop", "batched"])
+    @pytest.mark.parametrize("primitive", ["d_fp_s", "d_lp_s"])
+    def test_bad_out_rows_are_rejected(self, arrays, primitive, backend, hierarchical):
+        group = make_group(backend=backend)
+        kept = [a.copy() for a in arrays]
+
+        def call(out):
+            _gossip(primitive, arrays, group, RingPeers(), out, hierarchical)
+
+        block = np.zeros((group.size, 40))
+        with pytest.raises(ValueError, match="share memory"):
+            call([block[0, :37]] + [row[:37] for row in block[:-1]])  # rows 0 and 1 are one
+        with pytest.raises(ValueError, match="another member"):
+            call(arrays[1:] + arrays[:1])  # each row is some other member's input
+        with pytest.raises(ValueError, match="out rows"):
+            call([row[:37] for row in block[:-1]])  # one row short
+        with pytest.raises(ValueError, match="shape"):
+            call([row[:36] for row in block])
+        with pytest.raises(ValueError, match="float64"):
+            call([row[:37] for row in block.astype(np.float32)])  # not the inputs' dtype
+        assert group.transport.stats.messages == 0  # rejected before any round
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, kept))
+
+
+class TestNeighborSetValidation:
+    """A bad peer choice is refused whole: nothing sent, nothing stored."""
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ([[1], [0], [3]], "one neighbor set per member"),
+            ([[1], [0], [3], [4]], "member 3.*leaves the group"),
+            ([[1], [0], [-1], [2]], "member 2.*leaves the group"),
+            ([[1], [0, 1], [3], [2]], "member 1 lists itself"),
+            ([[1], [0], [3, 3], [2]], "member 2.*twice"),
+        ],
+        ids=["count", "out-of-range", "negative", "self", "duplicate"],
+    )
+    @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "hierarchical"])
+    @pytest.mark.parametrize("backend", ["local", "batched"], ids=["loop", "batched"])
+    @pytest.mark.parametrize("primitive", ["d_fp_s", "d_lp_s"])
+    def test_rejected_before_any_round_or_store(
+        self, rng, primitive, backend, hierarchical, sets, message
+    ):
+        # Four gossipers either way: the members of 1x4, the leaders of 4x2.
+        group = make_group(4, 2, backend=backend) if hierarchical else make_group(1, 4, backend=backend)
+        arrays = [rng.standard_normal(12) for _ in range(group.size)]
+        kept = [a.copy() for a in arrays]
+        with pytest.raises(ValueError, match=message):
+            _gossip(primitive, arrays, group, FixedPeers(sets), arrays, hierarchical)
+        assert group.transport.stats.messages == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, kept))
 
 
 class TestDLPS:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import LocalSGD, OneBitAdam
+from repro.algorithms import DecentralizedSGD, LocalSGD, OneBitAdam
 from repro.baselines import Horovod, PyTorchDDP, VanillaDPSG
 from repro.comm import (
     HierarchicalComm,
@@ -33,9 +33,11 @@ from repro.core.primitives import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s
 from .identity_harness import (
     CODEC_FACTORIES,
     IN_PROCESS,
+    OUT_MODES,
     PRIMITIVES,
     cluster,
     compare,
+    gossip_run,
     inputs,
     snapshot,
     train_epoch,
@@ -124,6 +126,43 @@ class TestCompressorMatrix:
             return outs, workers, servers
 
         compare(cluster(world), inputs(world, 97, 13, steps=2), run, IN_PROCESS, traced=False)
+
+
+class TestGossipOutIdentity:
+    """``d_fp_s`` / ``d_lp_s`` with ``out=``: wherever the averages land, both
+    legs give the oracle's bits, and every landing gives the same ones."""
+
+    @pytest.mark.parametrize("name", ["d_fp_s", "d_lp_s"])
+    @pytest.mark.parametrize("topology", ["ring", "random"])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        world=st.integers(1, 9),
+        split=st.integers(1, 4),
+        hierarchical=st.booleans(),
+        length=st.integers(1, 120),
+        step=st.integers(0, 5),
+        traced=st.booleans(),
+        seed=seeds,
+    )
+    def test_every_landing_is_the_oracle(
+        self, name, topology, world, split, hierarchical, length, step, traced, seed
+    ):
+        # Odd worlds idle a member under random pairing; under H the leaders
+        # gossip (nodes of the largest divisor of ``world`` up to ``split``).
+        per_node = max(d for d in range(1, split + 1) if world % d == 0) if hierarchical else world
+        peers = RingPeers() if topology == "ring" else RandomPeers(seed=7)
+        base = inputs(world, length, seed, signed_zeros=True)
+        landed = {}
+        for mode in OUT_MODES:
+            runs = compare(
+                cluster(world, per_node), base,
+                gossip_run(name, peers, mode, hierarchical, step), IN_PROCESS, traced=traced,
+            )
+            rows, _codec, after = landed[mode] = runs["local"].bits
+            # These inputs own their storage: only ``out=arrays`` writes them.
+            assert after == (rows if mode == "arrays" else snapshot(base))
+        assert landed["none"] == landed["fresh"]
+        assert landed["none"][:2] == landed["arrays"][:2]
 
 
 class TestHierarchicalIdentity:
@@ -302,3 +341,17 @@ class TestEpochLossParity:
                 for backend in IN_PROCESS
             }
             assert observed["local"] == observed["batched"], algorithm
+
+    @pytest.mark.parametrize("topology", ["ring", "random"])
+    @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "H"])
+    def test_decentralized_gossips_in_place_to_the_same_bits(self, topology, hierarchical):
+        # Flat: a world of 3 (a ring member has two sources; random pairing
+        # idles one).  Under H: 2 nodes x 2, the leaders a mutual pair.
+        world, per_node = (4, 2) if hierarchical else (3, 3)
+        observed = {}
+        for backend in (*IN_PROCESS, "shm"):
+            observed[backend], trainer = train_epoch(
+                backend, DecentralizedSGD(topology=topology), world, per_node, hierarchical
+            )
+            trainer.transport.close()
+        assert observed["local"] == observed["batched"] == observed["shm"]
