@@ -22,6 +22,9 @@ range is bounded at ``bound`` x the parent's median, so a disturbance of
 ``d`` ms (``parent_range``) on a step of ``t_c`` ms passes only while
 ``t_c (t_c + d) > d t_p / bound``; ``corridor_floor`` is the smallest such
 ``t_c`` and ``inside_corridor`` says whether the change's median is above it.
+``claim_met`` is the verdict on a claimed gain: the change ahead in at least
+nine of ten pairs, and its median better than the parent's by more than the
+parent's quartile distance.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ def summarize(pairs: list[dict], specs: list[dict]) -> dict:
     ``better``, ``bound``).  A pair in which either side has no value for a
     metric (a failed run) is left out of that metric's row, whose ``pairs``
     says how many were used.  The change wins a pair when its value is
-    strictly better; ties count for neither side.
+    strictly better; ties count for neither side.  ``claim_met``: the change
+    won at least 9/10 of the pairs and its median is better by more than
+    ``parent_iqr``.
     """
     summary: dict = {}
     for workload in dict.fromkeys(pair["workload"] for pair in pairs):
@@ -85,13 +90,14 @@ def summarize(pairs: list[dict], specs: list[dict]) -> dict:
             parent_median, change_median = statistics.median(parent), statistics.median(change)
             parent_iqr, spread_bound = _iqr(parent), spec["bound"] * parent_median
             change_range = max(change) - min(change)
+            won = sum(gain * (a - b) > 0 for a, b in values)
             row = summary[workload][name] = {
                 "pairs": len(values),
                 "parent_median": parent_median,
                 "change_median": change_median,
                 "change_over_parent": change_median / parent_median,
                 "per_pair_ratio": [b / a for a, b in values],
-                "pairs_change_better": sum(gain * (a - b) > 0 for a, b in values),
+                "pairs_change_better": won,
                 "pairs_parent_better": sum(gain * (a - b) < 0 for a, b in values),
                 "parent_iqr": parent_iqr,
                 "change_iqr": _iqr(change),
@@ -102,6 +108,8 @@ def summarize(pairs: list[dict], specs: list[dict]) -> dict:
                 "change_range": change_range,
                 "spread_bound": spread_bound,
                 "spread_ok": change_range <= spread_bound,
+                "claim_met": 10 * won >= 9 * len(values)
+                and gain * (parent_median - change_median) > parent_iqr,
             }
             if spec["unit"] == "ms":
                 row["corridor_floor"] = corridor_floor(parent_median, row["parent_range"], spec["bound"])
@@ -115,7 +123,7 @@ def print_summary(summary: dict) -> None:
             line = (
                 f"{workload:16s} {name:16s} {row['parent_median']:.4g} -> {row['change_median']:.4g}"
                 f" ({row['change_over_parent']:.3f}x, change ahead in {row['pairs_change_better']}"
-                f" of {row['pairs']}, spread_ok={row['spread_ok']})"
+                f" of {row['pairs']}, spread_ok={row['spread_ok']}, claim_met={row['claim_met']})"
             )
             if "corridor_floor" in row:
                 line += (

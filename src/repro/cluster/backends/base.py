@@ -291,13 +291,14 @@ class TransportBackend:
         """
         self._pool_arrays[rank] = pool
 
-    def pool_ref(self, array: Any) -> PoolRef | None:
+    def pool_ref(self, array: Any, rank: int | None = None) -> PoolRef | None:
         """Resolve ``array`` to a :class:`PoolRef`, or None.
 
         Only dense views qualify: 1-D C-contiguous float64, lying entirely
         within one registered pool at an 8-byte-aligned offset.  Anything
         else — other dtypes, strided views, arrays owning their own storage
-        — returns None and keeps the codec path.
+        — returns None and keeps the codec path.  Given ``rank``, only that
+        rank's pool is looked in.
         """
         if (
             not isinstance(array, np.ndarray)
@@ -308,10 +309,12 @@ class TransportBackend:
         ):
             return None
         addr = array.__array_interface__["data"][0]
-        for rank, pool in self._pool_arrays.items():
+        owners = self._pool_arrays.keys() if rank is None else self._pool_arrays.keys() & {rank}
+        for owner in owners:
+            pool = self._pool_arrays[owner]
             delta = addr - pool.__array_interface__["data"][0]
             if 0 <= delta and delta + array.nbytes <= pool.nbytes and delta % 8 == 0:
-                return PoolRef(rank=rank, offset=delta // 8, length=array.size)
+                return PoolRef(rank=owner, offset=delta // 8, length=array.size)
         return None
 
     def resolve_pool_refs(
@@ -321,19 +324,15 @@ class TransportBackend:
 
         Member ``i``'s array must live in rank ``ranks[i]``'s own pool —
         the ownership assumption the worker-parallel reduction's chunk
-        assignment relies on.  All members must share one length.
+        assignment relies on — so only that pool is looked in: O(world).
+        All members must share one length.
         """
         if len(arrays) != len(ranks) or not arrays:
             return None
         refs: list[PoolRef] = []
-        length = None
         for array, rank in zip(arrays, ranks):
-            ref = self.pool_ref(array)
-            if ref is None or ref.rank != rank:
-                return None
-            if length is None:
-                length = ref.length
-            elif ref.length != length:
+            ref = self.pool_ref(array, rank)
+            if ref is None or (refs and ref.length != refs[0].length):
                 return None
             refs.append(ref)
         return refs

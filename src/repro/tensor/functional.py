@@ -1,9 +1,11 @@
 """Differentiable operations on :class:`~repro.tensor.tensor.Tensor`.
 
 Everything here builds graph nodes by hand: forward with numpy, backward as a
-closure.  ``conv2d`` is im2col over a window view plus BLAS; the pools make one
-elementwise pass per window offset.  A backward closure never writes into the
-gradient it receives: an interior node may be holding it (``_accumulate``).
+closure.  ``conv2d`` is im2col over a window view plus BLAS, and its input
+gradient one GEMM per kernel offset; the pools make one elementwise pass per
+window offset over contiguous memory, and max-pool routes its gradient with one
+``bincount``.  A backward closure never writes into the gradient it receives:
+an interior node may be holding it (``_accumulate``).
 
 Numeric contract: ``conv2d`` contracts with BLAS (``np.matmul``), which
 re-associates sums, so it matches a nested-loop reference to ~1e-10 relative,
@@ -236,20 +238,6 @@ def _window_slices(shape: tuple, kh: int, kw: int, stride: int) -> list[tuple]:
     ]
 
 
-def _col2im(dcols: np.ndarray, x_shape: tuple, stride: int, padding: int = 0) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: sum [B, C, kh, kw, out_h, out_w] back into ``x_shape``.
-
-    One strided slice-add per kernel offset: windows overlap across offsets,
-    never within one, so each ``+=`` touches every element at most once.
-    """
-    batch, channels, height, width = x_shape
-    kh, kw = dcols.shape[2:4]
-    padded = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding), dcols.dtype)
-    for (i, j), at in zip(np.ndindex(kh, kw), _window_slices(padded.shape, kh, kw, stride)):
-        padded[at] += dcols[:, :, i, j]
-    return padded[:, :, padding : padding + height, padding : padding + width]
-
-
 def conv2d(
     x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0
 ) -> Tensor:
@@ -271,9 +259,13 @@ def conv2d(
             weight._accumulate(dw.reshape(weight.data.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
-        if x.requires_grad:
-            dcols = np.matmul(w_flat.T, g).reshape(windows.shape)
-            x._accumulate(_col2im(dcols, x.data.shape, stride, padding))
+        if x.requires_grad:  # one GEMM per kernel offset, slice-added where that offset reads
+            w_t = np.ascontiguousarray(weight.data.transpose(2, 3, 1, 0))  # [kh, kw, C, F]
+            shape = (*x.data.shape[:2], *(n + 2 * padding for n in x.data.shape[2:]))
+            padded = np.zeros(shape, np.result_type(w_t, g))
+            for (i, j), at in zip(np.ndindex(kh, kw), _window_slices(shape, kh, kw, stride)):
+                padded[at] += np.matmul(w_t[i, j], g).reshape(batch, -1, *windows.shape[4:])
+            x._accumulate(padded[:, :, padding : shape[2] - padding, padding : shape[3] - padding])
 
     return Tensor._make(out.reshape(batch, filters, *windows.shape[4:]), parents, backward)
 
@@ -284,21 +276,28 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     NaN and routes its gradient to one of its elements, unspecified which
     (``grad_guard`` is the tool for non-finite gradients)."""
     slices = _window_slices(x.data.shape, kernel, kernel, stride or kernel)
+    # ``winner``: the flat [H, W] step from a window's corner to its maximum.  It grows
+    # with the offset, so a running maximum of ``hit * step`` is a branch-free putmask.
+    height, width = x.data.shape[2:]
+    steps = (np.arange(kernel)[:, None] * width + np.arange(kernel)).ravel()
     best = x.data[slices[0]].copy()
-    winner = np.zeros(best.shape, np.int8 if kernel <= 11 else np.intp)  # holds k*k - 1
-    hit = np.empty(best.shape, bool)
-    for n, at in enumerate(slices[1:], 1):
-        np.greater(x.data[at], best, out=hit)  # strict: the first of equal maxima stays
-        np.putmask(winner, hit, n)
-        np.maximum(best, x.data[at], out=best)
+    window, hit = np.empty_like(best), np.empty(best.shape, bool)
+    winner = np.zeros(best.shape, np.min_scalar_type(steps[-1]))
+    for at, step in zip(slices[1:], steps[1:].astype(winner.dtype)):
+        np.copyto(window, x.data[at])  # the one strided read of this offset
+        np.greater(window, best, out=hit)  # strict: the first of equal maxima stays
+        np.maximum(winner, hit * step, out=winner)
+        np.maximum(best, window, out=best)
 
     def backward(grad: np.ndarray) -> None:
-        dx, routed = np.zeros_like(x.data), np.empty_like(best)
-        for n, at in enumerate(slices):
-            np.equal(winner, n, out=hit)
-            np.multiply(grad, hit, out=routed)
-            dx[at] += routed  # added, not stored: overlapping windows sum
-        x._accumulate(dx)
+        # One bincount, fed each [B, C] plane's windows last to first: every input
+        # element then sums in ascending window-offset order, as slice-adds would.
+        back = (..., slice(None, None, -1), slice(None, None, -1))
+        planes = np.arange(0, x.data.size, height * width).reshape(*x.data.shape[:2], 1, 1)
+        index = np.arange(height * width).reshape(height, width)[slices[0]][back] + planes
+        index += winner[back]
+        dx = np.bincount(index.ravel(), grad[back].ravel(), x.data.size)
+        x._accumulate(dx.reshape(x.data.shape).astype(x.data.dtype, copy=False))
 
     return Tensor._make(best, (x,), backward)
 

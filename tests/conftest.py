@@ -11,10 +11,12 @@ from hypothesis import settings
 from repro.cluster import ClusterSpec, TCP_25G, Transport
 from repro.comm import CommGroup
 
-# CI selects "ci" through HYPOTHESIS_PROFILE: derandomized, so a red build
-# replays with the same examples; unset keeps Hypothesis's random default.
-settings.register_profile("ci", derandomize=True, deadline=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+# Derandomized by default, so every run draws the same examples and a red
+# run replays; no per-example deadline, so no test asserts on wall-clock.
+# HYPOTHESIS_PROFILE=random opts in to fresh random examples.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.register_profile("random", deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
 
 @pytest.fixture

@@ -90,3 +90,27 @@ def test_corridor_is_for_per_op_times_only_and_a_faster_change_can_leave_it():
     assert "corridor_floor" not in summary["ops_per_s"]
     assert summary["op_ms"]["corridor_floor"] == pytest.approx(33.736, abs=1e-3)
     assert summary["op_ms"]["inside_corridor"] is False  # 21 ms: its reciprocal would spread too far
+
+
+PARENT_MS = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # median 14.5, IQR 4.5
+
+
+def test_claim_met_at_nine_of_ten_and_a_gap_wider_than_the_parents_quartiles(capsys):
+    change = [a - 5.0 for a in PARENT_MS[:9]] + [PARENT_MS[9]]  # one tie, counted for neither
+    row = ab_pairs.summarize(steps("w", PARENT_MS, change), SPECS)["w"]["op_ms"]
+    assert (row["pairs_change_better"], row["pairs_parent_better"]) == (9, 0)
+    assert (row["parent_median"] - row["change_median"], row["parent_iqr"]) == (5.0, 4.5)
+    assert row["claim_met"] is True
+    ab_pairs.print_summary({"w": {"op_ms": row}})
+    assert "claim_met=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "change",
+    [[a - 5.0 for a in PARENT_MS[:8]] + PARENT_MS[8:],  # far enough apart, but ahead in 8 of 10
+     [a - 1.0 for a in PARENT_MS]],  # ahead in 10 of 10, but 1.0 apart against an IQR of 4.5
+    ids=["eight-of-ten", "inside-the-quartiles"],
+)  # fmt: skip
+def test_claim_not_met(change):
+    row = ab_pairs.summarize(steps("w", PARENT_MS, change), SPECS)["w"]["op_ms"]
+    assert row["claim_met"] is False

@@ -315,6 +315,22 @@ class TestPoolRefReduce:
             # Any non-pool member keeps the whole collective on the codec path.
             assert backend.resolve_pool_refs([pools[0], np.arange(8.0)], [0, 1]) is None
 
+    @pytest.mark.parametrize("backend_name", ["batched", "shm"])
+    def test_a_view_into_another_ranks_pool_does_not_resolve(self, backend_name):
+        """Only member ``i``'s own pool is looked in: a dense view that does
+        resolve on its own, through ``pool_ref``, still fails the collective
+        when it lies in another rank's pool."""
+        with Transport(_spec(3), backend=backend_name) as transport:
+            backend = transport.backend
+            pools = [backend.allocate_pool(rank, 8) for rank in range(3)]
+            views = [pool[2:6] for pool in pools]
+            assert [r.offset for r in backend.resolve_pool_refs(views, [0, 1, 2])] == [2, 2, 2]
+            stray = pools[2][4:8]  # rank 2's, offered as rank 1's
+            ref = backend.pool_ref(stray)
+            assert (ref.rank, ref.offset, ref.length) == (2, 4, 4) and backend.pool_ref(stray, 2) == ref
+            assert backend.pool_ref(stray, 1) is None
+            assert backend.resolve_pool_refs([views[0], stray, views[2]], [0, 1, 2]) is None
+
     @pytest.mark.parametrize("add_zero", [True, False], ids=["add-zero", "plain"])
     def test_worker_parallel_reduce_matches_serial_fold(self, add_zero):
         world = 3

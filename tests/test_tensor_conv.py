@@ -292,7 +292,7 @@ class TestAgainstIm2colPooling:
 
     def test_kernel_12_needs_the_wide_winner_index(self, rng):
         data = rng.standard_normal((1, 2, 13, 13))
-        data[:, :, 11, 11] = 100.0  # window offsets 143, 142, 131, 130: none fits int8
+        data[:, :, 11, 11] = 100.0  # window offsets 143, 142, 131, 130: steps of up to 154
         x = Tensor(data, requires_grad=True)
         expected, grad = im2col_pool2d(data, 12, 1, "max")
         out = F.max_pool2d(x, 12, stride=1)
@@ -301,6 +301,23 @@ class TestAgainstIm2colPooling:
         out.backward(upstream)
         np.testing.assert_array_equal(bits(x.grad), bits(grad(upstream)))
         assert np.count_nonzero(x.grad) == 2  # all four windows of a channel route to one element
+
+    def test_an_element_winning_many_windows_sums_in_window_offset_order(self, rng):
+        """The centre of a 5x5 plane sits in all nine 3x3 stride-1 windows and
+        wins each.  Its nine upstream values sum to 1.0 in window-offset order,
+        the oracle's (window (2, 2) first, then (2, 1), ... (0, 0)), and to 0.0
+        in window order, where the 1.0 is absorbed into 1e16 before the
+        cancellation."""
+        data = rng.standard_normal((1, 1, 5, 5))
+        data[0, 0, 2, 2] = 100.0
+        x = Tensor(data, requires_grad=True)
+        expected, grad = im2col_pool2d(data, 3, 1, "max")
+        out = F.max_pool2d(x, 3, stride=1)
+        upstream = np.zeros(expected.shape)
+        upstream[0, 0, 0, 0], upstream[0, 0, 1, 1], upstream[0, 0, 2, 2] = 1.0, 1e16, -1e16
+        out.backward(upstream)
+        np.testing.assert_array_equal(bits(x.grad), bits(grad(upstream)))
+        assert x.grad[0, 0, 2, 2] == 1.0 and np.count_nonzero(x.grad) == 1
 
     @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
     @pytest.mark.parametrize(
@@ -331,3 +348,19 @@ class TestAgainstIm2colPooling:
         for i, j in np.ndindex(2, 2):
             window = x.grad[0, 0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
             assert np.count_nonzero(window) == 1 and window.sum() == upstream[0, 0, i, j]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda x: F.max_pool2d(x, 2), lambda x: F.max_pool2d(x, 3, stride=1),
+     lambda x: F.avg_pool2d(x, 2), lambda x: F.avg_pool2d(x, 3, stride=1),
+     lambda x: F.conv2d(x, Tensor(np.ones((2, 3, 3, 3), np.float32)), padding=1),
+     lambda x: F.conv2d(x, Tensor(np.ones((2, 3, 2, 2), np.float32)), stride=2)],
+    ids=["max", "max-overlapping", "avg", "avg-overlapping", "conv", "conv-strided"],
+)  # fmt: skip
+def test_a_float32_input_gets_a_float32_gradient(op, rng):
+    x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32), requires_grad=True)
+    out = op(x)
+    assert out.data.dtype == np.float32
+    out.backward(np.ones(out.shape, np.float32))
+    assert x.grad.dtype == np.float32 and x.grad.shape == x.data.shape
