@@ -18,9 +18,10 @@
 # perf PR reports (benchmarks/ab_pairs.py): ten alternating 30-s pairs of
 # the gated workloads, <rev> against the working tree, ~45 min on a quiet box.
 # `make loc` prints the source line total and the per-package subtotals
-# (comm, backends, primitives + engine, analysis, simulation, algorithms,
-# baselines) a [simplicity] PR quotes for parent and change (CI appends it
-# to the job summary).
+# (comm, backends, primitives + engine, the planner — optimizer_framework,
+# schedule, bucket, profiler — analysis, simulation, algorithms, baselines)
+# a [simplicity] PR quotes for parent and change (CI appends it to the job
+# summary).
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -77,6 +78,7 @@ loc:
 	@find src -name '*.py' | xargs wc -l | tail -n 1 | sed 's/total/src/'
 	@for part in src/repro/comm src/repro/cluster/backends \
 		"src/repro/core/primitives.py src/repro/core/engine.py" \
+		"src/repro/core/optimizer_framework.py src/repro/core/schedule.py src/repro/core/bucket.py src/repro/core/profiler.py" \
 		src/repro/analysis src/repro/simulation \
 		src/repro/algorithms src/repro/baselines; do \
 		find $$part -name '*.py' | xargs cat | wc -l | tr '\n' ' '; echo "$$part"; \

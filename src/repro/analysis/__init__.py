@@ -1,11 +1,11 @@
-"""repro.analysis — static verifier for BAGUA execution plans and traces.
+"""repro.analysis — static verifier for BAGUA bucket schedules and traces.
 
 The execution optimizer (paper §3) rewrites communication schedules behind
 the user's back; this subsystem catches the bugs such rewriting can
 introduce — mismatched collectives across ranks, asymmetric gossip peers,
 optimizer updates racing overlapped communication, aliasing bucket buffers,
 and biased compressors running without error-feedback state — *before* a
-run, from a recorded one-iteration dry run or a lowered plan.
+run, from a recorded one-iteration dry run or a lowered bucket schedule.
 
 Layers:
 
@@ -13,9 +13,8 @@ Layers:
   :class:`CommTrace`, bucket :class:`BucketExtent` layouts);
 * :mod:`~repro.analysis.recorder` — :class:`TraceRecorder`, the
   instrumentation mode of the communication stack;
-* :mod:`~repro.analysis.lowering` — :func:`lower_plan` /
-  :func:`lower_schedule` / :func:`layout_from_buckets`, the static
-  producers;
+* :mod:`~repro.analysis.lowering` — :func:`lower_schedule` /
+  :func:`layout_from_buckets`, the static producers;
 * :mod:`~repro.analysis.checkers` — the five heuristic rules plus the four
   happens-before rules;
 * :mod:`~repro.analysis.hb` — the happens-before engine: vector clocks over
@@ -68,9 +67,7 @@ from .lowering import (  # noqa: F401
     CommPattern,
     emit_iteration,
     layout_from_buckets,
-    layout_from_plan,
     layout_from_schedule,
-    lower_plan,
     lower_schedule,
 )
 from .planspace import (  # noqa: F401
@@ -147,9 +144,7 @@ __all__ = [
     "gossip_peer_sets",
     "gossip_weight_matrix",
     "layout_from_buckets",
-    "layout_from_plan",
     "layout_from_schedule",
-    "lower_plan",
     "lower_point",
     "lower_schedule",
     "probe_profile",

@@ -7,8 +7,10 @@ the checker suite three subjects:
 
 * the **recorded trace** plus the live flattened-bucket layout (real byte
   addresses) — what the algorithm actually did;
-* the **lowered execution plan** (schedule + planned extents) — what the
-  execution optimizer committed to, checkable without running anything;
+* the **plan lowering** — the execution optimizer's
+  :class:`~repro.core.schedule.BucketSchedule` (planned extents) with every
+  update trailing the communication stream, checkable without running
+  anything;
 * the **lowered bucket schedule** — the gated event stream the
   :class:`~repro.core.schedule.ScheduledExecutor` drives, so the op order
   being verified is the one the executor actually runs.
@@ -26,6 +28,8 @@ deadlock-free, and the sweep widens to the baseline registry.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..algorithms.registry import ALGORITHM_REGISTRY, make_algorithm
@@ -42,7 +46,7 @@ from ..tensor.optim import SGD
 from ..tensor.tensor import Tensor
 from .checkers import HB_CHECKERS, BufferAliasingChecker, run_checkers
 from .ir import AnalysisSubject
-from .lowering import layout_from_buckets, lower_plan, lower_schedule
+from .lowering import layout_from_buckets, lower_schedule
 from .recorder import TraceRecorder
 from .report import AnalysisReport, SweepReport
 from .symbolic import PROBE_BUCKET_BYTES
@@ -87,11 +91,6 @@ def _probe_batches(world_size: int, steps: int, seed: int) -> list[list]:
             batches.append((inputs, labels))
         per_step.append(batches)
     return per_step
-
-
-def _node_groups(spec: ClusterSpec) -> list[list[int]]:
-    """Global ranks grouped per node, for the hierarchical lowering."""
-    return spec.node_groups()
 
 
 def probe_algorithm(name: str) -> Algorithm:
@@ -162,7 +161,7 @@ def analyze_algorithm(
         world=f"{num_nodes}x{gpus_per_node}",
         checkers=checker_names,
     )
-    nodes = _node_groups(spec)
+    nodes = spec.node_groups()
 
     def check_subject(subject: AnalysisSubject) -> None:
         if algorithm.staleness_bound is not None:
@@ -193,17 +192,21 @@ def analyze_algorithm(
         )
         report.findings.extend(aliasing.check(replica))
 
-    # Subject 2: the plan, checked statically without running.
-    if engine.plan is not None:
-        planned = lower_plan(engine.plan, spec.world_size, nodes=nodes)
+    if engine.schedule is not None:
+        # Subject 2: the plan, checked statically without running — the
+        # planned buckets with every update trailing the communication.
+        planned = lower_schedule(
+            replace(engine.schedule, per_bucket_updates=False),
+            spec.world_size,
+            nodes=nodes,
+        )
         planned.source = (
-            f"plan lowering ({engine.plan.config.describe()}, "
-            f"{engine.plan.num_buckets} buckets)"
+            f"plan lowering ({engine.config.describe()}, "
+            f"{engine.schedule.num_buckets} buckets)"
         )
         check_subject(planned)
 
-    # Subject 3: the executor's schedule — the gated event stream it runs.
-    if engine.schedule is not None:
+        # Subject 3: the executor's schedule — the gated event stream it runs.
         scheduled = lower_schedule(engine.schedule, spec.world_size, nodes=nodes)
         check_subject(scheduled)
 

@@ -1,7 +1,7 @@
 """Comm-op IR: the static-analysis view of a BAGUA execution.
 
 Every analyzable artifact — a recorded dry run, a lowered
-:class:`~repro.core.optimizer_framework.ExecutionPlan`, or a hand-built
+:class:`~repro.core.schedule.BucketSchedule`, or a hand-built
 counterexample in a test — is normalized into the same two structures:
 
 * a :class:`CommTrace` of per-rank :class:`CommOp` sequences.  One op is one

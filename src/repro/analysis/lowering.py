@@ -1,21 +1,19 @@
-"""Lowering execution plans, schedules and live buckets into the comm-op IR.
+"""Lowering bucket schedules and live buckets into the comm-op IR.
 
-Three producers feed the checker suite without (or alongside) a dry run:
+Two producers feed the checker suite without (or alongside) a dry run:
 
-* :func:`lower_plan` turns an :class:`ExecutionPlan` into the SPMD schedule
-  every rank would execute — communication issues at each bucket's gradient
-  -ready point (when overlap is on), awaits, the collective itself, and the
-  optimizer updates that must come after.  This is the static path: a plan
-  can be verified before anything runs;
-* :func:`lower_schedule` does the same for a
-  :class:`~repro.core.schedule.BucketSchedule` — the IR the
-  :class:`~repro.core.schedule.ScheduledExecutor` actually runs — walking
-  its gated event stream, so per-bucket vs barrier update policies lower to
-  different (and separately checkable) op orders;
-* :func:`layout_from_plan` / :func:`layout_from_schedule` /
-  :func:`layout_from_buckets` produce the bucket address layout, planned
-  (cumulative offsets) or real (byte addresses of the live flattened
-  buffers), for the aliasing analysis.
+* :func:`lower_schedule` turns a :class:`~repro.core.schedule.BucketSchedule`
+  — what the execution optimizer plans and the
+  :class:`~repro.core.schedule.ScheduledExecutor` runs — into the SPMD
+  schedule every rank would execute: communication issues at each bucket's
+  gradient-ready point (when overlap is on), awaits, the collective itself,
+  and the optimizer updates that must come after.  It walks the schedule's
+  gated event stream, so per-bucket vs barrier update policies lower to
+  different (and separately checkable) op orders, and a schedule can be
+  verified before anything runs;
+* :func:`layout_from_schedule` / :func:`layout_from_buckets` produce the
+  bucket address layout, planned (cumulative offsets) or real (byte
+  addresses of the live flattened buffers), for the aliasing analysis.
 
 The per-rank event enumeration itself lives in :func:`emit_iteration`, which
 is parameterized by a :class:`CommPattern` — the algorithm-level shape of
@@ -48,13 +46,11 @@ import numpy as np
 from ..comm.hierarchical import hierarchical_phases
 from ..compression.base import Compressor
 from ..core.bucket import TensorBucket
-from ..core.optimizer_framework import ExecutionPlan
 from ..core.schedule import (
     GATE_BACKWARD_END,
     GATE_BARRIER,
     GATE_COMM_DONE,
     GATE_GRAD_READY,
-    UPDATE_BARRIER,
     BucketSchedule,
 )
 from .ir import GOSSIP_KINDS, AnalysisSubject, BucketExtent, CommTrace, ParamView
@@ -241,35 +237,6 @@ def emit_iteration(
             add_prepared(rank, await_t)
 
 
-def lower_plan(
-    plan: ExecutionPlan,
-    world_size: int,
-    compressor: Compressor | None = None,
-    error_feedback: bool = False,
-    nodes: Sequence[Sequence[int]] | None = None,
-) -> AnalysisSubject:
-    """Lower ``plan`` into the per-rank schedule trace + planned layout.
-
-    The schedule is identical on every rank (the plan is SPMD by
-    construction); the value of lowering is that checkers then prove
-    properties of the *schedule shape* — every optimizer update on a bucket
-    is preceded by the await of that bucket's communication, sizes agree,
-    and the planned extents do not alias.
-
-    Internally this delegates to :func:`lower_schedule` on the
-    :class:`BucketSchedule` the plan implies, with the plan's historical
-    barrier update placement (all updates trail the communication stream).
-    """
-    schedule = BucketSchedule.from_plan(plan, update_mode=UPDATE_BARRIER)
-    subject = lower_schedule(
-        schedule, world_size, compressor=compressor,
-        error_feedback=error_feedback, nodes=nodes,
-    )
-    subject.layout = layout_from_plan(plan)
-    subject.source = f"plan({plan.config.describe()})"
-    return subject
-
-
 def lower_schedule(
     schedule: BucketSchedule,
     world_size: int,
@@ -279,11 +246,11 @@ def lower_schedule(
 ) -> AnalysisSubject:
     """Lower a :class:`BucketSchedule` into the per-rank schedule trace.
 
-    This is the executor-facing twin of :func:`lower_plan`: instead of
-    re-deriving the op order from the plan's switches, it walks the
-    schedule's own gated event stream — so what the checkers prove is the
-    *exact* order the :class:`~repro.core.schedule.ScheduledExecutor` runs,
-    including the per-bucket vs barrier update placement.
+    The schedule is identical on every rank (it is SPMD by construction).
+    It walks the schedule's own gated event stream — so what the checkers
+    prove is the *exact* order the
+    :class:`~repro.core.schedule.ScheduledExecutor` runs, including the
+    per-bucket vs barrier update placement.
 
     Under overlap, collectives are emitted on the ``comm`` thread gated on
     their bucket's issue (``grad_ready``) while issues, awaits and updates
@@ -323,28 +290,6 @@ def layout_from_schedule(schedule: BucketSchedule) -> tuple[BucketExtent, ...]:
         extents.append(
             BucketExtent(
                 name=bucket.name,
-                start=base,
-                stop=base + bucket.elements,
-                views=tuple(views),
-            )
-        )
-        base += bucket.elements
-    return tuple(extents)
-
-
-def layout_from_plan(plan: ExecutionPlan) -> tuple[BucketExtent, ...]:
-    """Planned bucket layout: buckets packed back-to-back in one address space."""
-    extents: list[BucketExtent] = []
-    base = 0
-    for bucket in plan.buckets:
-        views = []
-        offset = base
-        for record in bucket.records:
-            views.append(ParamView(name=record.name, start=offset, stop=offset + record.elements))
-            offset += record.elements
-        extents.append(
-            BucketExtent(
-                name=f"bucket{bucket.index}",
                 start=base,
                 stop=base + bucket.elements,
                 views=tuple(views),

@@ -1,10 +1,9 @@
 """Symbolic plan lowering: a plan *description* becomes checkable IR.
 
-The existing lowerings (:mod:`repro.analysis.lowering`) start from artifacts
-the engine built while running — an :class:`~repro.core.optimizer_framework.
-ExecutionPlan` or a :class:`~repro.core.schedule.BucketSchedule` exists only
-after a transport, workers and a profiling iteration.  This module removes
-that requirement: a :class:`PlanPoint` names everything the lowering needs —
+The executor-facing lowering (:mod:`repro.analysis.lowering`) starts from
+an artifact the engine built while running — its
+:class:`~repro.core.schedule.BucketSchedule` exists only after a transport,
+workers and a profiling iteration.  This module removes that requirement: a :class:`PlanPoint` names everything the lowering needs —
 algorithm, world shape, the O/F/H switches, bucket cap, codec, gossip
 topology — and :func:`lower_point` turns it into the same comm-op IR and
 happens-before event stream *without constructing a transport or executing a
@@ -29,8 +28,8 @@ plan description alone, before any IR exists:
 * ``plan-gossip-stochasticity`` — the averaging weight matrix the peer sets
   imply must be doubly stochastic, or decentralized SGD loses its fixed
   point (:func:`gossip_weight_matrix`);
-* ``plan-bucket-feasibility`` — a non-positive bucket cap is meaningless,
-  and a cap that fuses the whole model into one bucket leaves overlap (O)
+* ``plan-bucket-feasibility`` — a bucket cap that is not positive (or is
+  NaN) is meaningless, and a cap that fuses the whole model into one bucket leaves overlap (O)
   nothing to hide behind.
 
 :mod:`repro.analysis.planspace` enumerates points across these knobs and
@@ -108,10 +107,6 @@ def comm_model_of(name: str) -> Algorithm:
         known = sorted(set(ALGORITHM_REGISTRY) | set(BASELINE_REGISTRY))
         raise KeyError(f"no communication model for {name!r}; known: {known}")
     return factory()
-
-
-def update_mode_of(name: str) -> str:
-    return comm_model_of(name).update_mode
 
 
 def staleness_bound_of(name: str) -> int | None:
@@ -286,11 +281,10 @@ def symbolic_schedule(
         hierarchical=point.hierarchical,
         bucket_bytes=point.bucket_bytes,
     )
-    plan = ExecutionOptimizer(config).plan(profile)
     per_bucket = point.per_bucket_updates
     if per_bucket is None:
-        per_bucket = update_mode_of(point.algorithm) == UPDATE_PER_BUCKET
-    return BucketSchedule.from_plan(plan, per_bucket_updates=per_bucket)
+        per_bucket = comm_model_of(point.algorithm).update_mode == UPDATE_PER_BUCKET
+    return ExecutionOptimizer(config).plan(profile, per_bucket_updates=per_bucket)
 
 
 def _pattern_for_step(point: PlanPoint, model: Algorithm, step: int) -> CommPattern:
@@ -464,7 +458,7 @@ def _check_compressor_compat(point: PlanPoint, model: Algorithm) -> list[Finding
 def _check_bucket_feasibility(
     point: PlanPoint, profile: ExecutionProfile
 ) -> list[Finding]:
-    if point.bucket_bytes <= 0:
+    if not point.bucket_bytes > 0:  # NaN fails every comparison
         return [
             _finding(
                 "plan-bucket-feasibility",

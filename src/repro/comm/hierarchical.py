@@ -50,8 +50,8 @@ def hierarchical_phases(
     phase at all.
 
     This is the *static* description of what :class:`HierarchicalComm`
-    executes — the plan lowering (:mod:`repro.analysis.lowering`) and the
-    symbolic verifier enumerate per-rank events from exactly this structure,
+    executes — the schedule lowering (:mod:`repro.analysis.lowering`) and
+    the symbolic verifier enumerate per-rank events from exactly this structure,
     so what the analyzer proves is the phase order the communicator runs.
     """
     node = tuple(node_group)

@@ -1,16 +1,10 @@
 """BAGUA core: primitives, buckets, profiler, execution optimizer, engine."""
 
 from .autotune import Recommendation, TuningReport, classify_family, recommend
-from .bucket import TensorBucket, partition_into_buckets
+from .bucket import TensorBucket
 from .communicator import GlobalComm, get_global_comm
 from .engine import Algorithm, BaguaEngine, WorkerReplica
-from .optimizer_framework import (
-    DEFAULT_BUCKET_BYTES,
-    BaguaConfig,
-    ExecutionOptimizer,
-    ExecutionPlan,
-    PlannedBucket,
-)
+from .optimizer_framework import DEFAULT_BUCKET_BYTES, BaguaConfig, ExecutionOptimizer
 from .primitives import (
     PeerSelector,
     RandomPeers,
@@ -43,7 +37,6 @@ from .schedule import (
 
 __all__ = [
     "TensorBucket",
-    "partition_into_buckets",
     "BaguaEngine",
     "WorkerReplica",
     "Algorithm",
@@ -61,8 +54,6 @@ __all__ = [
     "IterationReport",
     "BaguaConfig",
     "ExecutionOptimizer",
-    "ExecutionPlan",
-    "PlannedBucket",
     "DEFAULT_BUCKET_BYTES",
     "c_fp_s",
     "c_lp_s",

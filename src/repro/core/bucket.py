@@ -226,31 +226,3 @@ class TensorBucket:
             f"elements={self.total_elements}, flattened={self.flattened})"
         )
 
-
-def partition_into_buckets(
-    params: Sequence[Tensor],
-    bucket_bytes: float,
-    flatten: bool = True,
-    name_prefix: str = "bucket",
-) -> list[TensorBucket]:
-    """Greedily group ``params`` (in the given order) into size-capped buckets.
-
-    The order should be the gradient-ready order recorded by the profiler so
-    each bucket completes as early as possible during backward.  A single
-    tensor larger than ``bucket_bytes`` gets its own bucket.
-    """
-    if bucket_bytes <= 0:
-        raise ValueError(f"bucket_bytes must be positive, got {bucket_bytes}")
-    buckets: list[TensorBucket] = []
-    current: list[Tensor] = []
-    current_bytes = 0.0
-    for p in params:
-        p_bytes = p.data.size * 4.0
-        if current and current_bytes + p_bytes > bucket_bytes:
-            buckets.append(TensorBucket(current, name=f"{name_prefix}{len(buckets)}", flatten=flatten))
-            current, current_bytes = [], 0.0
-        current.append(p)
-        current_bytes += p_bytes
-    if current:
-        buckets.append(TensorBucket(current, name=f"{name_prefix}{len(buckets)}", flatten=flatten))
-    return buckets

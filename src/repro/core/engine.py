@@ -2,7 +2,7 @@
 
 This is the reproduction's equivalent of ``bagua.bagua_init(model, optimizer,
 algorithm)``: it wraps per-worker model replicas, runs the profiling phase on
-the first iteration, builds the execution plan (bucketing/flattening per the
+the first iteration, builds the bucket schedule (bucketing/flattening per the
 :class:`~repro.core.optimizer_framework.BaguaConfig`), and hands aligned
 bucket views to the training algorithm after every backward pass.
 
@@ -27,9 +27,15 @@ from ..tensor.module import Module
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
 from .bucket import TensorBucket
-from .optimizer_framework import BaguaConfig, ExecutionOptimizer, ExecutionPlan
+from .optimizer_framework import BaguaConfig, ExecutionOptimizer
 from .profiler import ExecutionProfile, GradientReadyProfiler
-from .schedule import BucketSchedule, ComputeModel, ScheduledExecutor
+from .schedule import (
+    UPDATE_BARRIER,
+    UPDATE_PER_BUCKET,
+    BucketSchedule,
+    ComputeModel,
+    ScheduledExecutor,
+)
 
 LossFn = Callable[[Module, object], Tensor]
 
@@ -92,7 +98,7 @@ class WorkerReplica:
 
 
 class BaguaEngine:
-    """Coordinates replicas, the execution plan and the training algorithm."""
+    """Coordinates replicas, the bucket schedule and the training algorithm."""
 
     def __init__(
         self,
@@ -114,7 +120,17 @@ class BaguaEngine:
                 f"{type(algorithm).__name__} does not implement comm_bucket(); "
                 "the ScheduledExecutor drives every algorithm through it"
             )
+        if algorithm.update_mode not in (UPDATE_PER_BUCKET, UPDATE_BARRIER):
+            raise ValueError(
+                f"{type(algorithm).__name__} declares update_mode "
+                f"{algorithm.update_mode!r}; use {UPDATE_PER_BUCKET!r} or "
+                f"{UPDATE_BARRIER!r}"
+            )
         self.config = config or BaguaConfig()
+        if not self.config.bucket_bytes > 0:  # also rejects nan
+            raise ValueError(
+                f"bucket_bytes must be positive, got {self.config.bucket_bytes}"
+            )
         # With grad_guard on, a non-finite gradient raises before it can be
         # communicated and poison every replica — fail fast at the source
         # rank instead of diverging the whole cluster.
@@ -138,7 +154,6 @@ class BaguaEngine:
             # flip), so the engine applies it at construction.
             transport.backend.set_protocol_sanitize(self.config.protocol_sanitize)
         self.group = CommGroup(transport, [w.ctx.rank for w in self.workers])
-        self.plan: ExecutionPlan | None = None
         self.profile: ExecutionProfile | None = None
         self._compute_model = compute_model
         self.schedule: BucketSchedule | None = None
@@ -182,7 +197,7 @@ class BaguaEngine:
         """One lock-step iteration; returns the mean loss across workers."""
         if len(batches) != self.world_size:
             raise ValueError(f"need {self.world_size} batches, got {len(batches)}")
-        if self.plan is None:
+        if self.schedule is None:
             losses = self._profiling_iteration(batches, loss_fn)
         else:
             losses = self._compute_gradients(batches, loss_fn)
@@ -221,11 +236,11 @@ class BaguaEngine:
         losses = self._compute_gradients(batches, loss_fn)
         profiler.uninstall()
         self.profile = profiler.profile
-        self.plan = ExecutionOptimizer(self.config).plan(self.profile)
-        self._build_buckets()
-        self.schedule = BucketSchedule.from_plan(
-            self.plan, update_mode=self.algorithm.update_mode
+        self.schedule = ExecutionOptimizer(self.config).plan(
+            self.profile,
+            per_bucket_updates=self.algorithm.update_mode == UPDATE_PER_BUCKET,
         )
+        self._build_buckets()
         self.executor = ScheduledExecutor(
             self, self.schedule, compute_model=self._compute_model
         )
@@ -233,7 +248,7 @@ class BaguaEngine:
         return losses
 
     def _build_buckets(self) -> None:
-        """Create aligned per-worker buckets following the plan.
+        """Create aligned per-worker buckets following the schedule.
 
         All replicas share the profile recorded on worker 0 — replicas are
         identical by construction, so the ready order is too.
@@ -250,26 +265,26 @@ class BaguaEngine:
         one registered pool per rank, so gradient views resolve to pool refs
         exactly as weight views do.
         """
-        assert self.plan is not None
+        assert self.schedule is not None
         flatten = self.config.flatten
         backend = self.group.transport.backend
-        total = sum(planned.elements for planned in self.plan.buckets)
+        total = self.schedule.total_elements
         for worker in self.workers:
             by_name = dict(worker.model.named_parameters())
             pool = backend.allocate_pool(worker.rank, 2 * total) if flatten else None
             offset = 0
             buckets = []
-            for planned in self.plan.buckets:
-                params = [by_name[name] for name in planned.names]
+            for scheduled in self.schedule.buckets:
+                params = [by_name[name] for name, _elements in scheduled.views]
                 view = grad_view = None
                 if pool is not None:
-                    view = pool[offset : offset + planned.elements]
-                    grad_view = pool[total + offset : total + offset + planned.elements]
-                    offset += planned.elements
+                    view = pool[offset : offset + scheduled.elements]
+                    grad_view = pool[total + offset : total + offset + scheduled.elements]
+                    offset += scheduled.elements
                 buckets.append(
                     TensorBucket(
                         params,
-                        name=f"bucket{planned.index}",
+                        name=scheduled.name,
                         flatten=flatten,
                         buffer=view,
                         grad_buffer=grad_view,

@@ -10,18 +10,20 @@ phase or from a static model spec) and the three optimization switches —
 * **H** (hierarchical): run each communication in the two-tier intra/inter
   node form —
 
-the optimizer produces an :class:`ExecutionPlan` consumed by both the
-functional engine (which buckets/flattens real parameters) and the timing
-simulator (which schedules the per-layer pipeline).  Table 5's ablation is
-exactly these switches.
+the optimizer produces the iteration's
+:class:`~repro.core.schedule.BucketSchedule`, the one bucketing IR read by
+the functional engine (which buckets/flattens real parameters from its
+views), the timing simulator (which prices the per-layer pipeline) and the
+analyzer (which lowers it to comm ops).  Table 5's ablation is exactly these
+switches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .profiler import ExecutionProfile, TensorRecord
+from .schedule import BucketSchedule, ScheduledBucket
 
 #: Default fused-bucket size.  10 MB mirrors the production default; large
 #: enough to amortize latency, small enough to leave overlap opportunities.
@@ -61,89 +63,53 @@ class BaguaConfig:
         )
 
 
-@dataclass
-class PlannedBucket:
-    """A group of tensors fused into one communication unit."""
-
-    index: int
-    records: list[TensorRecord] = field(default_factory=list)
-
-    @property
-    def elements(self) -> int:
-        return sum(r.elements for r in self.records)
-
-    @property
-    def nbytes_fp32(self) -> float:
-        return self.elements * 4.0
-
-    @property
-    def names(self) -> list[str]:
-        return [r.name for r in self.records]
-
-    @property
-    def ready_index(self) -> int:
-        """Backward step after which the whole bucket's gradients exist."""
-        return max(r.ready_index for r in self.records)
-
-    @property
-    def bwd_flops(self) -> float:
-        return sum(r.bwd_flops for r in self.records)
-
-    @property
-    def fwd_flops(self) -> float:
-        return sum(r.fwd_flops for r in self.records)
-
-
-@dataclass
-class ExecutionPlan:
-    """Bucketing + scheduling decisions for one model/algorithm pair."""
-
-    config: BaguaConfig
-    buckets: list[PlannedBucket]
-
-    @property
-    def num_buckets(self) -> int:
-        return len(self.buckets)
-
-    @property
-    def total_elements(self) -> int:
-        return sum(b.elements for b in self.buckets)
-
-    def communication_units(self) -> list[PlannedBucket]:
-        """Buckets in the order their communication should be issued."""
-        return sorted(self.buckets, key=lambda b: b.ready_index)
-
-
 class ExecutionOptimizer:
-    """Turns a profile + config into an execution plan."""
+    """Turns a profile + config into the iteration's :class:`BucketSchedule`."""
 
     def __init__(self, config: BaguaConfig | None = None) -> None:
         self.config = config or BaguaConfig()
 
-    def plan(self, profile: ExecutionProfile) -> ExecutionPlan:
+    def plan(
+        self, profile: ExecutionProfile, per_bucket_updates: bool
+    ) -> BucketSchedule:
+        """Group the profiled tensors into buckets, in gradient-ready order.
+
+        With F on, consecutive tensors fuse into buckets of at most
+        ``config.bucket_bytes`` (a tensor larger than the cap gets its own
+        bucket); without fusion every tensor is its own communication unit —
+        many small transfers, each paying the latency term.  The schedule
+        inherits O and H from the config; ``per_bucket_updates`` is the
+        update policy (an algorithm's ``update_mode``).
+        """
         if not profile.records:
             raise ValueError("cannot plan over an empty profile")
-        ordered = sorted(profile.records, key=lambda r: r.ready_index)
-        if self.config.flatten:
-            buckets = self._greedy_buckets(ordered)
-        else:
-            # Without fusion every tensor is its own communication unit —
-            # many small transfers, each paying the latency term.
-            buckets = [
-                PlannedBucket(index=i, records=[record]) for i, record in enumerate(ordered)
-            ]
-        return ExecutionPlan(config=self.config, buckets=buckets)
-
-    def _greedy_buckets(self, ordered: Sequence[TensorRecord]) -> list[PlannedBucket]:
-        buckets: list[PlannedBucket] = []
-        current: list[TensorRecord] = []
-        current_bytes = 0.0
-        for record in ordered:
-            if current and current_bytes + record.nbytes_fp32 > self.config.bucket_bytes:
-                buckets.append(PlannedBucket(index=len(buckets), records=current))
-                current, current_bytes = [], 0.0
-            current.append(record)
-            current_bytes += record.nbytes_fp32
-        if current:
-            buckets.append(PlannedBucket(index=len(buckets), records=current))
-        return buckets
+        cap = self.config.bucket_bytes
+        if not cap > 0:  # also rejects nan, which no size comparison trips
+            raise ValueError(f"bucket_bytes must be positive, got {cap}")
+        groups: list[list[TensorRecord]] = []
+        group_bytes = 0.0
+        for record in sorted(profile.records, key=lambda r: r.ready_index):
+            if not groups or not self.config.flatten or group_bytes + record.nbytes_fp32 > cap:
+                groups.append([])
+                group_bytes = 0.0
+            groups[-1].append(record)
+            group_bytes += record.nbytes_fp32
+        return BucketSchedule(
+            buckets=tuple(
+                ScheduledBucket(
+                    index=i,
+                    name=f"bucket{i}",
+                    elements=sum(r.elements for r in group),
+                    ready_index=group[-1].ready_index,  # its latest tensor's
+                    fwd_flops=sum(r.fwd_flops for r in group),
+                    bwd_flops=sum(r.bwd_flops for r in group),
+                    num_tensors=len(group),
+                    views=tuple((r.name, r.elements) for r in group),
+                )
+                for i, group in enumerate(groups)
+            ),
+            overlap_backward=self.config.overlap,
+            per_bucket_updates=per_bucket_updates,
+            hierarchical=self.config.hierarchical,
+            flatten=self.config.flatten,
+        )

@@ -5,9 +5,11 @@ the backward pass (O) and updating parameters per bucket — are properties of
 the *dependency schedule*, not of the arithmetic (Shi et al.'s DAG model of
 synchronous SGD).  This module makes that schedule a first-class object:
 
-* :class:`BucketSchedule` is the IR: per-bucket events (gradient-ready gate,
-  communicate, post-process, optimizer update) whose gates encode the O/F/H
-  switches and the per-bucket vs single-barrier update policy;
+* :class:`BucketSchedule` is the IR, and the only bucketing IR: what
+  :meth:`~repro.core.optimizer_framework.ExecutionOptimizer.plan` returns
+  from a profile — per-bucket events (gradient-ready gate, communicate,
+  post-process, optimizer update) whose gates encode the O/F/H switches and
+  the per-bucket vs single-barrier update policy;
 * :class:`ScheduledExecutor` *runs* the schedule in functional mode: it
   drives real per-worker buckets through the transport's virtual clocks in
   gradient-ready order, charging compute time per profiled layer group, so
@@ -26,8 +28,6 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
-
-from .optimizer_framework import ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from .engine import BaguaEngine
@@ -48,9 +48,10 @@ UPDATE_BARRIER = "barrier"
 class ScheduledBucket:
     """One communication unit of the schedule (a fused bucket).
 
-    ``views`` are ``(param_name, elements)`` pairs in bucket order — enough
-    to rebuild the planned address layout for the aliasing analysis without
-    holding live tensors.
+    ``views`` are ``(param_name, elements)`` pairs in bucket order — what
+    the engine builds each worker's real bucket from, and enough to rebuild
+    the planned address layout for the aliasing analysis without holding
+    live tensors.
     """
 
     index: int
@@ -61,10 +62,6 @@ class ScheduledBucket:
     bwd_flops: float = 0.0
     num_tensors: int = 1
     views: tuple[tuple[str, int], ...] = ()
-
-    @property
-    def nbytes_fp32(self) -> float:
-        return self.elements * 4.0
 
 
 @dataclass(frozen=True)
@@ -98,48 +95,6 @@ class BucketSchedule:
     per_bucket_updates: bool = True
     hierarchical: bool = False
     flatten: bool = True
-
-    @classmethod
-    def from_plan(
-        cls,
-        plan: ExecutionPlan,
-        update_mode: str = UPDATE_PER_BUCKET,
-        overlap: bool | None = None,
-        per_bucket_updates: bool | None = None,
-    ) -> BucketSchedule:
-        """Build the schedule an :class:`ExecutionPlan` implies.
-
-        ``overlap`` defaults to the plan config's O switch; the update policy
-        comes from ``update_mode`` (an :class:`~repro.core.engine.Algorithm`
-        declaration) unless ``per_bucket_updates`` overrides it directly.
-        """
-        if update_mode not in (UPDATE_PER_BUCKET, UPDATE_BARRIER):
-            raise ValueError(
-                f"unknown update_mode {update_mode!r}; "
-                f"use {UPDATE_PER_BUCKET!r} or {UPDATE_BARRIER!r}"
-            )
-        if per_bucket_updates is None:
-            per_bucket_updates = update_mode == UPDATE_PER_BUCKET
-        buckets = tuple(
-            ScheduledBucket(
-                index=planned.index,
-                name=f"bucket{planned.index}",
-                elements=planned.elements,
-                ready_index=planned.ready_index,
-                fwd_flops=planned.fwd_flops,
-                bwd_flops=planned.bwd_flops,
-                num_tensors=len(planned.records),
-                views=tuple((r.name, r.elements) for r in planned.records),
-            )
-            for planned in plan.communication_units()
-        )
-        return cls(
-            buckets=buckets,
-            overlap_backward=plan.config.overlap if overlap is None else overlap,
-            per_bucket_updates=per_bucket_updates,
-            hierarchical=plan.config.hierarchical,
-            flatten=plan.config.flatten,
-        )
 
     # ------------------------------------------------------------------
     # Views

@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..cluster.topology import ClusterSpec
-from ..core.schedule import BucketSchedule, ScheduledBucket
+from ..core.optimizer_framework import ExecutionOptimizer
+from ..core.schedule import ScheduledBucket
 from ..core.profiler import profile_from_spec
 from ..models.spec import ModelSpec
 from .systems import SystemProfile
@@ -88,11 +89,8 @@ def simulate_iteration(
     synchronous systems pace on the slowest worker (max straggler scale).
     """
     profile = profile_from_spec(model.layers)
-    plan = system.plan(profile)
-    schedule = BucketSchedule.from_plan(
-        plan,
-        overlap=system.overlap_backward,
-        per_bucket_updates=system.overlap_forward,
+    schedule = ExecutionOptimizer(system.config).plan(
+        profile, per_bucket_updates=system.overlap_forward
     )
     if compute_scale is None:
         scales = [cluster.compute_scale(r) for r in range(cluster.world_size)]

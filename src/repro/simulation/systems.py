@@ -3,7 +3,9 @@
 A :class:`SystemProfile` captures the *strategy* of a training system, the
 way Figure 2 describes it:
 
-* how parameters are grouped for communication (bucketing plan),
+* how parameters are grouped for communication — a
+  :class:`~repro.core.optimizer_framework.BaguaConfig` (fusion, bucket cap,
+  overlap with backward) the execution optimizer plans the schedule from,
 * what each group's communication costs (pattern + codec via the cost model),
 * what can overlap what (backward-only for DDP/Horovod; backward and next
   forward for BytePS and BAGUA's per-bucket updates),
@@ -22,13 +24,8 @@ from collections.abc import Callable
 
 from ..algorithms.registry import EVALUATED_ALGORITHMS, make_algorithm
 from ..compression.fp16 import FP16Compressor
-from ..core.optimizer_framework import (
-    BaguaConfig,
-    ExecutionOptimizer,
-    ExecutionPlan,
-)
+from ..core.optimizer_framework import BaguaConfig
 from ..core.schedule import ScheduledBucket
-from ..core.profiler import ExecutionProfile
 from .cost import CommCostModel
 
 
@@ -37,34 +34,21 @@ class SystemProfile:
     """Timing behaviour of one system/algorithm combination."""
 
     name: str
-    plan_fn: Callable[[ExecutionProfile], ExecutionPlan]
+    #: bucketing (F, bucket cap) and whether communication may start while
+    #: backward is still running (O); the execution optimizer plans from it
+    config: BaguaConfig
     #: communication wall time of one bucket (network only)
     comm_time: Callable[[ScheduledBucket], float]
     #: GPU-side cost attached to each bucket's communication (compression, ...)
     comm_kernel_time: Callable[[ScheduledBucket], float]
     #: optimizer update cost for one bucket
     update_time: Callable[[ScheduledBucket], float]
-    #: may communication start while backward is still running?
-    overlap_backward: bool = True
     #: may next iteration's forward start before all updates finish?
     overlap_forward: bool = False
     #: fixed per-bucket scheduling overhead (fusion cycles, RPC dispatch)
     per_bucket_overhead: float = 0.0
     #: asynchronous systems skip global synchronization entirely
     is_async: bool = False
-
-    def plan(self, profile: ExecutionProfile) -> ExecutionPlan:
-        return self.plan_fn(profile)
-
-
-def _bucket_plan(bucket_bytes: float) -> Callable[[ExecutionProfile], ExecutionPlan]:
-    config = BaguaConfig(flatten=True, bucket_bytes=bucket_bytes)
-    return ExecutionOptimizer(config).plan
-
-
-def _per_tensor_plan() -> Callable[[ExecutionProfile], ExecutionPlan]:
-    config = BaguaConfig(flatten=False)
-    return ExecutionOptimizer(config).plan
 
 
 # ----------------------------------------------------------------------
@@ -74,11 +58,10 @@ def vanilla_system(cost: CommCostModel) -> SystemProfile:
     """Figure 2's 'Vanilla': per-tensor allreduce, no overlap."""
     return SystemProfile(
         name="Vanilla",
-        plan_fn=_per_tensor_plan(),
+        config=BaguaConfig(overlap=False, flatten=False),
         comm_time=lambda b: cost.ring_allreduce(b.elements),
         comm_kernel_time=lambda b: 0.0,
         update_time=lambda b: cost.update_time(b.elements, num_tensors=b.num_tensors),
-        overlap_backward=False,
         overlap_forward=False,
     )
 
@@ -88,11 +71,10 @@ def pytorch_ddp_system(cost: CommCostModel) -> SystemProfile:
     with backward; the optimizer runs once after all allreduces finish."""
     return SystemProfile(
         name="PyTorch-DDP",
-        plan_fn=_bucket_plan(25 * 1024 * 1024),
+        config=BaguaConfig(bucket_bytes=25 * 1024 * 1024),
         comm_time=lambda b: cost.ring_allreduce(b.elements),
         comm_kernel_time=lambda b: 0.0,
         update_time=lambda b: cost.update_time(b.elements, num_tensors=1),
-        overlap_backward=True,
         overlap_forward=False,
     )
 
@@ -110,11 +92,10 @@ def horovod_system(cost: CommCostModel, fp16: bool = False) -> SystemProfile:
 
     return SystemProfile(
         name="Horovod-16bit" if fp16 else "Horovod",
-        plan_fn=_bucket_plan(64 * 1024 * 1024),
+        config=BaguaConfig(bucket_bytes=64 * 1024 * 1024),
         comm_time=comm,
         comm_kernel_time=kernels,
         update_time=lambda b: cost.update_time(b.elements, num_tensors=1),
-        overlap_backward=True,
         overlap_forward=False,
         per_bucket_overhead=2e-3,  # negotiation cycle per fused tensor
     )
@@ -137,11 +118,10 @@ def byteps_system(cost: CommCostModel, is_async: bool = False) -> SystemProfile:
 
     return SystemProfile(
         name="BytePS-async" if is_async else "BytePS",
-        plan_fn=_bucket_plan(chunk_bytes),
+        config=BaguaConfig(bucket_bytes=chunk_bytes),
         comm_time=comm,
         comm_kernel_time=kernels,
         update_time=lambda b: cost.update_time(b.elements, num_tensors=1),
-        overlap_backward=True,
         overlap_forward=True,
         per_bucket_overhead=1e-4,  # scheduler dispatch per chunk
         is_async=is_async,
@@ -199,11 +179,10 @@ def bagua_system(
 
     return SystemProfile(
         name=f"BAGUA-{algorithm}",
-        plan_fn=ExecutionOptimizer(config).plan,
+        config=config,
         comm_time=comm,
         comm_kernel_time=kernels,
         update_time=update,
-        overlap_backward=config.overlap,
         # Per-bucket updates let the next forward start layer by layer.
         overlap_forward=config.overlap,
         is_async=declared.asynchronous,

@@ -10,6 +10,8 @@ from hypothesis import settings
 
 from repro.cluster import ClusterSpec, TCP_25G, Transport
 from repro.comm import CommGroup
+from repro.core import BaguaConfig, ExecutionOptimizer, TensorBucket
+from repro.core.profiler import ExecutionProfile, TensorRecord
 
 # Derandomized by default, so every run draws the same examples and a red
 # run replays; no per-example deadline, so no test asserts on wall-clock.
@@ -45,3 +47,26 @@ def make_group(
 ) -> CommGroup:
     spec = ClusterSpec(num_nodes=num_nodes, workers_per_node=workers_per_node)
     return CommGroup(Transport(spec, backend=backend), list(range(spec.world_size)))
+
+
+def plan_buckets(params, bucket_bytes: float, flatten: bool = True) -> list[TensorBucket]:
+    """The buckets the engine builds over ``params``, taken as the ready order.
+
+    The execution optimizer plans the schedule with fusion on, so buckets
+    hold several tensors up to the cap; each bucket is built from its
+    scheduled ``views``, as ``BaguaEngine._build_buckets`` does.  ``flatten``
+    only chooses whether those buckets are backed by contiguous memory.
+    """
+    profile = ExecutionProfile(
+        [TensorRecord(str(i), p.data.size, ready_index=i) for i, p in enumerate(params)]
+    )
+    config = BaguaConfig(flatten=True, bucket_bytes=bucket_bytes)
+    schedule = ExecutionOptimizer(config).plan(profile, per_bucket_updates=True)
+    return [
+        TensorBucket(
+            [params[int(name)] for name, _elements in scheduled.views],
+            name=scheduled.name,
+            flatten=flatten,
+        )
+        for scheduled in schedule.buckets
+    ]

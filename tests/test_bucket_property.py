@@ -12,8 +12,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bucket import TensorBucket, partition_into_buckets
+from repro.core.bucket import TensorBucket
 from repro.tensor.tensor import Tensor
+
+from .conftest import plan_buckets
 
 shapes = st.lists(
     st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
@@ -94,7 +96,7 @@ def test_unflattened_set_flat_data_roundtrip(shape_list, seed):
 @settings(max_examples=40, deadline=None)
 def test_partition_covers_every_param_once_in_order(shape_list, seed, bucket_bytes):
     params = make_params(shape_list, seed)
-    buckets = partition_into_buckets(params, bucket_bytes)
+    buckets = plan_buckets(params, bucket_bytes)
     flattened = [p for bucket in buckets for p in bucket.params]
     assert [id(p) for p in flattened] == [id(p) for p in params]
     assert sum(b.total_elements for b in buckets) == sum(p.data.size for p in params)
@@ -110,7 +112,7 @@ def test_partition_covers_every_param_once_in_order(shape_list, seed, bucket_byt
 @settings(max_examples=60, deadline=None)
 def test_flat_grad_is_the_concatenated_gradients(shape_list, seed, bucket_bytes, flatten, skipped):
     params, twins = make_params(shape_list, seed), make_params(shape_list, seed)
-    buckets = partition_into_buckets(params, bucket_bytes, flatten=flatten)
+    buckets = plan_buckets(params, bucket_bytes, flatten=flatten)
     for _ in range(2):  # the second pass must not see the first one's values
         for p in params + twins:
             p.zero_grad()

@@ -1,10 +1,14 @@
-"""Tensor buckets: flattening, aliasing, gradient views, partitioning."""
+"""Tensor buckets: flattening, aliasing, gradient views, and the execution
+optimizer's partitioning of parameters into them."""
 
 import numpy as np
 import pytest
 
-from repro.core import TensorBucket, partition_into_buckets
+from repro.core import BaguaConfig, ExecutionOptimizer, TensorBucket, profile_from_spec
+from repro.models import vgg16_spec
 from repro.tensor import Tensor
+
+from .conftest import plan_buckets
 
 
 def make_params(rng, shapes):
@@ -155,23 +159,29 @@ class TestGradients:
 class TestPartitioning:
     def test_respects_byte_cap(self, rng):
         params = make_params(rng, [(100,)] * 10)
-        buckets = partition_into_buckets(params, bucket_bytes=100 * 4 * 3)
+        buckets = plan_buckets(params, bucket_bytes=100 * 4 * 3)
         assert all(len(b) <= 3 for b in buckets)
         assert sum(len(b) for b in buckets) == 10
 
     def test_oversized_tensor_gets_own_bucket(self, rng):
         params = make_params(rng, [(10,), (1000,), (10,)])
-        buckets = partition_into_buckets(params, bucket_bytes=200)
+        buckets = plan_buckets(params, bucket_bytes=200)
         assert [len(b) for b in buckets] == [1, 1, 1]
 
     def test_order_preserved(self, rng):
         params = make_params(rng, [(5,), (6,), (7,)])
-        buckets = partition_into_buckets(params, bucket_bytes=1e9)
+        buckets = plan_buckets(params, bucket_bytes=1e9)
         assert buckets[0].params == params
 
-    def test_invalid_cap(self, rng):
-        with pytest.raises(ValueError):
-            partition_into_buckets(make_params(rng, [(2,)]), bucket_bytes=0)
+    def test_invalid_cap(self):
+        # VGG16: a cap of 0 or -1 would plan one bucket per tensor, and NaN
+        # (no size comparison trips it) one bucket for the whole model.
+        profile = profile_from_spec(vgg16_spec().layers)
+        for cap in (0, -1, float("nan")):
+            for flatten in (True, False):
+                config = BaguaConfig(flatten=flatten, bucket_bytes=cap)
+                with pytest.raises(ValueError, match="bucket_bytes must be positive"):
+                    ExecutionOptimizer(config).plan(profile, per_bucket_updates=True)
 
     def test_total_elements(self, rng):
         params = make_params(rng, [(3,), (2, 2)])

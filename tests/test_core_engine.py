@@ -68,12 +68,19 @@ class TestConstruction:
 class TestProfilingIteration:
     def test_first_step_builds_buckets(self, rng):
         engine = make_engine()
-        assert engine.plan is None
+        assert engine.schedule is None
         engine.step(make_batches(rng, 4), loss_fn)
-        assert engine.plan is not None
-        assert engine.num_buckets >= 1
+        assert engine.schedule is not None
+        assert engine.num_buckets == engine.schedule.num_buckets >= 1
         for worker in engine.workers:
-            assert worker.buckets
+            # Each worker's buckets are the schedule's, view for view.
+            assert [b.name for b in worker.buckets] == [
+                s.name for s in engine.schedule.buckets
+            ]
+            named = {id(p): name for name, p in worker.model.named_parameters()}
+            assert [[named[id(p)] for p in b.params] for b in worker.buckets] == [
+                [name for name, _elements in s.views] for s in engine.schedule.buckets
+            ]
 
     def test_buckets_aligned_across_workers(self, rng):
         engine = make_engine()
@@ -168,6 +175,19 @@ class TestAlgorithmContract:
 
         with pytest.raises(TypeError, match="NoComm"):
             make_engine(world=2, algorithm=NoComm())
+
+    def test_unknown_update_mode_is_rejected_at_construction(self):
+        class Lockstep(AllreduceSGD):
+            update_mode = "lockstep"
+
+        # Before any forward/backward runs, naming the class and the value.
+        with pytest.raises(ValueError, match="Lockstep.*'lockstep'"):
+            make_engine(world=2, algorithm=Lockstep())
+
+    def test_bad_bucket_cap_is_rejected_at_construction(self):
+        for cap in (0, -1, float("nan")):
+            with pytest.raises(ValueError, match="bucket_bytes must be positive"):
+                make_engine(world=2, config=BaguaConfig(bucket_bytes=cap))
 
     def test_scheduled_algorithm_never_warns(self, rng):
         engine = make_engine(world=2)

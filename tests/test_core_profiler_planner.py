@@ -94,33 +94,48 @@ class TestExecutionOptimizer:
 
     def test_fusion_respects_cap(self):
         profile = self._profile([100] * 10)
-        plan = ExecutionOptimizer(BaguaConfig(bucket_bytes=100 * 4 * 4)).plan(profile)
-        assert all(len(b.records) <= 4 for b in plan.buckets)
-        assert plan.total_elements == 1000
+        schedule = ExecutionOptimizer(BaguaConfig(bucket_bytes=100 * 4 * 4)).plan(profile, True)
+        assert [b.num_tensors for b in schedule.buckets] == [4, 4, 2]
+        assert all(b.elements == 100 * b.num_tensors for b in schedule.buckets)
+        assert schedule.total_elements == 1000
 
     def test_no_fusion_when_flatten_off(self):
         profile = self._profile([100] * 10)
-        plan = ExecutionOptimizer(BaguaConfig(flatten=False)).plan(profile)
-        assert plan.num_buckets == 10
+        schedule = ExecutionOptimizer(BaguaConfig(flatten=False)).plan(profile, True)
+        assert schedule.num_buckets == 10
+        assert not schedule.flatten
 
     def test_ready_order_in_buckets(self):
         profile = self._profile([10, 20, 30])
-        plan = ExecutionOptimizer(BaguaConfig(bucket_bytes=1e9)).plan(profile)
+        schedule = ExecutionOptimizer(BaguaConfig(bucket_bytes=1e9)).plan(profile, True)
         # Single bucket containing records in ready (reverse layer) order.
-        assert plan.num_buckets == 1
-        assert plan.buckets[0].names == ["l2", "l1", "l0"]
+        assert schedule.num_buckets == 1
+        assert schedule.buckets[0].views == (("l2", 30), ("l1", 20), ("l0", 10))
+        assert schedule.buckets[0].ready_index == 2
 
     def test_communication_units_sorted_by_ready(self):
         profile = self._profile([1000, 1, 1])
-        plan = ExecutionOptimizer(BaguaConfig(bucket_bytes=16)).plan(profile)
-        units = plan.communication_units()
-        assert [u.ready_index for u in units] == sorted(u.ready_index for u in units)
+        schedule = ExecutionOptimizer(BaguaConfig(bucket_bytes=16)).plan(profile, True)
+        units = schedule.comm_order()
+        assert [u.ready_index for u in units] == [1, 2]
+        assert [u.index for u in units] == [0, 1]
+        assert [u.name for u in units] == ["bucket0", "bucket1"]
 
     def test_empty_profile_rejected(self):
         from repro.core.profiler import ExecutionProfile
 
         with pytest.raises(ValueError):
-            ExecutionOptimizer().plan(ExecutionProfile())
+            ExecutionOptimizer().plan(ExecutionProfile(), True)
+
+    def test_schedule_carries_the_switches(self):
+        profile = self._profile([10, 20, 30])
+        config = BaguaConfig(overlap=False, flatten=True, hierarchical=True)
+        schedule = ExecutionOptimizer(config).plan(profile, per_bucket_updates=False)
+        assert (schedule.overlap_backward, schedule.flatten, schedule.hierarchical) == (
+            False, True, True,
+        )
+        assert not schedule.per_bucket_updates
+        assert ExecutionOptimizer(config).plan(profile, True).per_bucket_updates
 
     def test_config_describe(self):
         assert BaguaConfig(True, False, True).describe() == "O=1,F=0,H=1"

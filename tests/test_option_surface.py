@@ -74,3 +74,14 @@ def test_algorithm_declaration_fields_and_defaults():
     # (spelled in halves so that grepping the repo for them finds nothing)
     mirrors = re.compile("COMM" "_MODELS|_BAGUA" "_ALGOS|class Comm" "Model")
     assert [str(path) for path in SOURCES if mirrors.search(path.read_text())] == []
+
+
+def test_one_bucketing_ir():
+    """The execution optimizer returns the BucketSchedule; the second plan IR,
+    its translators and the second greedy bucketer stay deleted."""
+    # (spelled in halves so that grepping the repo for them finds nothing)
+    second_ir = re.compile(
+        "Execution" "Plan|Planned" "Bucket|from" "_plan|lower" "_plan|layout_from" "_plan"
+        "|partition_into" "_buckets|plan" "_fn|communication" "_units"
+    )
+    assert [str(path) for path in SOURCES if second_ir.search(path.read_text())] == []

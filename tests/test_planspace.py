@@ -81,10 +81,15 @@ class TestStaticRules:
         assert finding.severity == "warning"  # degenerate, not invalid
 
     def test_non_positive_bucket_cap_is_an_error(self):
-        point = PlanPoint(algorithm="allreduce", bucket_bytes=0.0)
-        finding = the_one_finding(check_plan_static(point))
-        assert finding.rule == "plan-bucket-feasibility"
-        assert finding.severity == "error"
+        for cap in (0.0, -1.0, float("nan")):
+            point = PlanPoint(algorithm="allreduce", bucket_bytes=cap)
+            finding = the_one_finding(check_plan_static(point))
+            assert finding.rule == "plan-bucket-feasibility"
+            assert finding.severity == "error"
+            # ... so verification stops before the planner could reject it.
+            verdict = verify_point(point)
+            assert not verdict.ok
+            assert verdict.source == "static rules (lowering skipped)"
 
     def test_unknown_compressor(self):
         point = PlanPoint(algorithm="allreduce", compressor="no-such-codec")

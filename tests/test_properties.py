@@ -195,11 +195,11 @@ class TestBucketProperties:
     )
     @settings(max_examples=30)
     def test_partition_covers_each_param_once(self, sizes, cap_tensors):
-        from repro.core import partition_into_buckets
+        from .conftest import plan_buckets
 
         rng = np.random.default_rng(0)
         params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in sizes]
-        buckets = partition_into_buckets(params, bucket_bytes=cap_tensors * 200 * 4)
+        buckets = plan_buckets(params, bucket_bytes=cap_tensors * 200 * 4)
         seen = [p for b in buckets for p in b.params]
         assert len(seen) == len(params)
         assert [id(p) for p in seen] == [id(p) for p in params]

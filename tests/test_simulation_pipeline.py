@@ -132,12 +132,16 @@ class TestStragglers:
 
 class TestSystemProfiles:
     def test_plans_differ_by_bucket_policy(self, cost, vgg):
+        from repro.core.optimizer_framework import ExecutionOptimizer
         from repro.core.profiler import profile_from_spec
 
         profile = profile_from_spec(vgg.layers)
-        ddp_plan = pytorch_ddp_system(cost).plan(profile)
-        horovod_plan = horovod_system(cost).plan(profile)
-        byteps_plan = byteps_system(cost).plan(profile)
+        ddp_plan, horovod_plan, byteps_plan = (
+            ExecutionOptimizer(system.config).plan(profile, per_bucket_updates=True)
+            for system in (
+                pytorch_ddp_system(cost), horovod_system(cost), byteps_system(cost)
+            )
+        )
         # 4 MB chunks (BytePS) -> more buckets than 25 MB (DDP) -> more than 64 MB.
         assert byteps_plan.num_buckets > ddp_plan.num_buckets > horovod_plan.num_buckets
 
