@@ -19,7 +19,8 @@
 # the gated workloads, <rev> against the working tree, ~45 min on a quiet box.
 # `make loc` prints the source line total and the per-package subtotals
 # (comm, backends, primitives + engine, the planner — optimizer_framework,
-# schedule, bucket, profiler — analysis, simulation, algorithms, baselines)
+# schedule, bucket, profiler — analysis, simulation, algorithms, baselines,
+# the autograd package tensor)
 # a [simplicity] PR quotes for parent and change (CI appends it to the job
 # summary).
 
@@ -80,6 +81,6 @@ loc:
 		"src/repro/core/primitives.py src/repro/core/engine.py" \
 		"src/repro/core/optimizer_framework.py src/repro/core/schedule.py src/repro/core/bucket.py src/repro/core/profiler.py" \
 		src/repro/analysis src/repro/simulation \
-		src/repro/algorithms src/repro/baselines; do \
+		src/repro/algorithms src/repro/baselines src/repro/tensor; do \
 		find $$part -name '*.py' | xargs cat | wc -l | tr '\n' ' '; echo "$$part"; \
 	done

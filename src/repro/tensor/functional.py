@@ -1,13 +1,17 @@
 """Differentiable operations on :class:`~repro.tensor.tensor.Tensor`.
 
 Everything here builds graph nodes by hand: forward with numpy, backward as a
-closure.  ``conv2d`` is im2col over a window view plus BLAS, and its input
-gradient one GEMM per kernel offset; the pools make one elementwise pass per
-window offset over contiguous memory, and max-pool routes its gradient with one
-``bincount``.  A backward closure never writes into the gradient it receives:
-an interior node may be holding it (``_accumulate``).
+closure.  ``linear`` is one node whose weight gradient is one GEMM in the
+weight's own [out, in] layout, written straight into a bound leaf's bucket
+slot (``Tensor._accumulate_product``).  ``conv2d`` is im2col over a window
+view plus BLAS, and its input gradient one GEMM per kernel offset; the pools
+make one elementwise pass per window offset over contiguous memory, and
+max-pool routes its gradient with one ``bincount``.  A backward closure never
+writes into the gradient it receives: an interior node may be holding it
+(``_accumulate``).
 
-Numeric contract: ``conv2d`` contracts with BLAS (``np.matmul``), which
+Numeric contract: ``linear`` on a 2-D input gives the unfused ``x @ W.T + b``
+graph's bits.  ``conv2d`` contracts with BLAS (``np.matmul``), which
 re-associates sums, so it matches a nested-loop reference to ~1e-10 relative,
 not bitwise.  Every executor x backend pair runs these same kernels
 and therefore stays bitwise-equal to every other.
@@ -208,8 +212,28 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Convolution and pooling
+# Affine, convolution and pooling
 # ----------------------------------------------------------------------
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight.T + bias`` over the last axis of ``x``, ``weight`` [out, in]."""
+    features = weight.data.shape[0]
+    x2 = x.data.reshape(-1, weight.data.shape[1])
+    out = x2 @ weight.data.T
+    if bias is not None:
+        out += bias.data
+    parents = (x, weight) if bias is None else (bias, x, weight)  # hooks: bias first
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad.reshape(-1, features)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate((g @ weight.data).reshape(x.data.shape))
+        weight._accumulate_product(g.T, x2)  # [out, in]: straight into a bound slot
+
+    return Tensor._make(out.reshape(*x.data.shape[:-1], features), parents, backward)
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int = 0) -> np.ndarray:
     """Windows of zero-padded ``x`` [B, C, H, W] as [B, C, kh, kw, out_h, out_w].
 

@@ -35,10 +35,7 @@ class Linear(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Module):

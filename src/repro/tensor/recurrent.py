@@ -40,7 +40,7 @@ class LSTMCell(Module):
         self, x: Tensor, state: tuple[Tensor, Tensor]
     ) -> tuple[Tensor, Tensor]:
         h_prev, c_prev = state
-        gates = x @ self.weight_ih.T + h_prev @ self.weight_hh.T + self.bias
+        gates = F.linear(x, self.weight_ih) + F.linear(h_prev, self.weight_hh, self.bias)
         hs = self.hidden_size
         i = F.sigmoid(gates[:, 0 * hs : 1 * hs])
         f = F.sigmoid(gates[:, 1 * hs : 2 * hs])

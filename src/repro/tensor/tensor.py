@@ -166,6 +166,7 @@ class Tensor:
         A leaf's ``.grad`` outlives the pass and is scaled in place, so a leaf
         owns it: unbound it copies; bound it accumulates in its bucket's gradient
         slot, which the first contribution overwrites, so it is never zeroed.
+        ``_accumulate_product`` is the slot's only other writer.
         """
         if not self.requires_grad:
             return
@@ -181,6 +182,18 @@ class Tensor:
             self.grad = self.grad + grad
         else:
             self.grad = grad if self._backward_fn is not None else grad.copy()
+
+    def _accumulate_product(self, lhs: np.ndarray, rhs: np.ndarray) -> None:
+        """``_accumulate(lhs @ rhs)`` without a copy of the first contribution:
+        a bound leaf's GEMM writes its slot, an unbound tensor keeps the fresh
+        product it owns.  ``matmul`` picks its loop from ``lhs`` and ``rhs``, so
+        a float32 product stored into a float64 slot keeps its float32 bits."""
+        if not self.requires_grad:
+            return
+        if self.grad is not None:
+            self._accumulate(lhs @ rhs)
+        else:  # out=None: a fresh product
+            self.grad = np.matmul(lhs, rhs, out=self._grad_slot)
 
     def backward(self, grad: ArrayLike | None = None) -> None:
         """Run reverse-mode differentiation from this tensor.

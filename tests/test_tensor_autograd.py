@@ -1,6 +1,7 @@
 """Autograd core: arithmetic, broadcasting, backward, hooks."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,87 @@ class TestGradientOwnership:
         assert b.grad is None  # reading the flat gradient did not invent one
 
 
+class TestLinear:
+    """``F.linear`` is the unfused ``x @ W.T + b`` graph as one node: the same
+    gradients, and the weight's born in its own layout, in its slot if bound."""
+
+    @staticmethod
+    def _leaves(rng, x_shape, out=6, dtype=np.float64):
+        x = rng.standard_normal(x_shape)
+        w, b = rng.standard_normal((out, x_shape[-1])), rng.standard_normal(out)
+        return [Tensor(a.astype(dtype), requires_grad=True) for a in (x, w, b)]
+
+    @staticmethod
+    def _grads(x_shape, fused, bound=False, dtype=np.float64):
+        """Gradients of fixed (x, W, b) under a fixed upstream; a bound model's
+        data is cast back to ``dtype`` after binding, its slots stay float64."""
+        rng = np.random.default_rng(0)
+        x, w, b = TestLinear._leaves(rng, x_shape, dtype=dtype)
+        if bound:
+            TensorBucket([w, b], flatten=True)
+            for p in (w, b):
+                p.data = p.data.astype(dtype)
+        root = F.linear(x, w, b) if fused else x @ w.T + b
+        root.backward(rng.standard_normal(root.shape).astype(dtype))
+        return [p.grad for p in (x, w, b)]
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_2d_gradients_are_the_unfused_graphs_bits(self, bound):
+        fused, plain = self._grads((8, 20), True, bound), self._grads((8, 20), False, bound)
+        for got, want in zip(fused, plain):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("x_shape", [(2, 5, 20), (20,)], ids=["3-D", "1-D"])
+    def test_other_ranks_match_the_unfused_graph(self, x_shape):
+        fused, plain = self._grads(x_shape, True), self._grads(x_shape, False)
+        for got, want in zip(fused, plain):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_bound_weight_grad_is_its_slot(self, rng):
+        x, w, b = self._leaves(rng, (4, 5))
+        bucket = TensorBucket([w, b], flatten=True)
+        slot = w._grad_slot
+        F.linear(x, w, b).backward(rng.standard_normal((4, 6)))
+        assert w.grad is slot and np.shares_memory(w.grad, bucket.grad_buffer)
+        np.testing.assert_array_equal(bucket.grad_buffer[:30], w.grad.reshape(-1))
+
+    def test_bound_backward_allocates_no_weight_sized_temporary(self, rng):
+        x = Tensor(rng.standard_normal((8, 512)))
+        w = Tensor(rng.standard_normal((256, 512)), requires_grad=True)
+        TensorBucket([w], flatten=True)
+        root = F.linear(x, w)
+        upstream = rng.standard_normal((8, 256))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            root.backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert w.grad is w._grad_slot
+        assert peak < w.data.nbytes // 4, f"backward allocated {peak} B at its peak"
+
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_weight_used_twice_sums_both_contributions(self, rng, bound):
+        x, w, _ = self._leaves(rng, (4, 6))
+        twin = Tensor(w.data.copy(), requires_grad=True)
+        if bound:
+            TensorBucket([w], flatten=True)
+        upstream = rng.standard_normal((4, 6))
+        F.linear(F.linear(x, w), w).backward(upstream)
+        ((Tensor(x.data) @ twin.T) @ twin.T).backward(upstream)
+        np.testing.assert_array_equal(w.grad, twin.grad)
+
+    def test_float32_model_on_float64_slots_keeps_its_float32_bits(self):
+        fused = self._grads((8, 20), True, True, np.float32)
+        plain = self._grads((8, 20), False, True, np.float32)
+        assert fused[1].dtype == np.float64  # the slot's, holding a float32 GEMM's values
+        np.testing.assert_array_equal(fused[1].astype(np.float32), fused[1])
+        for got, want in zip(fused, plain):
+            np.testing.assert_array_equal(got, want)
+
+
 # ----------------------------------------------------------------------
 # The borrow contract, executable: no kernel writes into a gradient it is handed
 # ----------------------------------------------------------------------
@@ -457,6 +539,7 @@ GRAPHS = {
     "stack": lambda t, rng: F.stack([t(2, 3), t(2, 3)], axis=1),
     "dropout": lambda t, rng: F.dropout(t(3, 4), 0.5, rng),
     "embedding_lookup": lambda t, rng: F.embedding_lookup(t(5, 3), [[0, 2], [2, 4]]),
+    "linear": lambda t, rng: F.linear(t(2, 3, 4), t(5, 4), t(5)),
     "conv2d": lambda t, rng: F.conv2d(t(2, 2, 5, 5), t(3, 2, 3, 3), t(3), stride=2, padding=1),
     "max_pool2d": lambda t, rng: F.max_pool2d(t(2, 2, 5, 5), 2, 1),
     "avg_pool2d": lambda t, rng: F.avg_pool2d(t(2, 2, 5, 5), 2, 1),
@@ -516,8 +599,8 @@ def _hook_order(model, inputs, labels) -> list[str]:
 
 class TestGradientReadyOrder:
     """The order post-grad hooks fire in is what ``GradientReadyProfiler``
-    records and bucket layouts are built from.  These lists were recorded
-    before ``Linear`` became one fused node; kernels may change, they may not."""
+    records and bucket layouts are built from.  Kernels may change, these
+    lists may not."""
 
     def test_vgg_proxy(self, rng):
         order = _hook_order(VGGProxy(rng=rng), rng.standard_normal((2, 3, 16, 16)), [1, 2])
@@ -550,3 +633,12 @@ class TestGradientReadyOrder:
             "attn.q_proj.bias", "attn.q_proj.weight",
             "norm1.weight", "norm1.bias",
         )] + ["embed.weight"]  # fmt: skip
+
+    def test_lstm_alexnet_proxy(self, rng):
+        inputs = (rng.standard_normal((2, 3, 12, 12)), rng.integers(0, 32, (2, 8)))
+        order = _hook_order(LSTMAlexNetProxy(rng=rng), inputs, [1, 2])
+        assert order == [
+            "head.bias", "head.weight",
+            "lstm.cell.bias", "lstm.cell.weight_hh", "lstm.cell.weight_ih",
+            "embed.weight", "image_tower.0.weight", "image_tower.0.bias",
+        ]  # fmt: skip
