@@ -3,6 +3,7 @@
 
     python3 benchmarks/ab_pairs.py --parent REV --out BENCH_PRnn.json
                                    [--pairs 10] [--seconds 30] [--workloads W ...]
+    python3 benchmarks/ab_pairs.py --layers BENCH_PRnn.json
 
 The procedure ``benchmarks/e2e/README.md`` prescribes for a change that claims
 a gain, in one command.  ``git archive REV`` (the parent) and the working tree
@@ -24,7 +25,9 @@ range is bounded at ``bound`` x the parent's median, so a disturbance of
 ``t_c`` and ``inside_corridor`` says whether the change's median is above it.
 ``claim_met`` is the verdict on a claimed gain: the change ahead in at least
 nine of ten pairs, and its median better than the parent's by more than the
-parent's quartile distance.
+parent's quartile distance.  The traced pairs' per-layer ``*_ms`` rows are
+printed last as a parent / change / delta table per workload; ``--layers
+LEDGER`` prints that table from a written ledger and runs nothing.
 """
 
 from __future__ import annotations
@@ -133,6 +136,26 @@ def print_summary(summary: dict) -> None:
             print(line)
 
 
+def layer_deltas(traced: list[dict]) -> dict:
+    """``{workload: {row: (parent, change, change - parent)}}`` for every
+    per-layer ``*_ms`` row of the traced pairs that both sides report."""
+    table: dict = {}
+    for pair in traced:
+        parent, change = pair["parent"]["metrics"], pair["change"]["metrics"]
+        rows = table.setdefault(pair["workload"], {})
+        for name, value in parent.items():
+            if name.endswith("_ms") and "." in name and change.get(name) is not None:
+                rows[name] = (value, change[name], change[name] - value)
+    return table
+
+
+def print_layer_deltas(table: dict) -> None:
+    for workload, rows in table.items():
+        print(f"{workload}: per-layer ms per op, parent -> change (delta)")
+        for name, (parent, change, delta) in rows.items():
+            print(f"  {name:32s} {parent:10.3f} {change:10.3f} {delta:+10.3f}")
+
+
 # ----------------------------------------------------------------------
 # Exporting the two trees and running them
 # ----------------------------------------------------------------------
@@ -195,12 +218,19 @@ def main(argv: list[str] | None = None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         manifest = json.load(handle)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="git revision of the parent side")
-    parser.add_argument("--out", required=True, help="where to write the JSON ledger")
+    parser.add_argument("--parent", help="git revision of the parent side")
+    parser.add_argument("--out", help="where to write the JSON ledger")
+    parser.add_argument("--layers", metavar="LEDGER", help="print LEDGER's per-layer table and stop")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=manifest["run_seconds"])
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in manifest["workloads"]])
     args = parser.parse_args(argv)
+    if args.layers:
+        with open(args.layers) as handle:
+            print_layer_deltas(layer_deltas(json.load(handle)["traced"]))
+        return 0
+    if not (args.parent and args.out):
+        parser.error("--parent and --out are required unless --layers is given")
 
     dirty = " + uncommitted changes" if git("status", "--porcelain").strip() else ""
     ledger = {
@@ -239,6 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     for pair in ledger["traced_smoke"]:
         print("\n".join(pair["compare"]["table"]))
     print_summary(ledger["summary"])
+    print_layer_deltas(layer_deltas(ledger["traced"]))
     pairs = ledger["pairs"] + ledger["traced"] + ledger["traced_smoke"]
     return 0 if all(p[side]["exit"] == 0 and p[side]["correct"] for p in pairs for side in trees) else 1
 

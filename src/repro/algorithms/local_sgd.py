@@ -26,7 +26,7 @@ class LocalSGD(Algorithm):
             worker.optimizer_step_on_bucket(k)
         if (step + 1) % self.frequency != 0:
             return
-        n = engine.world_size
         weights = engine.weights_of_bucket(k)
-        summed = c_fp_s(weights, engine.group, hierarchical=engine.hierarchical)
-        engine.set_weights_of_bucket(k, [s / n for s in summed])
+        engine.set_weights_of_bucket(
+            k, c_fp_s(weights, engine.group, hierarchical=engine.hierarchical, average=True)
+        )

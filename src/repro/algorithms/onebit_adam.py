@@ -69,13 +69,11 @@ class OneBitAdam(Algorithm):
 
     # ------------------------------------------------------------------
     def _warmup_bucket(self, engine: BaguaEngine, k: int) -> None:
-        n = engine.world_size
         bc1 = 1.0 - self.beta1 ** self._t
         bc2 = 1.0 - self.beta2 ** self._t
         grads = engine.grads_of_bucket(k)
-        summed = c_fp_s(grads, engine.group, hierarchical=engine.hierarchical)
-        for worker, total in zip(engine.workers, summed):
-            g = total / n
+        averaged = c_fp_s(grads, engine.group, hierarchical=engine.hierarchical, average=True)
+        for worker, g in zip(engine.workers, averaged):
             m = worker.state["m"][k]
             v = worker.state["v"][k]
             m *= self.beta1
@@ -88,7 +86,6 @@ class OneBitAdam(Algorithm):
                 worker.buckets[k].set_flat_data(x)
 
     def _compressed_bucket(self, engine: BaguaEngine, k: int) -> None:
-        n = engine.world_size
         worker_efs = [w.state["worker_ef"][k] for w in engine.workers]
         server_efs = [w.state["server_ef"][k] for w in engine.workers]
         # Local momentum update with the *local* gradient.
@@ -100,16 +97,16 @@ class OneBitAdam(Algorithm):
             m += (1 - self.beta1) * g
             locals_m.append(m.copy())
         # Error-compensated 1-bit aggregation of momentum.
-        summed = c_lp_s(
+        averaged = c_lp_s(
             locals_m,
             engine.group,
             compressor=self.compressor,
             worker_errors=worker_efs,
             server_errors=server_efs,
             hierarchical=engine.hierarchical,
+            average=True,
         )
-        for worker, total in zip(engine.workers, summed):
-            m_avg = total / n
+        for worker, m_avg in zip(engine.workers, averaged):
             # Workers adopt the synchronized momentum so replicas track.
             worker.state["m"][k][...] = m_avg
             v = worker.state["v"][k]  # frozen preconditioner

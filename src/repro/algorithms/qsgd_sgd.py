@@ -21,19 +21,17 @@ class QSGD(Algorithm):
         self.compressor = compressor or QSGDCompressor(bits=bits)
 
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
-        n = engine.world_size
         grads = engine.grads_of_bucket(k)
-        summed = c_lp_s(
+        averaged = c_lp_s(
             grads,
             engine.group,
             compressor=self.compressor,
             hierarchical=engine.hierarchical,
             out=grads,
+            average=True,
         )
-        # The sum landed in the rows it was read from — the workers' gradient
-        # buffers when flattened — so each is averaged in place, (re)bound as
-        # the worker's gradient and stepped on as is.
-        for worker, grad in zip(engine.workers, summed):
-            grad /= n
+        # The average landed in the rows it was read from (the workers' gradient
+        # buffers when flattened): each is (re)bound as is and stepped on.
+        for worker, grad in zip(engine.workers, averaged):
             worker.buckets[k].set_flat_grad(grad)
             worker.optimizer_step_on_bucket(k, grad)

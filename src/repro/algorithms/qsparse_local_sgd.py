@@ -54,20 +54,20 @@ class QSparseLocalSGD(Algorithm):
         if (step + 1) % self.frequency != 0:
             return
 
-        n = engine.world_size
         # Deltas accumulated since the last synchronization.
         deltas: list[np.ndarray] = []
         for worker in engine.workers:
             deltas.append(worker.buckets[k].flat_data() - worker.state["anchor"][k])
-        summed = c_lp_s(
+        averaged = c_lp_s(
             deltas,
             engine.group,
             compressor=self.compressor,
             worker_errors=[w.state["worker_ef"][k] for w in engine.workers],
             server_errors=[w.state["server_ef"][k] for w in engine.workers],
             hierarchical=engine.hierarchical,
+            average=True,
         )
-        for worker, total in zip(engine.workers, summed):
-            new_anchor = worker.state["anchor"][k] + total / n
+        for worker, mean in zip(engine.workers, averaged):
+            new_anchor = worker.state["anchor"][k] + mean
             worker.state["anchor"][k] = new_anchor
             worker.buckets[k].set_flat_data(new_anchor.copy())

@@ -62,10 +62,11 @@ def _stack_f64(arrays: Rows) -> np.ndarray:
 
 
 def _replicate(
-    row: np.ndarray, n: int, out: Sequence[np.ndarray] | None = None
+    row: np.ndarray, n: int, out: Sequence[np.ndarray] | None = None, divisor: int = 1
 ) -> list[np.ndarray]:
     """``n`` mutually independent copies of ``row`` (``row`` itself is one).
 
+    ``divisor`` divides ``row`` in place first: once, not once per copy.
     With ``out`` — one row per member, :func:`~.chunking.check_out`'s
     convention — ``row`` is stored into each of them (one that *is* ``row``
     needs no store) and they are what is returned.  Callers fan out only
@@ -75,6 +76,8 @@ def _replicate(
     ``row.copy()`` calls — same bytes, far fewer allocator round trips.  The
     returned rows are disjoint views, so callers may mutate them freely.
     """
+    if divisor != 1:
+        row /= divisor
     if out is not None:
         return store_rows([row] * n, out)
     if n == 1:
@@ -267,6 +270,7 @@ def _reduce_chunks(
     chunks: Sequence[PoolRefChunk],
     add_zero: bool,
     out: Sequence[np.ndarray] | None = None,
+    divisor: int = 1,
 ) -> list[np.ndarray]:
     """Every member's row with each chunk ``(lo, hi, order)`` summed across members.
 
@@ -277,9 +281,9 @@ def _reduce_chunks(
     * dense float64 rows that each live in their member's own backend pool
       are reduced **in place** by ``backend.pool_ref_reduce`` — serially in
       this process, or by the shm workers in parallel — so nothing travels
-      and the returned rows *are* the inputs;
-    * any other rows are only read: the sums are assembled in one fresh row
-      and fanned out (:func:`_replicate`).
+      and the returned rows *are* the inputs, each divided by ``divisor``;
+    * any other rows are only read: the sums are assembled in one fresh row,
+      divided once and fanned out (:func:`_replicate`).
 
     Either way ``out`` rows, when given, receive the results, and may be the
     inputs.  The callers put the kernel's stub rounds around this call, so
@@ -290,11 +294,11 @@ def _reduce_chunks(
     refs = backend.resolve_pool_refs(rows, group.ranks)
     if refs is not None:
         backend.pool_ref_reduce(refs, chunks, add_zero=add_zero)
-        return store_rows(rows, out)
+        return store_rows(rows, rows if out is None else out, divisor)
     full = np.empty(rows[0].shape[0])
     for lo, hi, order in chunks:
         full[lo:hi] = ordered_fold(rows, lo, hi, order, add_zero)
-    return _replicate(full, group.size, out)
+    return _replicate(full, group.size, out, divisor)
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +311,7 @@ def scatter_reduce_batched(
     worker_errors: Sequence[ErrorFeedback] | None = None,
     server_errors: Sequence[ErrorFeedback] | None = None,
     out: Sequence[np.ndarray] | None = None,
+    divisor: int = 1,
 ) -> list[np.ndarray]:
     """World-batched ScatterReduce (paper §3.3), sum semantics.
 
@@ -319,6 +324,7 @@ def scatter_reduce_batched(
     ``out`` (:func:`~.chunking.check_out`'s convention, validated by the
     primitives) receives the results instead of fresh rows and may be
     ``arrays`` itself: every read of an input precedes the first store.
+    ``divisor`` divides the aggregate once, before it is fanned out.
     """
     check_arrays(arrays, group)
     n = group.size
@@ -332,9 +338,9 @@ def scatter_reduce_batched(
         # ``acc += row`` up to the trailing ``+ 0.0`` — and the (world, n)
         # stack never needs materializing.
         row_bytes = [_F64_BYTES * w for w in widths]
-        order = tuple(range(n))
+        chunks = [(lo, hi, tuple(range(n))) for lo, hi in bounds]
         alltoall_sizes(group, [row_bytes] * n)
-        rows = _reduce_chunks(arrays, group, [(lo, hi, order) for lo, hi in bounds], True, out)
+        rows = _reduce_chunks(arrays, group, chunks, True, out, divisor)
         allgather_sizes(group, row_bytes)
         return rows
 
@@ -350,7 +356,7 @@ def scatter_reduce_batched(
         else:
             once = _ef_row_roundtrip(worker_errors[0], matrix[0], bounds, "w")
             result = _ef_row_roundtrip(server_errors[0], once, bounds, "s")
-        return _replicate(result, 1, out)
+        return _replicate(result, 1, out, divisor)
 
     # Phase 1: every member quantizes its n chunks (row-major, preserving
     # RNG order), then one all-to-all stub round.
@@ -391,7 +397,7 @@ def scatter_reduce_batched(
         ]
     allgather_sizes(group, payload_bytes)
 
-    return _replicate(np.ascontiguousarray(final), n, out)
+    return _replicate(np.ascontiguousarray(final), n, out, divisor)
 
 
 # ----------------------------------------------------------------------

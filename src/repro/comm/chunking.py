@@ -96,16 +96,21 @@ def check_out(
                     raise ValueError(f"out row {i} shares memory with another member's input ({j})")
 
 
-def store_rows(rows: list[np.ndarray], out: Sequence[np.ndarray] | None) -> list[np.ndarray]:
+def store_rows(
+    rows: list[np.ndarray], out: Sequence[np.ndarray] | None, divisor: int = 1
+) -> list[np.ndarray]:
     """Per-member results copied into the caller's ``out`` rows, if any.
 
     For paths whose results exist in full before anything is stored — the
     loop collectives, the in-place pool-ref reduce (whose results *are* the
-    inputs) — so ``out`` rows may be the inputs themselves.
+    inputs) — so ``out`` rows may be the inputs themselves.  ``divisor``
+    divides each stored row in place (without ``out``: into a fresh row).
     """
     if out is None:
-        return rows
+        return rows if divisor == 1 else [row / divisor for row in rows]
     for dst, row in zip(out, rows):
         if dst is not row:
             dst[...] = row
+        if divisor != 1:
+            dst /= divisor
     return list(out)

@@ -135,6 +135,7 @@ class HierarchicalComm:
         worker_errors: Sequence[ErrorFeedback] | None = None,
         server_errors: Sequence[ErrorFeedback] | None = None,
         out: Sequence[np.ndarray] | None = None,
+        divisor: int = 1,
     ) -> list[np.ndarray]:
         """Hierarchical sum, world-batched on all three tiers.
 
@@ -152,7 +153,8 @@ class HierarchicalComm:
         ``out`` (:func:`~.chunking.check_out`'s convention, validated by the
         primitives) receives the results instead of fresh rows and may be
         ``arrays`` itself: the first tier has folded every input into the
-        leader sums before the last tiers store anything.
+        leader sums before the last tiers store anything.  The inter-node
+        tier divides by ``divisor`` before the fan-out: at most once per node.
         """
         check_arrays(arrays, self.group)
         per_node = self._split_by_node(arrays)
@@ -178,6 +180,7 @@ class HierarchicalComm:
             worker_errors=worker_errors,
             server_errors=server_errors,
             out=None if out_per_node is None else [rows[0] for rows in out_per_node],
+            divisor=divisor,
         )
 
         results_per_node: list[list[np.ndarray]] = []

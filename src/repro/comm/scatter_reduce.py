@@ -50,6 +50,7 @@ def scatter_reduce(
     compress_phase2: CompressFn | None = None,
     decompress_phase2: DecompressFn | None = None,
     out: Sequence[np.ndarray] | None = None,
+    divisor: int = 1,
 ) -> list[np.ndarray]:
     """Aggregate (sum) per-member arrays with the ScatterReduce pattern.
 
@@ -71,7 +72,7 @@ def scatter_reduce(
     finished results in.  Without ``out`` the inputs are only read — except
     that the batched kernel reduces dense float64 rows living in their
     members' own backend pools in place and returns them (docs/primitives.md
-    § "Where the result lands").
+    § "Where the result lands").  Every result is divided by ``divisor``.
     """
     hooks_default = (
         compress_phase1 is None
@@ -80,7 +81,7 @@ def scatter_reduce(
         and decompress_phase2 is None
     )
     if hooks_default and group.transport.backend.prefers_fast_path:
-        return scatter_reduce_batched(arrays, group, out=out)
+        return scatter_reduce_batched(arrays, group, out=out, divisor=divisor)
     check_arrays(arrays, group)
     n = group.size
     c1 = compress_phase1 or _identity_compress
@@ -95,7 +96,7 @@ def scatter_reduce(
         # copy=False: the identity phase-1 hook already copies, and custom
         # hooks never mutate their input — the extra eager copy was waste.
         merged = d2(c2(d1(c1(arrays[0].astype(np.float64, copy=False), 0, 0)), 0, 0))
-        return store_rows([merged], out)
+        return store_rows([merged], out, divisor)
 
     # Phase 1: all-to-all of compressed chunks (one message round).
     parts: list[list[object]] = []
@@ -124,4 +125,4 @@ def scatter_reduce(
         for j, (lo, hi) in enumerate(bounds):
             full[lo:hi] = d2(gathered[i][j])
         results.append(full)
-    return store_rows(results, out)
+    return store_rows(results, out, divisor)

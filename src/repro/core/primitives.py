@@ -10,7 +10,8 @@ bucket lands where the optimizer reads it and an averaged weight bucket
 where the model keeps it.
 
 * :func:`c_fp_s` — centralized full-precision synchronous: every member ends
-  with ``sum_j x_j`` (Allreduce semantics, ScatterReduce implementation).
+  with ``sum_j x_j``, or with ``average=True`` that ``/ n`` (Allreduce
+  semantics, ScatterReduce implementation).
 * :func:`c_lp_s` — centralized low-precision synchronous with optional
   two-sided error compensation (worker deltas, server epsilons).
 * :func:`d_fp_s` — decentralized full-precision: each member averages with
@@ -66,8 +67,10 @@ def c_fp_s(
     group: CommGroup,
     hierarchical: bool = False,
     out: Sequence[np.ndarray] | None = None,
+    average: bool = False,
 ) -> list[np.ndarray]:
-    """Centralized full-precision sum: ``x'_i = sum_j x_j`` for all i.
+    """Centralized full-precision sum: ``x'_i = sum_j x_j`` for all i
+    (``/ group.size`` with ``average``).
 
     Returned rows never share memory with each other, on any path (loop,
     batched, hierarchical, pool-ref): callers may update each in place.
@@ -89,12 +92,13 @@ def c_fp_s(
     if out is not None:
         check_out(out, arrays)
     _trace_collective(group, "allreduce", arrays[0].size)
+    divisor = group.size if average else 1
     if hierarchical:
         comm = HierarchicalComm(group)
         if group.transport.backend.prefers_fast_path:
-            return comm.allreduce_batched(arrays, out=out)
-        return store_rows(comm.allreduce(arrays), out)
-    return scatter_reduce(arrays, group, out=out)
+            return comm.allreduce_batched(arrays, out=out, divisor=divisor)
+        return store_rows(comm.allreduce(arrays), out, divisor)
+    return scatter_reduce(arrays, group, out=out, divisor=divisor)
 
 
 def c_lp_s(
@@ -105,11 +109,13 @@ def c_lp_s(
     server_errors: Sequence[ErrorFeedback] | None = None,
     hierarchical: bool = False,
     out: Sequence[np.ndarray] | None = None,
+    average: bool = False,
 ) -> list[np.ndarray]:
     """Centralized low-precision sum with optional error compensation.
 
     Without error feedback this computes ``x'_i = Q(sum_j Q(x_j))`` — both
-    the worker-side chunks and the merged partitions travel compressed.
+    the worker-side chunks and the merged partitions travel compressed;
+    ``average`` divides it by ``group.size``.
 
     With error feedback, member ``i`` sends ``Q(x_i - delta_i)`` (per chunk)
     and the partition owner sends ``Q(sum - eps)``; the residuals are updated
@@ -147,6 +153,7 @@ def c_lp_s(
         biased=compressor.biased,
         error_feedback=use_ef,
     )
+    divisor = group.size if average else 1
 
     # The batched kernel substitutes each member's own-codec roundtrip for
     # the loop's shared-codec decompress, so the EF variant only routes when
@@ -163,6 +170,7 @@ def c_lp_s(
                 worker_errors=worker_errors,
                 server_errors=server_errors,
                 out=out,
+                divisor=divisor,
             )
         return scatter_reduce_batched(
             arrays,
@@ -171,6 +179,7 @@ def c_lp_s(
             worker_errors=worker_errors,
             server_errors=server_errors,
             out=out,
+            divisor=divisor,
         )
 
     if use_ef:
@@ -196,7 +205,7 @@ def c_lp_s(
             compress_phase2=compress2,
             decompress_phase2=decompress,
         )
-        return store_rows(results, out)
+        return store_rows(results, out, divisor)
     return scatter_reduce(
         arrays,
         group,
@@ -205,6 +214,7 @@ def c_lp_s(
         compress_phase2=compress2,
         decompress_phase2=decompress,
         out=out,
+        divisor=divisor,
     )
 
 

@@ -21,6 +21,9 @@ import numpy as np
 
 from .tensor import Tensor
 
+#: elements per block of :meth:`SGD.step_on_slots` (x, g, v and scratch stay in cache)
+SGD_BLOCK = 32_768
+
 
 class Optimizer:
     """Base optimizer over a list of parameters."""
@@ -79,6 +82,8 @@ class SGD(Optimizer):
         super().__init__(params)
         if lr <= 0:
             raise ValueError(f"invalid learning rate {lr}")
+        if momentum < 0 or weight_decay < 0:
+            raise ValueError(f"invalid momentum {momentum} or weight decay {weight_decay}")
         if nesterov and momentum <= 0:
             raise ValueError("nesterov momentum requires momentum > 0")
         self.lr = lr
@@ -93,19 +98,34 @@ class SGD(Optimizer):
         arrays: Sequence[np.ndarray],
         grads: Sequence[np.ndarray],
     ) -> None:
+        """The unblocked formula's per-element sequence, bits included, run on
+        leading-axis views of about ``SGD_BLOCK`` elements while each is in
+        cache (a non-contiguous array is updated in place), ``lr * v`` into
+        one reused block-sized scratch."""
+        m, wd, lr = self.momentum, self.weight_decay, self.lr
         for slot, x, g in zip(slots, arrays, grads):
-            if self.weight_decay:
-                g = g + self.weight_decay * x
-            if self.momentum:
+            v = None
+            if m:
                 if len(self._velocity) <= slot:
                     self._velocity.extend([None] * (slot + 1 - len(self._velocity)))
                 if self._velocity[slot] is None or self._velocity[slot].shape != x.shape:
                     self._velocity[slot] = np.zeros_like(x)
-                v = self._velocity[slot]
-                v *= self.momentum
-                v += g
-                g = g + self.momentum * v if self.nesterov else v
-            x -= self.lr * g
+                v = np.atleast_1d(self._velocity[slot])
+            x, g = np.atleast_1d(x), np.atleast_1d(g)
+            rows = max(1, -(-len(x) // max(1, round(x.size / SGD_BLOCK))))
+            scratch = None
+            for lo in range(0, len(x), rows):
+                xb, gb = x[lo : lo + rows], g[lo : lo + rows]
+                if wd:
+                    gb = gb + wd * xb
+                if v is not None:
+                    vb = v[lo : lo + rows]
+                    vb *= m
+                    vb += gb
+                    gb = gb + m * vb if self.nesterov else vb
+                # The first block's product is the scratch every later block reuses.
+                scratch = np.multiply(gb, lr, out=None if scratch is None else scratch[: len(gb)])
+                xb -= scratch
 
     def state_dict(self) -> dict:
         return {

@@ -95,6 +95,37 @@ def gossip_run(name: str, peers, out_mode: str, hierarchical: bool = False, step
     return run
 
 
+def centralized_run(name: str, out_mode: str, hierarchical: bool, average: bool):
+    """A :func:`compare` case: one ``c_fp_s`` / ``c_lp_s`` (qsgd8; ``+ef``
+    with two-sided error feedback) call whose results land in fresh rows
+    (``out_mode="none"``) or in the inputs (``"arrays"``).  With ``average``
+    the primitive averages; without, the caller divides each returned row by
+    the group's size in place, as the algorithms did before ``average``.
+    Returns the rows, the codec (its RNG stream) and the residual stores."""
+
+    def run(group, arrays):
+        n = group.size
+        codec = CODEC_FACTORIES["qsgd8"]()
+        stores = [ErrorFeedback(CODEC_FACTORIES["qsgd8"]()) for _ in range(2 * n)]
+        stores = stores if name == "c_lp_s+ef" else []
+        kwargs = dict(
+            hierarchical=hierarchical, out=arrays if out_mode == "arrays" else None, average=average
+        )
+        if name == "c_fp_s":
+            rows = c_fp_s(arrays, group, **kwargs)
+        else:
+            rows = c_lp_s(
+                arrays, group, codec, worker_errors=stores[:n] or None,
+                server_errors=stores[n:] or None, **kwargs,
+            )
+        if not average:
+            for row in rows:
+                row /= n
+        return rows, codec, stores
+
+    return run
+
+
 IN_PROCESS = ("local", "batched")
 SHM = ("local", "batched", "loopshm", "shm")
 POOL = ("local", "batched", "shm")

@@ -114,3 +114,26 @@ def test_claim_met_at_nine_of_ten_and_a_gap_wider_than_the_parents_quartiles(cap
 def test_claim_not_met(change):
     row = ab_pairs.summarize(steps("w", PARENT_MS, change), SPECS)["w"]["op_ms"]
     assert row["claim_met"] is False
+
+
+def test_layer_deltas_table_from_the_traced_pairs(capsys):
+    """Each per-layer ``*_ms`` row both sides report, per workload; counters,
+    end-to-end metrics and a row one side lacks are left out."""
+    traced = [
+        pair(
+            "w",
+            {"tensor.optim_ms": 20.0, "comm.collective_self_ms": 1.5, "tensor.optim_calls": 8,
+             "op_ms_quiet": 80.0, "compression.codec_ms": 3.0},
+            {"tensor.optim_ms": 16.5, "comm.collective_self_ms": 2.0, "tensor.optim_calls": 8,
+             "op_ms_quiet": 70.0},
+        ),
+        pair("v", {"tensor.optim_ms": 9.0}, {"tensor.optim_ms": 7.5}),
+    ]  # fmt: skip
+    table = ab_pairs.layer_deltas(traced)
+    assert table == {
+        "w": {"tensor.optim_ms": (20.0, 16.5, -3.5), "comm.collective_self_ms": (1.5, 2.0, 0.5)},
+        "v": {"tensor.optim_ms": (9.0, 7.5, -1.5)},
+    }
+    ab_pairs.print_layer_deltas(table)
+    out = capsys.readouterr().out
+    assert "tensor.optim_ms" in out and "-3.500" in out and "+0.500" in out

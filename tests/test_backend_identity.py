@@ -30,6 +30,7 @@ from .identity_harness import (
     LoopShm,
     backend_for,
     close_shm_backends,
+    centralized_run,
     cluster,
     compare,
     gossip_run,
@@ -149,6 +150,42 @@ class TestGossipOutIdentity:
         # 2 nodes x 2: the leaders are a mutual pair, in place on their node means.
         run = gossip_run(name, RandomPeers(seed=5), mode, hierarchical=True)
         compare(cluster(4, 2), inputs(4, 48, 61), run, SHM)
+
+
+class TestAveragingIdentity:
+    """``average=True`` on ``c_fp_s`` / ``c_lp_s`` is bitwise the sum divided
+    by the group's size member by member — flat and under H, error feedback
+    on and off, landing in fresh rows or in the inputs, over owned and
+    pool-resident rows — on every leg, with clocks, stats, traces, codec RNG
+    streams and residuals those of the summing call."""
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["owned", "pooled"])
+    @pytest.mark.parametrize("out_mode", ["none", "arrays"])
+    @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (4, 1)], ids=["2x4", "1x4", "4x1"])
+    @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "H"])
+    @pytest.mark.parametrize("name", ["c_fp_s", "c_lp_s", "c_lp_s+ef"])
+    def test_average_is_the_sum_divided(self, name, hierarchical, shape, out_mode, pooled):
+        nodes, per_node = shape
+        world = nodes * per_node
+        base = inputs(world, 37, world + per_node, signed_zeros=True)
+        runs = {
+            average: compare(
+                cluster(world, per_node), base,
+                centralized_run(name, out_mode, hierarchical, average), SHM, pooled=pooled,
+            )
+            for average in (False, True)
+        }  # fmt: skip
+        divided, averaged = runs[False]["local"], runs[True]["local"]
+        assert averaged.bits == divided.bits
+        assert (averaged.state, averaged.rounds, averaged.events) == (
+            divided.state, divided.rounds, divided.events,
+        )  # fmt: skip
+        if pooled and name == "c_fp_s" and not hierarchical:
+            # The in-place reduce divides each pool row where it lies: with
+            # ``out=None`` too, the returned rows are the inputs.
+            for leg in ("batched", "shm"):
+                rows = runs[True][leg].bits[0]
+                assert runs[True][leg].pools == [row for _dtype, _shape, row in rows], leg
 
 
 class TestTracedRounds:

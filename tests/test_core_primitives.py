@@ -91,17 +91,20 @@ class TestCLPS:
 
 class TestCentralizedRowsAreIndependent:
     """``c_fp_s`` / ``c_lp_s`` promise rows that share no memory: the
-    per-bucket algorithms average each returned row in place."""
+    per-bucket algorithms step on each returned row in place."""
 
+    @pytest.mark.parametrize("average", [False, True], ids=["sum", "average"])
     @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (4, 1)], ids=["2x4", "1x4", "4x1"])
     @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "hierarchical"])
     @pytest.mark.parametrize("backend", ["local", "batched"], ids=["loop", "batched"])
     @pytest.mark.parametrize("primitive", ["c_fp_s", "c_lp_s", "c_lp_s+ef"])
-    def test_rows_never_share_memory(self, rng, primitive, backend, hierarchical, shape):
+    def test_rows_never_share_memory(
+        self, rng, primitive, backend, hierarchical, shape, average
+    ):
         group = make_group(*shape, backend=backend)
         arrays = [rng.standard_normal(37) for _ in range(group.size)]
         if primitive == "c_fp_s":
-            outs = c_fp_s(arrays, group, hierarchical=hierarchical)
+            outs = c_fp_s(arrays, group, hierarchical=hierarchical, average=average)
         else:
             stores = [
                 [ErrorFeedback(OneBitCompressor()) for _ in range(group.size)]
@@ -111,7 +114,7 @@ class TestCentralizedRowsAreIndependent:
             outs = c_lp_s(
                 arrays, group, compressor=OneBitCompressor(),
                 worker_errors=stores[0], server_errors=stores[1],
-                hierarchical=hierarchical,
+                hierarchical=hierarchical, average=average,
             )
         assert len(outs) == group.size
         for i, a in enumerate(outs):
@@ -124,13 +127,13 @@ class TestCentralizedRowsAreIndependent:
             assert np.array_equal(out, kept)
 
 
-def _run_centralized(primitive, arrays, shape, backend, hierarchical, out):
+def _run_centralized(primitive, arrays, shape, backend, hierarchical, out, average=False):
     """One call on a fresh group; everything it may change, as comparable bits."""
     group = make_group(*shape, backend=backend)
     codec = QSGDCompressor(bits=8, rng=np.random.default_rng(3))
     stores = []
     if primitive == "c_fp_s":
-        outs = c_fp_s(arrays, group, hierarchical=hierarchical, out=out)
+        outs = c_fp_s(arrays, group, hierarchical=hierarchical, out=out, average=average)
     else:
         if primitive == "c_lp_s+ef":
             stores = [
@@ -141,7 +144,7 @@ def _run_centralized(primitive, arrays, shape, backend, hierarchical, out):
             arrays, group, compressor=codec,
             worker_errors=stores[: group.size] or None,
             server_errors=stores[group.size :] or None,
-            hierarchical=hierarchical, out=out,
+            hierarchical=hierarchical, out=out, average=average,
         )
     transport = group.transport
     state = (
@@ -155,21 +158,29 @@ def _run_centralized(primitive, arrays, shape, backend, hierarchical, out):
 
 
 class TestCentralizedOut:
-    """``out=`` changes where the results land, and nothing else."""
+    """``out=`` changes where the results land, and nothing else; ``average``
+    changes them into ``sum / n`` — the bits of dividing each summed row."""
 
+    @pytest.mark.parametrize("average", [False, True], ids=["sum", "average"])
     @pytest.mark.parametrize("shape", [(2, 4), (1, 4), (1, 1)], ids=["2x4", "1x4", "1x1"])
     @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "hierarchical"])
     @pytest.mark.parametrize("backend", ["local", "batched"], ids=["loop", "batched"])
     @pytest.mark.parametrize("primitive", ["c_fp_s", "c_lp_s", "c_lp_s+ef"])
-    def test_out_equals_fresh_rows_bitwise(self, rng, primitive, backend, hierarchical, shape):
+    def test_out_equals_fresh_rows_bitwise(
+        self, rng, primitive, backend, hierarchical, shape, average
+    ):
         world = shape[0] * shape[1]
         base = [rng.standard_normal(37) for _ in range(world)]
         base[0][:5] = -0.0
 
-        def run(arrays, out):
-            return _run_centralized(primitive, arrays, shape, backend, hierarchical, out)
+        def run(arrays, out, average=average):
+            return _run_centralized(primitive, arrays, shape, backend, hierarchical, out, average)
 
         expected, expected_state = run([a.copy() for a in base], None)
+        sums, sum_state = run([a.copy() for a in base], None, average=False)
+        divisor = world if average else 1
+        assert [e.tobytes() for e in expected] == [(s / divisor).tobytes() for s in sums]
+        assert expected_state == sum_state
 
         # Fresh rows: they receive the results, the inputs stay untouched.
         inputs = [a.copy() for a in base]

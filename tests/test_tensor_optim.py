@@ -1,9 +1,12 @@
 """Optimizers: update rules, state, flat-view stepping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.tensor import Adam, AdamW, SGD, Tensor
+from repro.tensor.optim import SGD_BLOCK
 
 
 def params_with_grads(values, grads):
@@ -44,6 +47,15 @@ class TestSGD:
         (p,) = params_with_grads([[1.0]], [[1.0]])
         with pytest.raises(ValueError):
             SGD([p], lr=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"momentum": -0.9}, {"weight_decay": -1e-4}], ids=["momentum", "weight_decay"]
+    )
+    def test_negative_momentum_or_weight_decay_is_rejected(self, kwargs):
+        (p,) = params_with_grads([[1.0]], [[1.0]])
+        (value,) = kwargs.values()
+        with pytest.raises(ValueError, match=str(value)):
+            SGD([p], lr=0.1, **kwargs)
 
     def test_nesterov_requires_momentum(self):
         (p,) = params_with_grads([[1.0]], [[1.0]])
@@ -152,3 +164,95 @@ class TestFlatViewStepping:
         p = Tensor(np.array([1.0]), requires_grad=True)
         SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, [1.0])
+
+
+#: every update rule of SGD: plain, momentum, Nesterov, and weight decay on each
+SGD_RULES = {
+    "plain": {},
+    "momentum": {"momentum": 0.9},
+    "nesterov": {"momentum": 0.9, "nesterov": True},
+    "plain+wd": {"weight_decay": 1e-3},
+    "momentum+wd": {"momentum": 0.9, "weight_decay": 1e-3},
+    "nesterov+wd": {"momentum": 0.9, "nesterov": True, "weight_decay": 1e-3},
+}
+
+
+def unblocked_sgd(x, v, g, lr, momentum=0.0, weight_decay=0.0, nesterov=False):
+    """One step of the whole-array formula: ``v`` and ``x`` updated in place."""
+    if weight_decay:
+        g = g + weight_decay * x
+    if momentum:
+        v *= momentum
+        v += g
+        g = g + momentum * v if nesterov else v
+    x -= lr * g
+
+
+class TestBlockedSGD:
+    """``SGD.step_on_slots`` walks each slot in blocks of ``SGD_BLOCK``
+    elements; each element still sees the unblocked formula's operations."""
+
+    @pytest.mark.parametrize("rule", sorted(SGD_RULES))
+    @pytest.mark.parametrize(
+        "size", [SGD_BLOCK - 1, SGD_BLOCK, SGD_BLOCK + 1, 3 * SGD_BLOCK + 7],
+        ids=["block-1", "block", "block+1", "3block+7"],
+    )  # fmt: skip
+    def test_bitwise_equal_to_the_unblocked_formula(self, rule, size):
+        kwargs = SGD_RULES[rule]
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal(size)
+        x[:3] = -0.0
+        expected, velocity = x.copy(), np.zeros(size)
+        opt = SGD([Tensor(np.zeros(1))], lr=0.05, **kwargs)
+        for _ in range(2):
+            g = rng.standard_normal(size)
+            unblocked_sgd(expected, velocity, g, 0.05, **kwargs)
+            opt.step_on_slots([0], [x], [g])
+            assert x.tobytes() == expected.tobytes()
+        if kwargs.get("momentum"):
+            assert opt._velocity[0].tobytes() == velocity.tobytes()
+
+    @pytest.mark.parametrize("rule", ["momentum", "nesterov+wd"])
+    def test_two_dimensional_parameter_through_step(self, rule):
+        kwargs = SGD_RULES[rule]
+        rng = np.random.default_rng(1)
+        shape = (3 * SGD_BLOCK // 1000 + 5, 1000)  # blocks of whole rows, a short last one
+        p = Tensor(rng.standard_normal(shape), requires_grad=True)
+        expected, velocity = p.data.copy(), np.zeros(shape)
+        opt = SGD([p], lr=0.1, **kwargs)
+        for _ in range(2):
+            p.grad = rng.standard_normal(shape)
+            unblocked_sgd(expected, velocity, p.grad, 0.1, **kwargs)
+            opt.step()
+            assert p.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rule", ["plain", "momentum+wd"])
+    def test_non_contiguous_array_is_updated_in_place(self, rule):
+        kwargs = SGD_RULES[rule]
+        rng = np.random.default_rng(2)
+        backing = rng.standard_normal((2 * SGD_BLOCK + 3, 4))
+        before = backing.copy()
+        x = backing[::2, 1]  # strided on both axes
+        expected = x.copy()
+        g = rng.standard_normal(x.shape)
+        unblocked_sgd(expected, np.zeros(x.shape), g, 0.1, **kwargs)
+        SGD([Tensor(np.zeros(1))], lr=0.1, **kwargs).step_on_slots([0], [x], [g])
+        assert backing[::2, 1].tobytes() == expected.tobytes()
+        untouched = np.ones(backing.shape, dtype=bool)
+        untouched[::2, 1] = False
+        assert np.array_equal(backing[untouched], before[untouched])
+
+    @pytest.mark.parametrize("rule", ["plain", "momentum", "nesterov+wd"])
+    def test_a_bucket_sized_step_allocates_no_bucket_sized_temporary(self, rule):
+        size = 16 * SGD_BLOCK
+        rng = np.random.default_rng(3)
+        x, g = rng.standard_normal(size), rng.standard_normal(size)
+        opt = SGD([Tensor(np.zeros(1))], lr=0.1, **SGD_RULES[rule])
+        opt.step_on_slots([0], [x], [g])  # the first step allocates the velocity
+        tracemalloc.start()
+        try:
+            opt.step_on_slots([0], [x], [g])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes // 4
