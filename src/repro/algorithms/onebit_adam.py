@@ -23,6 +23,7 @@ from ..compression.error_feedback import ErrorFeedback
 from ..compression.onebit import OneBitCompressor
 from ..core.engine import Algorithm, BaguaEngine
 from ..core.primitives import c_fp_s, c_lp_s
+from ..tensor.tensor import DTYPE
 
 
 class OneBitAdam(Algorithm):
@@ -47,8 +48,8 @@ class OneBitAdam(Algorithm):
     def setup(self, engine: BaguaEngine) -> None:
         num_buckets = engine.num_buckets
         for worker in engine.workers:
-            worker.state["m"] = [np.zeros(b.total_elements) for b in worker.buckets]
-            worker.state["v"] = [np.zeros(b.total_elements) for b in worker.buckets]
+            worker.state["m"] = [np.zeros(b.total_elements, DTYPE) for b in worker.buckets]
+            worker.state["v"] = [np.zeros(b.total_elements, DTYPE) for b in worker.buckets]
             # Residual stores are per bucket: chunk keys repeat across buckets.
             worker.state["worker_ef"] = [
                 ErrorFeedback(self.compressor) for _ in range(num_buckets)

@@ -34,19 +34,20 @@ def _sanitized_live_findings(world: int = 2) -> tuple[int, list[Finding]]:
 
     from ...cluster.backends.shm import SharedMemoryBackend
     from ...cluster.transport import Message
+    from ...tensor.tensor import DTYPE
     from .sanitizer import check_events
 
     with SharedMemoryBackend(world_size=world, ring_bytes=1 << 16, sanitize=True) as backend:
         pools = [backend.allocate_pool(rank, 16) for rank in range(world)]
         for rank, pool in enumerate(pools):
-            pool[:] = np.arange(16, dtype=np.float64) * (rank + 1)
+            pool[:] = np.arange(16, dtype=DTYPE) * (rank + 1)
         for round_index in range(2 if world > 1 else 0):
             messages = [
                 Message(
                     src=src,
                     dst=(src + 1 + round_index % (world - 1)) % world,
-                    payload=np.arange(8, dtype=np.float64) + src,
-                    nbytes=64,
+                    payload=np.arange(8, dtype=DTYPE) + src,
+                    nbytes=8 * DTYPE.itemsize,
                     match_id=f"r{round_index}s{src}",
                 )
                 for src in range(world)

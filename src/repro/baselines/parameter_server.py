@@ -18,6 +18,7 @@ import numpy as np
 from ..cluster.transport import Message, Transport
 from ..comm.chunking import chunk_bounds
 from ..comm.group import CommGroup
+from ..tensor.tensor import DTYPE
 
 
 class ShardedParameterServer:
@@ -31,7 +32,7 @@ class ShardedParameterServer:
         self.total_elements = initial.shape[0]
         # shard index -> parameter slice held by that server
         self.shards: list[np.ndarray] = [
-            initial[lo:hi].astype(np.float64, copy=True) for lo, hi in self._bounds
+            initial[lo:hi].astype(DTYPE, copy=True) for lo, hi in self._bounds
         ]
         # Arbitrary per-shard server state (error compensation, momentum, ...)
         self.server_state: list[dict] = [{} for _ in range(self.num_shards)]

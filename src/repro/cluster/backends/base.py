@@ -35,6 +35,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ...tensor.tensor import DTYPE
+
 if TYPE_CHECKING:
     from ...analysis.report import Finding
     from ..transport import Message, Transport
@@ -59,12 +61,12 @@ def protocol_sanitize_enabled() -> bool:
 
 @dataclass(frozen=True)
 class PoolRef:
-    """Descriptor of a dense f64 view into one rank's flat bucket pool.
+    """Descriptor of a dense view into one rank's flat ``DTYPE`` bucket pool.
 
-    ``offset``/``length`` are in float64 *elements* from the start of rank
+    ``offset``/``length`` are in pool *elements* from the start of rank
     ``rank``'s pool (:meth:`TransportBackend.allocate_pool`).  A PoolRef is
     the wire form of a pool-resident payload: 24 bytes of descriptor
-    instead of ``length * 8`` bytes of data, resolvable by any process the
+    instead of ``length * DTYPE.itemsize`` bytes of data, resolvable by any process the
     pool segment is mapped into.  Descriptors travel through the shm rings
     under their own wire tag (``wire._T_POOLREF``) and drive the in-place
     worker-parallel reduction of :meth:`TransportBackend.pool_ref_reduce`.
@@ -83,18 +85,20 @@ PoolRefChunk = tuple[int, int, tuple[int, ...]]
 def ordered_fold(
     rows: Sequence[np.ndarray], lo: int, hi: int, order: Sequence[int], add_zero: bool
 ) -> np.ndarray:
-    """Sum ``rows[k][lo:hi]`` for ``k`` in exactly ``order``, in float64.
+    """Sum ``rows[k][lo:hi]`` for ``k`` in exactly ``order``, in the rows' dtype.
 
-    ``acc = rows[order[0]][lo:hi]`` widened into a fresh array, then ``acc +=
+    ``acc = rows[order[0]][lo:hi]`` copied into a fresh array, then ``acc +=
     rows[k][lo:hi]`` member by member — never an axis reduction, whose
     pairwise summation of width-1 chunks would produce different bits — and
     with ``add_zero`` the loop oracle's trailing ``+ 0.0`` (its zeros-seeded
     fold turns a column that is ``-0.0`` on every member into ``+0.0``).
     The one definition every dense reduce runs: the serial and the
     worker-parallel :meth:`TransportBackend.pool_ref_reduce` and the
-    ``repro.comm.batched`` kernels over rows outside the pools.
+    ``repro.comm.batched`` kernels over rows outside the pools.  The
+    accumulator has the rows' precision, so every partial sum rounds where
+    the loop ring's hop-by-hop partial sums do.
     """
-    acc = rows[order[0]][lo:hi].astype(np.float64)
+    acc = rows[order[0]][lo:hi].copy()
     for member in order[1:]:
         acc += rows[member][lo:hi]
     if add_zero:
@@ -255,7 +259,7 @@ class TransportBackend:
         raise NotImplementedError
 
     def allocate_pool(self, rank: int, n_elements: int) -> np.ndarray:
-        """Allocate rank ``rank``'s flat float64 bucket pool.
+        """Allocate rank ``rank``'s flat ``DTYPE`` bucket pool.
 
         Returns the parent-side array view.  Backends that execute rank
         tasks elsewhere must make the same storage visible to that rank's
@@ -294,15 +298,15 @@ class TransportBackend:
     def pool_ref(self, array: Any, rank: int | None = None) -> PoolRef | None:
         """Resolve ``array`` to a :class:`PoolRef`, or None.
 
-        Only dense views qualify: 1-D C-contiguous float64, lying entirely
-        within one registered pool at an 8-byte-aligned offset.  Anything
+        Only dense views qualify: 1-D C-contiguous ``DTYPE``, lying entirely
+        within one registered pool at an element-aligned offset.  Anything
         else — other dtypes, strided views, arrays owning their own storage
         — returns None and keeps the codec path.  Given ``rank``, only that
         rank's pool is looked in.
         """
         if (
             not isinstance(array, np.ndarray)
-            or array.dtype != np.float64
+            or array.dtype != DTYPE
             or array.ndim != 1
             or not array.flags.c_contiguous
             or array.size == 0
@@ -313,8 +317,8 @@ class TransportBackend:
         for owner in owners:
             pool = self._pool_arrays[owner]
             delta = addr - pool.__array_interface__["data"][0]
-            if 0 <= delta and delta + array.nbytes <= pool.nbytes and delta % 8 == 0:
-                return PoolRef(rank=owner, offset=delta // 8, length=array.size)
+            if 0 <= delta and delta + array.nbytes <= pool.nbytes and delta % DTYPE.itemsize == 0:
+                return PoolRef(rank=owner, offset=delta // DTYPE.itemsize, length=array.size)
         return None
 
     def resolve_pool_refs(

@@ -5,7 +5,7 @@ receiver (the original single-process execution model); they differ only in
 which kernel flavor collectives run.  ``LocalBackend`` is the auditable
 oracle — per-rank Python loops, one payload per message, inputs never
 written — and ``BatchedBackend`` runs the world-batched kernels of
-:mod:`repro.comm.batched`: size stubs instead of payloads, and dense float64
+:mod:`repro.comm.batched`: size stubs instead of payloads, and dense ``DTYPE``
 rows that live in the pools :meth:`LocalBackend.allocate_pool` handed out
 reduced in place by the base class's serial ``pool_ref_reduce`` (what the
 shm workers run in parallel).  Results, clocks, stats and traces are
@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ...tensor.tensor import DTYPE
 from .base import TransportBackend
 
 if TYPE_CHECKING:
@@ -74,7 +75,7 @@ class LocalBackend(TransportBackend):
         """Delivery is synchronous in-process; there is nothing staged."""
 
     def allocate_pool(self, rank: int, n_elements: int) -> np.ndarray:
-        pool = np.empty(n_elements, dtype=np.float64)
+        pool = np.empty(n_elements, dtype=DTYPE)
         self._register_pool(rank, pool)
         if self.sanitizing:
             self._emit_exchange("pool", rank, 0)

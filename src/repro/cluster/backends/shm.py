@@ -37,15 +37,15 @@ atomics in pure Python: correctness relies on the GIL serializing each
 the flag); the program record's seq stamp is validated as a secondary
 check.
 
-Payload encodings: flat contiguous f64 arrays blit raw; everything the
+Payload encodings: flat contiguous ``DTYPE`` arrays blit raw; everything the
 :mod:`.wire` codec covers (nested tuples/lists/dicts of ndarrays, scalars,
 ``CompressedPayload``) uses the pickle-free binary format; only the
 remainder (e.g. task functions) falls back to :mod:`pickle`.
 
 Rank bucket pools (:meth:`allocate_pool`) are plain shared-memory segments
-mapped as float64 arrays in the parent and in **every** worker (keyed by
+mapped as ``DTYPE`` arrays in the parent and in **every** worker (keyed by
 owner rank), which enables the zero-copy **pool-ref fast path**: a payload
-that is a dense f64 view into a mapped pool ships as a 25-byte
+that is a dense view into a mapped pool ships as a 25-byte
 ``PoolRef`` descriptor (wire tag ``0x0D``) instead of its bytes, and
 :meth:`pool_ref_reduce` stages per-chunk ``reduce`` items that each owning
 worker executes *in place on the shared pools, in parallel* — fold the
@@ -79,6 +79,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from ...tensor.tensor import DTYPE
 from . import wire
 from .base import (
     BackendError,
@@ -101,7 +102,7 @@ DEFAULT_RING_BYTES = 1 << 22
 DEFAULT_TIMEOUT_S = 120.0
 
 #: Record payload encodings.
-_RAW_F64 = 0
+_RAW = 0
 _PICKLED = 1
 _CODEC = 2
 
@@ -141,16 +142,16 @@ _Entry = tuple[int, int, int, bytes | None]
 def _encode(payload: Any) -> tuple[int, np.ndarray]:
     """Payload → (kind, uint8 buffer).
 
-    Flat f64 arrays go raw, wire-codec shapes go pickle-free, the rest
+    Flat ``DTYPE`` arrays go raw, wire-codec shapes go pickle-free, the rest
     (task closures, exotic objects) falls back to pickle.
     """
     if (
         isinstance(payload, np.ndarray)
-        and payload.dtype == np.float64
+        and payload.dtype == DTYPE
         and payload.ndim == 1
         and payload.flags.c_contiguous
     ):
-        return _RAW_F64, payload.view(np.uint8)
+        return _RAW, payload.view(np.uint8)
     try:
         raw = wire.encode(payload)
         return _CODEC, np.frombuffer(raw, dtype=np.uint8)
@@ -161,8 +162,8 @@ def _encode(payload: Any) -> tuple[int, np.ndarray]:
 
 def _decode(kind: int, data: np.ndarray) -> Any:
     """Inverse of :func:`_encode`; always returns freshly owned objects."""
-    if kind == _RAW_F64:
-        return data.view(np.float64).copy()
+    if kind == _RAW:
+        return data.view(DTYPE).copy()
     if kind == _CODEC:
         return wire.decode(memoryview(data))
     return pickle.loads(data.tobytes())
@@ -475,7 +476,7 @@ def _worker_main(
                 elif op == "pool":
                     owner = request[4]
                     new = shared_memory.SharedMemory(name=request[2])
-                    mapped = np.frombuffer(new.buf, dtype=np.float64, count=request[3])
+                    mapped = np.frombuffer(new.buf, dtype=DTYPE, count=request[3])
                     previous = pool_shms.get(owner)
                     pools[owner] = mapped
                     pool_shms[owner] = new
@@ -1061,7 +1062,7 @@ class SharedMemoryBackend(TransportBackend):
     def _encode_payload(self, payload: Any) -> tuple[int, np.ndarray]:
         """Like :func:`_encode`, but pool-resident arrays ship as PoolRefs.
 
-        A dense f64 view into a mapped pool segment stages as its 25-byte
+        A dense view into a mapped pool segment stages as its 25-byte
         descriptor instead of its data — the receiving worker resolves the
         descriptor against its own mapping of the same segment, so zero
         payload bytes cross the ring.  Everything else keeps the codec
@@ -1098,9 +1099,9 @@ class SharedMemoryBackend(TransportBackend):
     def allocate_pool(self, rank: int, n_elements: int) -> np.ndarray:
         if not 0 <= rank < self.world_size:
             raise ValueError(f"rank {rank} outside world of {self.world_size}")
-        nbytes = max(8, int(n_elements) * 8)
+        nbytes = max(DTYPE.itemsize, int(n_elements) * DTYPE.itemsize)
         pool_shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        pool = np.frombuffer(pool_shm.buf, dtype=np.float64, count=n_elements)
+        pool = np.frombuffer(pool_shm.buf, dtype=DTYPE, count=n_elements)
         previous = self._pools.get(rank)
         self._pools[rank] = (pool_shm, pool)
         self._register_pool(rank, pool)

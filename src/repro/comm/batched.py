@@ -34,8 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from ..cluster.backends.base import PoolRefChunk, ordered_fold
-from ..compression.base import Compressor
+from ..compression.base import FULL_PRECISION_BYTES, Compressor
 from ..compression.error_feedback import ErrorFeedback
+from ..tensor.tensor import DTYPE
 from .chunking import Rows, check_arrays, chunk_bounds, store_rows
 from .group import CommGroup
 
@@ -43,19 +44,17 @@ from .group import CommGroup
 #: collectives send: 8 for the tuple container itself plus 8 for the scalar
 #: index element (``payload_nbytes`` charges both since the container fix)
 _HEADER_BYTES = 16.0
-#: wire bytes per element of a float64 ndarray payload
-_F64_BYTES = 8.0
 
 
-def _stack_f64(arrays: Rows) -> np.ndarray:
-    """Per-member 1-D arrays stacked into one ``(world, n)`` float64 matrix.
+def _stack(arrays: Rows) -> np.ndarray:
+    """Per-member 1-D arrays stacked into one ``(world, n)`` ``DTYPE`` matrix.
 
     ``arrays`` itself when the caller built it as that matrix already: the
     kernels only ever read the stack.
     """
-    if isinstance(arrays, np.ndarray) and arrays.dtype == np.float64:
+    if isinstance(arrays, np.ndarray) and arrays.dtype == DTYPE:
         return arrays
-    out = np.empty((len(arrays), arrays[0].shape[0]))
+    out = np.empty((len(arrays), arrays[0].shape[0]), DTYPE)
     for i, a in enumerate(arrays):
         out[i] = a
     return out
@@ -278,7 +277,7 @@ def _reduce_chunks(
     members in (:func:`~repro.cluster.backends.base.ordered_fold`); the
     ranges tile the rows.  Where the sums land depends on the inputs alone:
 
-    * dense float64 rows that each live in their member's own backend pool
+    * dense rows that each live in their member's own backend pool
       are reduced **in place** by ``backend.pool_ref_reduce`` — serially in
       this process, or by the shm workers in parallel — so nothing travels
       and the returned rows *are* the inputs, each divided by ``divisor``;
@@ -290,12 +289,12 @@ def _reduce_chunks(
     clocks, stats and traces cannot tell the two cases apart.
     """
     backend = group.transport.backend
-    rows = list(arrays)
+    rows = [np.asarray(a, dtype=DTYPE) for a in arrays]  # the loop kernels' wire dtype
     refs = backend.resolve_pool_refs(rows, group.ranks)
     if refs is not None:
         backend.pool_ref_reduce(refs, chunks, add_zero=add_zero)
         return store_rows(rows, rows if out is None else out, divisor)
-    full = np.empty(rows[0].shape[0])
+    full = np.empty(rows[0].shape[0], DTYPE)
     for lo, hi, order in chunks:
         full[lo:hi] = ordered_fold(rows, lo, hi, order, add_zero)
     return _replicate(full, group.size, out, divisor)
@@ -337,14 +336,14 @@ def scatter_reduce_batched(
         # chunk is a plain fold of rows 0..n-1 — the loop's zeros-seeded
         # ``acc += row`` up to the trailing ``+ 0.0`` — and the (world, n)
         # stack never needs materializing.
-        row_bytes = [_F64_BYTES * w for w in widths]
+        row_bytes = [float(FULL_PRECISION_BYTES * w) for w in widths]
         chunks = [(lo, hi, tuple(range(n))) for lo, hi in bounds]
         alltoall_sizes(group, [row_bytes] * n)
         rows = _reduce_chunks(arrays, group, chunks, True, out, divisor)
         allgather_sizes(group, row_bytes)
         return rows
 
-    matrix = _stack_f64(arrays)
+    matrix = _stack(arrays)
 
     if n == 1:
         # Single member: no messages; replay the loop's Q(Q(x)) composition.
@@ -383,7 +382,7 @@ def scatter_reduce_batched(
         final = codec.batch_roundtrip(merged[None, :], bounds)[0]
         payload_bytes = [codec.wire_bytes(w) for w in widths]
     else:
-        final = np.empty(total)
+        final = np.empty(total, DTYPE)
         for j, (lo, hi) in enumerate(bounds):
             ef = server_errors[j]
             compensated = merged[lo:hi] + ef.residual(("s", j), hi - lo)
@@ -422,7 +421,7 @@ def _ring_rounds(
                 (
                     ranks[i],
                     ranks[(i + 1) % n],
-                    _HEADER_BYTES + _F64_BYTES * (hi - lo),
+                    _HEADER_BYTES + FULL_PRECISION_BYTES * (hi - lo),
                     f"{phase}.r{r}.c{chunk}",
                 )
             )
@@ -453,11 +452,12 @@ def ring_reduce_scatter_batched(
     check_arrays(arrays, group)
     n = group.size
     if n == 1:
-        return [np.asarray(arrays[0], dtype=np.float64).copy()]
+        return [np.array(arrays[0], dtype=DTYPE)]
     bounds = chunk_bounds(arrays[0].shape[0], n)
     _ring_rounds(group, bounds, "rs", range(n))
     _owners, chunks = _ring_chunks(bounds)
-    return [ordered_fold(arrays, lo, hi, order, False) for lo, hi, order in chunks]
+    rows = [np.asarray(a, dtype=DTYPE) for a in arrays]
+    return [ordered_fold(rows, lo, hi, order, False) for lo, hi, order in chunks]
 
 
 def ring_all_gather_chunks_batched(
@@ -466,7 +466,7 @@ def ring_all_gather_chunks_batched(
     """World-batched ring all-gather of per-member chunks into full arrays."""
     n = group.size
     bounds = chunk_bounds(total, n)
-    full = np.zeros(total)
+    full = np.zeros(total, DTYPE)
     for i in range(n):
         lo, hi = bounds[owners[i]]
         full[lo:hi] = chunks[i]
@@ -482,13 +482,13 @@ def ring_allreduce_batched(
     Member i reduces its ring chunk ``(i+1) % n`` in the ring's arrival
     order (no ``+ 0.0`` — the ring fold never normalizes) and every member
     receives it: the all-gather phase is the same disjoint-chunk store.
-    Pool-resident float64 rows are reduced in place and returned
+    Pool-resident rows are reduced in place and returned
     (:func:`_reduce_chunks`); other inputs are only read.
     """
     check_arrays(arrays, group)
     n = group.size
     if n == 1:
-        return [np.asarray(arrays[0], dtype=np.float64).copy()]
+        return [np.array(arrays[0], dtype=DTYPE)]
     bounds = chunk_bounds(arrays[0].shape[0], n)
     owners, chunks = _ring_chunks(bounds)
     _ring_rounds(group, bounds, "rs", range(n))
@@ -521,26 +521,29 @@ def gossip_average_batched(
     *every read of a row precedes the first store into it* — and the
     neighbor sets and dtypes decide how a member meets it:
 
-    * a mutual pair of float64 rows (each the other's only source and only
+    * a mutual pair of ``DTYPE`` rows (each the other's only source and only
       destination, no codec) is averaged where it lands: ``o_i = x_i + x_j``,
       halved in place, stored to ``o_j`` — the bits ``(x_j + x_i) / 2`` gives
       member j, because a single IEEE add commutes;
-    * every other member accumulates its sources ascending into one float64
+    * every other member accumulates its sources ascending into one ``DTYPE``
       row (with a codec: its row of the private stack), divides it in
-      place, and all those rows — and an idle member's input — are stored
-      after the last read.
+      place, and all those rows — and an idle member's input in ``DTYPE``
+      — are stored after the last read.
+
+    Every average is taken in ``DTYPE`` and handed back in its member's
+    dtype, exactly as the loop reference does.
     """
     n = group.size
     total = arrays[0].shape[0]
     # Gossip is communication-sparse (a handful of neighbors per member), so
     # without a codec a (world, n) stack would be pure overhead: accumulation
-    # reads the input rows directly, widened by the ufunc.
-    own: Rows = arrays
-    contrib: Rows = arrays
-    payload_bytes = _HEADER_BYTES + _F64_BYTES * total
+    # reads the input rows directly (each row itself when it is ``DTYPE``).
+    own: Rows = [np.asarray(a, dtype=DTYPE) for a in arrays]
+    contrib: Rows = own
+    payload_bytes = _HEADER_BYTES + FULL_PRECISION_BYTES * total
     if codec is not None:
-        # list(): a float64 matrix is stacked too, for the rows accumulate.
-        own = stack = _stack_f64(list(arrays))
+        # list(): a DTYPE matrix is stacked too, for the rows accumulate.
+        own = stack = _stack(list(arrays))
         contrib = codec.batch_roundtrip(stack, ((0, total),))
         payload_bytes = _HEADER_BYTES + codec.wire_bytes(total)
     ranks = group.ranks
@@ -557,7 +560,7 @@ def gossip_average_batched(
     for j, neigh in enumerate(neighbor_sets):  # j ascending: each list ends up sorted
         for i in neigh:
             sources[i].append(j)
-    results = list(arrays)  # an idle member's average is its input
+    results = list(own)  # an idle member's average is its input
     paired: set[int] = set()
     for i, srcs in enumerate(sources):
         if not srcs or i in paired:
@@ -567,7 +570,7 @@ def gossip_average_batched(
             codec is None
             and srcs == list(neighbor_sets[i]) == [j]
             and sources[j] == list(neighbor_sets[j]) == [i]
-            and arrays[i].dtype == arrays[j].dtype == np.float64
+            and arrays[i].dtype == arrays[j].dtype == DTYPE
         ):
             np.add(arrays[i], arrays[j], out=out[i])
             out[i] /= 2.0
@@ -575,8 +578,8 @@ def gossip_average_batched(
             results[i], results[j] = out[i], out[j]
             paired.add(j)
             continue
-        row = np.empty(total) if codec is None else own[i]
-        acc = np.add(own[i], contrib[j], out=row, dtype=np.float64)
+        row = np.empty(total, DTYPE) if codec is None else own[i]
+        acc = np.add(own[i], contrib[j], out=row)
         for src in srcs[1:]:
             acc += contrib[src]
         acc /= 1 + len(srcs)

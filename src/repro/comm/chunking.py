@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..tensor.tensor import DTYPE
 if TYPE_CHECKING:
     from .group import CommGroup
 
@@ -67,7 +68,7 @@ def check_out(
 ) -> None:
     """Validate the ``out=`` convention of the primitives.
 
-    One float64 row per member, shaped like the inputs.  A row may be that
+    One ``DTYPE`` row per member, shaped like the inputs.  A row may be that
     member's own input — every kernel reads all inputs before its first
     store — but no two rows may share memory, or one member's result would
     overwrite another's (a bounds check, so it costs microseconds).
@@ -81,7 +82,7 @@ def check_out(
     if len(out) != len(arrays):
         raise ValueError(f"expected {len(arrays)} out rows, got {len(out)}")
     for i, row in enumerate(out):
-        dtype = arrays[i].dtype if like_inputs else np.dtype(np.float64)
+        dtype = arrays[i].dtype if like_inputs else DTYPE
         if row.shape != arrays[0].shape or row.dtype != dtype:
             raise ValueError(
                 f"out rows must be {dtype} of shape {arrays[0].shape}; "

@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from ..cluster.transport import Message
+from ..tensor.tensor import DTYPE
 from .batched import (
     ring_all_gather_chunks_batched,
     ring_allreduce_batched,
@@ -52,7 +53,7 @@ def ring_reduce_scatter(arrays: Sequence[np.ndarray], group: CommGroup) -> list[
     _check_arrays(arrays, group)
     n = group.size
     bounds = chunk_bounds(arrays[0].shape[0], n)
-    work = [a.astype(np.float64, copy=True) for a in arrays]
+    work = [a.astype(DTYPE, copy=True) for a in arrays]
     if n == 1:
         return [work[0]]
 
@@ -100,7 +101,7 @@ def ring_all_gather_chunks(
         return ring_all_gather_chunks_batched(chunks, owners, group, total)
     n = group.size
     bounds = chunk_bounds(total, n)
-    results = [np.zeros(total) for _ in range(n)]
+    results = [np.zeros(total, DTYPE) for _ in range(n)]
     for i in range(n):
         lo, hi = bounds[owners[i]]
         results[i][lo:hi] = chunks[i]
@@ -132,7 +133,7 @@ def ring_all_gather_chunks(
 def ring_allreduce(arrays: Sequence[np.ndarray], group: CommGroup) -> list[np.ndarray]:
     """Classic two-phase ring allreduce (sum); 2(n-1) rounds of S/n bytes.
 
-    On a backend that runs the batched kernels, dense float64 rows living in
+    On a backend that runs the batched kernels, dense ``DTYPE`` rows living in
     their members' own backend pools are reduced in place — the returned
     rows *are* the inputs; any other input (other dtypes, arrays owning
     their storage, every input on ``local``) is only read.  See
@@ -143,7 +144,7 @@ def ring_allreduce(arrays: Sequence[np.ndarray], group: CommGroup) -> list[np.nd
     _check_arrays(arrays, group)
     n = group.size
     if n == 1:
-        return [arrays[0].astype(np.float64, copy=True)]
+        return [arrays[0].astype(DTYPE, copy=True)]
     total = arrays[0].shape[0]
     reduced = ring_reduce_scatter(arrays, group)
     owners = [(i + 1) % n for i in range(n)]

@@ -28,6 +28,7 @@ from .chunking import check_arrays, store_rows
 from .collectives import broadcast, gather, ring_allreduce
 from .group import CommGroup
 from .scatter_reduce import CompressFn, DecompressFn, scatter_reduce
+from ..tensor.tensor import DTYPE
 
 if TYPE_CHECKING:
     from ..compression.base import Compressor
@@ -162,11 +163,10 @@ class HierarchicalComm:
 
         for sub, node_arrays in zip(self.node_groups, per_node):
             gather_sizes(sub, [a.nbytes for a in node_arrays])
-        # One matrix of the rows' own dtype: float64 rows fold straight into
-        # what the inter-node kernel works on; narrower rows fold in their own
-        # precision, as the loop does, and the kernel widens them only then —
-        # into a float64 row they would fold in float64 and come out with
-        # different bits.
+        # One matrix of the rows' own dtype: ``DTYPE`` rows fold straight into
+        # what the inter-node kernel works on; other rows fold in their own
+        # precision, as the loop does, and the kernel casts them only then —
+        # folded into a ``DTYPE`` row they would come out with different bits.
         leader_sums = np.empty(
             (len(per_node), arrays[0].shape[0]), dtype=np.result_type(*arrays)
         )
@@ -203,7 +203,7 @@ class HierarchicalComm:
 
         ``leader_exchange`` runs the decentralized step among node leaders
         (e.g. ring or random peer averaging from :mod:`repro.core.primitives`)
-        on the float64 node means, which the leaders own: it may average them
+        on the ``DTYPE`` node means, which the leaders own: it may average them
         in place.  On a backend that runs the batched kernels no tier sends a
         payload: the intra-node allreduce and the leaders' gossip are
         stub-round kernels already, and the fan-out is one ``broadcast_sizes``
@@ -224,7 +224,7 @@ class HierarchicalComm:
         node_means: list[np.ndarray] = []
         for sub, node_arrays in zip(self.node_groups, per_node):
             if sub.size == 1:
-                node_means.append(node_arrays[0].astype(np.float64, copy=True))
+                node_means.append(node_arrays[0].astype(DTYPE, copy=True))
             else:
                 summed = ring_allreduce(node_arrays, sub)
                 node_means.append(summed[0] / sub.size)

@@ -22,6 +22,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from ..tensor.tensor import DTYPE
 from .batched import scatter_reduce_batched
 from .chunking import check_arrays, chunk_bounds, store_rows
 from .collectives import allgather_payloads, alltoall
@@ -70,7 +71,7 @@ def scatter_reduce(
     primitives) receives the results and may be ``arrays`` itself: the
     batched kernel stores only after its last read, the loop copies its
     finished results in.  Without ``out`` the inputs are only read — except
-    that the batched kernel reduces dense float64 rows living in their
+    that the batched kernel reduces dense ``DTYPE`` rows living in their
     members' own backend pools in place and returns them (docs/primitives.md
     § "Where the result lands").  Every result is divided by ``divisor``.
     """
@@ -95,7 +96,7 @@ def scatter_reduce(
     if n == 1:
         # copy=False: the identity phase-1 hook already copies, and custom
         # hooks never mutate their input — the extra eager copy was waste.
-        merged = d2(c2(d1(c1(arrays[0].astype(np.float64, copy=False), 0, 0)), 0, 0))
+        merged = d2(c2(d1(c1(arrays[0].astype(DTYPE, copy=False), 0, 0)), 0, 0))
         return store_rows([merged], out, divisor)
 
     # Phase 1: all-to-all of compressed chunks (one message round).
@@ -103,14 +104,14 @@ def scatter_reduce(
     for i in range(n):
         row = []
         for j, (lo, hi) in enumerate(bounds):
-            row.append(c1(arrays[i][lo:hi].astype(np.float64, copy=False), i, j))
+            row.append(c1(arrays[i][lo:hi].astype(DTYPE, copy=False), i, j))
         parts.append(row)
     received = alltoall(parts, group)
 
     # Merge: member j sums the decompressed chunks of partition j.
     merged: list[np.ndarray] = []
     for j in range(n):
-        acc = np.zeros(bounds[j][1] - bounds[j][0])
+        acc = np.zeros(bounds[j][1] - bounds[j][0], DTYPE)
         for i in range(n):
             acc += d1(received[j][i])
         merged.append(acc)
@@ -121,7 +122,7 @@ def scatter_reduce(
 
     results: list[np.ndarray] = []
     for i in range(n):
-        full = np.empty(total)
+        full = np.empty(total, DTYPE)
         for j, (lo, hi) in enumerate(bounds):
             full[lo:hi] = d2(gathered[i][j])
         results.append(full)

@@ -14,6 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..cluster.transport import Message
+from ..tensor.tensor import DTYPE
 from .group import CommGroup
 
 
@@ -51,7 +52,7 @@ def tree_reduce(
     n = group.size
     if len(arrays) != n:
         raise ValueError(f"expected {n} arrays, got {len(arrays)}")
-    partial = [a.astype(np.float64, copy=True) for a in arrays]
+    partial = [a.astype(DTYPE, copy=True) for a in arrays]
 
     def actual(virtual: int) -> int:
         return group.ranks[(virtual + root_index) % n]

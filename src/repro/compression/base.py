@@ -4,7 +4,8 @@ A compressor is the lossy function ``Q`` in the paper's low-precision
 primitives.  ``compress`` produces a :class:`CompressedPayload` that knows
 its own wire size in bytes — the transport charges that size, so compressed
 communication is cheaper on the simulated network exactly as it is on a real
-one.  ``decompress`` reconstructs a (lossy) float array.
+one.  ``decompress`` reconstructs a (lossy) ``DTYPE`` array: codecs read and
+return the training dtype, whatever precision they compute in inside.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-# Real systems communicate fp32 gradients; the simulation's numpy arrays are
-# float64 for numeric robustness, so full-precision wire size is defined as
-# 4 bytes/element rather than taken from the numpy buffer.
-FULL_PRECISION_BYTES = 4
+from ..tensor.tensor import DTYPE
+
+#: Wire bytes per element of an uncompressed tensor: the training dtype's.
+FULL_PRECISION_BYTES = DTYPE.itemsize
 
 
 @dataclass
@@ -68,7 +69,7 @@ class Compressor:
     ) -> np.ndarray:
         """``decompress(compress(cell))`` for every (row, column-segment) cell.
 
-        ``matrix`` is a ``(rows, n)`` float64 array — one row per group
+        ``matrix`` is a ``(rows, n)`` ``DTYPE`` array — one row per group
         member — and ``bounds`` are ``(lo, hi)`` column segments shared by
         all rows (the chunk partition of a collective).  Returns an array of
         the same shape holding the roundtripped values, **bitwise equal** to
@@ -82,7 +83,7 @@ class Compressor:
         by construction; vectorized overrides in subclasses must preserve it
         (the fast-path property tests compare both).
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=DTYPE)
         out = np.empty_like(matrix)
         for i in range(matrix.shape[0]):
             for lo, hi in bounds:
@@ -103,7 +104,7 @@ class IdentityCompressor(Compressor):
             codec=self.name,
             n=array.size,
             wire_bytes=self.wire_bytes(array.size),
-            fields={"values": array.astype(np.float64, copy=True)},
+            fields={"values": array.astype(DTYPE, copy=True)},
         )
 
     def decompress(self, payload: CompressedPayload) -> np.ndarray:
@@ -112,7 +113,7 @@ class IdentityCompressor(Compressor):
     def batch_roundtrip(
         self, matrix: np.ndarray, bounds: Sequence[tuple[int, int]]
     ) -> np.ndarray:
-        return np.asarray(matrix, dtype=np.float64).copy()
+        return np.array(matrix, dtype=DTYPE)
 
     def wire_bytes(self, n_elements: int) -> float:
         return float(n_elements * FULL_PRECISION_BYTES)

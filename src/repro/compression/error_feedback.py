@@ -19,6 +19,7 @@ from collections.abc import Hashable
 
 import numpy as np
 
+from ..tensor.tensor import DTYPE
 from .base import CompressedPayload, Compressor
 
 
@@ -32,7 +33,7 @@ class ErrorFeedback:
     def residual(self, key: Hashable, n: int) -> np.ndarray:
         """Current residual for ``key`` (zeros before first use)."""
         if key not in self._residuals:
-            self._residuals[key] = np.zeros(n)
+            self._residuals[key] = np.zeros(n, DTYPE)
         stored = self._residuals[key]
         if stored.shape[0] != n:
             raise ValueError(
@@ -43,11 +44,11 @@ class ErrorFeedback:
     def store(self, key: Hashable, value: np.ndarray) -> None:
         """Overwrite the residual for ``key`` (used by the batched kernels,
         which compute ``compensated - decompressed`` outside this class)."""
-        self._residuals[key] = np.asarray(value, dtype=np.float64).reshape(-1)
+        self._residuals[key] = np.asarray(value, dtype=DTYPE).reshape(-1)
 
     def compress(self, array: np.ndarray, key: Hashable) -> CompressedPayload:
         """Compress ``array`` with compensation; updates the stored residual."""
-        array = np.asarray(array, dtype=np.float64).reshape(-1)
+        array = np.asarray(array, dtype=DTYPE).reshape(-1)
         compensated = array + self.residual(key, array.size)
         payload = self.compressor.compress(compensated)
         self._residuals[key] = compensated - self.compressor.decompress(payload)

@@ -10,6 +10,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..tensor.tensor import DTYPE
 from .base import CompressedPayload, Compressor
 
 
@@ -22,7 +23,7 @@ class FP16Compressor(Compressor):
     name = "fp16"
 
     def compress(self, array: np.ndarray) -> CompressedPayload:
-        array = np.asarray(array, dtype=np.float64)
+        array = np.asarray(array, dtype=DTYPE)
         clipped = np.clip(array, -FP16_MAX, FP16_MAX)
         return CompressedPayload(
             codec=self.name,
@@ -32,15 +33,15 @@ class FP16Compressor(Compressor):
         )
 
     def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        return np.asarray(payload.fields["values"], dtype=np.float64)
+        return np.asarray(payload.fields["values"], dtype=DTYPE)
 
     def batch_roundtrip(
         self, matrix: np.ndarray, bounds: Sequence[tuple[int, int]]
     ) -> np.ndarray:
         # Elementwise codec: segment boundaries don't matter.
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=DTYPE)
         clipped = np.clip(matrix, -FP16_MAX, FP16_MAX)
-        return clipped.astype(np.float16).astype(np.float64)
+        return clipped.astype(np.float16).astype(DTYPE)
 
     def wire_bytes(self, n_elements: int) -> float:
         return float(n_elements * 2)

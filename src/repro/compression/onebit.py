@@ -13,6 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..tensor.tensor import DTYPE
 from .base import CompressedPayload, Compressor
 
 
@@ -21,7 +22,7 @@ class OneBitCompressor(Compressor):
     biased = True
 
     def compress(self, array: np.ndarray) -> CompressedPayload:
-        array = np.asarray(array, dtype=np.float64)
+        array = np.asarray(array, dtype=DTYPE)
         positive = array > 0
         # Masked sums over the full-length array rather than compacted
         # ``array[positive].mean()``: numpy's pairwise summation depends on
@@ -49,13 +50,13 @@ class OneBitCompressor(Compressor):
             np.asarray(payload.fields["signs"], dtype=np.uint8), count=payload.n
         ).astype(bool)
         out = np.where(signs, payload.fields["scale_pos"], -payload.fields["scale_neg"])
-        return out.astype(np.float64)
+        return out.astype(DTYPE)
 
     def batch_roundtrip(
         self, matrix: np.ndarray, bounds: Sequence[tuple[int, int]]
     ) -> np.ndarray:
         """Vectorized roundtrip: per-(row, segment) sign scales via axis sums."""
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=DTYPE)
         out = np.empty_like(matrix)
         for lo, hi in bounds:
             seg = matrix[:, lo:hi]

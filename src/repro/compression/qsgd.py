@@ -12,6 +12,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..tensor.tensor import DTYPE
 from .base import CompressedPayload, Compressor
 
 #: Cells (rows x columns) ``QSGDCompressor.batch_roundtrip`` works on at a
@@ -43,7 +44,11 @@ class QSGDCompressor(Compressor):
         self.name = f"qsgd{bits}"
 
     def compress(self, array: np.ndarray) -> CompressedPayload:
-        array = np.asarray(array, dtype=np.float64)
+        # Numerics: the norm, the levels and the comparison with the float64
+        # draws run in float64 on the ``DTYPE`` values, here and in
+        # ``batch_roundtrip``; only the result is ``DTYPE``.  A seed's draw
+        # stream is therefore the same at any training precision.
+        array = np.asarray(array, dtype=DTYPE).astype(np.float64)
         # sqrt(sum(x^2)) rather than np.linalg.norm: the BLAS dot behind
         # linalg.norm sums in a different order than numpy's pairwise
         # reduction, and the batched kernel computes per-row norms with the
@@ -69,8 +74,8 @@ class QSGDCompressor(Compressor):
         norm = float(payload.fields["norm"])
         q = np.asarray(payload.fields["q"], dtype=np.float64)
         if norm == 0.0:
-            return np.zeros(payload.n)
-        return q * (norm / self.levels)
+            return np.zeros(payload.n, DTYPE)
+        return (q * (norm / self.levels)).astype(DTYPE)
 
     def batch_roundtrip(
         self, matrix: np.ndarray, bounds: Sequence[tuple[int, int]]
@@ -93,13 +98,15 @@ class QSGDCompressor(Compressor):
         ~1.5 even where ``x * x`` loses its bits to underflow), so the
         scalar path's ``.astype(int32)`` round trip changes one thing only:
         ``sign(-tiny) * 0 = -0.0`` comes back as ``+0.0``, which is what
-        ``+= 0.0`` does.
+        ``+= 0.0`` does.  The chain reads the ``DTYPE`` rows into float64
+        scratch and its last product rounds once into the ``DTYPE`` output,
+        as the scalar path's ``.astype(DTYPE)`` does.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=DTYPE)
         rows = matrix.shape[0]
-        norms = np.empty((rows, len(bounds)))
+        norms = np.empty((rows, len(bounds)), np.float64)
         for j, (lo, hi) in enumerate(bounds):
-            norms[:, j] = np.sqrt(np.square(matrix[:, lo:hi]).sum(axis=1))
+            norms[:, j] = np.sqrt(np.square(matrix[:, lo:hi], dtype=np.float64).sum(axis=1))
         if not (norms.all() and np.isfinite(norms).all()):
             return super().batch_roundtrip(matrix, bounds)
         draws = self.rng.random(matrix.shape)
@@ -108,7 +115,7 @@ class QSGDCompressor(Compressor):
         # A block is at least one column of every row.
         cells = max(_BLOCK_ELEMENTS, rows)
         block = cells // max(1, rows)
-        scratch = (np.empty(cells), np.empty(cells), np.empty(cells, dtype=bool))
+        scratch = (np.empty(cells, np.float64), np.empty(cells, np.float64), np.empty(cells, bool))
         steps = norms / levels
         for j, (lo, hi) in enumerate(bounds):
             norm = norms[:, j, None]

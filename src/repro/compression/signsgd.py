@@ -11,6 +11,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..tensor.tensor import DTYPE
 from .base import CompressedPayload, Compressor
 
 
@@ -19,7 +20,7 @@ class SignSGDCompressor(Compressor):
     biased = True
 
     def compress(self, array: np.ndarray) -> CompressedPayload:
-        array = np.asarray(array, dtype=np.float64).reshape(-1)
+        array = np.asarray(array, dtype=DTYPE).reshape(-1)
         scale = float(np.abs(array).mean()) if array.size else 0.0
         return CompressedPayload(
             codec=self.name,
@@ -31,8 +32,8 @@ class SignSGDCompressor(Compressor):
     def decompress(self, payload: CompressedPayload) -> np.ndarray:
         signs = np.unpackbits(
             np.asarray(payload.fields["signs"], dtype=np.uint8), count=payload.n
-        ).astype(np.float64)
-        return (2.0 * signs - 1.0) * float(payload.fields["scale"])
+        ).astype(DTYPE)
+        return (2.0 * signs - 1.0) * DTYPE.type(payload.fields["scale"])
 
     def batch_roundtrip(
         self, matrix: np.ndarray, bounds: Sequence[tuple[int, int]]
@@ -41,12 +42,12 @@ class SignSGDCompressor(Compressor):
         if any(hi - lo == 0 for lo, hi in bounds):
             # mean of an empty axis warns; the reference loop guards size==0.
             return super().batch_roundtrip(matrix, bounds)
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=DTYPE)
         out = np.empty_like(matrix)
         for lo, hi in bounds:
             seg = matrix[:, lo:hi]
             scale = np.abs(seg).mean(axis=1)
-            signs = (seg > 0).astype(np.float64)
+            signs = (seg > 0).astype(DTYPE)
             out[:, lo:hi] = (2.0 * signs - 1.0) * scale[:, None]
         return out
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..tensor.tensor import DTYPE
 from .base import CompressedPayload, Compressor
 
 
@@ -38,16 +39,16 @@ class CountSketchCompressor(Compressor):
             rng = np.random.default_rng(np.random.SeedSequence([self.seed, n]))
             cols = self._cols(n)
             buckets = rng.integers(0, cols, size=(self.rows, n))
-            signs = rng.choice(np.array([-1.0, 1.0]), size=(self.rows, n))
+            signs = rng.choice(np.array([-1.0, 1.0]), size=(self.rows, n)).astype(DTYPE)
             self._hash_cache[n] = (buckets, signs)
         return self._hash_cache[n]
 
     def compress(self, array: np.ndarray) -> CompressedPayload:
-        array = np.asarray(array, dtype=np.float64).reshape(-1)
+        array = np.asarray(array, dtype=DTYPE).reshape(-1)
         n = array.size
         buckets, signs = self._hashes(n)
         cols = self._cols(n)
-        table = np.zeros((self.rows, cols))
+        table = np.zeros((self.rows, cols), DTYPE)
         for r in range(self.rows):
             np.add.at(table[r], buckets[r], signs[r] * array)
         return CompressedPayload(
@@ -61,7 +62,7 @@ class CountSketchCompressor(Compressor):
         table = np.asarray(payload.fields["table"])
         n = payload.n
         buckets, signs = self._hashes(n)
-        estimates = np.empty((self.rows, n))
+        estimates = np.empty((self.rows, n), DTYPE)
         for r in range(self.rows):
             estimates[r] = signs[r] * table[r, buckets[r]]
         return np.median(estimates, axis=0)

@@ -10,6 +10,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..tensor.tensor import DTYPE
 from .base import CompressedPayload, Compressor
 
 
@@ -20,7 +21,7 @@ class TernGradCompressor(Compressor):
         self.rng = rng or np.random.default_rng(0)
 
     def compress(self, array: np.ndarray) -> CompressedPayload:
-        array = np.asarray(array, dtype=np.float64).reshape(-1)
+        array = np.asarray(array, dtype=DTYPE).reshape(-1)
         scale = float(np.abs(array).max()) if array.size else 0.0
         if scale == 0.0:
             ternary = np.zeros(array.size, dtype=np.int8)
@@ -36,7 +37,7 @@ class TernGradCompressor(Compressor):
         )
 
     def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        return np.asarray(payload.fields["t"], dtype=np.float64) * float(payload.fields["scale"])
+        return np.asarray(payload.fields["t"], dtype=DTYPE) * DTYPE.type(payload.fields["scale"])
 
     def batch_roundtrip(
         self, matrix: np.ndarray, bounds: Sequence[tuple[int, int]]
@@ -47,8 +48,8 @@ class TernGradCompressor(Compressor):
         falls back to the per-cell reference loop before consuming any RNG
         state.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        scales = np.empty((matrix.shape[0], len(bounds)))
+        matrix = np.asarray(matrix, dtype=DTYPE)
+        scales = np.empty((matrix.shape[0], len(bounds)), DTYPE)
         for j, (lo, hi) in enumerate(bounds):
             # initial=0.0 only matters for zero-width segments (which then
             # hit the fallback); abs values are >= 0 so it never changes max.
@@ -62,7 +63,7 @@ class TernGradCompressor(Compressor):
             scale = scales[:, j]
             keep = draws[:, lo:hi] < np.abs(seg) / scale[:, None]
             ternary = (np.sign(seg) * keep).astype(np.int8)
-            out[:, lo:hi] = ternary.astype(np.float64) * scale[:, None]
+            out[:, lo:hi] = ternary.astype(DTYPE) * scale[:, None]
         return out
 
     def wire_bytes(self, n_elements: int) -> float:

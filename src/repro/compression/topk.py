@@ -11,6 +11,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..tensor.tensor import DTYPE
 from .base import CompressedPayload, Compressor
 
 
@@ -29,7 +30,7 @@ class TopKCompressor(Compressor):
         return max(1, int(round(n * self.ratio)))
 
     def compress(self, array: np.ndarray) -> CompressedPayload:
-        array = np.asarray(array, dtype=np.float64).reshape(-1)
+        array = np.asarray(array, dtype=DTYPE).reshape(-1)
         k = self._k(array.size)
         if k >= array.size:
             indices = np.arange(array.size)
@@ -44,7 +45,7 @@ class TopKCompressor(Compressor):
         )
 
     def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        out = np.zeros(payload.n)
+        out = np.zeros(payload.n, DTYPE)
         out[np.asarray(payload.fields["indices"])] = payload.fields["values"]
         return out
 
@@ -57,7 +58,7 @@ class TopKCompressor(Compressor):
         so selected index sets match the per-row reference exactly; the
         scattered values are copies of the originals either way.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix, dtype=DTYPE)
         out = np.empty_like(matrix)
         row_idx = np.arange(matrix.shape[0])[:, None]
         for lo, hi in bounds:
@@ -91,7 +92,7 @@ class RandomKCompressor(Compressor):
         return max(1, int(round(n * self.ratio)))
 
     def compress(self, array: np.ndarray) -> CompressedPayload:
-        array = np.asarray(array, dtype=np.float64).reshape(-1)
+        array = np.asarray(array, dtype=DTYPE).reshape(-1)
         k = self._k(array.size)
         indices = np.sort(self.rng.choice(array.size, size=k, replace=False))
         # Rescale by n/k so the expected decompressed value equals the input.
@@ -104,7 +105,7 @@ class RandomKCompressor(Compressor):
         )
 
     def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        out = np.zeros(payload.n)
+        out = np.zeros(payload.n, DTYPE)
         out[np.asarray(payload.fields["indices"])] = payload.fields["values"]
         return out
 

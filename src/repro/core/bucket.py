@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..tensor.tensor import Tensor
+from ..tensor.tensor import DTYPE, Tensor
 
 
 def _is_buffer(flat: np.ndarray, buffer: np.ndarray) -> bool:
@@ -73,10 +73,10 @@ class TensorBucket:
 
     def _checked_buffer(self, buffer: np.ndarray | None) -> np.ndarray:
         if buffer is None:
-            return np.empty(self.total_elements, dtype=np.float64)
-        if buffer.shape != (self.total_elements,) or buffer.dtype != np.float64:
+            return np.empty(self.total_elements, dtype=DTYPE)
+        if buffer.shape != (self.total_elements,) or buffer.dtype != DTYPE:
             raise ValueError(
-                f"bucket buffer must be float64 of shape ({self.total_elements},), "
+                f"bucket buffer must be {DTYPE} of shape ({self.total_elements},), "
                 f"got {buffer.dtype} {buffer.shape}"
             )
         return buffer
@@ -172,7 +172,7 @@ class TensorBucket:
         """
         if self._grad_buffer is None:
             alloc = np.empty if self.grads_ready() else np.zeros
-            out = alloc(self.total_elements)
+            out = alloc(self.total_elements, DTYPE)
             for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:]):
                 if p.grad is not None:
                     out[lo:hi] = p.grad.reshape(-1)
@@ -213,9 +213,9 @@ class TensorBucket:
         return all(p.grad is not None for p in self.params)
 
     @property
-    def nbytes_fp32(self) -> float:
-        """Wire size of the bucket at full (fp32) precision."""
-        return self.total_elements * 4.0
+    def nbytes(self) -> float:
+        """Wire size of the bucket at full precision."""
+        return float(self.total_elements * DTYPE.itemsize)
 
     def __len__(self) -> int:
         return len(self.params)

@@ -253,7 +253,7 @@ class BaguaEngine:
         All replicas share the profile recorded on worker 0 — replicas are
         identical by construction, so the ready order is too.
 
-        With flattening on, each worker gets ONE contiguous float64 pool for
+        With flattening on, each worker gets ONE contiguous ``DTYPE`` pool for
         all of its buckets: weights in the first half, gradients in the
         second, a bucket at the same offset in both, and every bucket's two
         backing buffers are views into it.  Bucket-level flat views stay

@@ -89,11 +89,11 @@ class ExecutionOptimizer:
         groups: list[list[TensorRecord]] = []
         group_bytes = 0.0
         for record in sorted(profile.records, key=lambda r: r.ready_index):
-            if not groups or not self.config.flatten or group_bytes + record.nbytes_fp32 > cap:
+            if not groups or not self.config.flatten or group_bytes + record.nbytes > cap:
                 groups.append([])
                 group_bytes = 0.0
             groups[-1].append(record)
-            group_bytes += record.nbytes_fp32
+            group_bytes += record.nbytes
         return BucketSchedule(
             buckets=tuple(
                 ScheduledBucket(

@@ -3,7 +3,7 @@
 All four primitives follow the MPI-like execution model
 ``op(x_1..x_n) -> x'_1..x'_n``: they take one flattened array per group
 member and return the per-member results.  All four also take ``out=``: one
-row per member that receives that member's result (float64 for the
+row per member that receives that member's result (``DTYPE`` for the
 centralized pair, the member's input dtype for the decentralized one) — the
 engine passes the pool rows it read the inputs from, so a reduced gradient
 bucket lands where the optimizer reads it and an averaged weight bucket
@@ -42,6 +42,7 @@ from ..comm.scatter_reduce import scatter_reduce
 from ..compression.base import Compressor
 from ..compression.error_feedback import ErrorFeedback
 from ..cluster.transport import Message
+from ..tensor.tensor import DTYPE
 
 
 # ----------------------------------------------------------------------
@@ -77,13 +78,13 @@ def c_fp_s(
 
     With ``out`` the results are stored into its rows and those are returned
     — bitwise what ``out=None`` returns, transport state included.  One
-    float64 row per member, no two sharing memory (``ValueError``); a row
+    ``DTYPE`` row per member, no two sharing memory (``ValueError``); a row
     may be the member's input (``out=arrays``), because on every path each
     read of an input precedes the first store.
 
     Without ``out`` the inputs are only read, with one exception: on a
     backend that runs the batched kernels (``batched``, ``shm``), flat
-    (``hierarchical=False``) and among two or more members, dense float64
+    (``hierarchical=False``) and among two or more members, dense ``DTYPE``
     rows that each live in their member's own backend pool are reduced in
     place — the returned rows *are* the inputs.  A caller that still needs
     such an input after the call copies it first (docs/primitives.md §
@@ -134,7 +135,7 @@ def c_lp_s(
 
     With ``out`` the results are stored into its rows and those are returned
     — bitwise what ``out=None`` returns, transport, RNG and residual state
-    included.  One float64 row per member, no two sharing memory
+    included.  One ``DTYPE`` row per member, no two sharing memory
     (``ValueError``); a row may be the member's input (``out=arrays``),
     because on every path each read of an input precedes the first store.
     """
@@ -321,10 +322,10 @@ def _peer_average(
     results = []
     for j in range(group.size):
         received = sorted(dict(msg.payload for msg in inbox.get(group.ranks[j], [])).items())
-        # Accumulate in float64 for associativity-stable sums, but hand the
-        # result back in the caller's dtype — a mixed-precision replica must
-        # not have its weights silently widened by one gossip round.
-        acc = arrays[j].astype(np.float64, copy=True)
+        # Accumulate in the wire dtype, but hand the result back in the
+        # caller's dtype — a replica of another precision must not have its
+        # weights silently cast by one gossip round.
+        acc = arrays[j].astype(DTYPE, copy=True)
         for _src, payload in received:
             acc += decode(payload)
         results.append((acc / (1 + len(received))).astype(arrays[j].dtype, copy=False))
@@ -362,7 +363,7 @@ def _gossip(
         if members.transport.backend.prefers_fast_path:
             return gossip_average_batched(rows, neighbor_sets, members, codec=compressor, out=dest)
         if compressor is None:
-            payloads, decode = [a.astype(np.float64, copy=False) for a in rows], lambda payload: payload
+            payloads, decode = [a.astype(DTYPE, copy=False) for a in rows], lambda payload: payload
         else:
             payloads, decode = [compressor.compress(a) for a in rows], compressor.decompress
         return _peer_average(rows, payloads, decode, neighbor_sets, members, dest)
@@ -396,7 +397,7 @@ def d_fp_s(
     first store into it (docs/primitives.md § "Where the result lands").
     Without ``out`` the inputs are only read and the rows are fresh — except
     that under ``hierarchical`` the intra-node tier is ``ring_allreduce``,
-    which sums pool-resident float64 rows in place.
+    which sums pool-resident ``DTYPE`` rows in place.
     """
     return _gossip(arrays, group, None, peers, step, hierarchical, out)
 

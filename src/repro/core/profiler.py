@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from ..tensor.module import Module
-from ..tensor.tensor import Tensor
+from ..tensor.tensor import DTYPE, Tensor
 
 
 @dataclass
@@ -31,8 +31,9 @@ class TensorRecord:
     bwd_flops: float = 0.0
 
     @property
-    def nbytes_fp32(self) -> float:
-        return self.elements * 4.0
+    def nbytes(self) -> float:
+        """Wire size at full precision."""
+        return self.elements * float(DTYPE.itemsize)
 
 
 @dataclass

@@ -5,7 +5,9 @@ none are usable here, and the convergence experiments only need a non-trivial
 learnable objective per task family.  Each generator produces a deterministic
 dataset with planted structure (a random teacher model or separable
 clusters), so losses genuinely decrease and algorithms differ realistically
-in how fast they do so.
+in how fast they do so.  Real-valued inputs are drawn in float64 and cast
+once to the training dtype (:data:`repro.tensor.DTYPE`), so a seed's draws
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..tensor.tensor import DTYPE
 
 
 @dataclass
@@ -50,7 +54,7 @@ def make_image_classification(
     templates = rng.standard_normal((num_classes, channels, size, size))
     labels = rng.integers(0, num_classes, size=n)
     inputs = templates[labels] + noise * rng.standard_normal((n, channels, size, size))
-    return Dataset(inputs=inputs, labels=labels, num_classes=num_classes)
+    return Dataset(inputs=inputs.astype(DTYPE), labels=labels, num_classes=num_classes)
 
 
 def make_token_classification(
@@ -120,4 +124,4 @@ def make_multimodal(
     tokens = rng.integers(num_classes, vocab, size=(n, seq_len))
     positions = rng.integers(0, seq_len, size=n)
     tokens[np.arange(n), positions] = labels
-    return Dataset(inputs=images, labels=labels, num_classes=num_classes), tokens
+    return Dataset(inputs=images.astype(DTYPE), labels=labels, num_classes=num_classes), tokens

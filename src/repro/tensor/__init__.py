@@ -22,9 +22,10 @@ from .optim import SGD, Adam, AdamW, Optimizer
 from .recurrent import LSTM, LSTMCell
 from .schedulers import CosineAnnealingLR, LRScheduler, StepLR, WarmupLR
 from .serde import load_checkpoint, save_checkpoint
-from .tensor import Tensor, ones, randn, tensor, zeros
+from .tensor import DTYPE, Tensor, ones, randn, tensor, zeros
 
 __all__ = [
+    "DTYPE",
     "Tensor",
     "tensor",
     "zeros",

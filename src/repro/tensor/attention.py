@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 
 import numpy as np
 
@@ -41,7 +42,8 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.q_proj(x))  # [B, H, T, d]
         k = self._split_heads(self.k_proj(x))
         v = self._split_heads(self.v_proj(x))
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
+        # a Python float scale keeps float32 scores float32
+        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.head_dim))
         attn = F.softmax(scores, axis=-1)
         context = attn @ v  # [B, H, T, d]
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.embed_dim)

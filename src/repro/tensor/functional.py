@@ -59,7 +59,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as used by BERT)."""
-    c = np.sqrt(2.0 / np.pi)
+    c = float(np.sqrt(2.0 / np.pi))  # a Python float keeps float32 data float32
     inner = c * (x.data + 0.044715 * x.data ** 3)
     t = np.tanh(inner)
     out = 0.5 * x.data * (1.0 + t)
@@ -141,7 +141,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     target = np.asarray(target, dtype=pred.data.dtype)
     diff = pred.data - target
-    loss_value = (diff ** 2).mean()
+    loss_value = (diff ** 2).mean(dtype=np.float64)  # the loss is a float64 scalar
 
     def backward(grad: np.ndarray) -> None:
         pred._accumulate(2.0 * float(grad) * diff / diff.size)
@@ -152,7 +152,8 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     targets = np.asarray(targets).reshape(-1)
     batch = log_probs.data.shape[0]
-    loss_value = -log_probs.data[np.arange(batch), targets].mean()
+    # The loss is a float64 scalar whatever the activations' dtype.
+    loss_value = -log_probs.data[np.arange(batch), targets].mean(dtype=np.float64)
 
     def backward(grad: np.ndarray) -> None:
         g = np.zeros_like(log_probs.data)
@@ -192,7 +193,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     if not training or p <= 0.0:
         return x
     keep = 1.0 - p
-    mask = (rng.random(x.data.shape) < keep) / keep
+    mask = np.divide(rng.random(x.data.shape) < keep, keep, dtype=x.data.dtype)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * mask)

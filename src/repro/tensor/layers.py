@@ -8,7 +8,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module
-from .tensor import Tensor
+from .tensor import DTYPE, Tensor
 
 
 class Linear(Module):
@@ -127,8 +127,8 @@ class BatchNorm2d(Module):
         self.weight = self.register_parameter("weight", Tensor(init.ones((num_features,))))
         self.bias = self.register_parameter("bias", Tensor(init.zeros((num_features,))))
         # Buffers, not parameters: never communicated, updated in place.
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+        self.running_mean = np.zeros(num_features, DTYPE)
+        self.running_var = np.ones(num_features, DTYPE)
 
     def forward(self, x: Tensor) -> Tensor:
         return F.batch_norm2d(

@@ -8,7 +8,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module
-from .tensor import Tensor
+from .tensor import DTYPE, Tensor
 
 
 class LSTMCell(Module):
@@ -52,8 +52,8 @@ class LSTMCell(Module):
 
     def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
         return (
-            Tensor(np.zeros((batch, self.hidden_size))),
-            Tensor(np.zeros((batch, self.hidden_size))),
+            Tensor(np.zeros((batch, self.hidden_size), DTYPE)),
+            Tensor(np.zeros((batch, self.hidden_size), DTYPE)),
         )
 
 

@@ -16,18 +16,27 @@ import numpy as np
 
 ArrayLike = np.ndarray | float | int | Sequence
 
-_DEFAULT_DTYPE = np.float64
+#: The one floating-point dtype of the reproduction: parameters, gradients,
+#: activations, bucket pools, wire payloads and codec outputs.  fp32, as the
+#: paper trains and communicates.  Kernels follow their inputs' dtype, so a
+#: model built from float64 arrays still runs float64 kernels.
+DTYPE = np.dtype(np.float32)
 
 
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
-    """Coerce ``value`` into a float numpy array without copying when possible."""
+    """Coerce ``value`` into a float numpy array without copying when possible.
+
+    Arrays and numpy scalars keep a float dtype they have; anything else
+    becomes :data:`DTYPE`."""
+    if isinstance(value, np.generic):
+        value = np.asarray(value)
     if isinstance(value, np.ndarray):
         if dtype is not None and value.dtype != dtype:
             return value.astype(dtype)
         if value.dtype.kind not in "fc":
-            return value.astype(_DEFAULT_DTYPE)
+            return value.astype(DTYPE)
         return value
-    return np.asarray(value, dtype=dtype or _DEFAULT_DTYPE)
+    return np.asarray(value, dtype=dtype or DTYPE)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -186,8 +195,9 @@ class Tensor:
     def _accumulate_product(self, lhs: np.ndarray, rhs: np.ndarray) -> None:
         """``_accumulate(lhs @ rhs)`` without a copy of the first contribution:
         a bound leaf's GEMM writes its slot, an unbound tensor keeps the fresh
-        product it owns.  ``matmul`` picks its loop from ``lhs`` and ``rhs``, so
-        a float32 product stored into a float64 slot keeps its float32 bits."""
+        product it owns.  ``matmul`` picks its loop from ``lhs`` and ``rhs`` and
+        casts on store, so a float64 product stored into a ``DTYPE`` slot rounds
+        once, as ``_accumulate``'s copy into the slot would."""
         if not self.requires_grad:
             return
         if self.grad is not None:
@@ -420,13 +430,13 @@ def tensor(data: ArrayLike, requires_grad: bool = False, name: str | None = None
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+    return Tensor(np.zeros(shape, DTYPE), requires_grad=requires_grad)
 
 
 def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
+    return Tensor(np.ones(shape, DTYPE), requires_grad=requires_grad)
 
 
 def randn(*shape, rng: np.random.Generator | None = None, requires_grad: bool = False) -> Tensor:
     rng = rng or np.random.default_rng()
-    return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+    return Tensor(rng.standard_normal(shape).astype(DTYPE), requires_grad=requires_grad)

@@ -12,6 +12,7 @@ from repro.cluster import ClusterSpec, TCP_25G, Transport
 from repro.comm import CommGroup
 from repro.core import BaguaConfig, ExecutionOptimizer, TensorBucket
 from repro.core.profiler import ExecutionProfile, TensorRecord
+from repro.tensor import DTYPE
 
 # Derandomized by default, so every run draws the same examples and a red
 # run replays; no per-example deadline, so no test asserts on wall-clock.
@@ -40,6 +41,18 @@ def transport(small_cluster: ClusterSpec) -> Transport:
 @pytest.fixture
 def group(transport: Transport) -> CommGroup:
     return CommGroup(transport, list(range(transport.spec.world_size)))
+
+
+def exact_rows(rng: np.random.Generator, count: int, length: int) -> list[np.ndarray]:
+    """``count`` ``DTYPE`` rows of dyadic values ``k / 2**12``, ``|k| < 2**14``.
+
+    Unit-scale like normal draws, with about 15 significant bits: every sum
+    of a few hundred of these rows is exact in fp32, so a reduction's result
+    does not depend on the order it folds in and a check against ``np.sum``
+    tests the semantics, not the rounding; but fp16 (11 bits) or an integer
+    cast would change them, so a full-precision path that narrows its data
+    still fails the check."""
+    return [(rng.integers(-(2**14), 2**14, length) / 2**12).astype(DTYPE) for _ in range(count)]
 
 
 def make_group(

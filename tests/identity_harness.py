@@ -42,6 +42,7 @@ from repro.compression.base import Compressor
 from repro.core.optimizer_framework import BaguaConfig
 from repro.core.primitives import RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
 from repro.data.loader import make_sharded_loaders
+from repro.tensor import DTYPE
 from repro.training import DistributedTrainer, get_task
 
 # Codec factories: fresh instances per leg so RNG streams start identical.
@@ -167,14 +168,14 @@ def cluster(world: int, per_node: int | None = None) -> ClusterSpec:
 
 
 def inputs(world: int, length: int, seed: int, steps: int | None = None, signed_zeros=False):
-    """One array per member (``steps`` lists of them when given).  With
+    """One ``DTYPE`` array per member (``steps`` lists of them when given).  With
     ``signed_zeros`` the arrays are salted with ``0.0`` / ``-0.0``, some in
     whole columns (a column that is ``-0.0`` on every worker of a node is
     where a seeded and an unseeded fold part ways)."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(steps or 1):
-        arrays = [rng.standard_normal(length) for _ in range(world)]
+        arrays = [rng.standard_normal(length).astype(DTYPE) for _ in range(world)]
         if signed_zeros:
             column = rng.random(length) < 0.2
             for a in arrays:

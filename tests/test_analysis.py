@@ -17,7 +17,7 @@ from repro.analysis import (
     run_checkers,
 )
 from repro.core import TensorBucket
-from repro.tensor import Tensor
+from repro.tensor import DTYPE, Tensor
 
 
 def fired_rules(findings):
@@ -171,8 +171,8 @@ class TestLiveGradientLayout:
 
     @staticmethod
     def _buckets(grad_offset):
-        pool = np.zeros(40)
-        params = [Tensor(np.ones(shape), requires_grad=True) for shape in [(2, 3), (4,), (5,)]]
+        pool = np.zeros(40, DTYPE)
+        params = [Tensor(np.ones(shape, DTYPE), requires_grad=True) for shape in [(2, 3), (4,), (5,)]]
         b0 = TensorBucket(params[:2], name="b0", buffer=pool[:10], grad_buffer=pool[20:30])
         b1 = TensorBucket(
             params[2:], name="b1", buffer=pool[10:15],
@@ -184,7 +184,7 @@ class TestLiveGradientLayout:
         layout = layout_from_buckets(self._buckets(grad_offset=30))
         assert [e.name for e in layout] == ["b0", "b0.grad", "b1", "b1.grad"]
         assert [len(e.views) for e in layout] == [2, 2, 1, 1]
-        assert layout[1].start - layout[0].start == 20 * 8  # real byte addresses
+        assert layout[1].start - layout[0].start == 20 * DTYPE.itemsize  # real byte addresses
         assert run_checkers(AnalysisSubject(world_size=1, layout=layout)) == []
 
     def test_grad_buffer_overlapping_the_neighbours(self):

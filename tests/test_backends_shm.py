@@ -22,6 +22,7 @@ from repro.cluster.backends import (
     available_backends,
     resolve_backend,
 )
+from repro.tensor import DTYPE
 
 
 def _spec(world: int) -> ClusterSpec:
@@ -338,7 +339,7 @@ class TestPoolRefReduce:
         with Transport(_spec(world), backend=backend):
             rng = np.random.default_rng(61)
             pools = [backend.allocate_pool(rank, 12) for rank in range(world)]
-            base = [rng.standard_normal(12) for _ in range(world)]
+            base = [rng.standard_normal(12).astype(DTYPE) for _ in range(world)]
             for pool, data in zip(pools, base):
                 pool[:] = data
             refs = backend.resolve_pool_refs(pools, list(range(world)))

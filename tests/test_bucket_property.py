@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bucket import TensorBucket
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import DTYPE, Tensor
 
 from .conftest import plan_buckets
 
@@ -26,7 +26,7 @@ shapes = st.lists(
 
 def make_params(shape_list, seed):
     rng = np.random.default_rng(seed)
-    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shape_list]
+    return [Tensor(rng.normal(size=shape).astype(DTYPE), requires_grad=True) for shape in shape_list]
 
 
 def backward_all(params, seed, skip=()):
@@ -35,7 +35,7 @@ def backward_all(params, seed, skip=()):
     loss = None
     for i, p in enumerate(params):
         if i not in skip:
-            term = (p * Tensor(rng.normal(size=p.shape)) + p * p).sum()
+            term = (p * Tensor(rng.normal(size=p.shape).astype(DTYPE)) + p * p).sum()
             loss = term if loss is None else loss + term
     if loss is not None:
         loss.backward()
@@ -54,7 +54,7 @@ def test_flatten_mutate_roundtrip_bit_exact(shape_list, seed):
         assert np.shares_memory(p.data, bucket.buffer)
 
     # Mutating through the flat view is observed exactly by each param view.
-    new = np.random.default_rng(seed + 1).normal(size=bucket.total_elements)
+    new = np.random.default_rng(seed + 1).normal(size=bucket.total_elements).astype(DTYPE)
     bucket.flat_data()[...] = new
     for p, lo, hi in bucket.param_slices():
         assert np.array_equal(p.data.reshape(-1), new[lo:hi])
@@ -82,7 +82,7 @@ def test_unflattened_set_flat_data_roundtrip(shape_list, seed):
         assert np.array_equal(p.data, ref)
 
     # set_flat_data scatters back bit-exactly.
-    new = np.random.default_rng(seed + 1).normal(size=bucket.total_elements)
+    new = np.random.default_rng(seed + 1).normal(size=bucket.total_elements).astype(DTYPE)
     bucket.set_flat_data(new)
     for p, lo, hi in bucket.param_slices():
         assert np.array_equal(p.data.reshape(-1), new[lo:hi])
@@ -141,7 +141,7 @@ def test_out_of_band_grad_is_adopted(shape_list, seed):
     params = make_params(shape_list, seed)
     bucket = TensorBucket(params, name="b", flatten=True)
     backward_all(params, seed + 1)
-    foreign = np.random.default_rng(seed + 2).normal(size=params[-1].shape)
+    foreign = np.random.default_rng(seed + 2).normal(size=params[-1].shape).astype(DTYPE)
     params[-1].grad = foreign  # assigned from outside, not accumulated
     flat = bucket.flat_grad()
     assert flat is bucket.grad_buffer

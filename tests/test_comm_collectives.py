@@ -15,13 +15,14 @@ from repro.comm import (
     send_recv,
 )
 from repro.comm.collectives import allgather_payloads, alltoall
+from repro.tensor import DTYPE
 
-from .conftest import make_group
+from .conftest import exact_rows, make_group
 
 
 @pytest.fixture
 def arrays(rng, group):
-    return [rng.standard_normal(53) for _ in range(group.size)]
+    return exact_rows(rng, group.size, 53)
 
 
 class TestChunkBounds:
@@ -110,7 +111,7 @@ class TestRingAllreduce:
     @pytest.mark.parametrize("nodes,workers", [(1, 2), (1, 3), (2, 2), (3, 4)])
     def test_various_world_sizes(self, rng, nodes, workers):
         group = make_group(nodes, workers)
-        arrays = [rng.standard_normal(17) for _ in range(group.size)]
+        arrays = exact_rows(rng, group.size, 17)
         expected = np.sum(arrays, axis=0)
         for out in ring_allreduce(arrays, group):
             np.testing.assert_allclose(out, expected, atol=1e-10)
@@ -173,7 +174,8 @@ class TestTrafficShape:
         arrays = [rng.standard_normal(size) for _ in range(4)]
         ring_allreduce(arrays, group)
         sent = group.transport.stats.per_rank_sent_bytes
-        # Each member sends 2(n-1) chunks of ~size/n doubles (+8B chunk tag).
-        expected = 2 * 3 * (size / 4 * 8 + 8)
+        # Each member sends 2(n-1) chunks of ~size/n elements (+16B
+        # (index, chunk) envelope).
+        expected = 2 * 3 * (size / 4 * DTYPE.itemsize + 16)
         for rank in range(4):
             assert sent[rank] == pytest.approx(expected, rel=0.05)

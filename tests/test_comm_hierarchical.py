@@ -6,12 +6,12 @@ import pytest
 from repro.comm import HierarchicalComm, ring_allreduce, scatter_reduce
 from repro.compression import QSGDCompressor
 
-from .conftest import make_group
+from .conftest import exact_rows, make_group
 
 
 @pytest.fixture
 def arrays(rng, group):
-    return [rng.standard_normal(64) for _ in range(group.size)]
+    return exact_rows(rng, group.size, 64)
 
 
 class TestHierarchicalAllreduce:
@@ -60,7 +60,7 @@ class TestHierarchicalAllreduce:
 
     def test_single_node_cluster(self, rng):
         group = make_group(1, 4)
-        arrays = [rng.standard_normal(10) for _ in range(4)]
+        arrays = exact_rows(rng, 4, 10)
         expected = np.sum(arrays, axis=0)
         for out in HierarchicalComm(group).allreduce(arrays):
             np.testing.assert_allclose(out, expected, atol=1e-10)
@@ -68,7 +68,7 @@ class TestHierarchicalAllreduce:
 
 class TestHierarchicalDecentralized:
     def test_intra_node_fully_synchronized(self, group, rng):
-        arrays = [rng.standard_normal(16) for _ in range(group.size)]
+        arrays = exact_rows(rng, group.size, 16)
 
         def exchange(leader_arrays, leader_group):
             # Identity exchange: leaders keep their node means.
@@ -82,7 +82,7 @@ class TestHierarchicalDecentralized:
         np.testing.assert_allclose(outs[0], node0_mean, atol=1e-10)
 
     def test_leader_exchange_applied(self, group, rng):
-        arrays = [rng.standard_normal(8) for _ in range(group.size)]
+        arrays = exact_rows(rng, group.size, 8)
 
         def exchange(leader_arrays, leader_group):
             summed = ring_allreduce(leader_arrays, leader_group)

@@ -6,12 +6,12 @@ import pytest
 from repro.comm import CommGroup, scatter_reduce
 from repro.compression import FP16Compressor, QSGDCompressor
 
-from .conftest import make_group
+from .conftest import exact_rows, make_group
 
 
 @pytest.fixture
 def arrays(rng, group):
-    return [rng.standard_normal(41) for _ in range(group.size)]
+    return exact_rows(rng, group.size, 41)
 
 
 class TestExactness:
@@ -38,7 +38,7 @@ class TestExactness:
     @pytest.mark.parametrize("size", [1, 7, 8, 65])
     def test_sizes_smaller_and_larger_than_group(self, rng, size):
         group = make_group(2, 4)
-        arrays = [rng.standard_normal(size) for _ in range(8)]
+        arrays = exact_rows(rng, 8, size)
         expected = np.sum(arrays, axis=0)
         for out in scatter_reduce(arrays, group):
             np.testing.assert_allclose(out, expected, atol=1e-10)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.comm import tree_allreduce, tree_broadcast, tree_reduce
 
-from .conftest import make_group
+from .conftest import exact_rows, make_group
 
 
 @pytest.mark.parametrize("nodes,workers", [(1, 1), (1, 2), (2, 2), (2, 4), (3, 3)])
@@ -20,13 +20,13 @@ class TestTreeCollectives:
 
     def test_reduce_sums(self, rng, nodes, workers):
         group = make_group(nodes, workers)
-        arrays = [rng.standard_normal(7) for _ in range(group.size)]
+        arrays = exact_rows(rng, group.size, 7)
         total = tree_reduce(arrays, group)
         np.testing.assert_allclose(total, np.sum(arrays, axis=0), atol=1e-10)
 
     def test_allreduce(self, rng, nodes, workers):
         group = make_group(nodes, workers)
-        arrays = [rng.standard_normal(7) for _ in range(group.size)]
+        arrays = exact_rows(rng, group.size, 7)
         expected = np.sum(arrays, axis=0)
         for out in tree_allreduce(arrays, group):
             np.testing.assert_allclose(out, expected, atol=1e-10)
@@ -46,7 +46,7 @@ class TestTreeStructure:
 
     def test_nonzero_root(self, rng):
         group = make_group(2, 2)
-        arrays = [rng.standard_normal(4) for _ in range(4)]
+        arrays = exact_rows(rng, 4, 4)
         total = tree_reduce(arrays, group, root_index=2)
         np.testing.assert_allclose(total, np.sum(arrays, axis=0), atol=1e-10)
 

@@ -17,6 +17,8 @@ from repro.core import (
 from repro.tensor import SGD
 from repro.training import DistributedTrainer, get_task
 
+from .conftest import exact_rows
+
 WORLD = ClusterSpec(num_nodes=2, workers_per_node=2)
 
 
@@ -29,7 +31,7 @@ def comm():
 
 class TestGlobalComm:
     def test_cen_fp_sync(self, comm, rng):
-        arrays = [rng.standard_normal(16) for _ in range(4)]
+        arrays = exact_rows(rng, 4, 16)
         outs = comm.cen_fp_sync.exec(arrays)
         expected = np.sum(arrays, axis=0)
         for out in outs:
@@ -53,7 +55,7 @@ class TestGlobalComm:
         assert np.linalg.norm(outs[0] - expected) / np.linalg.norm(expected) < 0.2
 
     def test_decen_fp_sync(self, comm, rng):
-        arrays = [rng.standard_normal(8) for _ in range(4)]
+        arrays = exact_rows(rng, 4, 8)
         outs = comm.decen_fp_sync.exec(arrays, peers=RandomPeers(seed=0), step=1)
         np.testing.assert_allclose(
             np.mean(outs, axis=0), np.mean(arrays, axis=0), atol=1e-10

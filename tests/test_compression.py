@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compression import qsgd as qsgd_module
+from repro.tensor import DTYPE
 from repro.compression import (
     COMPRESSOR_REGISTRY,
     CompressedPayload,
@@ -35,7 +36,7 @@ ALL_CODECS = [
 
 @pytest.fixture
 def x(rng) -> np.ndarray:
-    return rng.standard_normal(500)
+    return rng.standard_normal(500).astype(DTYPE)
 
 
 class TestRoundTrip:
@@ -147,8 +148,8 @@ class TestQSGDBatchRoundtrip:
         matrix[salted] = rng.choice(self.SPECIALS, size=int(salted.sum()))
         pristine = matrix.copy()
         out, expected, _, _ = self._both(bits, matrix, bounds)
-        assert out.dtype == np.float64 and out.shape == matrix.shape
-        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert out.dtype == DTYPE and out.shape == matrix.shape
+        assert out.tobytes() == expected.tobytes()
         assert np.array_equal(matrix.view(np.uint64), pristine.view(np.uint64))
         # The salt reaches the case the ``+ 0.0`` exists for: a negative
         # input quantized to zero comes back as +0.0, never -0.0.
@@ -171,7 +172,7 @@ class TestQSGDBatchRoundtrip:
         )
         out, expected, fast, ref = self._both(8, matrix, bounds)
         assert calls == [fast, ref]  # the kernel handed the whole call over
-        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestOneBit:
@@ -206,7 +207,7 @@ class TestSparsifiers:
         assert np.all(np.abs(x[kept]) >= threshold - 1e-12)
 
     def test_topk_exact_on_kept(self, rng):
-        x = rng.standard_normal(50)
+        x = rng.standard_normal(50).astype(DTYPE)
         codec = TopKCompressor(ratio=0.2)
         out = codec.decompress(codec.compress(x))
         kept = np.nonzero(out)[0]
@@ -235,7 +236,7 @@ class TestSparsifiers:
 class TestTernAndSign:
     def test_terngrad_values_ternary(self, rng):
         codec = TernGradCompressor(rng=rng)
-        x = rng.standard_normal(128)
+        x = rng.standard_normal(128).astype(DTYPE)
         out = codec.decompress(codec.compress(x))
         scale = np.abs(x).max()
         unique = set(np.round(np.unique(out / scale), 9))
@@ -258,27 +259,27 @@ class TestTernAndSign:
 
 class TestErrorFeedback:
     def test_residual_invariant(self, rng):
-        """compensated = Q(compensated) + residual' holds exactly."""
+        """residual' = compensated - Q(compensated), bit for bit."""
         ef = ErrorFeedback(OneBitCompressor())
-        x = rng.standard_normal(64)
+        x = rng.standard_normal(64).astype(DTYPE)
         payload = ef.compress(x, key="k")
         decompressed = ef.decompress(payload)
         residual = ef.residual("k", 64)
-        np.testing.assert_allclose(decompressed + residual, x, atol=1e-12)
+        assert residual.tobytes() == (x - decompressed).tobytes()
 
     def test_accumulates_over_steps(self, rng):
-        """Sum of transmitted values approaches sum of true values."""
+        """Sum of transmitted values approaches sum of true values: every step
+        keeps exactly what it did not send, so sent + residual telescopes to
+        the true sum, and the residual stays bounded."""
         ef = ErrorFeedback(OneBitCompressor())
-        true_total = np.zeros(32)
-        sent_total = np.zeros(32)
+        residual = np.zeros(32, DTYPE)
         for _ in range(50):
-            g = rng.standard_normal(32)
-            true_total += g
-            sent_total += ef.decompress(ef.compress(g, key="g"))
-        # With error feedback the residual stays bounded, so the averages track.
-        residual_norm = ef.total_residual_norm()
-        np.testing.assert_allclose(sent_total + ef.residual("g", 32), true_total, atol=1e-9)
-        assert residual_norm < 10.0
+            g = rng.standard_normal(32).astype(DTYPE)
+            compensated = g + residual
+            sent = ef.decompress(ef.compress(g, key="g"))
+            residual = ef.residual("g", 32)
+            assert residual.tobytes() == (compensated - sent).tobytes()
+        assert ef.total_residual_norm() < 10.0
 
     def test_separate_keys_independent(self, rng):
         ef = ErrorFeedback(OneBitCompressor())

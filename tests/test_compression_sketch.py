@@ -5,6 +5,8 @@ import pytest
 
 from repro.compression import CountSketchCompressor, make_compressor
 
+from .conftest import exact_rows
+
 
 class TestCountSketch:
     def test_roundtrip_shape(self, rng):
@@ -53,8 +55,7 @@ class TestCountSketch:
         """sketch(a) + sketch(b) decodes like sketch(a + b) — the property
         that makes sketches usable inside aggregating primitives."""
         codec = CountSketchCompressor(compression=0.5, rows=3, seed=0)
-        a = rng.standard_normal(64)
-        b = rng.standard_normal(64)
+        a, b = exact_rows(rng, 2, 64)
         pa = codec.compress(a)
         pb = codec.compress(b)
         merged = codec.compress(a + b)

@@ -6,13 +6,13 @@ import pytest
 
 from repro.core import BaguaConfig, ExecutionOptimizer, TensorBucket, profile_from_spec
 from repro.models import vgg16_spec
-from repro.tensor import Tensor
+from repro.tensor import DTYPE, Tensor
 
 from .conftest import plan_buckets
 
 
 def make_params(rng, shapes):
-    return [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    return [Tensor(rng.standard_normal(s).astype(DTYPE), requires_grad=True) for s in shapes]
 
 
 class TestFlattening:
@@ -187,4 +187,4 @@ class TestPartitioning:
         params = make_params(rng, [(3,), (2, 2)])
         bucket = TensorBucket(params)
         assert bucket.total_elements == 7
-        assert bucket.nbytes_fp32 == 28.0
+        assert bucket.nbytes == 7 * DTYPE.itemsize

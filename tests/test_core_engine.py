@@ -8,7 +8,7 @@ import pytest
 from repro.algorithms import AllreduceSGD
 from repro.cluster import ClusterSpec, make_workers
 from repro.core import Algorithm, BaguaConfig, BaguaEngine
-from repro.tensor import Linear, ReLU, SGD, Sequential, Tensor
+from repro.tensor import DTYPE, Linear, ReLU, SGD, Sequential, Tensor
 from repro.tensor import functional as F
 
 
@@ -37,7 +37,7 @@ def make_engine(world=4, algorithm=None, config=None, lr=0.1):
 
 def make_batches(rng, world, batch=4):
     return [
-        (rng.standard_normal((batch, 6)), rng.integers(0, 3, size=batch))
+        (rng.standard_normal((batch, 6)).astype(DTYPE), rng.integers(0, 3, size=batch))
         for _ in range(world)
     ]
 
@@ -128,19 +128,41 @@ class TestDPSGEquivalence:
 
     def test_n_workers_equal_big_batch_single_sgd(self, rng):
         """The defining DP-SG invariant: averaging gradients over n workers
-        with per-worker batch b equals one SGD step on the union batch."""
+        with per-worker batch b equals one SGD step on the union batch.
+
+        First, in float64 (kernels follow their inputs' dtype): the union
+        batch's gradient equals the mean of the n per-worker gradients.
+        Then the engine's step equals one SGD step on that mean, taken in
+        ``DTYPE`` in the collective's fold order (member order, then ``/ n``).
+        """
         world, batch, lr = 4, 4, 0.1
         batches = make_batches(rng, world, batch)
+
+        def gradients(model, inputs, labels):
+            model.zero_grad()
+            F.cross_entropy(model(Tensor(inputs)), labels).backward()
+            return [p.grad.copy() for p in model.parameters()]
+
+        wide = make_model()
+        for p in wide.parameters():
+            p.data = p.data.astype(np.float64)
+        union_x = np.concatenate([b[0] for b in batches]).astype(np.float64)
+        union_y = np.concatenate([b[1] for b in batches])
+        union = gradients(wide, union_x, union_y)
+        wide_workers = [gradients(wide, x.astype(np.float64), y) for x, y in batches]
+        for i, grad in enumerate(union):
+            assert grad.dtype == np.float64
+            mean = np.mean([grads[i] for grads in wide_workers], axis=0)
+            np.testing.assert_allclose(grad, mean, atol=1e-10)
 
         engine = make_engine(world=world, lr=lr)
         engine.step(batches, loss_fn)
 
         single = make_model()
         opt = SGD(single.parameters(), lr=lr)
-        union_x = np.concatenate([b[0] for b in batches])
-        union_y = np.concatenate([b[1] for b in batches])
-        loss = F.cross_entropy(single(Tensor(union_x)), union_y)
-        loss.backward()
+        per_worker = [gradients(single, x, y) for x, y in batches]
+        for i, p in enumerate(single.parameters()):
+            p.grad = np.sum([grads[i] for grads in per_worker], axis=0) / world
         opt.step()
 
         distributed = engine.workers[0].model.state_dict()

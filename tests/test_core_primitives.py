@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 from repro.compression import ErrorFeedback, IdentityCompressor, OneBitCompressor, QSGDCompressor
 from repro.core import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
 from repro.core.primitives import PeerSelector
+from repro.tensor import DTYPE
 
-from .conftest import make_group
+from .conftest import exact_rows, make_group
 
 
 @pytest.fixture
 def arrays(rng, group):
-    return [rng.standard_normal(37) for _ in range(group.size)]
+    """Multiples of 3 of :func:`exact_rows`' dyadic values: every sum, half
+    and third of them is exact in ``DTYPE``, so the semantic checks hold
+    whatever order a kernel folds in, while a narrowing cast still shows."""
+    return [3 * row for row in exact_rows(rng, group.size, 37)]
 
 
 class TestCFPS:
@@ -170,7 +174,7 @@ class TestCentralizedOut:
         self, rng, primitive, backend, hierarchical, shape, average
     ):
         world = shape[0] * shape[1]
-        base = [rng.standard_normal(37) for _ in range(world)]
+        base = [rng.standard_normal(37).astype(DTYPE) for _ in range(world)]
         base[0][:5] = -0.0
 
         def run(arrays, out, average=average):
@@ -184,7 +188,7 @@ class TestCentralizedOut:
 
         # Fresh rows: they receive the results, the inputs stay untouched.
         inputs = [a.copy() for a in base]
-        rows = [np.full(37, np.nan) for _ in range(world)]
+        rows = [np.full(37, np.nan, DTYPE) for _ in range(world)]
         outs, state = run(inputs, rows)
         assert all(a is b for a, b in zip(outs, rows))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, base))
@@ -207,7 +211,7 @@ class TestCentralizedOut:
             if primitive == "c_fp_s"
             else (lambda out: c_lp_s(arrays, group, compressor=IdentityCompressor(), out=out))
         )
-        block = np.zeros((group.size, 40))
+        block = np.zeros((group.size, 40), DTYPE)
         with pytest.raises(ValueError, match="share memory"):
             call([block[0, :37]] + [row[:37] for row in block[:-1]])  # rows 0 and 1 are one
         with pytest.raises(ValueError, match="share memory"):
@@ -215,8 +219,8 @@ class TestCentralizedOut:
             call([flat[30 * i : 30 * i + 37] for i in range(group.size)])  # partial overlap
         with pytest.raises(ValueError, match="out rows"):
             call([row[:37] for row in block[:-1]])  # one row short
-        with pytest.raises(ValueError, match="float64"):
-            call([row[:37] for row in block.astype(np.float32)])
+        with pytest.raises(ValueError, match=str(DTYPE)):
+            call([row[:37] for row in block.astype(np.float64)])
         assert group.transport.stats.messages == 0  # rejected before anything ran
 
 
@@ -301,7 +305,7 @@ class TestDFPS:
 
 
 class TestGossipDtype:
-    """d_fp_s/d_lp_s accumulate in float64 but must hand back the input dtype."""
+    """d_fp_s/d_lp_s accumulate in ``DTYPE`` but must hand back the input dtype."""
 
     def test_d_fp_s_preserves_float32(self, rng, group):
         arrays = [rng.standard_normal(16).astype(np.float32) for _ in range(group.size)]
@@ -428,7 +432,7 @@ class TestGossipOut:
         def call(out):
             _gossip(primitive, arrays, group, RingPeers(), out, hierarchical)
 
-        block = np.zeros((group.size, 40))
+        block = np.zeros((group.size, 40), DTYPE)
         with pytest.raises(ValueError, match="share memory"):
             call([block[0, :37]] + [row[:37] for row in block[:-1]])  # rows 0 and 1 are one
         with pytest.raises(ValueError, match="another member"):
@@ -437,8 +441,8 @@ class TestGossipOut:
             call([row[:37] for row in block[:-1]])  # one row short
         with pytest.raises(ValueError, match="shape"):
             call([row[:36] for row in block])
-        with pytest.raises(ValueError, match="float64"):
-            call([row[:37] for row in block.astype(np.float32)])  # not the inputs' dtype
+        with pytest.raises(ValueError, match=str(DTYPE)):
+            call([row[:37] for row in block.astype(np.float64)])  # not the inputs' dtype
         assert group.transport.stats.messages == 0  # rejected before any round
         assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, kept))
 

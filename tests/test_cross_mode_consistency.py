@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms import AllreduceSGD
-from repro.cluster import ClusterSpec
+from repro.cluster import ClusterSpec, Transport
+from repro.cluster.transport import payload_nbytes
+from repro.comm import CommGroup
 from repro.experiments import fig5_convergence_systems, fig6_convergence_algorithms
+from repro.simulation.patterns import dry_scatter_reduce
+from repro.tensor import DTYPE
 from repro.training import DistributedTrainer, get_task
 
 WORLD = ClusterSpec(num_nodes=2, workers_per_node=2)
@@ -32,9 +36,36 @@ class TestTrafficMatchesAnalyticVolume:
 
         n = WORLD.world_size
         params = trainer.engine.workers[0].model.num_parameters()
-        expected = steps * 2 * (n - 1) * params * 8  # float64 payloads
+        expected = steps * 2 * (n - 1) * params * DTYPE.itemsize
         measured = trainer.transport.stats.total_bytes
         assert measured == pytest.approx(expected, rel=0.05)
+
+    def test_full_precision_step_is_charged_the_timing_mode_bytes(self):
+        """A functional-mode allreduce step and timing mode's dry
+        ScatterReduce over the same buckets charge the same payload bytes in
+        the same number of messages: both move 4-byte elements.  Functional
+        messages add only their ``(index, payload)`` envelope."""
+        task = get_task("VGG16")
+        trainer = DistributedTrainer(
+            WORLD, task.model_factory, task.make_optimizer, AllreduceSGD(), seed=0
+        )
+        loaders = task.make_loaders(WORLD.world_size, seed=0)
+        batches = zip(*[loader.epoch() for loader in loaders])
+        trainer.engine.step(list(next(batches)), task.loss_fn)  # the profiling step
+        stats = trainer.transport.stats
+        messages, total = stats.messages, stats.total_bytes
+        trainer.engine.step(list(next(batches)), task.loss_fn)
+        messages, total = stats.messages - messages, stats.total_bytes - total
+
+        dry = Transport(WORLD)
+        group = CommGroup(dry, list(range(WORLD.world_size)))
+        elements = [bucket.elements for bucket in trainer.engine.schedule.buckets]
+        for count in elements:
+            dry_scatter_reduce(group, count)
+        assert sum(elements) == trainer.engine.workers[0].model.num_parameters()
+        assert messages == dry.stats.messages
+        envelope = payload_nbytes((0, np.empty(0, DTYPE)))
+        assert total - envelope * messages == dry.stats.total_bytes
 
     def test_epoch_sim_time_scales_with_bytes(self):
         """Simulated communication time grows with traffic volume."""

@@ -29,6 +29,7 @@ from repro.comm import (
 )
 from repro.compression import ErrorFeedback
 from repro.core.primitives import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
+from repro.tensor import DTYPE
 
 from .identity_harness import (
     CODEC_FACTORIES,
@@ -207,9 +208,9 @@ class TestHierarchicalIdentity:
 
     @pytest.mark.parametrize("length", [1, 64])
     def test_float32_rows_fold_in_float32(self, length):
-        """The leader folds its node's rows in *their* precision and widens
-        the sum — the batched path may fold straight into its float64 stack
-        only rows that are float64 already."""
+        """The leader folds its node's rows in *their* precision — the
+        batched path folds straight into its ``DTYPE`` stack only rows that
+        are ``DTYPE`` already."""
         rng = np.random.default_rng(length)
         base = [rng.standard_normal(length).astype(np.float32) for _ in range(6)]
 
@@ -307,10 +308,10 @@ class TestBucketFlatPool:
         from repro.tensor import Tensor
 
         params = [
-            Tensor(np.arange(6, dtype=np.float64).reshape(2, 3)),
-            Tensor(np.ones(4, dtype=np.float64)),
+            Tensor(np.arange(6, dtype=DTYPE).reshape(2, 3)),
+            Tensor(np.ones(4, dtype=DTYPE)),
         ]
-        pool = np.empty(10, dtype=np.float64)
+        pool = np.empty(10, dtype=DTYPE)
         bucket = TensorBucket(params, flatten=True, buffer=pool)
         assert bucket.buffer is pool
         for p in params:
@@ -324,7 +325,7 @@ class TestBucketFlatPool:
         for worker in trainer.engine.workers:
             pool = worker.state["flat_pool"]
             assert pool is not None
-            assert pool.dtype == np.float64
+            assert pool.dtype == DTYPE
             for bucket in worker.buckets:
                 assert np.shares_memory(bucket.buffer, pool)
 

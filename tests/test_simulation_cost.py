@@ -13,6 +13,7 @@ from repro.simulation.patterns import (
     dry_ring_allreduce,
     dry_scatter_reduce,
 )
+from repro.tensor import DTYPE
 
 
 @pytest.fixture
@@ -22,7 +23,7 @@ def spec() -> ClusterSpec:
 
 class TestDryRealConsistency:
     """Dry-run schedules must charge the same simulated time as real runs
-    moving float64 payloads of the same size."""
+    moving ``DTYPE`` payloads of the same size."""
 
     ELEMENTS = 4096
 
@@ -30,7 +31,7 @@ class TestDryRealConsistency:
         transport = Transport(spec)
         group = CommGroup(transport, list(range(spec.world_size)))
         rng = np.random.default_rng(0)
-        arrays = [rng.standard_normal(self.ELEMENTS) for _ in range(group.size)]
+        arrays = [rng.standard_normal(self.ELEMENTS).astype(DTYPE) for _ in range(group.size)]
         collective(arrays, group)
         return transport.max_time()
 
@@ -42,11 +43,11 @@ class TestDryRealConsistency:
 
     def test_ring_allreduce(self, spec):
         real = self._real_time(spec, ring_allreduce)
-        # Payloads in the real run are float64 tuples (+8B tag per message).
+        # Payloads in the real run are ``DTYPE`` tuples (+8B tag per message).
         dry = self._dry_time(
             spec,
             lambda g: dry_ring_allreduce(
-                g, self.ELEMENTS, wire=lambda n: n * 8.0 + 8.0
+                g, self.ELEMENTS, wire=lambda n: n * DTYPE.itemsize + 8.0
             ),
         )
         assert dry == pytest.approx(real, rel=0.02)
@@ -58,8 +59,8 @@ class TestDryRealConsistency:
             lambda g: dry_scatter_reduce(
                 g,
                 self.ELEMENTS,
-                wire_phase1=lambda n: n * 8.0 + 8.0,
-                wire_phase2=lambda n: n * 8.0 + 8.0,
+                wire_phase1=lambda n: n * DTYPE.itemsize + 8.0,
+                wire_phase2=lambda n: n * DTYPE.itemsize + 8.0,
             ),
         )
         assert dry == pytest.approx(real, rel=0.05)
@@ -71,7 +72,7 @@ class TestDryRealConsistency:
         dry = self._dry_time(
             spec,
             lambda g: dry_decentralized(
-                g, self.ELEMENTS, RingPeers(), wire=lambda n: n * 8.0 + 8.0
+                g, self.ELEMENTS, RingPeers(), wire=lambda n: n * DTYPE.itemsize + 8.0
             ),
         )
         assert dry == pytest.approx(real, rel=0.05)

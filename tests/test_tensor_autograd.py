@@ -9,7 +9,7 @@ import pytest
 from repro.core import TensorBucket
 from repro.models import VGGProxy
 from repro.models.trainable import LSTMAlexNetProxy, TransformerProxy, bert_base_proxy
-from repro.tensor import Sequential, Tensor, clip_grad_norm, ones, randn, tensor, zeros
+from repro.tensor import DTYPE, Sequential, Tensor, clip_grad_norm, ones, randn, tensor, zeros
 from repro.tensor import functional as F
 from repro.tensor import layers as nn
 from repro.tensor.tensor import _unbroadcast
@@ -313,15 +313,15 @@ class TestGradientOwnership:
     @staticmethod
     def _bound_pair(rng):
         """An affine layer's leaves bound to one bucket, and an unbound twin."""
-        w, b = rng.standard_normal((3, 5)), rng.standard_normal(3)
+        w, b = rng.standard_normal((3, 5)).astype(DTYPE), rng.standard_normal(3).astype(DTYPE)
         bound = [Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)]
         twin = [Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)]
         return TensorBucket(bound, flatten=True), bound, twin
 
     def test_bound_leaf_grad_is_its_slot_and_nothing_else(self, rng):
         bucket, (w, b), _ = self._bound_pair(rng)
-        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        upstream = rng.standard_normal((4, 3))
+        x = Tensor(rng.standard_normal((4, 5)).astype(DTYPE), requires_grad=True)
+        upstream = rng.standard_normal((4, 3)).astype(DTYPE)
         before = upstream.copy()
         assert w.grad is None and b.grad is None  # binding alone creates no gradient
         (x @ w.T + b).backward(upstream)
@@ -338,7 +338,7 @@ class TestGradientOwnership:
     def test_clip_grad_norm_scales_the_pool_once(self, rng):
         bucket, bound, twin = self._bound_pair(rng)
         for w, b in (bound, twin):
-            (Tensor(np.ones((4, 5))) @ w.T + b).sum().backward()
+            (Tensor(np.ones((4, 5), DTYPE)) @ w.T + b).sum().backward()
         assert clip_grad_norm(bound, max_norm=0.5) == clip_grad_norm(twin, max_norm=0.5)
         np.testing.assert_array_equal(
             bucket.grad_buffer, np.concatenate([p.grad.reshape(-1) for p in twin])
@@ -346,7 +346,7 @@ class TestGradientOwnership:
 
     def test_backward_twice_accumulates_in_the_slot(self, rng):
         bucket, bound, twin = self._bound_pair(rng)
-        inputs = rng.standard_normal((2, 4, 5))
+        inputs = rng.standard_normal((2, 4, 5)).astype(DTYPE)
         for w, b in (bound, twin):
             for x in inputs:  # no zero_grad in between
                 ((Tensor(x) @ w.T + b) * (Tensor(x) @ w.T)).sum().backward()
@@ -380,7 +380,7 @@ class TestLinear:
     @staticmethod
     def _grads(x_shape, fused, bound=False, dtype=np.float64):
         """Gradients of fixed (x, W, b) under a fixed upstream; a bound model's
-        data is cast back to ``dtype`` after binding, its slots stay float64."""
+        data is cast back to ``dtype`` after binding, its slots stay ``DTYPE``."""
         rng = np.random.default_rng(0)
         x, w, b = TestLinear._leaves(rng, x_shape, dtype=dtype)
         if bound:
@@ -413,11 +413,11 @@ class TestLinear:
         np.testing.assert_array_equal(bucket.grad_buffer[:30], w.grad.reshape(-1))
 
     def test_bound_backward_allocates_no_weight_sized_temporary(self, rng):
-        x = Tensor(rng.standard_normal((8, 512)))
-        w = Tensor(rng.standard_normal((256, 512)), requires_grad=True)
+        x = Tensor(rng.standard_normal((8, 512)).astype(DTYPE))
+        w = Tensor(rng.standard_normal((256, 512)).astype(DTYPE), requires_grad=True)
         TensorBucket([w], flatten=True)
         root = F.linear(x, w)
-        upstream = rng.standard_normal((8, 256))
+        upstream = rng.standard_normal((8, 256)).astype(DTYPE)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -430,22 +430,24 @@ class TestLinear:
 
     @pytest.mark.parametrize("bound", [False, True])
     def test_weight_used_twice_sums_both_contributions(self, rng, bound):
-        x, w, _ = self._leaves(rng, (4, 6))
+        x, w, _ = self._leaves(rng, (4, 6), dtype=DTYPE)
         twin = Tensor(w.data.copy(), requires_grad=True)
         if bound:
             TensorBucket([w], flatten=True)
-        upstream = rng.standard_normal((4, 6))
+        upstream = rng.standard_normal((4, 6)).astype(DTYPE)
         F.linear(F.linear(x, w), w).backward(upstream)
         ((Tensor(x.data) @ twin.T) @ twin.T).backward(upstream)
         np.testing.assert_array_equal(w.grad, twin.grad)
 
-    def test_float32_model_on_float64_slots_keeps_its_float32_bits(self):
-        fused = self._grads((8, 20), True, True, np.float32)
-        plain = self._grads((8, 20), False, True, np.float32)
-        assert fused[1].dtype == np.float64  # the slot's, holding a float32 GEMM's values
-        np.testing.assert_array_equal(fused[1].astype(np.float32), fused[1])
+    def test_float64_model_on_float32_slots_rounds_each_gradient_once(self):
+        """The fused GEMM writes a float64 product into a ``DTYPE`` slot with
+        the one rounding the unfused graph's store into it makes."""
+        fused = self._grads((8, 20), True, True, np.float64)
+        plain = self._grads((8, 20), False, True, np.float64)
+        assert fused[1].dtype == DTYPE  # the slot's, holding a float64 GEMM's values
+        assert fused[0].dtype == np.float64  # the input is unbound: its own precision
         for got, want in zip(fused, plain):
-            np.testing.assert_array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------

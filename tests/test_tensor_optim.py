@@ -212,6 +212,22 @@ class TestBlockedSGD:
         if kwargs.get("momentum"):
             assert opt._velocity[0].tobytes() == velocity.tobytes()
 
+    def test_subnormal_velocity_is_flushed_within_one_sweep_of_the_blocks(self):
+        size, blocks = 3 * SGD_BLOCK + 7, 4
+        x, zero = np.ones(size, dtype=np.float32), np.zeros(size, dtype=np.float32)
+        tiny = np.finfo(np.float32).tiny
+        opt = SGD([Tensor(np.zeros(1))], lr=0.01, momentum=0.9)
+        opt.step_on_slots([0], [x], [np.full(size, 1e-3, dtype=np.float32)])
+        # A zero gradient from here on: the velocity decays towards the subnormals.
+        while np.abs(opt._velocity[0]).min() >= tiny / 0.9:
+            opt.step_on_slots([0], [x], [zero])
+        for _ in range(blocks):
+            opt.step_on_slots([0], [x], [zero])
+        assert not opt._velocity[0].any()
+        resumed = SGD([Tensor(np.zeros(1))], lr=0.01, momentum=0.9)
+        resumed.load_state_dict(opt.state_dict())
+        assert resumed.state_dict()["flush_turn"] == opt.state_dict()["flush_turn"]
+
     @pytest.mark.parametrize("rule", ["momentum", "nesterov+wd"])
     def test_two_dimensional_parameter_through_step(self, rule):
         kwargs = SGD_RULES[rule]

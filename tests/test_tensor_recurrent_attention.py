@@ -31,6 +31,8 @@ class TestLSTMCell:
 
     def test_numeric_grad(self, rng):
         cell = LSTMCell(3, 4, rng=rng)
+        for p in cell.parameters():  # a float64 model runs float64 kernels
+            p.data = p.data.astype(np.float64)
         x = Tensor(rng.standard_normal((2, 3)))
 
         def loss():

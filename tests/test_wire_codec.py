@@ -36,6 +36,7 @@ from repro.compression import (
     TopKCompressor,
 )
 from repro.compression.base import CompressedPayload
+from repro.tensor import DTYPE
 
 
 def assert_same(a, b):
@@ -237,10 +238,10 @@ class TestRefusals:
         assert kind == shm._PICKLED
         assert isinstance(pickle.loads(data.tobytes()), _Opaque)
 
-    def test_flat_f64_still_goes_raw(self):
-        # The zero-copy RAW path outranks the codec for plain f64 vectors.
-        kind, _ = shm._encode(np.arange(4, dtype=np.float64))
-        assert kind == shm._RAW_F64
+    def test_flat_dtype_arrays_go_raw(self):
+        # The zero-copy RAW path outranks the codec for flat ``DTYPE`` vectors.
+        kind, _ = shm._encode(np.arange(4, dtype=DTYPE))
+        assert kind == shm._RAW
 
     def test_trailing_garbage_is_rejected(self):
         with pytest.raises(wire.WireError):
