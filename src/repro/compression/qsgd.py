@@ -15,12 +15,12 @@ import numpy as np
 from ..tensor.tensor import DTYPE
 from .base import CompressedPayload, Compressor
 
-#: Cells (rows x columns) ``QSGDCompressor.batch_roundtrip`` works on at a
-#: time.  The chain reads the input and the draws, works in two float64
-#: scratch arrays and a mask, and writes the output: ~5 x 128 KiB live per
-#: block at 16384 cells, inside a 1 MiB L2 with room to spare, while each
-#: of the eleven numpy calls per block still runs over enough cells to bury
-#: its ~1 us dispatch cost.
+#: Columns of one row ``QSGDCompressor.batch_roundtrip`` works on at a time.
+#: A block's chain reads the input and one draw buffer, works in one
+#: ``DTYPE`` scratch and writes the output: ~4 x 64 KiB live at 16384
+#: columns, inside a 1 MiB L2 with room to spare, while each of the six
+#: numpy calls per block (the draw included) still runs over enough
+#: elements to bury its ~1 us dispatch cost.
 _BLOCK_ELEMENTS = 16384
 
 
@@ -44,25 +44,30 @@ class QSGDCompressor(Compressor):
         self.name = f"qsgd{bits}"
 
     def compress(self, array: np.ndarray) -> CompressedPayload:
-        # Numerics: the norm, the levels and the comparison with the float64
-        # draws run in float64 on the ``DTYPE`` values, here and in
-        # ``batch_roundtrip``; only the result is ``DTYPE``.  A seed's draw
-        # stream is therefore the same at any training precision.
-        array = np.asarray(array, dtype=DTYPE).astype(np.float64)
-        # sqrt(sum(x^2)) rather than np.linalg.norm: the BLAS dot behind
-        # linalg.norm sums in a different order than numpy's pairwise
-        # reduction, and the batched kernel computes per-row norms with the
-        # pairwise axis reduction — both paths must share one formulation to
-        # stay bitwise identical.
-        norm = float(np.sqrt(np.square(array).sum()))
-        if norm == 0.0:
+        # Only the norm is float64: sqrt(sum(x^2)) with numpy's pairwise
+        # reduction, not the BLAS dot behind np.linalg.norm, whose order
+        # differs — ``batch_roundtrip``'s per-row axis reduction sums in this
+        # order.  The rest is ``DTYPE``: ``t = x * scale`` with
+        # ``scale = DTYPE(levels / norm)``, then stochastic rounding
+        # ``floor(t + u)`` with a ``DTYPE`` uniform ``u``.  It rounds the
+        # signed ``t``, not ``|t|``, yet the law is QSGD's on either side of
+        # zero: ``|q|`` is ``ceil(|t|)`` with probability ``frac(|t|)`` and
+        # ``floor(|t|)`` otherwise (up to the half-ulp rounding of the sum).  The clip to
+        # ``+-levels`` catches a rounded-up scale and ``levels + u`` rounding
+        # to ``levels + 1``.  ``floor`` never returns ``-0.0`` here.
+        array = np.asarray(array, dtype=DTYPE).reshape(-1)
+        norm = float(np.sqrt(np.square(array, dtype=np.float64).sum()))
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = DTYPE.type(np.divide(self.levels, norm))
+        if not np.isfinite(scale):
+            # A zero norm, or one too small for a finite ``DTYPE`` scale (every
+            # element below ~1e-36): the segment quantizes to zero, no draw.
             quantized = np.zeros(array.size, dtype=np.int32)
         else:
-            scaled = np.abs(array) / norm * self.levels
-            floor = np.floor(scaled)
-            prob = scaled - floor
-            bump = (self.rng.random(array.shape) < prob).astype(np.float64)
-            quantized = (np.sign(array) * (floor + bump)).astype(np.int32).reshape(-1)
+            scaled = array * scale
+            scaled += self.rng.random(array.size, dtype=DTYPE)
+            np.floor(scaled, out=scaled)
+            quantized = np.clip(scaled, -self.levels, self.levels).astype(np.int32)
         return CompressedPayload(
             codec=self.name,
             n=array.size,
@@ -71,70 +76,52 @@ class QSGDCompressor(Compressor):
         )
 
     def decompress(self, payload: CompressedPayload) -> np.ndarray:
-        norm = float(payload.fields["norm"])
-        q = np.asarray(payload.fields["q"], dtype=np.float64)
-        if norm == 0.0:
-            return np.zeros(payload.n, DTYPE)
-        return (q * (norm / self.levels)).astype(DTYPE)
+        step = DTYPE.type(float(payload.fields["norm"]) / self.levels)
+        return np.asarray(payload.fields["q"]).astype(DTYPE) * step
 
     def batch_roundtrip(
         self, matrix: np.ndarray, bounds: Sequence[tuple[int, int]]
     ) -> np.ndarray:
         """Vectorized roundtrip over a ``(rows, n)`` matrix of column segments.
 
-        One RNG draw over the whole matrix replaces the per-cell draws; the
-        draw order matches the scalar path's row-major call sequence exactly.
-        A zero-norm segment would *skip* its draw in the scalar path, and a
-        non-finite norm sends ``nan`` through the scalar path's ``int32``
-        cast, so both cases fall back to the per-cell reference loop before
-        any state is consumed.
+        The scalar path's formula on column blocks of at most
+        ``_BLOCK_ELEMENTS`` of one row at a time, in one ``DTYPE`` scratch and
+        one ``DTYPE`` draw buffer reused by every block.  Rows outer, segments
+        inner, blocks innermost is the scalar path's row-major draw order, and
+        a float32 PCG64 stream does not depend on how it is split, so the
+        blocks consume the generator exactly as the per-cell draws do.  A
+        segment whose scale is not finite would *skip* its draw in the scalar
+        path, and a non-finite norm sends ``nan`` through the scalar path's
+        ``int32`` cast, so both cases fall back to the per-cell reference loop
+        before any state is consumed.
 
-        The elementwise chain runs in place on one scratch triple reused by
-        every block — a column block of at most ``_BLOCK_ELEMENTS`` cells
-        (all rows) at a time — so its intermediates stay cache-resident
-        instead of streaming a dozen segment-sized temporaries through memory.
-        Once the norm is finite and non-zero, ``sign * (floor + bump)`` is an
-        exact integer far inside ``int32`` (``|x| / norm`` cannot exceed
-        ~1.5 even where ``x * x`` loses its bits to underflow), so the
-        scalar path's ``.astype(int32)`` round trip changes one thing only:
-        ``sign(-tiny) * 0 = -0.0`` comes back as ``+0.0``, which is what
-        ``+= 0.0`` does.  The chain reads the ``DTYPE`` rows into float64
-        scratch and its last product rounds once into the ``DTYPE`` output,
-        as the scalar path's ``.astype(DTYPE)`` does.
+        With a finite scale the clipped ``floor(t + u)`` is an exact integer
+        far inside ``int32`` and never ``-0.0``, so the scalar path's
+        ``.astype(int32)`` round trip leaves it as it is.
         """
         matrix = np.asarray(matrix, dtype=DTYPE)
         rows = matrix.shape[0]
         norms = np.empty((rows, len(bounds)), np.float64)
         for j, (lo, hi) in enumerate(bounds):
             norms[:, j] = np.sqrt(np.square(matrix[:, lo:hi], dtype=np.float64).sum(axis=1))
-        if not (norms.all() and np.isfinite(norms).all()):
+        with np.errstate(divide="ignore", over="ignore"):
+            scales = (self.levels / norms).astype(DTYPE)
+        if not (np.isfinite(norms).all() and np.isfinite(scales).all()):
             return super().batch_roundtrip(matrix, bounds)
-        draws = self.rng.random(matrix.shape)
+        steps = (norms / self.levels).astype(DTYPE)
         out = np.empty_like(matrix)
-        levels = self.levels
-        # A block is at least one column of every row.
-        cells = max(_BLOCK_ELEMENTS, rows)
-        block = cells // max(1, rows)
-        scratch = (np.empty(cells, np.float64), np.empty(cells, np.float64), np.empty(cells, bool))
-        steps = norms / levels
-        for j, (lo, hi) in enumerate(bounds):
-            norm = norms[:, j, None]
-            step = steps[:, j, None]
-            for start in range(lo, hi, block):
-                stop = min(start + block, hi)
-                seg = matrix[:, start:stop]
-                work, floor, bump = (flat[: seg.size].reshape(seg.shape) for flat in scratch)
-                np.abs(seg, out=work)
-                work /= norm
-                work *= levels
-                np.floor(work, out=floor)
-                work -= floor
-                np.less(draws[:, start:stop], work, out=bump)
-                floor += bump
-                np.sign(seg, out=work)
-                work *= floor
-                work += 0.0
-                np.multiply(work, step, out=out[:, start:stop])
+        work, draws = np.empty(_BLOCK_ELEMENTS, DTYPE), np.empty(_BLOCK_ELEMENTS, DTYPE)
+        for i in range(rows):
+            for j, (lo, hi) in enumerate(bounds):
+                for start in range(lo, hi, _BLOCK_ELEMENTS):
+                    stop = min(start + _BLOCK_ELEMENTS, hi)
+                    s, u = work[: stop - start], draws[: stop - start]
+                    self.rng.random(dtype=DTYPE, out=u)
+                    np.multiply(matrix[i, start:stop], scales[i, j], out=s)
+                    s += u
+                    np.floor(s, out=s)
+                    np.clip(s, -self.levels, self.levels, out=s)
+                    np.multiply(s, steps[i, j], out=out[i, start:stop])
         return out
 
     def wire_bytes(self, n_elements: int) -> float:

@@ -96,6 +96,25 @@ class TestQSGD:
             total += codec.decompress(codec.compress(x))
         np.testing.assert_allclose(total / trials, x, atol=0.08)
 
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_unbiased_z_test_on_dtype_input(self, bits):
+        """Every element's trial mean lies within 5.5 standard errors of the
+        input, and the z-scores average out near zero."""
+        n, trials = 4096, 2000
+        x = np.random.default_rng(bits).standard_normal(n).astype(DTYPE)
+        codec = QSGDCompressor(bits=bits, rng=np.random.default_rng(100 + bits))
+        total = np.zeros(n)
+        for _ in range(trials):
+            total += codec.decompress(codec.compress(x))
+        wide = x.astype(float)
+        norm = np.sqrt(np.square(wide).sum())
+        scaled = np.abs(wide) * codec.levels / norm
+        frac = scaled - np.floor(scaled)
+        stderr = norm / codec.levels * np.sqrt(frac * (1.0 - frac) / trials)
+        z = (total / trials - wide)[stderr > 0] / stderr[stderr > 0]
+        assert np.abs(z).max() < 5.5
+        assert abs(z.mean()) < 0.1
+
     def test_more_bits_less_error(self, rng):
         x = rng.standard_normal(2000)
         err4 = np.linalg.norm(
@@ -151,10 +170,64 @@ class TestQSGDBatchRoundtrip:
         assert out.dtype == DTYPE and out.shape == matrix.shape
         assert out.tobytes() == expected.tobytes()
         assert np.array_equal(matrix.view(np.uint64), pristine.view(np.uint64))
-        # The salt reaches the case the ``+ 0.0`` exists for: a negative
-        # input quantized to zero comes back as +0.0, never -0.0.
+        # The salt reaches a negative input quantized to zero: it comes back
+        # as +0.0, never -0.0.
         zeroed = (out == 0.0) & (matrix < 0.0)
         assert zeroed.any() and not np.signbit(out[zeroed]).any()
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16])
+    def test_blocks_draw_the_row_major_stream(self, rows):
+        """Odd widths straddling ``_BLOCK_ELEMENTS`` split the draws unevenly;
+        the kernel still consumes exactly the per-cell stream."""
+        block = qsgd_module._BLOCK_ELEMENTS
+        bounds = self._bounds([5, 7, block - 1, block + 1, 2 * block + 3])
+        n = bounds[-1][1]
+        matrix = np.random.default_rng(rows).standard_normal((rows, n)).astype(DTYPE)
+        out, expected, fast, _ = self._both(8, matrix, bounds)
+        assert out.tobytes() == expected.tobytes()
+        reference = np.random.default_rng(7)
+        reference.random(rows * n, dtype=DTYPE)
+        assert fast.rng.bit_generator.state == reference.bit_generator.state
+
+    class _ConstantDraws:
+        """A generator stand-in whose every uniform is ``value``."""
+
+        def __init__(self, value):
+            self.value = value
+
+        def random(self, size=None, dtype=np.float64, out=None):
+            out = np.empty(size, dtype) if out is None else out
+            out.fill(self.value)
+            return out
+
+    @pytest.mark.parametrize("bits", [2, 8, 16])
+    @pytest.mark.parametrize(
+        "value, draw",
+        [
+            # t = levels exactly; a draw just below 1 rounds t + u to levels + 1.
+            (1.0, np.nextafter(DTYPE.type(1), DTYPE.type(0))),
+            # The scale rounds up, so t lies just below -levels and floors
+            # to -(levels + 1) (at 8 and 16 bits; at 2 bits t = -1 exactly).
+            (-0.09497874, 0.0),
+        ],
+        ids=["above", "below"],
+    )
+    def test_quantized_magnitude_never_exceeds_levels(self, bits, value, draw):
+        """Segments of one nonzero element, at the draw that pushes ``t + u``
+        furthest out on its side: ``|q|`` stays at ``levels``."""
+        codec = QSGDCompressor(bits=bits, rng=self._ConstantDraws(draw))
+        bounds = self._bounds([9, 9])
+        matrix = np.zeros((2, 18), DTYPE)
+        matrix[0, 4] = matrix[0, 13] = matrix[1, 2] = matrix[1, 11] = value
+        signed_levels = np.copysign(codec.levels, value)
+        for row in matrix:
+            for lo, hi in bounds:
+                q = codec.compress(row[lo:hi]).fields["q"]
+                assert q.tolist() == np.where(row[lo:hi] != 0, signed_levels, 0).tolist()
+        out = codec.batch_roundtrip(matrix, bounds)
+        assert out.tobytes() == Compressor.batch_roundtrip(codec, matrix, bounds).tobytes()
+        step = DTYPE.type(abs(float(DTYPE.type(value))) / codec.levels)
+        assert (out[matrix != 0] == DTYPE.type(signed_levels) * step).all()
 
     @pytest.mark.parametrize("poison", [0.0, np.inf, -np.inf, np.nan, 1e200])
     def test_zero_and_non_finite_norms_take_the_reference(self, poison, monkeypatch):

@@ -28,9 +28,8 @@ ROOT = Path(repro.__file__).parent
 
 #: (file under src/repro, enclosing function) -> why float64 is named there
 FLOAT64_ALLOWED = {
-    ("compression/qsgd.py", "QSGDCompressor.compress"): "codec norm and float64 draws",
-    ("compression/qsgd.py", "QSGDCompressor.decompress"): "codec norm and float64 draws",
-    ("compression/qsgd.py", "QSGDCompressor.batch_roundtrip"): "codec norms and scratch",
+    ("compression/qsgd.py", "QSGDCompressor.compress"): "the codec norm",
+    ("compression/qsgd.py", "QSGDCompressor.batch_roundtrip"): "the codec norm",
     ("tensor/functional.py", "mse_loss"): "the loss",
     ("tensor/functional.py", "nll_loss"): "the loss",
     ("cluster/backends/wire.py", "<module>"): "the wire codec's float64 dtype code",
@@ -166,7 +165,7 @@ class TestCodecDtype:
                 expected[i, lo:hi] = cell
         assert got.tobytes() == expected.tobytes()
         reference = np.random.default_rng(9)
-        reference.random(rows * n)  # exactly rows * n float64 draws
+        reference.random(rows * n, dtype=DTYPE)  # exactly rows * n DTYPE draws
         assert batched.rng.bit_generator.state == reference.bit_generator.state
         assert scalar.rng.bit_generator.state == reference.bit_generator.state
 
