@@ -23,11 +23,15 @@
 # the autograd package tensor)
 # a [simplicity] PR quotes for parent and change (CI appends it to the job
 # summary).
+# `make imports` is report-only too: the number of repro modules a training
+# job's imports load, then the slowest `python -X importtime` rows (cumulative
+# microseconds) for the same imports (CI appends it to the job summary next
+# to `make loc`; see docs/performance.md "Start-up").
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint typecheck typecheck-strict test analyze plans protocol perf e2e-smoke ab loc
+.PHONY: check lint typecheck typecheck-strict test analyze plans protocol perf e2e-smoke ab loc imports
 
 check: lint typecheck test analyze plans protocol
 
@@ -84,3 +88,14 @@ loc:
 		src/repro/algorithms src/repro/baselines src/repro/tensor; do \
 		find $$part -name '*.py' | xargs cat | wc -l | tr '\n' ' '; echo "$$part"; \
 	done
+
+# what a functional-mode training job imports (tests/test_lazy_imports.py)
+TRAINING_IMPORTS := repro.training.trainer repro.training.tasks repro.algorithms \
+	repro.models repro.cluster.topology repro.core.optimizer_framework repro.tensor \
+	repro.simulation
+IMPORT_SCRIPT := import importlib, sys; [importlib.import_module(m) for m in sys.argv[1:]]
+imports:
+	@$(PYTHON) -c "$(IMPORT_SCRIPT); \
+		print(sum(m.startswith('repro') for m in sys.modules), 'repro modules')" $(TRAINING_IMPORTS)
+	@$(PYTHON) -X importtime -c "$(IMPORT_SCRIPT)" $(TRAINING_IMPORTS) 2>&1 >/dev/null \
+		| sort -t '|' -k 2 -n -r | head -n 15

@@ -37,26 +37,33 @@ Quickstart::
     )
 """
 
+import importlib
+from types import ModuleType
+from typing import TYPE_CHECKING
+
 __version__ = "0.1.0"
 
-# ``core`` goes first: its package import reaches ``algorithms.registry``
-# through the tuner and timing mode (core.autotune -> simulation.systems),
-# which only resolves while no algorithm module is itself mid-import.
-from . import core  # noqa: F401
-from . import (  # noqa: F401  (re-exported subpackages)
-    algorithms,
-    analysis,
-    baselines,
-    cluster,
-    comm,
-    compression,
-    data,
-    experiments,
-    models,
-    simulation,
-    tensor,
-    training,
-)
+# Subpackages load when first named (PEP 562), so a training job never
+# compiles the analyzer, the experiments or the baselines.  No import order
+# is needed: ``repro.core`` exports the tuner lazily as well, which removed
+# the ``simulation -> core -> core.autotune -> simulation`` cycle (and its
+# twin through ``algorithms.registry``) that once forced ``core`` first.
+if TYPE_CHECKING:
+    from . import (
+        algorithms,
+        analysis,
+        baselines,
+        cluster,
+        comm,
+        compression,
+        core,
+        data,
+        experiments,
+        models,
+        simulation,
+        tensor,
+        training,
+    )
 
 __all__ = [
     "tensor",
@@ -74,3 +81,13 @@ __all__ = [
     "experiments",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> ModuleType:
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -9,42 +9,31 @@ auto-tuner, statically analyzes algorithm communication schedules
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from collections.abc import Callable
 
-from .cluster.topology import paper_cluster
-from .core.autotune import recommend
-from .experiments import (
-    fig5_convergence_systems,
-    fig6_convergence_algorithms,
-    fig7_network_conditions,
-    heterogeneity_study,
-    scalability,
-    silver_bullet,
-    table1_support,
-    table2_models,
-    table3_speedup,
-    table4_epoch_time,
-    table5_ablation,
-    time_to_loss,
-)
-from .models.zoo_specs import all_specs
-
-EXPERIMENTS: dict[str, Callable[[], object]] = {
-    "table1": table1_support.run,
-    "table2": table2_models.run,
-    "table3": table3_speedup.run,
-    "table4": table4_epoch_time.run,
-    "table5": table5_ablation.run,
-    "fig5": lambda: fig5_convergence_systems.run(epochs=4),
-    "fig6": lambda: fig6_convergence_algorithms.run(epochs=5),
-    "fig7": fig7_network_conditions.run,
-    "heterogeneity": heterogeneity_study.run,
-    "scalability": scalability.run,
-    "time-to-loss": time_to_loss.run,
-    "silver-bullet": silver_bullet.run,
+#: experiment name -> (module under :mod:`repro.experiments`, its ``run`` kwargs);
+#: a module is imported only when its experiment runs
+EXPERIMENTS: dict[str, tuple[str, dict[str, int]]] = {
+    "table1": ("table1_support", {}),
+    "table2": ("table2_models", {}),
+    "table3": ("table3_speedup", {}),
+    "table4": ("table4_epoch_time", {}),
+    "table5": ("table5_ablation", {}),
+    "fig5": ("fig5_convergence_systems", {"epochs": 4}),
+    "fig6": ("fig6_convergence_algorithms", {"epochs": 5}),
+    "fig7": ("fig7_network_conditions", {}),
+    "heterogeneity": ("heterogeneity_study", {}),
+    "scalability": ("scalability", {}),
+    "time-to-loss": ("time_to_loss", {}),
+    "silver-bullet": ("silver_bullet", {}),
 }
+
+
+def _run_experiment(name: str) -> object:
+    module, kwargs = EXPERIMENTS[name]
+    return importlib.import_module(f".experiments.{module}", __package__).run(**kwargs)
 
 
 def _run_plans(args) -> int:
@@ -152,6 +141,10 @@ def _run_perf(args) -> int:
 
 
 def _run_autotune(args) -> int:
+    from .cluster.topology import paper_cluster
+    from .core.autotune import recommend
+    from .models.zoo_specs import all_specs
+
     specs = all_specs()
     if args.model not in specs:
         print(f"unknown model {args.model!r}; options: {sorted(specs)}", file=sys.stderr)
@@ -268,7 +261,7 @@ def main(argv=None) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         print(f"== {name} ==")
-        print(EXPERIMENTS[name]().render())
+        print(_run_experiment(name).render())
         print()
     return 0
 

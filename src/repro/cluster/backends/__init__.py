@@ -5,25 +5,36 @@ The registry maps backend names to factories taking the cluster spec;
 :class:`~repro.cluster.transport.Transport`:
 
 explicit instance > explicit name > ``REPRO_BACKEND`` env > ``"batched"``.
+
+:mod:`.shm` (and with it ``multiprocessing`` and the wire codec) loads only
+when the ``"shm"`` backend is built or ``SharedMemoryBackend`` is named.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from .base import BackendError, PoolRef, TransportBackend
 from .local import BatchedBackend, LocalBackend
-from .shm import SharedMemoryBackend
 
 if TYPE_CHECKING:
     from ..topology import ClusterSpec
+    from .shm import SharedMemoryBackend
+
+
+def _make_shm(spec: ClusterSpec) -> TransportBackend:
+    from .shm import SharedMemoryBackend
+
+    return SharedMemoryBackend(spec.world_size)
+
 
 #: name -> factory(spec) for every backend that ships.
-BACKEND_REGISTRY = {
+BACKEND_REGISTRY: dict[str, Callable[[ClusterSpec], TransportBackend]] = {
     "local": lambda spec: LocalBackend(),
     "batched": lambda spec: BatchedBackend(),
-    "shm": lambda spec: SharedMemoryBackend(spec.world_size),
+    "shm": _make_shm,
 }
 
 DEFAULT_BACKEND = "batched"
@@ -55,6 +66,14 @@ def resolve_backend(
             f"unknown transport backend {name!r}; options: {available_backends()}"
         ) from None
     return factory(spec)
+
+
+def __getattr__(name: str) -> type[SharedMemoryBackend]:
+    if name == "SharedMemoryBackend":
+        from .shm import SharedMemoryBackend
+
+        return SharedMemoryBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

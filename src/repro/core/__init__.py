@@ -1,6 +1,13 @@
-"""BAGUA core: primitives, buckets, profiler, execution optimizer, engine."""
+"""BAGUA core: primitives, buckets, profiler, execution optimizer, engine.
 
-from .autotune import Recommendation, TuningReport, classify_family, recommend
+The auto-tuner's names load on first use: :mod:`.autotune` runs timing mode
+(``repro.simulation``) and the algorithm zoo, which a training job never
+calls.
+"""
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
 from .bucket import TensorBucket
 from .communicator import GlobalComm, get_global_comm
 from .engine import Algorithm, BaguaEngine, WorkerReplica
@@ -34,6 +41,12 @@ from .schedule import (
     ScheduledBucket,
     ScheduledExecutor,
 )
+
+if TYPE_CHECKING:
+    from .autotune import Recommendation, TuningReport, classify_family, recommend
+
+#: the tuner's exports, resolved from :mod:`.autotune` on first use
+_TUNER_NAMES = frozenset({"recommend", "TuningReport", "Recommendation", "classify_family"})
 
 __all__ = [
     "TensorBucket",
@@ -73,3 +86,9 @@ __all__ = [
     "Recommendation",
     "classify_family",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in _TUNER_NAMES:
+        return getattr(importlib.import_module(".autotune", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

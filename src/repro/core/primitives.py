@@ -251,18 +251,25 @@ class RandomPeers(PeerSelector):
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
+        # The last matching drawn, keyed by (seed, n, step): every bucket of
+        # a step asks for the same one, and a draw builds a fresh Generator.
+        self._last: tuple[tuple[int, int, int], list[list[int]]] | None = None
 
     def neighbors(self, n: int, step: int) -> list[list[int]]:
         if n == 1:
             return [[]]
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, step]))
-        order = rng.permutation(n)
-        peers: list[list[int]] = [[] for _ in range(n)]
-        # Pair consecutive members of the permutation; odd member out idles.
-        for a, b in zip(order[0::2], order[1::2]):
-            peers[int(a)] = [int(b)]
-            peers[int(b)] = [int(a)]
-        return peers
+        key = (self.seed, n, step)
+        if self._last is None or self._last[0] != key:
+            rng = np.random.default_rng(np.random.SeedSequence([self.seed, step]))
+            order = rng.permutation(n)
+            peers: list[list[int]] = [[] for _ in range(n)]
+            # Pair consecutive members of the permutation; odd member out idles.
+            for a, b in zip(order[0::2], order[1::2]):
+                peers[int(a)] = [int(b)]
+                peers[int(b)] = [int(a)]
+            self._last = (key, peers)
+        # Fresh lists, so a caller that edits its copy cannot change the next.
+        return [list(neigh) for neigh in self._last[1]]
 
 
 def make_peer_selector(topology: str, seed: int = 0) -> PeerSelector:

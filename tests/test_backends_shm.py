@@ -56,6 +56,14 @@ class TestRegistry:
         assert shm.world_size == 2
         shm.close()
 
+    def test_resolved_shm_backend_runs_rank_tasks(self):
+        """The ``"shm"`` entry imports its module when called and builds a live backend."""
+        backend = resolve_backend("shm", _spec(2))
+        with Transport(_spec(2), backend=backend):
+            backend.allocate_pool(1, 4)[:] = 1.0
+            assert backend.run_rank_tasks(scale_task, {1: (3.0,)}) == {1: 12.0}
+        assert backend._closed
+
     def test_resolve_default_is_batched(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert resolve_backend(None, _spec(2)).name == "batched"

@@ -253,6 +253,26 @@ class TestPeerSelectors:
         b = RandomPeers(seed=0).neighbors(8, step=5)
         assert a == b
 
+    def test_random_repeated_calls_return_the_fresh_draw(self):
+        peers = RandomPeers(seed=4)
+        first = peers.neighbors(8, step=3)
+        assert peers.neighbors(8, step=3) == first
+        assert peers.neighbors(8, step=3) == RandomPeers(seed=4).neighbors(8, step=3)
+        # a different step, world size or seed is a different matching
+        assert peers.neighbors(8, step=4) == RandomPeers(seed=4).neighbors(8, step=4)
+        assert peers.neighbors(6, step=3) == RandomPeers(seed=4).neighbors(6, step=3)
+        peers.seed = 9
+        assert peers.neighbors(8, step=3) == RandomPeers(seed=9).neighbors(8, step=3)
+
+    def test_random_returned_lists_are_the_callers(self):
+        peers = RandomPeers(seed=0)
+        first = peers.neighbors(8, step=2)
+        expected = [list(neigh) for neigh in first]
+        first[0].append(99)
+        first[1] = []
+        first.append([7])
+        assert peers.neighbors(8, step=2) == expected
+
     def test_random_odd_world_leaves_one_idle(self):
         peers = RandomPeers(seed=0).neighbors(7, step=0)
         idle = [i for i, neigh in enumerate(peers) if not neigh]
