@@ -27,11 +27,15 @@
 # job's imports load, then the slowest `python -X importtime` rows (cumulative
 # microseconds) for the same imports (CI appends it to the job summary next
 # to `make loc`; see docs/performance.md "Start-up").
+# `make timing` is report-only as well: the wall seconds of each timing-mode
+# table regeneration (`python -m repro run <exp>`: table1, table3-5, fig7)
+# (CI appends it to the job summary; see docs/performance.md "Timing mode").
 
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint typecheck typecheck-strict test analyze plans protocol perf e2e-smoke ab loc imports
+.PHONY: check lint typecheck typecheck-strict test analyze plans protocol perf e2e-smoke ab loc imports \
+	timing
 
 check: lint typecheck test analyze plans protocol
 
@@ -99,3 +103,10 @@ imports:
 		print(sum(m.startswith('repro') for m in sys.modules), 'repro modules')" $(TRAINING_IMPORTS)
 	@$(PYTHON) -X importtime -c "$(IMPORT_SCRIPT)" $(TRAINING_IMPORTS) 2>&1 >/dev/null \
 		| sort -t '|' -k 2 -n -r | head -n 15
+
+TIMING_EXPERIMENTS := table1 table3 table4 table5 fig7
+TIMING_SCRIPT := import subprocess, sys, time; start = time.perf_counter(); \
+	subprocess.run([sys.executable, '-m', 'repro', 'run', sys.argv[1]], check=True, \
+	stdout=subprocess.DEVNULL); print(f'{time.perf_counter() - start:7.2f} s  run {sys.argv[1]}')
+timing:
+	@for exp in $(TIMING_EXPERIMENTS); do $(PYTHON) -c "$(TIMING_SCRIPT)" $$exp || exit 1; done

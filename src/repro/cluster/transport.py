@@ -10,8 +10,12 @@ under an alpha-beta cost model with NIC serialization:
 * intra-node (NVLink) and inter-node (TCP) fabrics are independent resources.
 
 Payloads are opaque to the transport; their wire size is taken from the
-message, so compressed payloads are charged their true compressed size and
-timing-mode stubs can declare full-scale sizes without materializing data.
+message, so compressed payloads are charged their true compressed size.
+Rounds whose payloads never travel — the world-batched kernels' and timing
+mode's full-scale dry schedules — are priced from ``(src, dst, nbytes)``
+sends alone by :meth:`Transport.exchange_sized`; :meth:`Transport.exchange`
+times its message rounds with the same routine, so there is one copy of
+the clock, NIC-chain and traffic-stats arithmetic.
 
 *Moving* the payloads — as opposed to pricing them — is delegated to a
 pluggable :class:`~repro.cluster.backends.TransportBackend` (in-process
@@ -45,7 +49,7 @@ def payload_nbytes(payload: Any) -> float:
     """Best-effort wire size of a payload in bytes.
 
     Numpy arrays report their buffer size; objects exposing ``wire_bytes``
-    (compressed payloads, timing stubs) report that; tuples/lists charge an
+    (compressed payloads) report that; tuples/lists charge an
     8-byte container header plus the sum of their elements (collectives tag
     chunks as ``(chunk_id, array)``); scalars and anything else count as an
     8-byte header.
@@ -96,17 +100,6 @@ class TrafficStats:
     intra_node_bytes: float = 0.0
     per_rank_sent_bytes: dict[int, float] = field(default_factory=dict)
 
-    def record(self, message: Message, inter_node: bool) -> None:
-        self.messages += 1
-        self.total_bytes += message.nbytes
-        if inter_node:
-            self.inter_node_bytes += message.nbytes
-        else:
-            self.intra_node_bytes += message.nbytes
-        self.per_rank_sent_bytes[message.src] = (
-            self.per_rank_sent_bytes.get(message.src, 0.0) + message.nbytes
-        )
-
     def reset(self) -> None:
         self.messages = 0
         self.rounds = 0
@@ -140,35 +133,16 @@ class Transport:
         # reported before delivery.
         self.tracer: TraceRecorder | None = None
         self._round_counter = 0
-        # Topology is immutable, so the link / NIC-key lookups every message
-        # repeats are memoized per (src, dst) pair.  ``_sized_cache`` holds
-        # the same facts flattened for the sized-stub hot loop: int keys and
-        # scalar link parameters instead of method calls.
-        self._pair_cache: dict[tuple[int, int], tuple] = {}
-        self._sized_cache: dict[int, tuple] = {}
-        # NIC chain keys (egress / ingress serialization points) mapped to
-        # dense int slots so the sized-stub loop can use list indexing
-        # instead of tuple-key dict lookups.  Egress and ingress chains are
-        # independent resources even when their keys coincide, so each key
-        # gets one slot used to index two separate per-round lists.
+        # Topology is immutable, so the link facts every send repeats are
+        # memoized per (src, dst) pair (key ``src * world + dst``) as
+        # ``(inter_node, egress_slot, ingress_slot, latency, ramp, bandwidth)``.
+        # NIC chain keys (egress / ingress serialization points) map to dense
+        # int slots so a round indexes lists instead of hashing tuple keys.
+        # Egress and ingress chains are independent resources even when
+        # their keys coincide, so each key gets one slot used to index two
+        # separate per-round lists.
+        self._pair_cache: dict[int, tuple] = {}
         self._chain_slots: dict[tuple[int, str], int] = {}
-
-    def _pair_info(self, src: int, dst: int) -> tuple:
-        """``(link, inter_node, egress_key, ingress_key)`` for a rank pair."""
-        info = self._pair_cache.get((src, dst))
-        if info is None:
-            spec = self.spec
-            link = spec.link_between(src, dst)
-            inter = not spec.same_node(src, dst)
-            if inter:
-                egress_key = (spec.node_of(src), link.name)
-                ingress_key = (spec.node_of(dst), link.name)
-            else:
-                egress_key = (src, link.name)
-                ingress_key = (dst, link.name)
-            info = (link, inter, egress_key, ingress_key)
-            self._pair_cache[(src, dst)] = info
-        return info
 
     # ------------------------------------------------------------------
     # Time
@@ -222,21 +196,21 @@ class Transport:
     def exchange(self, messages: Sequence[Message]) -> dict[int, list[Message]]:
         """Deliver one round of messages; returns messages grouped by receiver.
 
-        Clocks of senders advance past their egress serialization; clocks of
-        receivers advance to the arrival of their last inbound message.
-        Ranks not participating are untouched (decentralized algorithms rely
-        on this: non-neighbors do not synchronize).
+        What only a payload-carrying round needs happens here: every message
+        gets a stable match id, the tracer (if any) sees the round, and the
+        backend moves the payloads.  The round is timed and charged by the
+        same routine :meth:`exchange_sized` runs, so a message round and a
+        size-only round with the same ``(src, dst, nbytes)`` sequence leave
+        identical clocks and stats.
         """
         if not messages:
             # An empty round moves no bytes and synchronizes nobody; counting
             # it would skew round counts for algorithms where some ranks idle.
             return {}
-        self.stats.rounds += 1
         # Stable match ids pair each send with its recv in recorded traces.
         # Primitives may pre-assign semantic ids; everything else gets a
         # deterministic per-round id here.
         round_id = self._round_counter
-        self._round_counter += 1
         for i, message in enumerate(messages):
             if message.match_id is None:
                 message.match_id = f"x{round_id}.{i}.{message.src}->{message.dst}"
@@ -246,37 +220,7 @@ class Transport:
                 message.match_id = f"x{round_id}:{message.match_id}"
         if self.tracer is not None:
             self.tracer.on_exchange(messages)
-        egress_free: dict[tuple[int, str], float] = {}
-        ingress_free: dict[tuple[int, str], float] = {}
-        arrivals: dict[int, float] = {}
-
-        sender_done: dict[int, float] = {}
-        clocks = self.clocks
-        stats = self.stats
-        for message in messages:
-            src = message.src
-            dst = message.dst
-            # Inter-node traffic serializes on the machine's NIC — all
-            # workers of a node share it (one 10/25/100 Gbps port per
-            # server, as on the AWS instances the paper models).  Intra-node
-            # NVLink is point-to-point per worker.
-            link, inter, egress_key, ingress_key = self._pair_info(src, dst)
-            stats.record(message, inter)
-
-            wire = link.wire_time(message.nbytes)
-            start = max(clocks[src].now, egress_free.get(egress_key, 0.0))
-            egress_free[egress_key] = start + wire
-            sender_done[src] = max(sender_done.get(src, 0.0), start + wire)
-            at_nic = start + link.latency_s + wire
-            arrival = max(at_nic, ingress_free.get(ingress_key, 0.0) + wire)
-            ingress_free[ingress_key] = arrival
-
-            arrivals[dst] = max(arrivals.get(dst, 0.0), arrival)
-
-        for rank, done_at in sender_done.items():
-            clocks[rank].advance_to(done_at)
-        for rank, arrival in arrivals.items():
-            clocks[rank].advance_to(arrival)
+        self._time_round([(m.src, m.dst, m.nbytes, None) for m in messages])
         # Timing, stats and trace are settled; the backend now actually
         # moves the payloads (in-process hand-off or cross-process rings).
         return self.backend.route_round(messages)
@@ -284,17 +228,16 @@ class Transport:
     def exchange_sized(
         self, sends: Sequence[tuple[int, int, float, str | None]]
     ) -> None:
-        """Deliver one round of *size-stub* messages: ``(src, dst, nbytes, match_id)``.
+        """Deliver one round of *size-only* sends: ``(src, dst, nbytes, match_id)``.
 
-        The world-batched fast path computes collective results as ndarray
-        kernels, so no payload needs to travel — but the round's timing,
-        traffic accounting and trace must stay exactly what the loop
-        implementation produces.  This method replays the same per-message
-        arithmetic as :meth:`exchange` (same clock updates, same stats, same
-        round-counter progression) without materializing :class:`Message`
-        objects.  When a tracer is installed, real stub messages are built
-        and routed through :meth:`exchange` so recorded traces are identical
-        by construction.
+        Rounds whose payloads never travel — the world-batched kernels'
+        (results are computed as ndarray kernels) and timing mode's dry
+        schedules (full-scale sizes, no data) — are timed and charged here
+        without materializing :class:`Message` objects or reaching the
+        backend.  ``sends`` is only read, so callers may reuse one list for
+        many rounds.  When a tracer is installed, real stub messages are
+        built and routed through :meth:`exchange` so recorded traces are
+        identical by construction.
         """
         if not sends:
             return
@@ -306,28 +249,36 @@ class Transport:
                 ]
             )
             return
-        self.stats.rounds += 1
-        self._round_counter += 1
+        self._time_round(sends)
 
+    def _time_round(self, sends: Sequence[tuple[int, int, float, str | None]]) -> None:
+        """Advance clocks and charge stats for one non-empty round.
+
+        Clocks of senders advance past their egress serialization; clocks of
+        receivers advance to the arrival of their last inbound message.
+        Ranks not participating are untouched (decentralized algorithms rely
+        on this: non-neighbors do not synchronize).
+        """
+        self._round_counter += 1
         clocks = self.clocks
         stats = self.stats
-        sized_cache = self._sized_cache
-        sized_get = sized_cache.get
+        stats.rounds += 1
+        pair_cache = self._pair_cache
+        pair_get = pair_cache.get
         chain_slots = self._chain_slots
         world = self.spec.world_size
         # Per-round chain state as slot-indexed lists (None = chain untouched
-        # this round, equivalent to an absent dict key in `exchange`).
+        # this round).
         egress_end: list = [None] * len(chain_slots)
         ingress_end: list = [None] * len(chain_slots)
         sender_done: list = [None] * world
         arrivals: list = [None] * world
         # Clocks only move at the end of the round, so snapshot them once.
         nows = [c._now for c in clocks]
-        # Seed the stat accumulators from the current totals so the per-send
-        # accumulation sequence (and therefore every intermediate rounding)
-        # is the one `exchange` performs.  Per-rank sent bytes are staged in
-        # a list the same way; None marks "no entry and not touched" so that
-        # ranks absent from the dict stay absent.
+        # The stat accumulators start from the current totals and add one
+        # send at a time, in send order.  Per-rank sent bytes are staged in
+        # a list; None marks "no entry and not touched" so that ranks absent
+        # from the dict stay absent.
         messages_n = stats.messages
         total_b = stats.total_bytes
         inter_b = stats.inter_node_bytes
@@ -338,26 +289,25 @@ class Transport:
             sent_acc[rank] = value
         for src, dst, nbytes, _match_id in sends:
             pair = src * world + dst
-            info = sized_get(pair)
+            info = pair_get(pair)
             if info is None:
-                link, inter, egress_key, ingress_key = self._pair_info(src, dst)
+                # Inter-node traffic serializes on the machine's NIC — all
+                # workers of a node share it (one 10/25/100 Gbps port per
+                # server, as on the AWS instances the paper models).
+                # Intra-node NVLink is point-to-point per worker.
+                spec = self.spec
+                link = spec.link_between(src, dst)
+                inter = not spec.same_node(src, dst)
+                egress_key = (spec.node_of(src) if inter else src, link.name)
+                ingress_key = (spec.node_of(dst) if inter else dst, link.name)
                 eg = chain_slots.setdefault(egress_key, len(chain_slots))
                 ig = chain_slots.setdefault(ingress_key, len(chain_slots))
                 while len(egress_end) < len(chain_slots):
                     egress_end.append(None)
                     ingress_end.append(None)
-                info = (
-                    inter,
-                    eg,
-                    ig,
-                    link.latency_s,
-                    link.ramp_bytes,
-                    link.bandwidth_Bps,
-                )
-                sized_cache[pair] = info
+                info = (inter, eg, ig, link.latency_s, link.ramp_bytes, link.bandwidth_Bps)
+                pair_cache[pair] = info
             inter, eg, ig, latency, ramp, bandwidth = info
-            # Inlined TrafficStats.record — identical accumulation order
-            # (0.0 + x is bitwise x for the non-negative sizes sent here).
             messages_n += 1
             total_b += nbytes
             if inter:
@@ -367,11 +317,11 @@ class Transport:
             prev_sent = sent_acc[src]
             sent_acc[src] = nbytes if prev_sent is None else prev_sent + nbytes
 
-            # Same expressions as `exchange`; the builtin max() calls become
-            # inline comparisons (equal values either way), and the absent-key
-            # defaults fold away: clocks and chain times are non-negative, and
-            # a first arrival `at_nic = start + latency + wire` can never be
-            # below the `0.0 + wire` an empty ingress chain would contribute.
+            # A send starts when both its sender and its egress chain are
+            # free, leaves the wire after `latency + wire`, and lands no
+            # earlier than `wire` after the ingress chain's previous arrival.
+            # A first arrival `start + latency + wire` is never below the
+            # `0.0 + wire` an untouched ingress chain would allow.
             wire = (nbytes + ramp) / bandwidth
             now_src = nows[src]
             prev = egress_end[eg]

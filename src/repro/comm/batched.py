@@ -103,8 +103,10 @@ def _merge_rows(matrix: np.ndarray) -> np.ndarray:
         acc = matrix[0].copy()
         for row in matrix[1:]:
             acc += row
-        return acc + 0.0
-    return np.add.reduce(matrix, axis=0) + 0.0
+    else:
+        acc = np.add.reduce(matrix, axis=0)
+    acc += 0.0
+    return acc
 
 
 def _sum_rows(arrays: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:

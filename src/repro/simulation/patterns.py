@@ -2,12 +2,14 @@
 
 Timing mode needs the *cost* of full-scale communications (hundreds of MB per
 tensor across 128 workers) without materializing the data.  Each function
-here replays the exact message schedule of its real counterpart in
-:mod:`repro.comm` / :mod:`repro.core.primitives`, but messages carry a
-:class:`SizedPayload` stub declaring the wire size.  The shared
-:class:`~repro.cluster.transport.Transport` charges time and bytes the same
-way for both, so dry runs and real runs agree — a property the test suite
-checks explicitly.
+here replays the exact send schedule of its real counterpart in
+:mod:`repro.comm` / :mod:`repro.core.primitives` as size-only rounds —
+``(src, dst, nbytes, None)`` lists passed to
+:meth:`~repro.cluster.transport.Transport.exchange_sized`, one list reused
+for every round that repeats it.  No message object is built and the
+backend is never reached; the transport times and charges a size-only
+round with the same routine it runs for a real message round, so dry runs
+and real runs agree — a property the test suite checks explicitly.
 
 All functions advance the transport clocks of the participating ranks and
 return the elapsed wall time (max participant clock minus start).
@@ -15,10 +17,8 @@ return the elapsed wall time (max participant clock minus start).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable
 
-from ..cluster.transport import Message
 from ..comm.chunking import chunk_bounds
 from ..comm.group import CommGroup
 from ..core.primitives import PeerSelector
@@ -26,13 +26,6 @@ from ..core.primitives import PeerSelector
 # Maps an element count to wire bytes; IdentityCompressor.wire_bytes for
 # full precision, or any Compressor.wire_bytes for low precision.
 WireFn = Callable[[int], float]
-
-
-@dataclass(frozen=True)
-class SizedPayload:
-    """A payload that exists only as a wire size."""
-
-    wire_bytes: float
 
 
 def fp32_wire(elements: int) -> float:
@@ -49,14 +42,11 @@ def dry_ring_allreduce(group: CommGroup, elements: int, wire: WireFn = fp32_wire
     start = group.transport.max_time(group.ranks)
     if n == 1:
         return 0.0
-    chunk_elements = elements / n
-    payload = SizedPayload(wire(int(chunk_elements)))
+    nbytes = float(wire(int(elements / n)))
+    ranks = group.ranks
+    sends = [(ranks[i], ranks[(i + 1) % n], nbytes, None) for i in range(n)]
     for _round in range(2 * (n - 1)):
-        messages = [
-            Message(group.ranks[i], group.ranks[(i + 1) % n], payload)
-            for i in range(n)
-        ]
-        group.transport.exchange(messages)
+        group.transport.exchange_sized(sends)
     return _elapsed(group, start)
 
 
@@ -72,25 +62,25 @@ def dry_scatter_reduce(
     if n == 1:
         return 0.0
     sizes = [hi - lo for lo, hi in chunk_bounds(elements, n)]
-
-    # Staggered all-to-all (matches repro.comm.collectives.alltoall).
-    messages = []
-    for offset in range(1, n):
-        for i in range(n):
-            j = (i + offset) % n
-            messages.append(
-                Message(group.ranks[i], group.ranks[j], SizedPayload(wire_phase1(sizes[j])))
-            )
-    group.transport.exchange(messages)
-
-    messages = []
-    for offset in range(1, n):
-        for j in range(n):
-            i = (j + offset) % n
-            messages.append(
-                Message(group.ranks[j], group.ranks[i], SizedPayload(wire_phase2(sizes[j])))
-            )
-    group.transport.exchange(messages)
+    phase1 = [float(wire_phase1(size)) for size in sizes]
+    phase2 = [float(wire_phase2(size)) for size in sizes]
+    ranks = group.ranks
+    # Staggered all-to-all (matches repro.comm.collectives.alltoall): member
+    # i sends member j its chunk j; then j gathers its reduced chunk to all.
+    group.transport.exchange_sized(
+        [
+            (ranks[i], ranks[(i + offset) % n], phase1[(i + offset) % n], None)
+            for offset in range(1, n)
+            for i in range(n)
+        ]
+    )
+    group.transport.exchange_sized(
+        [
+            (ranks[j], ranks[(j + offset) % n], phase2[j], None)
+            for offset in range(1, n)
+            for j in range(n)
+        ]
+    )
     return _elapsed(group, start)
 
 
@@ -98,10 +88,8 @@ def dry_gather(group: CommGroup, elements: int, wire: WireFn = fp32_wire) -> flo
     """Star gather to the first member."""
     start = group.transport.max_time(group.ranks)
     root = group.ranks[0]
-    payload = SizedPayload(wire(elements))
-    messages = [Message(rank, root, payload) for rank in group.ranks[1:]]
-    if messages:
-        group.transport.exchange(messages)
+    nbytes = float(wire(elements))
+    group.transport.exchange_sized([(rank, root, nbytes, None) for rank in group.ranks[1:]])
     return _elapsed(group, start)
 
 
@@ -109,10 +97,8 @@ def dry_broadcast(group: CommGroup, elements: int, wire: WireFn = fp32_wire) -> 
     """Star broadcast from the first member."""
     start = group.transport.max_time(group.ranks)
     root = group.ranks[0]
-    payload = SizedPayload(wire(elements))
-    messages = [Message(root, rank, payload) for rank in group.ranks[1:]]
-    if messages:
-        group.transport.exchange(messages)
+    nbytes = float(wire(elements))
+    group.transport.exchange_sized([(root, rank, nbytes, None) for rank in group.ranks[1:]])
     return _elapsed(group, start)
 
 
@@ -157,14 +143,15 @@ def dry_decentralized(
             dry_broadcast(sub, elements)
         return _elapsed(group, start)
 
-    neighbor_sets = peers.neighbors(group.size, step)
-    payload = SizedPayload(wire(elements))
-    messages = []
-    for i, neighbors in enumerate(neighbor_sets):
-        for j in neighbors:
-            messages.append(Message(group.ranks[i], group.ranks[j], payload))
-    if messages:
-        group.transport.exchange(messages)
+    nbytes = float(wire(elements))
+    ranks = group.ranks
+    group.transport.exchange_sized(
+        [
+            (ranks[i], ranks[j], nbytes, None)
+            for i, neighbors in enumerate(peers.neighbors(group.size, step))
+            for j in neighbors
+        ]
+    )
     return _elapsed(group, start)
 
 
@@ -184,8 +171,7 @@ def dry_ps_push_pull(
     start = group.transport.max_time(group.ranks)
     node_groups = group.node_subgroups()
     servers = [sub.ranks[0] for sub in node_groups]
-    num_servers = len(servers)
-    chunk = SizedPayload(wire(int(elements / num_servers)))
+    chunk = float(wire(int(elements / len(servers))))
 
     if local_aggregation:
         for sub in node_groups:
@@ -195,23 +181,13 @@ def dry_ps_push_pull(
         pushers = list(group.ranks)
 
     # Push: each pusher sends one chunk to every server (self-sends free).
-    messages = [
-        Message(src, server, chunk)
-        for src in pushers
-        for server in servers
-        if src != server
-    ]
-    if messages:
-        group.transport.exchange(messages)
+    group.transport.exchange_sized(
+        [(src, server, chunk, None) for src in pushers for server in servers if src != server]
+    )
     # Pull: each server returns its aggregated chunk to every pusher.
-    messages = [
-        Message(server, dst, chunk)
-        for server in servers
-        for dst in pushers
-        if dst != server
-    ]
-    if messages:
-        group.transport.exchange(messages)
+    group.transport.exchange_sized(
+        [(server, dst, chunk, None) for server in servers for dst in pushers if dst != server]
+    )
 
     if local_aggregation:
         for sub in node_groups:

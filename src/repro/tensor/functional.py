@@ -6,9 +6,9 @@ weight's own [out, in] layout, written straight into a bound leaf's bucket
 slot (``Tensor._accumulate_product``).  ``conv2d`` is im2col over a window
 view plus BLAS, and its input gradient one GEMM per kernel offset; the pools
 make one elementwise pass per window offset over contiguous memory, and
-max-pool routes its gradient with one ``bincount``.  A backward closure never
-writes into the gradient it receives: an interior node may be holding it
-(``_accumulate``).
+max-pool routes its gradient with one ``np.add.at`` in the input's dtype.  A
+backward closure never writes into the gradient it receives: an interior node
+may be holding it (``_accumulate``).
 
 Numeric contract: ``linear`` on a 2-D input gives the unfused ``x @ W.T + b``
 graph's bits.  ``conv2d`` contracts with BLAS (``np.matmul``), which
@@ -315,14 +315,16 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         np.maximum(best, window, out=best)
 
     def backward(grad: np.ndarray) -> None:
-        # One bincount, fed each [B, C] plane's windows last to first: every input
-        # element then sums in ascending window-offset order, as slice-adds would.
+        # One unbuffered add in the input's dtype, fed each [B, C] plane's windows
+        # last to first: every input element then sums in ascending window-offset
+        # order, as slice-adds would.
         back = (..., slice(None, None, -1), slice(None, None, -1))
         planes = np.arange(0, x.data.size, height * width).reshape(*x.data.shape[:2], 1, 1)
         index = np.arange(height * width).reshape(height, width)[slices[0]][back] + planes
         index += winner[back]
-        dx = np.bincount(index.ravel(), grad[back].ravel(), x.data.size)
-        x._accumulate(dx.reshape(x.data.shape).astype(x.data.dtype, copy=False))
+        dx = np.zeros(x.data.size, x.data.dtype)
+        np.add.at(dx, index.ravel(), grad[back].ravel())
+        x._accumulate(dx.reshape(x.data.shape))
 
     return Tensor._make(best, (x,), backward)
 

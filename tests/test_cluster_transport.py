@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, Link, Message, Transport, payload_nbytes
+from repro.cluster.netmodel import TCP_10G, TCP_100G
 
 
 def flat_cluster(**kw) -> ClusterSpec:
@@ -181,3 +184,62 @@ class TestStats:
         assert tr.stats.messages == 2
         assert tr.stats.rounds == 1
         assert tr.stats.per_rank_sent_bytes[0] == 150
+
+
+def bitwise_state(tr: Transport) -> tuple:
+    """Clocks, traffic stats and round counters, floats by their bits."""
+    stats = tr.stats
+    return (
+        [clock.now.hex() for clock in tr.clocks],
+        stats.messages,
+        stats.rounds,
+        tr._round_counter,
+        float(stats.total_bytes).hex(),
+        float(stats.inter_node_bytes).hex(),
+        float(stats.intra_node_bytes).hex(),
+        sorted((rank, float(sent).hex()) for rank, sent in stats.per_rank_sent_bytes.items()),
+    )
+
+
+@st.composite
+def clusters_and_rounds(draw):
+    spec = ClusterSpec(
+        num_nodes=draw(st.integers(1, 3)),
+        workers_per_node=draw(st.integers(1, 4)),
+        inter_node=draw(st.sampled_from([TCP_10G, TCP_100G])),
+    )
+    world = spec.world_size
+    sizes = st.one_of(st.just(0.0), st.integers(0, 10**8).map(float), st.floats(0.0, 1e9))
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        sends = []
+        if world > 1:
+            for _ in range(draw(st.integers(0, 10))):
+                src = draw(st.integers(0, world - 1))
+                dst = draw(st.integers(0, world - 2))
+                sends.append((src, dst + (dst >= src), draw(sizes)))
+            # Repeat a prefix so some (src, dst) pairs and NIC chains queue twice.
+            sends += sends[: draw(st.integers(0, len(sends)))]
+        compute = [draw(st.floats(0.0, 1e-2)) for _ in range(world)]
+        rounds.append((compute, sends))
+    return spec, rounds
+
+
+class TestOneTimingCore:
+    @given(clusters_and_rounds())
+    def test_message_rounds_and_sized_rounds_leave_identical_state(self, case):
+        """``exchange`` and ``exchange_sized`` time and charge a round with
+        one routine: the same ``(src, dst, nbytes)`` rounds, interleaved with
+        the same compute, leave bit-identical clocks, stats and counters."""
+        spec, rounds = case
+        by_message, by_size = Transport(spec), Transport(spec)
+        for compute, sends in rounds:
+            for rank, seconds in enumerate(compute):
+                by_message.compute(rank, seconds)
+                by_size.compute(rank, seconds)
+            before = bitwise_state(by_size)
+            by_message.exchange([Message(src, dst, None, nbytes=n) for src, dst, n in sends])
+            by_size.exchange_sized([(src, dst, n, None) for src, dst, n in sends])
+            assert bitwise_state(by_message) == bitwise_state(by_size)
+            if not sends:  # an empty round counts nothing on either transport
+                assert bitwise_state(by_size) == before

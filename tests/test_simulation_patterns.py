@@ -6,7 +6,6 @@ from repro.cluster import ClusterSpec, Transport
 from repro.comm import CommGroup
 from repro.core.primitives import RingPeers
 from repro.simulation.patterns import (
-    SizedPayload,
     dry_broadcast,
     dry_decentralized,
     dry_gather,
@@ -23,25 +22,37 @@ def fresh_group(nodes=2, workers=4):
     return CommGroup(Transport(spec), list(range(spec.world_size)))
 
 
-class TestBasics:
-    def test_sized_payload_reports_wire_bytes(self):
-        assert SizedPayload(123.0).wire_bytes == 123.0
+ELEMENTS = 1 << 16
+PATTERNS = (
+    lambda g: dry_ring_allreduce(g, ELEMENTS),
+    lambda g: dry_scatter_reduce(g, ELEMENTS),
+    lambda g: dry_gather(g, ELEMENTS),
+    lambda g: dry_broadcast(g, ELEMENTS),
+    lambda g: dry_hierarchical_allreduce(g, ELEMENTS),
+    lambda g: dry_decentralized(g, ELEMENTS, RingPeers()),
+    lambda g: dry_decentralized(g, ELEMENTS, RingPeers(), hierarchical=True),
+    lambda g: dry_ps_push_pull(g, ELEMENTS),
+    lambda g: dry_ps_push_pull(g, ELEMENTS, local_aggregation=False),
+)
 
+
+class TestBasics:
     def test_fp32_wire(self):
         assert fp32_wire(100) == 400.0
 
     def test_all_patterns_return_positive_elapsed(self):
-        elements = 1 << 16
-        for pattern in (
-            lambda g: dry_ring_allreduce(g, elements),
-            lambda g: dry_scatter_reduce(g, elements),
-            lambda g: dry_gather(g, elements),
-            lambda g: dry_broadcast(g, elements),
-            lambda g: dry_hierarchical_allreduce(g, elements),
-            lambda g: dry_decentralized(g, elements, RingPeers()),
-            lambda g: dry_ps_push_pull(g, elements),
-        ):
+        for pattern in PATTERNS:
             assert pattern(fresh_group()) > 0.0
+
+    def test_no_pattern_reaches_the_backend(self):
+        """Dry schedules are size-only rounds: the transport prices them and
+        no payload routing (``backend.route_round``) ever happens."""
+        for pattern in PATTERNS:
+            group = fresh_group()
+            routed = []
+            group.transport.backend.route_round = routed.append
+            assert pattern(group) > 0.0
+            assert group.transport.stats.rounds > 0 and routed == []
 
     def test_single_member_patterns_free(self):
         group = fresh_group(nodes=1, workers=1)
