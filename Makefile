@@ -85,7 +85,7 @@ ab:
 
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -n 1 | sed 's/total/src/'
-	@for part in src/repro/comm src/repro/cluster/backends \
+	@for part in src/repro/comm "src/repro/cluster/*.py" src/repro/cluster/backends \
 		"src/repro/core/primitives.py src/repro/core/engine.py" \
 		"src/repro/core/optimizer_framework.py src/repro/core/schedule.py src/repro/core/bucket.py src/repro/core/profiler.py" \
 		src/repro/analysis src/repro/simulation \

@@ -195,16 +195,19 @@ def analyze_algorithm(
     if engine.schedule is not None:
         # Subject 2: the plan, checked statically without running — the
         # planned buckets with every update trailing the communication.
-        planned = lower_schedule(
-            replace(engine.schedule, per_bucket_updates=False),
-            spec.world_size,
-            nodes=nodes,
-        )
-        planned.source = (
-            f"plan lowering ({engine.config.describe()}, "
-            f"{engine.schedule.num_buckets} buckets)"
-        )
-        check_subject(planned)
+        # Without per-bucket updates that is subject 3 itself, so it is
+        # lowered only when the two differ.
+        if engine.schedule.per_bucket_updates:
+            planned = lower_schedule(
+                replace(engine.schedule, per_bucket_updates=False),
+                spec.world_size,
+                nodes=nodes,
+            )
+            planned.source = (
+                f"plan lowering ({engine.config.describe()}, "
+                f"{engine.schedule.num_buckets} buckets)"
+            )
+            check_subject(planned)
 
         # Subject 3: the executor's schedule — the gated event stream it runs.
         scheduled = lower_schedule(engine.schedule, spec.world_size, nodes=nodes)

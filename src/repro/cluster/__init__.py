@@ -1,4 +1,6 @@
-"""Simulated distributed cluster: clocks, links, topology, transport.
+"""Simulated distributed cluster: links, topology, transport (virtual clocks
+and traffic stats live on the transport as float64 vectors), and a
+standalone discrete-event queue.
 
 ``SharedMemoryBackend`` resolves on first use, like the ``"shm"`` registry
 entry (see :mod:`.backends`).
@@ -16,7 +18,7 @@ from .backends import (
     available_backends,
     resolve_backend,
 )
-from .clock import EventQueue, VirtualClock
+from .clock import EventQueue
 from .netmodel import GBPS, Link, NVLINK, TCP_10G, TCP_25G, TCP_100G, preset
 from .topology import ClusterSpec, paper_cluster
 from .transport import Message, TrafficStats, Transport, payload_nbytes
@@ -33,7 +35,6 @@ __all__ = [
     "TransportBackend",
     "available_backends",
     "resolve_backend",
-    "VirtualClock",
     "EventQueue",
     "Link",
     "GBPS",

@@ -1,9 +1,10 @@
-"""Virtual time-keeping for the simulated cluster.
+"""A minimal discrete-event queue.
 
-Every worker owns a :class:`VirtualClock`; communication advances the clocks
-of the participants according to the network cost model, and compute advances
-a single worker's clock.  :class:`EventQueue` is the discrete-event core used
-by the pipeline simulator in :mod:`repro.simulation`.
+The cluster's virtual time is not kept here: the transport holds every
+rank's clock in one float64 vector (``Transport.clocks``).
+:class:`EventQueue` is a self-contained scheduler with no caller in the
+package (the pipeline simulator in :mod:`repro.simulation.pipeline` computes
+its spans directly).
 """
 
 from __future__ import annotations
@@ -12,36 +13,6 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from collections.abc import Callable
-
-
-class VirtualClock:
-    """A monotonically advancing simulated clock (seconds)."""
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def advance(self, dt: float) -> float:
-        """Advance by ``dt`` seconds (must be non-negative)."""
-        if dt < 0:
-            raise ValueError(f"cannot advance clock by negative dt={dt}")
-        self._now += dt
-        return self._now
-
-    def advance_to(self, t: float) -> float:
-        """Move forward to absolute time ``t`` (no-op if already past it)."""
-        if t > self._now:
-            self._now = t
-        return self._now
-
-    def reset(self, t: float = 0.0) -> None:
-        self._now = float(t)
-
-    def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now:.6f})"
 
 
 @dataclass(order=True)

@@ -2,8 +2,9 @@
 
 Collectives in :mod:`repro.comm` are written exactly as the paper implements
 ScatterReduce over NCCL: as rounds of point-to-point ``send``/``recv``.  The
-transport delivers each round's messages and advances per-rank virtual clocks
-under an alpha-beta cost model with NIC serialization:
+transport delivers each round's messages and advances the virtual clocks —
+one float64 vector, ``Transport.clocks[rank]`` in seconds — under an
+alpha-beta cost model with NIC serialization:
 
 * a sender's outgoing messages in one round queue on its egress (per fabric);
 * a receiver's incoming messages queue on its ingress;
@@ -15,7 +16,8 @@ Rounds whose payloads never travel — the world-batched kernels' and timing
 mode's full-scale dry schedules — are priced from ``(src, dst, nbytes)``
 sends alone by :meth:`Transport.exchange_sized`; :meth:`Transport.exchange`
 times its message rounds with the same routine, so there is one copy of
-the clock, NIC-chain and traffic-stats arithmetic.
+the clock, NIC-chain and traffic-stats arithmetic.  A round reads the clock
+vector once and writes it (and the per-rank sent-bytes vector) once.
 
 *Moving* the payloads — as opposed to pricing them — is delegated to a
 pluggable :class:`~repro.cluster.backends.TransportBackend` (in-process
@@ -25,13 +27,13 @@ reference, world-batched, or shared-memory multiprocess); see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
+from math import inf
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .clock import VirtualClock
 from .topology import ClusterSpec
 
 if TYPE_CHECKING:
@@ -91,14 +93,18 @@ class Message:
 
 @dataclass
 class TrafficStats:
-    """Cumulative traffic counters, used by tests and efficiency benches."""
+    """Cumulative traffic counters, used by tests and efficiency benches.
 
+    ``per_rank_sent_bytes`` is a float64 vector over the world: entry
+    ``rank`` holds the bytes that rank has sent (0.0 if it sent nothing).
+    """
+
+    per_rank_sent_bytes: np.ndarray
     messages: int = 0
     rounds: int = 0
     total_bytes: float = 0.0
     inter_node_bytes: float = 0.0
     intra_node_bytes: float = 0.0
-    per_rank_sent_bytes: dict[int, float] = field(default_factory=dict)
 
     def reset(self) -> None:
         self.messages = 0
@@ -106,7 +112,7 @@ class TrafficStats:
         self.total_bytes = 0.0
         self.inter_node_bytes = 0.0
         self.intra_node_bytes = 0.0
-        self.per_rank_sent_bytes.clear()
+        self.per_rank_sent_bytes.fill(0.0)
 
 
 class Transport:
@@ -127,8 +133,10 @@ class Transport:
         self.spec = spec
         self.backend = resolve_backend(backend, spec)
         self.backend.attach(self)
-        self.clocks: list[VirtualClock] = [VirtualClock() for _ in range(spec.world_size)]
-        self.stats = TrafficStats()
+        # Virtual time in seconds, one float64 entry per rank (kept float64
+        # whatever ``repro.tensor.DTYPE`` is).
+        self.clocks = np.zeros(spec.world_size)
+        self.stats = TrafficStats(per_rank_sent_bytes=np.zeros(spec.world_size))
         # Optional instrumentation sink: when set, every exchanged round is
         # reported before delivery.
         self.tracer: TraceRecorder | None = None
@@ -148,27 +156,28 @@ class Transport:
     # Time
     # ------------------------------------------------------------------
     def now(self, rank: int) -> float:
-        return self.clocks[rank].now
+        return self.clocks.item(rank)
 
     def max_time(self, ranks: Sequence[int] | None = None) -> float:
-        ranks = range(self.spec.world_size) if ranks is None else ranks
-        return max(self.clocks[r].now for r in ranks)
+        nows = self.clocks.tolist()
+        return max(nows) if ranks is None else max(nows[r] for r in ranks)
 
     def compute(self, rank: int, seconds: float) -> None:
         """Charge ``rank`` with local computation time."""
-        self.clocks[rank].advance(seconds * self.spec.compute_scale(rank))
+        dt = seconds * self.spec.compute_scale(rank)
+        if dt < 0:
+            raise ValueError(f"cannot advance clock by negative dt={dt}")
+        self.clocks[rank] += dt
 
     def barrier(self, ranks: Sequence[int] | None = None) -> float:
         """Synchronize ``ranks`` (default all) to the latest clock among them."""
         ranks = list(range(self.spec.world_size)) if ranks is None else list(ranks)
         latest = self.max_time(ranks)
-        for r in ranks:
-            self.clocks[r].advance_to(latest)
+        self.clocks[ranks] = latest
         return latest
 
     def reset(self) -> None:
-        for clock in self.clocks:
-            clock.reset()
+        self.clocks.fill(0.0)
         self.stats.reset()
 
     def flush(self) -> None:
@@ -260,33 +269,28 @@ class Transport:
         on this: non-neighbors do not synchronize).
         """
         self._round_counter += 1
-        clocks = self.clocks
         stats = self.stats
         stats.rounds += 1
         pair_cache = self._pair_cache
         pair_get = pair_cache.get
         chain_slots = self._chain_slots
         world = self.spec.world_size
-        # Per-round chain state as slot-indexed lists (None = chain untouched
+        # Per-round chain state as slot-indexed lists (-inf = chain untouched
         # this round).
-        egress_end: list = [None] * len(chain_slots)
-        ingress_end: list = [None] * len(chain_slots)
-        sender_done: list = [None] * world
-        arrivals: list = [None] * world
-        # Clocks only move at the end of the round, so snapshot them once.
-        nows = [c._now for c in clocks]
+        egress_end = [-inf] * len(chain_slots)
+        ingress_end = [-inf] * len(chain_slots)
+        # Clocks only move at the end of the round: sends read the snapshot
+        # ``nows`` and raise ``after``, which is written back in one go.
+        nows = self.clocks.tolist()
+        after = list(nows)
         # The stat accumulators start from the current totals and add one
-        # send at a time, in send order.  Per-rank sent bytes are staged in
-        # a list; None marks "no entry and not touched" so that ranks absent
-        # from the dict stay absent.
+        # send at a time, in send order.
         messages_n = stats.messages
         total_b = stats.total_bytes
         inter_b = stats.inter_node_bytes
         intra_b = stats.intra_node_bytes
         sent = stats.per_rank_sent_bytes
-        sent_acc: list = [None] * world
-        for rank, value in sent.items():
-            sent_acc[rank] = value
+        sent_acc = sent.tolist()
         for src, dst, nbytes, _match_id in sends:
             pair = src * world + dst
             info = pair_get(pair)
@@ -303,8 +307,8 @@ class Transport:
                 eg = chain_slots.setdefault(egress_key, len(chain_slots))
                 ig = chain_slots.setdefault(ingress_key, len(chain_slots))
                 while len(egress_end) < len(chain_slots):
-                    egress_end.append(None)
-                    ingress_end.append(None)
+                    egress_end.append(-inf)
+                    ingress_end.append(-inf)
                 info = (inter, eg, ig, link.latency_s, link.ramp_bytes, link.bandwidth_Bps)
                 pair_cache[pair] = info
             inter, eg, ig, latency, ramp, bandwidth = info
@@ -314,48 +318,30 @@ class Transport:
                 inter_b += nbytes
             else:
                 intra_b += nbytes
-            prev_sent = sent_acc[src]
-            sent_acc[src] = nbytes if prev_sent is None else prev_sent + nbytes
+            sent_acc[src] += nbytes
 
             # A send starts when both its sender and its egress chain are
             # free, leaves the wire after `latency + wire`, and lands no
-            # earlier than `wire` after the ingress chain's previous arrival.
-            # A first arrival `start + latency + wire` is never below the
-            # `0.0 + wire` an untouched ingress chain would allow.
+            # earlier than `wire` after the ingress chain's previous arrival
+            # (an untouched chain's `-inf` never holds a send back).
             wire = (nbytes + ramp) / bandwidth
             now_src = nows[src]
             prev = egress_end[eg]
-            start = now_src if (prev is None or now_src > prev) else prev
+            start = now_src if now_src > prev else prev
             end = start + wire
             egress_end[eg] = end
-            prev_done = sender_done[src]
-            if prev_done is None or end > prev_done:
-                sender_done[src] = end
+            if end > after[src]:
+                after[src] = end
             at_nic = start + latency + wire
-            prev_in = ingress_end[ig]
-            if prev_in is not None:
-                queued = prev_in + wire
-                arrival = at_nic if at_nic > queued else queued
-            else:
-                arrival = at_nic
+            queued = ingress_end[ig] + wire
+            arrival = at_nic if at_nic > queued else queued
             ingress_end[ig] = arrival
-            prev_arrival = arrivals[dst]
-            if prev_arrival is None or arrival > prev_arrival:
-                arrivals[dst] = arrival
+            if arrival > after[dst]:
+                after[dst] = arrival
 
         stats.messages = messages_n
         stats.total_bytes = total_b
         stats.inter_node_bytes = inter_b
         stats.intra_node_bytes = intra_b
-        for rank in range(world):
-            value = sent_acc[rank]
-            if value is not None:
-                sent[rank] = value
-        for rank in range(world):
-            done_at = sender_done[rank]
-            if done_at is not None:
-                clocks[rank].advance_to(done_at)
-        for rank in range(world):
-            arrival = arrivals[rank]
-            if arrival is not None:
-                clocks[rank].advance_to(arrival)
+        sent[:] = sent_acc
+        self.clocks[:] = after

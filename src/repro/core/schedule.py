@@ -280,6 +280,7 @@ class ScheduledExecutor:
         # on grad-ready (O on) or backward-end (O off), then the algorithm's
         # communication function runs and the exchanges charge wire time.
         algorithm = engine.algorithm
+        clocks = transport.clocks
         for event in self.schedule.events():
             if event.kind == "comm":
                 for rank in ranks:
@@ -288,7 +289,8 @@ class ScheduledExecutor:
                         if event.gate == GATE_GRAD_READY
                         else report.backward_end[rank]
                     )
-                    transport.clocks[rank].advance_to(gate)
+                    if gate > clocks[rank]:
+                        clocks[rank] = gate
                 algorithm.comm_bucket(engine, event.bucket, step)
                 for rank in ranks:
                     report.comm_times[(rank, event.bucket)] = transport.now(rank)
@@ -301,7 +303,8 @@ class ScheduledExecutor:
         # Join the streams: no rank finishes before its own backward did,
         # and the single-barrier policy synchronizes everyone on the slowest.
         for rank in ranks:
-            transport.clocks[rank].advance_to(report.backward_end[rank])
+            if report.backward_end[rank] > clocks[rank]:
+                clocks[rank] = report.backward_end[rank]
         if not self.schedule.per_bucket_updates:
             transport.barrier(ranks)
         for rank in ranks:

@@ -207,13 +207,13 @@ class Recorder:
 def transport_state(transport: Transport) -> tuple:
     stats = transport.stats
     return (
-        [clock.now for clock in transport.clocks],
+        transport.clocks.tolist(),
         stats.messages,
         stats.rounds,
         stats.total_bytes,
         stats.inter_node_bytes,
         stats.intra_node_bytes,
-        dict(stats.per_rank_sent_bytes),
+        stats.per_rank_sent_bytes.tolist(),
         transport._round_counter,
     )
 

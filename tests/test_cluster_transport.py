@@ -190,14 +190,14 @@ def bitwise_state(tr: Transport) -> tuple:
     """Clocks, traffic stats and round counters, floats by their bits."""
     stats = tr.stats
     return (
-        [clock.now.hex() for clock in tr.clocks],
+        [now.hex() for now in tr.clocks.tolist()],
         stats.messages,
         stats.rounds,
         tr._round_counter,
         float(stats.total_bytes).hex(),
         float(stats.inter_node_bytes).hex(),
         float(stats.intra_node_bytes).hex(),
-        sorted((rank, float(sent).hex()) for rank, sent in stats.per_rank_sent_bytes.items()),
+        [sent.hex() for sent in stats.per_rank_sent_bytes.tolist()],
     )
 
 

@@ -152,7 +152,7 @@ def _run_centralized(primitive, arrays, shape, backend, hierarchical, out, avera
         )
     transport = group.transport
     state = (
-        [clock.now for clock in transport.clocks],
+        transport.clocks.tolist(),
         transport.stats.messages, transport.stats.rounds, transport.stats.total_bytes,
         codec.rng.bit_generator.state,
         [ef.compressor.rng.bit_generator.state for ef in stores],
@@ -381,7 +381,7 @@ def _gossip(primitive, arrays, group, peers, out=None, hierarchical=False):
         )
     transport = group.transport
     state = (
-        [clock.now for clock in transport.clocks],
+        transport.clocks.tolist(),
         transport.stats.messages, transport.stats.rounds, transport.stats.total_bytes,
         codec.rng.bit_generator.state,
     )
