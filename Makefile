@@ -88,7 +88,7 @@ loc:
 	@for part in src/repro/comm "src/repro/cluster/*.py" src/repro/cluster/backends \
 		"src/repro/core/primitives.py src/repro/core/engine.py" \
 		"src/repro/core/optimizer_framework.py src/repro/core/schedule.py src/repro/core/bucket.py src/repro/core/profiler.py" \
-		src/repro/analysis src/repro/simulation \
+		src/repro/analysis src/repro/analysis/protocol src/repro/simulation \
 		src/repro/algorithms src/repro/baselines src/repro/tensor; do \
 		find $$part -name '*.py' | xargs cat | wc -l | tr '\n' ' '; echo "$$part"; \
 	done

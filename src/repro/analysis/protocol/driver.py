@@ -12,10 +12,11 @@ end and aggregates them into a :class:`ProtocolReport`:
    bug must be caught with exactly its root-cause rule;
 3. **live conformance** (optional, default on) — a real
    :class:`~repro.cluster.backends.shm.SharedMemoryBackend` run under the
-   sanitizer: payload rounds, a pool mapping, a pool-ref in-place reduce,
-   per-rank tasks and a graceful close, with the recorded cross-process
-   event stream replayed through
-   :func:`~.sanitizer.check_events`.  Divergence fails the gate.
+   sanitizer: payload rounds, a round larger than the 64-KiB ring (so a
+   ring grow), a pool mapping, a pool-ref in-place reduce, per-rank tasks
+   and a graceful close, with the recorded cross-process event stream
+   replayed through :func:`~.sanitizer.check_events`.  Divergence fails
+   the gate.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ def _sanitized_live_findings(world: int = 2) -> tuple[int, list[Finding]]:
     """One sanitized end-to-end shm run; returns (events, divergences)."""
     import numpy as np
 
+    from ...cluster.backends.base import BackendError
     from ...cluster.backends.shm import SharedMemoryBackend
     from ...cluster.transport import Message
     from ...tensor.tensor import DTYPE
     from .sanitizer import check_events
 
-    with SharedMemoryBackend(world_size=world, ring_bytes=1 << 16, sanitize=True) as backend:
+    ring_bytes = 1 << 16
+    with SharedMemoryBackend(world_size=world, ring_bytes=ring_bytes, sanitize=True) as backend:
         pools = [backend.allocate_pool(rank, 16) for rank in range(world)]
         for rank, pool in enumerate(pools):
             pool[:] = np.arange(16, dtype=DTYPE) * (rank + 1)
@@ -53,6 +56,10 @@ def _sanitized_live_findings(world: int = 2) -> tuple[int, list[Finding]]:
                 for src in range(world)
             ]
             backend.route_round(messages)
+        big = np.ones(ring_bytes // DTYPE.itemsize, dtype=DTYPE)  # one record > the ring
+        backend.route_round([Message(0, world - 1, big, big.nbytes, "grow")])
+        if backend.shm_stats["grows"] == 0:
+            raise BackendError("the live run's oversize round did not grow a ring")
         refs = backend.resolve_pool_refs(pools, list(range(world)))
         if refs is not None:
             order = tuple(range(world))

@@ -3,18 +3,18 @@
 :class:`~repro.cluster.backends.shm.SharedMemoryBackend` implements a
 hand-rolled multiprocess protocol: seq-stamped ring records staged into
 per-worker programs, flag-word doorbells and acks, a per-batch ring budget
-with inline fallback, control pipes for pool-segment mapping and
-multi-stage teardown.  This module models that protocol as a small
-transition system the interleaving explorer (:mod:`.explorer`) can check
-exhaustively:
+with rings that grow on demand, control pipes for pool mapping and ring
+remapping, and multi-stage teardown.  This module models that protocol as
+a small transition system the interleaving explorer (:mod:`.explorer`)
+can check exhaustively:
 
 * **roles** — one *parent* process and one *worker* per rank;
 * **channels** — per worker, a doorbell flag word and an ack flag word
   (one-slot overwrite registers, not FIFOs), a control-doorbell FIFO
   (parent→worker) and its ack FIFO (worker→parent), and two ring buffers
   (``in``/``out``) modelled at the granularity the safety argument needs:
-  byte offsets, 8-byte alignment, wraparound, per-batch budgets, and a
-  seq + destination stamp per record;
+  byte offsets, 8-byte alignment, per-batch budgets, and a seq +
+  destination stamp per record;
 * **guarded transitions** — the parent executes a straight-line *program*
   (staging, flag doorbells, ack-flag barriers, pool mapping, graceful
   teardown) while each worker runs the reactive doorbell loop
@@ -23,7 +23,10 @@ exhaustively:
 The parent *stages* an iteration's rounds as one program of ring records
 sharing a batch seq, rings a single seq-stamped flag word, and the worker
 executes the entire program before setting its own ack flag word; pipes
-are reserved for control (``pool``/``close``).  A flag word whose seq was
+are reserved for control (``pool``/``grow``/``close``).  A batch larger
+than its ring is preceded by a ``grow`` op that remaps both of the rank's
+rings; the parent may unlink the replaced segments only once the worker
+acked the remap (:data:`RULE_LIFECYCLE`).  A flag word whose seq was
 never bumped cannot wake the worker — the model classifies that quiescent
 state as a lost wakeup — and an ack raised before the staged program
 finished executing violates :data:`RULE_PROGRAM`.
@@ -133,8 +136,8 @@ class Faults:
     early_unlink: tuple[int, ...] = ()
     #: batch indices whose ack-flag barrier the parent skips entirely.
     skip_barrier: tuple[int, ...] = ()
-    #: force ring placement even when the per-batch budget refuses (the
-    #: inline-overflow fallback is "forgotten").
+    #: skip the grow an oversize batch needs: its records are rammed into
+    #: the un-grown ring.
     force_place: bool = False
     #: ranks that receive a second close doorbell (double close).
     double_close: tuple[int, ...] = ()
@@ -161,6 +164,9 @@ class Faults:
     #: in-place peer-segment writes (reduce result published before the
     #: broadcast-by-write phase ran).
     skip_reduce_write: tuple[int, ...] = ()
+    #: ranks whose replaced rings the parent unlinks before awaiting the
+    #: worker's ack of the remap.
+    early_retire: tuple[int, ...] = ()
 
 
 @dataclass
@@ -179,64 +185,41 @@ class _Record:
 
 @dataclass
 class _Ring:
-    """One shared-memory ring: mirrors ``shm._RingWriter`` placement."""
+    """One shared-memory ring: mirrors ``shm._RingWriter`` placement.
+
+    A ring holds one batch: ``begin_round`` rewinds to offset 0 and the
+    batch's records follow back to back, 8-byte aligned, up to ``capacity``.
+    """
 
     capacity: int
     records: list[_Record] = field(default_factory=list)
     next_off: int = 0
-    used: int = 0  # budget consumed since begin_round
 
     def clone(self) -> _Ring:
-        return _Ring(
-            self.capacity,
-            [replace(r) for r in self.records],
-            self.next_off,
-            self.used,
-        )
+        return _Ring(self.capacity, [replace(r) for r in self.records], self.next_off)
 
     def key(self) -> tuple:
-        return (self.next_off, self.used, tuple(r.key() for r in self.records))
+        return (self.capacity, self.next_off, tuple(r.key() for r in self.records))
 
     def begin_round(self) -> None:
-        self.used = 0
+        self.next_off = 0
 
-    def place(self, payload_bytes: int) -> tuple[int, int] | None:
-        """Compute the next record placement; ``None`` means over budget."""
+    def write(self, seq: int, dst: int, payload_bytes: int, writer_rank: int) -> int:
+        """Write one record; returns its offset."""
         total = STAMP_BYTES + payload_bytes
-        off = (self.next_off + 7) & ~7
-        waste = off - self.next_off
-        if off + total > self.capacity:
-            waste += self.capacity - off
-            off = 0
-        if total > self.capacity or self.used + waste + total > self.capacity:
-            return None
-        return off, waste
-
-    def write(
-        self, seq: int, dst: int, payload_bytes: int, *, force: bool, writer_rank: int | None
-    ) -> tuple[int, int] | None:
-        """Write one record; returns (offset, nbytes) or ``None`` for inline.
-
-        ``force=True`` models the budget-overflow bug: the record is rammed
-        into the ring even though placement refused.
-        """
-        placed = self.place(payload_bytes)
-        total = STAMP_BYTES + payload_bytes
-        if placed is None:
-            if not force:
-                return None  # the correct inline-pipe fallback
+        lo = (self.next_off + 7) & ~7
+        hi = lo + total
+        if hi > self.capacity:
             raise Violation(
                 _finding(
                     RULE_BUDGET,
-                    f"record of {total} bytes exceeds the ring's per-batch budget "
-                    f"({self.capacity} bytes) but was placed in the ring instead of "
-                    "falling back to the inline pipe",
+                    f"record of {total} bytes at offset {lo} runs past the end of the "
+                    f"{self.capacity}-byte ring: the batch was staged without growing "
+                    "the ring",
                     rank=writer_rank,
                     seq=seq,
                 )
             )
-        off, waste = placed
-        lo, hi = off, off + total
         for record in self.records:
             if not record.read and record.off < hi and lo < record.off + record.nbytes:
                 raise Violation(
@@ -253,10 +236,9 @@ class _Ring:
         self.records = [
             r for r in self.records if not (r.read and r.off < hi and lo < r.off + r.nbytes)
         ]
-        self.records.append(_Record(off=off, nbytes=total, seq=seq, dst=dst))
-        self.next_off = off + total
-        self.used += waste + total
-        return off, total
+        self.records.append(_Record(off=lo, nbytes=total, seq=seq, dst=dst))
+        self.next_off = hi
+        return lo
 
     def read(self, off: int, expected_seq: int, expected_dst: int, reader: int | None) -> None:
         """Validate and consume the record at ``off`` (stamp + dst checks)."""
@@ -296,11 +278,6 @@ class _Ring:
         )
 
 
-#: A program entry describing where one record travels:
-#: ("ring", offset) or ("inline", payload_bytes).
-_EntryT = tuple[str, int]
-
-
 @dataclass
 class _Worker:
     """One rank server: the reactive doorbell loop."""
@@ -312,7 +289,10 @@ class _Worker:
     cur_op: str = ""
     cur_seq: int = -1
     cur_data: tuple = ()
-    echo_entries: tuple[_EntryT, ...] = ()
+    #: ring offsets of the echo records of the batch being served
+    echo_entries: tuple[int, ...] = ()
+    #: the (in, out) ring segment ids this worker has mapped
+    ring_segs: tuple[int, ...] = ()
     #: pool segment ids this worker has attached (cross-rank: every owner's
     #: pool maps into every worker, the reduce executors' address space).
     pool_segs: tuple[int, ...] = ()
@@ -336,6 +316,7 @@ class _Worker:
             self.cur_seq,
             self.cur_data,
             self.echo_entries,
+            self.ring_segs,
             self.pool_segs,
             self.executed,
             self.reduced,
@@ -365,7 +346,9 @@ class _Segment:
 #   ("flag", dst)
 #   ("flagwait", dst)
 #   ("pool", dst, owner)   map owner's pool segment into dst's worker
-#   ("await", dst)         pipe ack of a pool doorbell
+#   ("grow", dst, capacity)  create dst's larger rings, post the remap op
+#   ("await", dst)         pipe ack of a pool or grow doorbell
+#   ("retire", dst)        unlink dst's replaced rings
 #   ("close", rank)
 #   ("join", rank)
 #   ("unlink", rank)
@@ -511,6 +494,13 @@ class ModelState:
                 return frozenset({("ack", instr[1]), ("outring", instr[1])})
             if op == "pool":
                 return frozenset({("door", instr[1]), ("seg", instr[2]), ("life", instr[1])})
+            if op == "grow":
+                dst = instr[1]
+                return frozenset(
+                    {("door", dst), ("seg", dst), ("life", dst), ("inring", dst), ("outring", dst)}
+                )
+            if op == "retire":
+                return frozenset({("seg", instr[1]), ("life", instr[1])})
             if op == "close":
                 return frozenset({("door", instr[1]), ("life", instr[1])})
             if op == "join":
@@ -632,13 +622,8 @@ class ModelState:
             if (dst, batch_index) in self.faults.wrong_dst:
                 stamp_dst = (dst + 1) % self.world
             ring = self.in_ring[dst]
-            entries: list[_EntryT] = []
-            for nbytes in sizes:
-                placed = ring.write(
-                    seq, stamp_dst, nbytes, force=self.faults.force_place, writer_rank=dst
-                )
-                entries.append(("inline", nbytes) if placed is None else ("ring", placed[0]))
-            self.open_batch[dst] = (seq, items + ((kind, tuple(entries), needs),))
+            entries = tuple(ring.write(seq, stamp_dst, nbytes, writer_rank=dst) for nbytes in sizes)
+            self.open_batch[dst] = (seq, items + ((kind, entries, needs),))
             return (
                 f"parent stages {kind} seq {seq} into worker {dst}'s batch "
                 f"({len(sizes)} record(s))"
@@ -705,9 +690,8 @@ class ModelState:
                     )
                 )
             out = self.out_ring[dst]
-            for entry in entries:
-                if entry[0] == "ring":
-                    out.read(entry[1], seq, PARENT, reader=dst)
+            for off in entries:
+                out.read(off, seq, PARENT, reader=dst)
             return f"parent observes worker {dst}'s ack flag for batch seq {seq}"
         if op == "pool":
             _, dst, owner = instr
@@ -728,6 +712,37 @@ class ModelState:
                 f"parent maps rank {owner}'s pool segment {seg_id} into "
                 f"worker {dst} (seq {seq})"
             )
+        if op == "grow":
+            _, dst, capacity = instr
+            self._check_worker_alive(dst, "grow doorbell")
+            new = (len(self.segments), len(self.segments) + 1)
+            self.segments.append(_Segment(seg_id=new[0], kind="in", rank=dst))
+            self.segments.append(_Segment(seg_id=new[1], kind="out", rank=dst))
+            self.in_ring[dst] = _Ring(capacity)
+            self.out_ring[dst] = _Ring(capacity)
+            seq = self._take_seq(dst)
+            self.door[dst].append(("grow", seq, new))
+            self.outstanding[dst].append((seq, "grow"))
+            return (
+                f"parent creates {capacity}-byte rings {new} for worker {dst} and "
+                f"posts the remap (seq {seq})"
+            )
+        if op == "retire":
+            dst = instr[1]
+            rings = [seg for seg in self.segments if seg.rank == dst and seg.kind != "pool"]
+            for seg in rings[:-2]:  # all but the newest in/out pair
+                if self.workers[dst].alive and seg.seg_id in self.workers[dst].ring_segs:
+                    raise Violation(
+                        _finding(
+                            RULE_LIFECYCLE,
+                            f"parent unlinked worker {dst}'s replaced ring segment "
+                            f"{seg.seg_id} while the worker still maps it (unlink "
+                            "before the remap ack)",
+                            rank=dst,
+                        )
+                    )
+                seg.unlinked = True
+            return f"parent unlinks worker {dst}'s replaced rings"
         if op == "close":
             rank = instr[1]
             if self.workers[rank].alive or rank in self.faults.double_close:
@@ -811,13 +826,10 @@ class ModelState:
                 if kind == "reduce":
                     self._check_pool_refs(rank, worker, needs, worker.cur_seq)
                 sizes = []
-                for entry in item_entries:
-                    if entry[0] == "ring":
-                        ring.read(entry[1], worker.cur_seq, rank, reader=rank)
-                        record = next(r for r in ring.records if r.off == entry[1])
-                        sizes.append(record.nbytes - STAMP_BYTES)
-                    else:
-                        sizes.append(entry[1])
+                for off in item_entries:
+                    ring.read(off, worker.cur_seq, rank, reader=rank)
+                    record = next(r for r in ring.records if r.off == off)
+                    sizes.append(record.nbytes - STAMP_BYTES)
                 done.append((kind, tuple(sizes)))
             worker.cur_data = tuple(done)
             worker.phase = _ECHO
@@ -828,14 +840,11 @@ class ModelState:
         if worker.phase == _ECHO:
             out = self.out_ring[rank]
             out.begin_round()
-            flat: list[_EntryT] = []
-            for _kind, sizes in worker.cur_data:
-                for nbytes in sizes:
-                    placed = out.write(
-                        worker.cur_seq, PARENT, nbytes, force=False, writer_rank=rank
-                    )
-                    flat.append(("inline", nbytes) if placed is None else ("ring", placed[0]))
-            worker.echo_entries = tuple(flat)
+            worker.echo_entries = tuple(
+                out.write(worker.cur_seq, PARENT, nbytes, writer_rank=rank)
+                for _kind, sizes in worker.cur_data
+                for nbytes in sizes
+            )
             worker.executed = len(worker.cur_data)
             n_reduces = sum(1 for kind, _ in worker.cur_data if kind == "reduce")
             skipped = rank in self.faults.skip_reduce_write and n_reduces > 0
@@ -877,6 +886,8 @@ class ModelState:
                         )
                     )
                 worker.pool_segs = worker.pool_segs + (seg.seg_id,)
+            elif op == "grow":
+                worker.ring_segs = worker.cur_data[0]  # maps the new pair, drops the old
             dropped = (rank, seq) in self.faults.drop_ack
             if not dropped:
                 self.ack[rank].append(seq)
@@ -1038,7 +1049,9 @@ class Workload:
     ``record_sizes`` is the per-destination list of payload sizes of every
     round (every rank participates in every round, matching
     ``Transport.exchange``'s all-rank barrier).  ``oversize`` appends one
-    record larger than the ring to exercise the inline-overflow fallback.
+    record larger than the ring to exercise the ``grow`` op: a batch that
+    does not fit its rank's rings is preceded by a remap to the next power
+    of two above the batch's bytes.
 
     Rounds are staged into per-destination programs of ``rounds_per_batch``
     rounds each (``0`` = the whole workload in one batch), flagged once, and
@@ -1073,6 +1086,7 @@ def build_model(workload: Workload, faults: Faults | None = None) -> ModelState:
         sizes = sizes + [workload.ring_bytes + 32]
     batch_index = 0
     waits: list[_Instr] = []  # the open batch's ack-flag barriers, not yet placed
+    capacity = dict.fromkeys(range(world), workload.ring_bytes)
 
     def barrier() -> None:
         program.extend(waits)
@@ -1085,6 +1099,15 @@ def build_model(workload: Workload, faults: Faults | None = None) -> ModelState:
         nonlocal batch_index
         if not faults.pipeline_batches:
             barrier()  # faithful: the previous batch is barriered before staging
+        need = count * sum((STAMP_BYTES + nbytes + 7) & ~7 for nbytes in item_sizes)
+        for dst in range(world):
+            if need > capacity[dst] and not faults.force_place:
+                capacity[dst] = 1 << (need - 1).bit_length()
+                program.append(("grow", dst, capacity[dst]))
+                if dst in faults.early_retire:
+                    program.extend([("retire", dst), ("await", dst)])
+                else:
+                    program.extend([("await", dst), ("retire", dst)])
         for dst in range(world):
             for _ in range(count):
                 program.append(("stage", dst, kind, item_sizes, batch_index, needs))
@@ -1144,7 +1167,8 @@ def build_model(workload: Workload, faults: Faults | None = None) -> ModelState:
         state.ack_flag[rank] = None
         state.in_ring[rank] = _Ring(capacity=workload.ring_bytes)
         state.out_ring[rank] = _Ring(capacity=workload.ring_bytes)
-        state.workers[rank] = _Worker(rank=rank)
-        state.segments.append(_Segment(seg_id=len(state.segments), kind="in", rank=rank))
-        state.segments.append(_Segment(seg_id=len(state.segments), kind="out", rank=rank))
+        rings = (len(state.segments), len(state.segments) + 1)
+        state.workers[rank] = _Worker(rank=rank, ring_segs=rings)
+        state.segments.append(_Segment(seg_id=rings[0], kind="in", rank=rank))
+        state.segments.append(_Segment(seg_id=rings[1], kind="out", rank=rank))
     return state

@@ -44,12 +44,9 @@ from .model import (
 #: — every protocol phase is exercised.
 DEFAULT_WORKLOAD = Workload()
 
-#: Two single-round batches whose records wrap a 160-byte ring: the minimal
-#: shape where staging batch 1 before batch 0's barrier lets a write land on
-#: an unread slot.
-_WRAP_WORKLOAD = Workload(
-    world=1, rounds_per_batch=1, record_sizes=(64, 24), ring_bytes=160, pool=False, task=False
-)
+#: Two single-round batches on one rank: the minimal shape where staging
+#: batch 1 before batch 0's barrier rewinds the ring onto unread records.
+_TWO_BATCH_WORKLOAD = Workload(world=1, rounds_per_batch=1, pool=False, task=False)
 
 #: Two single-round batches, rounds only — the minimal shape where batch
 #: 1's flag word can be rung without bumping its seq past batch 0's.
@@ -109,8 +106,16 @@ MUTATIONS: tuple[Mutation, ...] = (
         faults=Faults(force_place=True),
         expected_rule=RULE_BUDGET,
         workload=Workload(oversize=True),
-        description="a staged record larger than the ring is force-placed "
-        "instead of falling back inline",
+        description="a batch larger than the ring is staged without growing "
+        "the ring: its records are rammed into the un-grown ring",
+    ),
+    Mutation(
+        name="ring-unlinked-before-remap-ack",
+        faults=Faults(early_retire=(0,)),
+        expected_rule=RULE_LIFECYCLE,
+        workload=Workload(oversize=True),
+        description="the parent unlinks rank 0's replaced rings before the "
+        "worker acked the remap",
     ),
     Mutation(
         name="double-close",
@@ -148,9 +153,9 @@ MUTATIONS: tuple[Mutation, ...] = (
         name="pipelined-ring-overlap",
         faults=Faults(pipeline_batches=True),
         expected_rule=RULE_RING_OVERLAP,
-        workload=_WRAP_WORKLOAD,
+        workload=_TWO_BATCH_WORKLOAD,
         description="batch 1 is staged before batch 0's ack flag was observed, "
-        "so a wrapped write lands on a slot the worker has not read yet",
+        "so its first write lands on a record the worker has not read yet",
     ),
     Mutation(
         name="ack-before-program-end",

@@ -29,7 +29,10 @@ program, and a ``post`` with op ``batch`` is the program's single
 exchange, with every worker-side event stamped with the batch seq.  The
 sanitizer checks additionally that every staged ``(rank, seq)`` is
 eventually covered by its ``batch`` post: rounds staged but never flushed
-are a barrier bug.
+are a barrier bug.  A ``grow`` control exchange remaps a rank's rings: the
+parent's ``grow`` event carries the new capacity, which the budget check
+follows from then on, and the ``unlink`` of the replaced rings (op
+``grow``) must be happens-after the worker's ack of the remap.
 
 Matching rules (per doorbell exchange) are checked exclusively and each
 rank short-circuits after its first finding, so a single seeded bug yields
@@ -58,6 +61,9 @@ if TYPE_CHECKING:
     from ...cluster.backends.base import ProtocolEvent
 
 VectorClock = dict[str, int]
+
+#: Worker events that belong to the doorbell being served.
+_SERVE_KINDS = ("ring_read", "ring_write", "ring_map", "pool_map", "ack_send")
 
 
 def vc_leq(a: VectorClock, b: VectorClock) -> bool:
@@ -91,8 +97,8 @@ class _Replay:
         self.exchanges: dict[tuple[int, int], dict[str, ProtocolEvent]] = {}
         #: posting order, for deterministic reporting.
         self.post_order: list[tuple[int, int]] = []
-        self.capacity: int | None = None
-        self.world: int | None = None
+        #: per rank, the ring capacity (set by ``config``, raised by ``grow``)
+        self.capacities: dict[int, int] = {}
         self.spawned: set[int] = set()
         self.exits: dict[int, int] = {}  # rank -> event index of worker exit
         self.last_recv_seq: dict[str, int] = {}
@@ -130,9 +136,11 @@ class _Replay:
         self._tick(index, ev)
         worker_rank = _worker_rank(ev.proc)
         if ev.kind == "config" and len(ev.detail) >= 2:
-            self.world, self.capacity = int(ev.detail[0]), int(ev.detail[1])
+            self.capacities = dict.fromkeys(range(int(ev.detail[0])), int(ev.detail[1]))
         elif ev.kind == "spawn":
             self.spawned.add(ev.rank)
+        elif ev.kind == "grow":
+            self.capacities[ev.rank] = int(ev.detail[0])
         elif ev.kind == "stage":
             self.staged.append(ev)
         elif ev.kind == "post":
@@ -172,24 +180,38 @@ class _Replay:
                         seq=ev.seq,
                     ).with_witness(_witness(ev))
                 )
+        capacity = self.capacities.get(ev.rank)
         if (
             ev.op in ("round", "task", "reduce", "batch")
-            and self.capacity is not None
+            and capacity is not None
             and len(ev.detail) >= 2
-            and int(ev.detail[1]) > self.capacity
+            and int(ev.detail[1]) > capacity
         ):
             self._report(
                 _finding(
                     RULE_BUDGET,
                     f"round seq {ev.seq} placed {ev.detail[1]} ring bytes at rank "
-                    f"{ev.rank}, over the {self.capacity}-byte capacity "
-                    "(inline-overflow fallback not taken)",
+                    f"{ev.rank}, over the {capacity}-byte capacity (the ring was "
+                    "not grown)",
                     rank=ev.rank,
                     seq=ev.seq,
                 ).with_witness(_witness(ev))
             )
 
     def _check_unlink(self, ev: ProtocolEvent) -> None:
+        if ev.op == "grow":
+            ack = self.exchanges.get((ev.rank, ev.seq), {}).get("ack_send")
+            if ack is None or not vc_leq(self.event_clock[id(ack)], self.event_clock[id(ev)]):
+                self._report(
+                    _finding(
+                        RULE_LIFECYCLE,
+                        f"replaced rings of rank {ev.rank} unlinked before its worker "
+                        f"acked the remap (grow seq {ev.seq})",
+                        rank=ev.rank,
+                        seq=ev.seq,
+                    ).with_witness(_witness(ev))
+                )
+            return
         if ev.rank not in self.spawned:
             return  # pool-only segment for a rank whose worker never ran
         exit_id = self.exits.get(ev.rank)
@@ -240,7 +262,7 @@ class _Replay:
                 )
             self.last_recv_seq[ev.proc] = max(self.last_recv_seq.get(ev.proc, -1), ev.seq)
             self.exchanges.setdefault((worker_rank, ev.seq), {})["recv"] = ev
-        elif ev.kind in ("ring_read", "ring_write", "pool_map", "ack_send") and ev.seq >= 0:
+        elif ev.kind in _SERVE_KINDS and ev.seq >= 0:
             current = self.last_recv_seq.get(ev.proc, -1)
             if ev.seq != current:
                 self._report(

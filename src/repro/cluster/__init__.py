@@ -1,6 +1,5 @@
-"""Simulated distributed cluster: links, topology, transport (virtual clocks
-and traffic stats live on the transport as float64 vectors), and a
-standalone discrete-event queue.
+"""Simulated distributed cluster: links, topology, and the transport
+(virtual clocks and traffic stats live on it as float64 vectors).
 
 ``SharedMemoryBackend`` resolves on first use, like the ``"shm"`` registry
 entry (see :mod:`.backends`).
@@ -18,7 +17,6 @@ from .backends import (
     available_backends,
     resolve_backend,
 )
-from .clock import EventQueue
 from .netmodel import GBPS, Link, NVLINK, TCP_10G, TCP_25G, TCP_100G, preset
 from .topology import ClusterSpec, paper_cluster
 from .transport import Message, TrafficStats, Transport, payload_nbytes
@@ -35,7 +33,6 @@ __all__ = [
     "TransportBackend",
     "available_backends",
     "resolve_backend",
-    "EventQueue",
     "Link",
     "GBPS",
     "NVLINK",

@@ -117,11 +117,11 @@ class ProtocolEvent:
     ``proc`` is ``"parent"`` or ``"worker:<rank>"``; ``rank`` is the worker
     the event concerns (``-1`` for backend-wide events).  ``kind`` is one of
     ``config, spawn, stage, post, recv, ring_read, ring_write, ack_send,
-    ack_recv, pool_map, exit, unlink, closed``; ``op`` carries the doorbell
-    kind (``round``/``task``/``pool``/``close``, or ``batch`` for a staged
-    program's single flag-word doorbell) where one applies; ``detail`` is
-    per-kind metadata (e.g. ``(records, ring_bytes, inline)`` for a round
-    post).  ``stage`` events record rounds/tasks added to a not-yet-flushed
+    ack_recv, pool_map, ring_map, grow, exit, unlink, closed``; ``op``
+    carries the doorbell kind (``round``/``task``/``pool``/``grow``/``close``,
+    or ``batch`` for a staged program's single flag-word doorbell) where one
+    applies; ``detail`` is per-kind metadata (e.g. ``(items, ring_bytes)``
+    for a batch post, ``(capacity,)`` for a ring grow).  ``stage`` events record rounds/tasks added to a not-yet-flushed
     batch; every staged ``(rank, seq)`` must later be covered by a
     ``batch`` post.
     """

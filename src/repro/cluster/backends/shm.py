@@ -1,11 +1,12 @@
 """Shared-memory multiprocess backend: one OS worker process per rank.
 
-The data plane is a pair of ``multiprocessing.shared_memory`` ring buffers
-per worker (parent→worker and worker→parent).  Every record is stamped with
-a sequence number, offsets advance modulo the ring capacity (8-byte
-aligned), and a record that cannot fit the ring falls back to the control
-pipe inline.  The first 64 bytes of each ring are a header of u64 flag
-words (see below); record data starts at ``_HEADER_BYTES``.
+The data plane is a pair of ``multiprocessing.shared_memory`` rings per
+worker (parent→worker and worker→parent).  Every record is stamped with a
+sequence number and placed at an 8-byte aligned offset.  A rank's rings
+hold one batch at a time (the parent stages the next batch only after the
+previous one was acked), so each batch fills its ring from the data start.
+The first 64 bytes of each ring are a header of u64 flag words (see below);
+record data starts at ``_HEADER_BYTES``.
 
 The parent *stages* each round's records into the destination rings and
 returns the delivered payloads immediately (decode∘encode is the identity,
@@ -17,25 +18,31 @@ program as one codec-encoded ring record, publishes its offset/length in
 the header, and rings a single **flag-word doorbell**: O(ranks) flag
 writes per iteration.  The worker executes the whole program locally,
 echoes every record through its outbound ring, and acks once per batch
-with a flag word; the parent byte-compares the echoes against the staged
-originals.  Pipes are only touched for control (``pool``/``close``), error
-acks, and overflow (a program or reply too large for its ring travels as a
-``batch`` pipe message).
+with a flag word and a reply record in the ring; the parent byte-compares
+the echoes against the staged originals.
+
+The ring is the only data path: an item too large for an empty ring first
+**grows** both of the rank's rings to the next power of two (see
+:meth:`SharedMemoryBackend._grow`; ``ring_bytes`` is the initial capacity).
+Pipes carry only the control ops (``pool``/``grow``/``close``), their acks
+and error acks; a task result too large for the out ring is an error ack.
 
 Header layout (u64 little-endian words):
 
 * parent→worker ring: ``[0]`` doorbell flag (``batch_seq + 1``; 0 = idle),
   ``[8]`` program record offset, ``[16]`` program record nbytes;
 * worker→parent ring: ``[0]`` ack flag (``(batch_seq + 1) << 8 | status``
-  with status 1 = reply in ring, 2 = reply via pipe, 3 = error via pipe),
-  ``[8]`` reply record offset, ``[16]`` reply record nbytes.
+  with status 1 = reply in ring, 3 = error via pipe, published after the
+  pipe send), ``[8]`` reply record offset, ``[16]`` reply record nbytes.
 
-Waiters use a bounded spin then a short ``poll`` backoff on the control
-pipe, so flag words and pipe messages share one wait loop.  There are no
-atomics in pure Python: correctness relies on the GIL serializing each
-8-byte aligned store and on x86-TSO store ordering (data published before
-the flag); the program record's seq stamp is validated as a secondary
-check.
+The parent waits on the ack flag alone: it checks the worker's liveness
+and the deadline every 128 spins, and touches the pipe only to sleep in a
+short ``poll`` once its spin time is spent and to read an error ack.  The
+worker's wait loop serves both channels (flag word, then the control
+pipe).  There are no atomics in pure Python: correctness relies on the GIL
+serializing each 8-byte aligned store and on x86-TSO store ordering (data
+published before the flag); the program record's seq stamp is validated as
+a secondary check.
 
 Payload encodings: flat contiguous ``DTYPE`` arrays blit raw; everything the
 :mod:`.wire` codec covers (nested tuples/lists/dicts of ndarrays, scalars,
@@ -75,7 +82,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NoReturn
 
 import numpy as np
 
@@ -122,10 +129,11 @@ _REPLY_LEN_OFF = 16
 
 #: Ack-flag status byte.
 _ACK_RING = 1
-_ACK_PIPE = 2
 _ACK_ERR = 3
 
-#: Flag waiters busy-spin this many iterations before sleeping in poll().
+#: The parent spins on the ack flag this long before sleeping in poll().
+_SPIN_S = 0.01
+#: The worker busy-spins this many iterations before sleeping in poll().
 _SPIN_LIMIT = 512
 #: Poll backoff once the spin budget is exhausted.
 _POLL_BACKOFF_S = 0.002
@@ -133,10 +141,14 @@ _POLL_BACKOFF_S = 0.002
 #: A batch flushes once its program reaches this many round/task items.
 _MAX_BATCH_ITEMS = 128
 
-#: A ring entry in a control message: (kind, offset, nbytes, inline_bytes).
-#: ``offset`` is -1 (and ``inline_bytes`` set) when the record overflowed
-#: the ring and travelled inline over the pipe instead.
-_Entry = tuple[int, int, int, bytes | None]
+#: Ring room a batch keeps free for its program record (in ring) and its
+#: reply record (out ring, sanitize events included): an upper bound of
+#: both records' spans, per batch plus per staged record.
+_CONTROL_BYTES = 512
+_CONTROL_BYTES_PER_RECORD = 64
+
+#: A ring entry in a program or reply: (kind, offset, nbytes).
+_Entry = tuple[int, int, int]
 
 
 def _encode(payload: Any) -> tuple[int, np.ndarray]:
@@ -175,65 +187,49 @@ def _record_span(nbytes: int) -> int:
     return (_SEQ.size + nbytes + 7) & ~7
 
 
+def _control_bytes(records: int) -> int:
+    """Ring room reserved for a batch of ``records`` staged records."""
+    return _CONTROL_BYTES + _CONTROL_BYTES_PER_RECORD * records
+
+
 class _RingWriter:
     """Sequential writer over one shared-memory ring.
 
-    Record spans are 8-byte multiples so offsets stay aligned; a record
-    that would cross the end wraps to ``base`` (the first byte past the
-    flag-word header).  ``begin_round`` resets the per-batch budget: the
-    records of one batch must all be resident simultaneously (the reader
-    only drains at the doorbell), so placement refuses — returning
-    ``None``, which makes the record travel inline — once a batch has
-    consumed the capacity.
+    The ring holds one batch at a time, so ``begin_round`` rewinds to
+    ``base`` (the first byte past the flag-word header) and records are
+    laid out back to back from there; record spans are 8-byte multiples so
+    offsets stay aligned.  ``write`` refuses (returns ``None``) a record
+    that would run past the end.
     """
 
-    def __init__(self, buf: memoryview, capacity: int, base: int = _HEADER_BYTES) -> None:
+    def __init__(self, buf: memoryview, size: int, base: int = _HEADER_BYTES) -> None:
         self.buf = buf
         self.base = base
-        self.capacity = capacity - base
+        self.size = size
         self._off = base
-        self._used = 0
 
     def begin_round(self) -> None:
-        self._used = 0
+        self._off = self.base
+
+    def free(self) -> int:
+        return self.size - self._off
 
     def write(self, seq: int, data: np.ndarray) -> tuple[int, int] | None:
         """Stamp + blit one record; returns (offset, nbytes) or None if full."""
-        total = _record_span(len(data))
         off = self._off
-        waste = 0
-        if off + total > self.base + self.capacity:
-            waste = self.base + self.capacity - off
-            off = self.base
-        if total > self.capacity or self._used + waste + total > self.capacity:
+        total = _record_span(len(data))
+        if off + total > self.size:
             return None
         _SEQ.pack_into(self.buf, off, seq)
         view = np.frombuffer(self.buf, dtype=np.uint8, count=len(data), offset=off + _SEQ.size)
         view[:] = data
         del view
         self._off = off + total
-        self._used += waste + total
         return off, len(data)
 
 
-def _place_record(writer: _RingWriter, seq: int, kind: int, data: np.ndarray) -> _Entry:
-    """One encoded record's entry: in the ring, or inline when it does not fit."""
-    placed = writer.write(seq, data)
-    if placed is None:
-        return (kind, -1, len(data), data.tobytes())
-    return (kind, placed[0], placed[1], None)
-
-
-def _write_record(writer: _RingWriter, seq: int, payload: Any) -> _Entry:
-    return _place_record(writer, seq, *_encode(payload))
-
-
 def _read_record(buf: memoryview, seq: int, entry: _Entry) -> Any:
-    kind, off, nbytes, inline = entry
-    if off < 0:
-        if inline is None:
-            raise BackendError("ring entry has neither an offset nor inline bytes")
-        return _decode(kind, np.frombuffer(inline, dtype=np.uint8))
+    kind, off, nbytes = entry
     stamp = _SEQ.unpack_from(buf, off)[0]
     if stamp != seq:
         raise BackendError(
@@ -246,11 +242,8 @@ def _read_record(buf: memoryview, seq: int, entry: _Entry) -> Any:
 
 
 def _record_bytes(buf: memoryview, entry: _Entry) -> np.ndarray:
-    """Raw payload bytes of a staged/echoed entry (ring or inline)."""
-    kind, off, nbytes, inline = entry
-    if off < 0:
-        return np.frombuffer(inline if inline is not None else b"", dtype=np.uint8)
-    return np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=off + _SEQ.size)
+    """Raw payload bytes of a staged/echoed entry."""
+    return np.frombuffer(buf, dtype=np.uint8, count=entry[2], offset=entry[1] + _SEQ.size)
 
 
 def _close_segment(shm: shared_memory.SharedMemory, unlink: bool) -> None:
@@ -290,12 +283,12 @@ def _worker_main(
 
     One wait loop serves both doorbell channels: the in-ring flag word
     (programs) is spun on briefly, then the worker sleeps in short
-    ``conn.poll`` slices so pipe doorbells (``pool``/``close`` and the
-    oversize ``batch`` fallback) wake it too.
+    ``conn.poll`` slices so pipe doorbells (``pool``/``grow``/``close``)
+    wake it too.
 
     With ``sanitize`` on, the worker records a :class:`ProtocolEvent` for
     every protocol action and piggybacks the buffered events on each ack —
-    inside the codec-encoded reply record for ring acks, attached to the
+    inside the codec-encoded reply record for batch acks, attached to the
     pipe message otherwise — so the parent's sanitizer sees both sides
     without any extra channel.
     """
@@ -353,56 +346,62 @@ def _worker_main(
         else:
             conn.send(payload)
 
+    def send_error(seq: int, op: str) -> None:
+        """Ack a failed doorbell with its traceback (an ack all the same)."""
+        emit("ack_send", seq=seq, op=op)
+        send("err", seq, traceback.format_exc())
+
     def set_ack(seq: int, status: int) -> None:
         _U64.pack_into(out_buf, _ACK_FLAG_OFF, ((seq + 1) << 8) | status)
 
-    def run_program(seq: int, program: Sequence[tuple[str, Any]], via_pipe: bool) -> None:
-        """Execute one program and ack it (ring flag or pipe)."""
+    def place(seq: int, what: str, kind: int, data: np.ndarray) -> _Entry:
+        """Write one out-ring record, or fail the batch with a located error."""
+        placed = writer.write(seq, data)
+        if placed is None:
+            raise BackendError(
+                f"worker {rank}: {what} of {len(data)} bytes in batch seq {seq} "
+                f"does not fit the {writer.size}-byte out ring"
+            )
+        return (kind, *placed)
+
+    def run_program(seq: int, program: Sequence[tuple[str, Any]]) -> None:
+        """Execute one program and ack it through the out ring."""
         writer.begin_round()
         reply_items: list[Any] = []
         n_read = 0
         for op, data in program:
             if op == "round":
-                payloads = [_read_record(in_buf, seq, tuple(e)) for e in data]
+                payloads = [_read_record(in_buf, seq, e) for e in data]
                 for payload in payloads:
                     if type(payload) is PoolRef:
                         resolve_ref(payload)  # descriptor must be resolvable here
                 n_read += len(payloads)
-                reply_items.append(tuple(_write_record(writer, seq, p) for p in payloads))
+                reply_items.append(
+                    tuple(place(seq, "round echo", *_encode(p)) for p in payloads)
+                )
             elif op == "task":
-                fn, args = _read_record(in_buf, seq, tuple(data))
+                fn, args = _read_record(in_buf, seq, data)
                 n_read += 1
-                reply_items.append(_write_record(writer, seq, fn(pools.get(rank), *args)))
+                result = fn(pools.get(rank), *args)
+                reply_items.append(place(seq, "task result", *_encode(result)))
             elif op == "reduce":
-                spec = _read_record(in_buf, seq, tuple(data))
+                spec = _read_record(in_buf, seq, data)
                 n_read += 1
-                reply_items.append(_write_record(writer, seq, run_reduce(spec)))
+                reply_items.append(place(seq, "reduce reply", *_encode(run_reduce(spec))))
             else:
                 raise BackendError(f"worker {rank}: unknown program op {op!r}")
         emit("ring_read", seq=seq, detail=(n_read,))
         emit("ring_write", seq=seq, detail=(len(reply_items),))
         emit("ack_send", seq=seq, op="batch")
-        if not via_pipe:
-            batch_events = tuple(
-                (e.kind, e.seq, e.op, e.detail) for e in events
-            ) if sanitize else None
-            try:
-                raw = wire.encode((tuple(reply_items), batch_events))
-            except wire.WireError:  # pragma: no cover - reply shapes are closed
-                raw = None
-            if raw is not None:
-                placed = writer.write(seq, np.frombuffer(raw, dtype=np.uint8))
-                if placed is not None:
-                    _U64.pack_into(out_buf, _REPLY_OFF_OFF, placed[0])
-                    _U64.pack_into(out_buf, _REPLY_LEN_OFF, placed[1])
-                    set_ack(seq, _ACK_RING)
-                    events.clear()
-                    return
-        # Reply too large for the ring (or the program itself arrived by
-        # pipe): ack over the pipe, then publish the flag so both waiters
-        # converge.
-        send("ok", seq, tuple(reply_items))
-        set_ack(seq, _ACK_PIPE)
+        batch_events = tuple(
+            (e.kind, e.seq, e.op, e.detail) for e in events
+        ) if sanitize else None
+        raw = wire.encode((tuple(reply_items), batch_events))
+        _kind, off, nbytes = place(seq, "batch reply", _CODEC, np.frombuffer(raw, dtype=np.uint8))
+        _U64.pack_into(out_buf, _REPLY_OFF_OFF, off)
+        _U64.pack_into(out_buf, _REPLY_LEN_OFF, nbytes)
+        set_ack(seq, _ACK_RING)
+        events.clear()
 
     try:
         while True:
@@ -455,9 +454,11 @@ def _worker_main(
                     program = wire.decode(
                         in_buf[prog_off + _SEQ.size : prog_off + _SEQ.size + prog_len]
                     )
-                    run_program(seq, program, via_pipe=False)
+                    run_program(seq, program)
                 except BaseException:
-                    send("err", seq, traceback.format_exc())
+                    # The pipe message goes first: a parent that sees the
+                    # error flag can always read it.
+                    send_error(seq, "batch")
                     set_ack(seq, _ACK_ERR)
                 continue
             op, seq = request[0], request[1]
@@ -468,12 +469,7 @@ def _worker_main(
                         f"worker {rank}: expected doorbell seq {expected}, got {seq}"
                     )
                 expected += 1
-                if op == "batch":
-                    # Oversize fallback: the program (entries included)
-                    # travelled over the pipe; payload records may still
-                    # live in the ring.
-                    run_program(seq, request[2], via_pipe=True)
-                elif op == "pool":
+                if op == "pool":
                     owner = request[4]
                     new = shared_memory.SharedMemory(name=request[2])
                     mapped = np.frombuffer(new.buf, dtype=DTYPE, count=request[3])
@@ -485,6 +481,20 @@ def _worker_main(
                     emit("pool_map", seq=seq, detail=(owner,))
                     emit("ack_send", seq=seq, op=op)
                     send("ok", seq, None)
+                elif op == "grow":
+                    # Remap both rings; the parent unlinks the old segments
+                    # once this ack arrives.
+                    new_in = shared_memory.SharedMemory(name=request[2])
+                    new_out = shared_memory.SharedMemory(name=request[3])
+                    old = (in_shm, out_shm)
+                    in_shm, out_shm = new_in, new_out
+                    in_buf, out_buf = in_shm.buf, out_shm.buf
+                    writer = _RingWriter(out_buf, request[4])
+                    for shm in old:
+                        _close_segment(shm, unlink=False)
+                    emit("ring_map", seq=seq, detail=(request[4],))
+                    emit("ack_send", seq=seq, op=op)
+                    send("ok", seq, None)
                 elif op == "close":
                     emit("exit")
                     emit("ack_send", seq=seq, op=op)
@@ -493,7 +503,7 @@ def _worker_main(
                 else:
                     raise BackendError(f"worker {rank}: unknown doorbell {op!r}")
             except BaseException:
-                send("err", seq, traceback.format_exc())
+                send_error(seq, op)
     finally:
         pools.clear()
         for pool_shm in pool_shms.values():
@@ -513,7 +523,7 @@ class _PendingBatch:
     seq: int
     program: list[tuple[str, Any]] = field(default_factory=list)
     placed_bytes: int = 0
-    inline_count: int = 0
+    records: int = 0
 
 
 @dataclass
@@ -573,10 +583,9 @@ class SharedMemoryBackend(TransportBackend):
             "rounds": 0,
             "payload_bytes": 0,
             "tasks": 0,
-            "inline_fallbacks": 0,
             "batches": 0,
             "flag_doorbells": 0,
-            "pipe_batch_fallbacks": 0,
+            "grows": 0,
             "pool_ref_payloads": 0,
             "reduces": 0,
         }
@@ -644,9 +653,9 @@ class SharedMemoryBackend(TransportBackend):
         """Shut down workers and release every segment.  Idempotent."""
         if self._closed:
             return
+        self._closed = True  # a failure inside the teardown closes nothing twice
         self._teardown(graceful=True)
         self.emit_protocol_event("closed")
-        self._closed = True
         if self._atexit_hook is not None:
             atexit.unregister(self._atexit_hook)
             self._atexit_hook = None
@@ -657,7 +666,7 @@ class SharedMemoryBackend(TransportBackend):
             # flag doorbell; failures must not block teardown.
             for rank in list(self._batches):
                 try:
-                    self._flush_rank(rank, closing=True)
+                    self._flush_rank(rank)
                 except Exception:
                     pass
         self._batches.clear()
@@ -677,15 +686,9 @@ class SharedMemoryBackend(TransportBackend):
             # sanitizer can prove unlink happened after every exit.
             for handle in self._workers.values():
                 try:
-                    if handle.process.is_alive() or handle.conn.poll(0):
-                        if handle.conn.poll(2.0):
-                            message = handle.conn.recv()
-                            if len(message) > 3:
-                                self.protocol_events.extend(message[3])
-                            self.emit_protocol_event(
-                                "ack_recv", rank=handle.rank, seq=message[1]
-                            )
-                except (EOFError, OSError):
+                    if handle.conn.poll(2.0 if handle.process.is_alive() else 0):
+                        self._read_ack(handle, handle.seq - 1)
+                except (BackendError, OSError):
                     pass
         for handle in self._workers.values():
             if handle.process.is_alive():
@@ -711,30 +714,30 @@ class SharedMemoryBackend(TransportBackend):
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
+    def _fail(self, handle: _WorkerHandle, reason: str) -> NoReturn:
+        """Close the backend and raise an error naming the rank."""
+        self.close()
+        raise BackendError(f"shm worker {handle.rank} {reason}; backend closed")
+
     def _check_alive(self, handle: _WorkerHandle) -> None:
         if not handle.process.is_alive():
-            code = handle.process.exitcode
-            self.close()
-            raise BackendError(
-                f"shm worker {handle.rank} died (exit code {code}); backend closed"
-            )
+            self._fail(handle, f"died (exit code {handle.process.exitcode})")
 
     def _await_ack(self, handle: _WorkerHandle, seq: int) -> Any:
+        """Wait for a control op's pipe ack; returns its payload."""
         deadline = time.monotonic() + self.timeout_s
         while not handle.conn.poll(0.05):
-            if not handle.process.is_alive():
-                code = handle.process.exitcode
-                self.close()
-                raise BackendError(
-                    f"shm worker {handle.rank} died (exit code {code}); backend closed"
-                )
+            self._check_alive(handle)
             if time.monotonic() > deadline:
-                self.close()
-                raise BackendError(
-                    f"shm worker {handle.rank} did not ack seq {seq} within "
-                    f"{self.timeout_s:.0f}s; backend closed"
-                )
-        message = handle.conn.recv()
+                self._fail(handle, f"did not ack seq {seq} within {self.timeout_s:.0f}s")
+        return self._read_ack(handle, seq)
+
+    def _read_ack(self, handle: _WorkerHandle, seq: int) -> Any:
+        """Read one pipe ack; an error ack raises (the backend stays open)."""
+        try:
+            message = handle.conn.recv()
+        except (EOFError, OSError):
+            self._fail(handle, f"pipe is gone while awaiting seq {seq}")
         op, ack_seq, payload = message[0], message[1], message[2]
         if self._protocol_sanitize and len(message) > 3:
             self.protocol_events.extend(message[3])
@@ -742,11 +745,7 @@ class SharedMemoryBackend(TransportBackend):
         if op == "err":
             raise BackendError(f"shm worker {handle.rank} failed:\n{payload}")
         if ack_seq != seq:
-            self.close()
-            raise BackendError(
-                f"shm worker {handle.rank} acked seq {ack_seq}, expected {seq}; "
-                "backend closed"
-            )
+            self._fail(handle, f"acked seq {ack_seq}, expected {seq}")
         return payload
 
     def _post(self, handle: _WorkerHandle, op: str, *payload: Any) -> int:
@@ -757,88 +756,84 @@ class SharedMemoryBackend(TransportBackend):
         seq = handle.next_seq()
         try:
             handle.conn.send((op, seq, *payload))
-        except (BrokenPipeError, OSError) as exc:
-            self.close()
-            raise BackendError(
-                f"shm worker {handle.rank} pipe is gone ({exc}); backend closed"
-            ) from exc
+        except OSError as exc:
+            self._fail(handle, f"pipe is gone ({exc})")
         self.emit_protocol_event("post", rank=handle.rank, seq=seq, op=op)
         return seq
 
     # ------------------------------------------------------------------
     # Programs: stage, flush, verify
     # ------------------------------------------------------------------
-    def _batch(self, handle: _WorkerHandle) -> _PendingBatch:
-        """The rank's open batch, flushing first when the program is full."""
-        pending = self._batches.get(handle.rank)
-        if pending is not None and len(pending.program) >= _MAX_BATCH_ITEMS:
-            self._flush_rank(handle.rank)
-            pending = None
-        if pending is None:
-            pending = _PendingBatch(seq=handle.next_seq())
-            handle.writer.begin_round()
-            self._batches[handle.rank] = pending
-        return pending
-
-    def _try_stage(
-        self,
-        handle: _WorkerHandle,
-        pending: _PendingBatch,
-        encoded: Sequence[tuple[int, np.ndarray]],
-        force_inline: bool,
-    ) -> list[_Entry] | None:
-        """Place one round's records; None = batch full, flush and retry."""
-        entries: list[_Entry] = []
-        for kind, data in encoded:
-            entry = _place_record(handle.writer, pending.seq, kind, data)
-            if entry[1] < 0 and not force_inline and (pending.program or entries):
-                return None  # a fresh batch may still have ring room for it
-            entries.append(entry)
-        return entries
-
     def _stage_item(
         self,
         handle: _WorkerHandle,
         op: str,
         encoded: Sequence[tuple[int, np.ndarray]],
-    ) -> tuple[_PendingBatch, list[_Entry]]:
+    ) -> _PendingBatch:
         """Append one round/task/reduce item to the rank's open batch.
 
-        A round whose records no longer fit the open batch flushes it and
-        restages into a fresh one; a record larger than the ring itself
-        travels inline in the program (the per-record fallback).
+        A full batch (item cap, or no ring room left for the item plus the
+        program and reply records) flushes and the item opens a fresh one;
+        an item too large for an empty ring grows the rank's rings first.
         """
-        pending = self._batch(handle)
-        entries = self._try_stage(handle, pending, encoded, force_inline=False)
-        if entries is None:
-            self._flush_rank(handle.rank)
-            pending = self._batch(handle)
-            entries = self._try_stage(handle, pending, encoded, force_inline=True)
-            assert entries is not None
-        pending.program.append((op, entries if op == "round" else entries[0]))
-        for entry in entries:
-            if entry[1] < 0:
-                pending.inline_count += 1
-            else:
-                pending.placed_bytes += entry[2]
-            # payload_bytes / inline_fallbacks count *round* traffic only;
-            # task and reduce records are control traffic.
-            if op == "round":
-                if entry[1] < 0:
-                    self.shm_stats["inline_fallbacks"] += 1
-                self.shm_stats["payload_bytes"] += entry[2]
+        rank = handle.rank
+        spans = sum(_record_span(len(data)) for _kind, data in encoded)
+        pending = self._batches.get(rank)
+        if pending is not None and (
+            len(pending.program) >= _MAX_BATCH_ITEMS
+            or spans + _control_bytes(pending.records + len(encoded)) > handle.writer.free()
+        ):
+            self._flush_rank(rank)
+            pending = None
+        if pending is None:
+            need = spans + _control_bytes(len(encoded))
+            if _HEADER_BYTES + need > handle.writer.size:
+                self._grow(handle, need)
+            pending = _PendingBatch(seq=handle.next_seq())
+            handle.writer.begin_round()
+            self._batches[rank] = pending
+        entries: list[_Entry] = []
+        for kind, data in encoded:
+            placed = handle.writer.write(pending.seq, data)
+            assert placed is not None  # the room was checked above
+            entries.append((kind, *placed))
+        nbytes = sum(entry[2] for entry in entries)
+        pending.program.append((op, tuple(entries) if op == "round" else entries[0]))
+        pending.placed_bytes += nbytes
+        pending.records += len(entries)
+        if op == "round":
+            # payload_bytes counts *round* traffic only; task and reduce
+            # records are control traffic.
+            self.shm_stats["payload_bytes"] += nbytes
         self.emit_protocol_event(
-            "stage",
-            rank=handle.rank,
-            seq=pending.seq,
-            op=op,
-            detail=(
-                len(entries),
-                sum(e[2] for e in entries if e[1] >= 0),
-                sum(1 for e in entries if e[1] < 0),
-            ),
+            "stage", rank=rank, seq=pending.seq, op=op, detail=(len(entries), nbytes)
         )
-        return pending, entries
+        return pending
+
+    def _grow(self, handle: _WorkerHandle, need: int) -> None:
+        """Remap rank's in and out rings to the next power of two above ``need``.
+
+        Runs between batches (``_post`` flushes the open one first); the old
+        segments are unlinked only after the worker acked the remap.
+        """
+        size = 1 << (_HEADER_BYTES + need - 1).bit_length()
+        new_in = shared_memory.SharedMemory(create=True, size=size)
+        new_out = shared_memory.SharedMemory(create=True, size=size)
+        try:
+            seq = self._post(handle, "grow", new_in.name, new_out.name, size)
+            self._await_ack(handle, seq)
+        except BaseException:
+            _close_segment(new_in, unlink=True)
+            _close_segment(new_out, unlink=True)
+            raise
+        old = (handle.in_shm, handle.out_shm)
+        handle.in_shm, handle.out_shm = new_in, new_out
+        handle.writer = _RingWriter(new_in.buf, size)
+        for shm in old:
+            _close_segment(shm, unlink=True)
+        self.shm_stats["grows"] += 1
+        self.emit_protocol_event("unlink", rank=handle.rank, seq=seq, op="grow")
+        self.emit_protocol_event("grow", rank=handle.rank, seq=seq, detail=(size,))
 
     def flush(self) -> None:
         """Drain every staged batch (the iteration boundary).
@@ -850,110 +845,80 @@ class SharedMemoryBackend(TransportBackend):
         """
         self._flush_ranks(list(self._batches))
 
-    def _flush_ranks(
-        self, ranks: Sequence[int], closing: bool = False
-    ) -> dict[int, list[Any]]:
+    def _flush_ranks(self, ranks: Sequence[int]) -> dict[int, list[Any]]:
         """Post all the named ranks' programs, then await/verify each ack."""
         posted: list[tuple[_WorkerHandle, _PendingBatch]] = []
         for rank in ranks:
-            post = self._post_batch(rank, closing)
+            post = self._post_batch(rank)
             if post is not None:
                 posted.append(post)
         results: dict[int, list[Any]] = {}
         for handle, pending in posted:
-            results[handle.rank] = self._complete_batch(handle, pending, closing)
+            results[handle.rank] = self._complete_batch(handle, pending)
         return results
 
-    def _flush_rank(self, rank: int, closing: bool = False) -> list[Any]:
+    def _flush_rank(self, rank: int) -> list[Any]:
         """Ship one rank's program and wait for it (post + complete fused)."""
-        return self._flush_ranks((rank,), closing).get(rank, [])
+        return self._flush_ranks((rank,)).get(rank, [])
 
-    def _post_batch(
-        self, rank: int, closing: bool = False
-    ) -> tuple[_WorkerHandle, _PendingBatch] | None:
+    def _post_batch(self, rank: int) -> tuple[_WorkerHandle, _PendingBatch] | None:
         """Encode and doorbell rank's staged program without awaiting it."""
         pending = self._batches.pop(rank, None)
-        if pending is None or not pending.program:
+        if pending is None:
             return None
         handle = self._workers[rank]
         seq = pending.seq
-        program_obj = tuple(
-            (op, tuple(tuple(e) for e in data) if op == "round" else tuple(data))
-            for op, data in pending.program
-        )
-        raw = np.frombuffer(wire.encode(program_obj), dtype=np.uint8)
+        raw = np.frombuffer(wire.encode(tuple(pending.program)), dtype=np.uint8)
         placed = handle.writer.write(seq, raw)
-        if placed is not None:
-            in_buf = handle.in_shm.buf
-            _U64.pack_into(in_buf, _PROG_OFF_OFF, placed[0])
-            _U64.pack_into(in_buf, _PROG_LEN_OFF, placed[1])
-            # Publish the data, then the flag: CPython executes the stores
-            # in order and x86-TSO keeps them ordered for the worker; the
-            # program record's seq stamp is the secondary check.
-            _U64.pack_into(in_buf, _DOOR_FLAG_OFF, seq + 1)
-            self.shm_stats["flag_doorbells"] += 1
-        else:
-            try:
-                handle.conn.send(("batch", seq, program_obj))
-            except (BrokenPipeError, OSError) as exc:
-                if closing:
-                    raise BackendError(f"shm worker {rank} pipe is gone ({exc})") from exc
-                self.close()
-                raise BackendError(
-                    f"shm worker {rank} pipe is gone ({exc}); backend closed"
-                ) from exc
-            self.shm_stats["pipe_batch_fallbacks"] += 1
+        if placed is None:  # pragma: no cover - _control_bytes bounds the program
+            raise BackendError(
+                f"shm worker {rank}: program record of {len(raw)} bytes overflows "
+                f"the {handle.writer.size}-byte ring"
+            )
+        in_buf = handle.in_shm.buf
+        _U64.pack_into(in_buf, _PROG_OFF_OFF, placed[0])
+        _U64.pack_into(in_buf, _PROG_LEN_OFF, placed[1])
+        # Publish the data, then the flag: CPython executes the stores in
+        # order and x86-TSO keeps them ordered for the worker; the program
+        # record's seq stamp is the secondary check.
+        _U64.pack_into(in_buf, _DOOR_FLAG_OFF, seq + 1)
+        self.shm_stats["flag_doorbells"] += 1
         self.shm_stats["batches"] += 1
         self.emit_protocol_event(
             "post",
             rank=rank,
             seq=seq,
             op="batch",
-            detail=(len(pending.program), pending.placed_bytes, pending.inline_count),
+            detail=(len(pending.program), pending.placed_bytes),
         )
         return handle, pending
 
-    def _complete_batch(
-        self, handle: _WorkerHandle, pending: _PendingBatch, closing: bool = False
-    ) -> list[Any]:
+    def _complete_batch(self, handle: _WorkerHandle, pending: _PendingBatch) -> list[Any]:
         """Await one posted program's ack and verify its echoes.
 
         Returns one result slot per program item: ``None`` for rounds
         (their payloads were already delivered at stage time), the decoded
         result for tasks and reduces.
         """
-        rank = handle.rank
         seq = pending.seq
-        reply_items = self._await_batch_ack(handle, seq, closing)
+        reply_items = self._await_batch_ack(handle, seq)
         if len(reply_items) != len(pending.program):
-            message = (
-                f"shm worker {rank} executed {len(reply_items)} program item(s) "
-                f"of {len(pending.program)}"
+            self._fail(
+                handle, f"executed {len(reply_items)} program item(s) of {len(pending.program)}"
             )
-            if closing:
-                raise BackendError(message)
-            self.close()
-            raise BackendError(message + "; backend closed")
         results: list[Any] = []
         out_buf = handle.out_shm.buf
         for (op, data), reply in zip(pending.program, reply_items):
             if op == "round":
                 for staged, echo in zip(data, reply):
-                    self._verify_echo(handle, seq, staged, tuple(echo), closing)
+                    self._verify_echo(handle, seq, staged, echo)
                 results.append(None)
             else:
-                results.append(_read_record(out_buf, seq, tuple(reply)))
+                results.append(_read_record(out_buf, seq, reply))
         del out_buf
         return results
 
-    def _verify_echo(
-        self,
-        handle: _WorkerHandle,
-        seq: int,
-        staged: _Entry,
-        echo: _Entry,
-        closing: bool,
-    ) -> None:
+    def _verify_echo(self, handle: _WorkerHandle, seq: int, staged: _Entry, echo: _Entry) -> None:
         """Byte-compare a worker echo against the staged original.
 
         Pickled records are exempt: re-pickling in the worker is value- but
@@ -962,86 +927,58 @@ class SharedMemoryBackend(TransportBackend):
         """
         if staged[0] == _PICKLED:
             return
-        if echo[1] >= 0:
-            stamp = _SEQ.unpack_from(handle.out_shm.buf, echo[1])[0]
-            if stamp != seq:
-                self._echo_fail(handle, f"echo record stamped seq {stamp}", closing)
+        stamp = _SEQ.unpack_from(handle.out_shm.buf, echo[1])[0]
+        if stamp != seq:
+            self._fail(handle, f"echo verification failed: echo record stamped seq {stamp}")
         if echo[0] != staged[0] or echo[2] != staged[2] or not np.array_equal(
             _record_bytes(handle.in_shm.buf, staged),
             _record_bytes(handle.out_shm.buf, echo),
         ):
-            self._echo_fail(handle, "echoed bytes diverge from the staged record", closing)
+            self._fail(
+                handle, "echo verification failed: echoed bytes diverge from the staged record"
+            )
 
-    def _echo_fail(self, handle: _WorkerHandle, reason: str, closing: bool) -> None:
-        message = f"shm worker {handle.rank} echo verification failed: {reason}"
-        if closing:
-            raise BackendError(message)
-        self.close()
-        raise BackendError(message + "; backend closed")
+    def _await_batch_ack(self, handle: _WorkerHandle, seq: int) -> tuple:
+        """Wait on the ack flag word; returns the reply record's echo entries.
 
-    def _await_batch_ack(
-        self, handle: _WorkerHandle, seq: int, closing: bool
-    ) -> tuple:
-        """Wait on the ack flag word (or a pipe ack/err that beats it)."""
-
-        def fail(reason: str) -> None:
-            if closing:
-                raise BackendError(f"shm worker {handle.rank} {reason}")
-            self.close()
-            raise BackendError(f"shm worker {handle.rank} {reason}; backend closed")
-
+        The flag alone is polled.  Every 128 spins the wait checks the
+        worker's liveness and the deadline and, once ``_SPIN_S`` is spent,
+        sleeps in a short ``poll`` on the pipe.  The pipe is read only after
+        an error flag (the worker sends the error before raising the flag).
+        """
         out_buf = handle.out_shm.buf
-        deadline = time.monotonic() + self.timeout_s
+        start = time.monotonic()
+        deadline = start + self.timeout_s
+        backoff_at = start + _SPIN_S
         want = seq + 1
         spins = 0
-        status = 0
-        message: tuple | None = None
         while True:
             flag = _U64.unpack_from(out_buf, _ACK_FLAG_OFF)[0]
             acked = flag >> 8
             if acked == want:
-                status = flag & 0xFF
                 break
             if acked > want:
-                fail(f"acked batch seq {acked - 1}, expected {seq}")
-            try:
-                ready = handle.conn.poll(0.0 if spins < _SPIN_LIMIT else _POLL_BACKOFF_S)
-            except OSError:
-                ready = False
-            if ready:
-                try:
-                    message = handle.conn.recv()
-                except EOFError:
-                    fail("pipe is gone mid-batch")
-                break
+                self._fail(handle, f"acked batch seq {acked - 1}, expected {seq}")
             spins += 1
             if spins % 128 == 0:
-                if not handle.process.is_alive():
-                    fail(f"died (exit code {handle.process.exitcode})")
-                if time.monotonic() > deadline:
-                    fail(f"did not ack batch seq {seq} within {self.timeout_s:.0f}s")
-        if message is None and status in (_ACK_PIPE, _ACK_ERR):
-            # The flag landed first but the payload travels by pipe.
-            if not handle.conn.poll(self.timeout_s):
-                fail(f"flagged a pipe ack for seq {seq} but sent nothing")
-            message = handle.conn.recv()
-        if message is not None:
-            op, ack_seq, payload = message[0], message[1], message[2]
-            if self._protocol_sanitize and len(message) > 3:
-                self.protocol_events.extend(message[3])
-            self.emit_protocol_event("ack_recv", rank=handle.rank, seq=ack_seq)
-            if op == "err":
-                raise BackendError(f"shm worker {handle.rank} failed:\n{payload}")
-            if ack_seq != seq:
-                fail(f"acked seq {ack_seq}, expected {seq}")
-            return payload
-        # Ring ack: the reply record carries the echo entries (and, in
-        # sanitize mode, the worker's buffered events).
+                self._check_alive(handle)
+                now = time.monotonic()
+                if now > deadline:
+                    self._fail(handle, f"did not ack batch seq {seq} within {self.timeout_s:.0f}s")
+                if now > backoff_at:
+                    try:
+                        handle.conn.poll(_POLL_BACKOFF_S)
+                    except OSError:
+                        pass
+        if flag & 0xFF == _ACK_ERR:
+            self._read_ack(handle, seq)  # the error ack raises
+        # The reply record carries the echo entries (and, in sanitize mode,
+        # the worker's buffered events).
         reply_off = _U64.unpack_from(out_buf, _REPLY_OFF_OFF)[0]
         reply_len = _U64.unpack_from(out_buf, _REPLY_LEN_OFF)[0]
         stamp = _SEQ.unpack_from(out_buf, reply_off)[0]
         if stamp != seq:
-            fail(f"reply record stamped seq {stamp}, expected {seq}")
+            self._fail(handle, f"reply record stamped seq {stamp}, expected {seq}")
         reply_items, batch_events = wire.decode(
             out_buf[reply_off + _SEQ.size : reply_off + _SEQ.size + reply_len]
         )
@@ -1154,18 +1091,13 @@ class SharedMemoryBackend(TransportBackend):
             handle = self._workers[ref.rank]
             self._check_alive(handle)
             spec = (int(lo), int(hi), spec_refs, tuple(order), bool(add_zero))
-            encoded = [_encode(spec)]
-            pending, _entries = self._stage_item(handle, "reduce", encoded)
+            pending = self._stage_item(handle, "reduce", [_encode(spec)])
             slots.append((ref.rank, len(pending.program) - 1, lo, hi))
         results = self._flush_ranks(sorted({ref.rank for ref in refs}))
         for rank, slot, lo, hi in slots:
             reply = results[rank][slot]
             if reply != (lo, hi):
-                self.close()
-                raise BackendError(
-                    f"shm worker {rank} reduced chunk {reply}, expected "
-                    f"({lo}, {hi}); backend closed"
-                )
+                self._fail(self._workers[rank], f"reduced chunk {reply}, expected ({lo}, {hi})")
 
     def run_rank_tasks(
         self,
@@ -1183,8 +1115,7 @@ class SharedMemoryBackend(TransportBackend):
         for rank in ranks:
             handle = self._workers[rank]
             self._check_alive(handle)
-            encoded = [_encode((fn, tuple(args_by_rank[rank])))]
-            pending, _entries = self._stage_item(handle, "task", encoded)
+            pending = self._stage_item(handle, "task", [_encode((fn, tuple(args_by_rank[rank])))])
             slots[rank] = len(pending.program) - 1
         self.shm_stats["tasks"] += len(ranks)
         # Post every rank's program before awaiting any ack so the

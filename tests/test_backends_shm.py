@@ -22,6 +22,7 @@ from repro.cluster.backends import (
     available_backends,
     resolve_backend,
 )
+from repro.cluster.backends.shm import _ACK_RING, _U64, _control_bytes, _record_span
 from repro.tensor import DTYPE
 
 
@@ -40,6 +41,24 @@ def echo_task(pool, value):
 
 def boom_task(pool):
     raise ValueError("boom from the worker")
+
+
+def bulk_task(pool, n):
+    return np.zeros(n)
+
+
+def suicide_task(pool):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _segment_names(backend) -> set[str]:
+    """Names of every ring and pool segment the backend holds right now."""
+    names = {shm.name for h in backend._workers.values() for shm in (h.in_shm, h.out_shm)}
+    return names | {shm.name for shm, _pool in backend._pools.values()}
+
+
+def _leaked(names) -> list[str]:
+    return [name for name in names if os.path.exists(f"/dev/shm/{name.lstrip('/')}")]
 
 
 class TestRegistry:
@@ -166,6 +185,18 @@ class TestShmLifecycle:
             transport.exchange([Message(0, 1, np.zeros(3))])
         assert backend._closed  # orphan cleanup ran
 
+    def test_worker_killed_mid_program_is_detected_by_the_liveness_beat(self):
+        # The timeout is far beyond the test's run time, so only the
+        # liveness beat of the flag-only ack wait can explain "died".
+        backend = SharedMemoryBackend(2, timeout_s=600.0)
+        backend.allocate_pool(1, 4)
+        backend.ensure_started()
+        names = _segment_names(backend)
+        with pytest.raises(BackendError, match="worker 1 died"):
+            backend.run_rank_tasks(suicide_task, {1: ()})
+        assert backend._closed
+        assert _leaked(names) == []
+
 
 class TestShmPayloads:
     @pytest.fixture(scope="class")
@@ -205,13 +236,44 @@ class TestShmPayloads:
             got = self._roundtrip(transport, np.full(1024, float(i)))
             assert got[0] == float(i)
 
-    def test_oversize_payload_falls_back_inline(self):
-        with Transport(_spec(2), backend=SharedMemoryBackend(2, ring_bytes=1 << 14)) as tr:
-            before = tr.backend.shm_stats["inline_fallbacks"]
+    def test_oversize_payload_grows_the_ring(self):
+        backend = SharedMemoryBackend(2, ring_bytes=1 << 14)
+        with Transport(_spec(2), backend=backend) as tr:
+            backend.ensure_started()
+            names = _segment_names(backend)
             big = np.random.default_rng(0).standard_normal(1 << 12)  # 32 KiB > ring
-            got = tr.exchange([Message(0, 1, big)])[1][0].payload
-            assert np.array_equal(got, big)
-            assert tr.backend.shm_stats["inline_fallbacks"] == before + 1
+            for _ in range(2):
+                got = tr.exchange([Message(0, 1, big)])[1][0].payload
+                assert got.tobytes() == big.tobytes()
+                backend.flush()  # the worker's echo is byte-compared here
+            assert backend.shm_stats["grows"] == 1  # the second exchange fits
+            assert backend._workers[1].in_shm.size == backend._workers[1].out_shm.size == 1 << 16
+            assert backend._workers[0].in_shm.size == 1 << 14
+            names |= _segment_names(backend)
+        assert len(names) == 6
+        assert _leaked(names) == []
+
+    def test_batch_at_its_ring_budget_acks_through_the_ring(self):
+        # One-record rounds cost the most program and reply bytes per
+        # staged byte; a sanitized batch filled until the next round no
+        # longer fits must still ack through the out ring.
+        backend = SharedMemoryBackend(2, ring_bytes=1 << 13, sanitize=True)
+        with Transport(_spec(2), backend=backend) as tr:
+            backend.ensure_started()
+            handle = backend._workers[1]
+            payload = np.ones(1, dtype=DTYPE)
+            span = _record_span(payload.nbytes)
+            while backend.shm_stats["batches"] == 0:
+                pending = backend._batches.get(1)
+                full = pending is not None and (
+                    span + _control_bytes(pending.records + 1) > handle.writer.free()
+                )
+                tr.exchange([Message(0, 1, payload)])
+            assert full and len(pending.program) < 128  # flushed by the ring budget
+            flag = _U64.unpack_from(handle.out_shm.buf, 0)[0]
+            assert (flag >> 8, flag & 0xFF) == (pending.seq + 1, _ACK_RING)
+            backend.close()
+            assert backend.conformance_findings() == []
 
     def test_round_order_preserved_per_destination(self, transport):
         inbox = transport.exchange(
@@ -276,6 +338,17 @@ class TestShmPoolsAndTasks:
         with Transport(_spec(2), backend="shm") as transport:
             results = transport.backend.run_rank_tasks(echo_task, {1: ("only-me",)})
             assert results == {1: "only-me"}
+
+    def test_oversize_task_result_is_a_located_error(self):
+        backend = SharedMemoryBackend(2, ring_bytes=1 << 14)
+        with Transport(_spec(2), backend=backend):
+            with pytest.raises(
+                BackendError,
+                match=r"worker 0: task result of \d+ bytes in batch seq \d+ "
+                r"does not fit the 16384-byte out ring",
+            ):
+                backend.run_rank_tasks(bulk_task, {0: (1 << 12,)})
+            assert backend.run_rank_tasks(echo_task, {0: (7,)}) == {0: 7}
 
     def test_task_error_propagates_with_traceback(self):
         with Transport(_spec(2), backend="shm") as transport:
@@ -376,22 +449,20 @@ class TestPoolRefReduce:
                 backend.pool_ref_reduce(refs, [(0, 8, (0, 1))], add_zero=False)
 
     def test_round_stats_count_rounds_only(self):
-        # payload_bytes / inline_fallbacks are *round* traffic counters:
-        # tasks and pool-ref reduces must not move them.
+        # payload_bytes is a *round* traffic counter: tasks and pool-ref
+        # reduces must not move it.
         backend = SharedMemoryBackend(2)
         with Transport(_spec(2), backend=backend) as transport:
             pools = [backend.allocate_pool(rank, 8) for rank in range(2)]
             transport.exchange([Message(0, 1, np.arange(8.0))])
             backend.flush()
             payload_bytes = backend.shm_stats["payload_bytes"]
-            fallbacks = backend.shm_stats["inline_fallbacks"]
             assert payload_bytes > 0
             backend.run_rank_tasks(echo_task, {0: (1,), 1: (2,)})
             refs = backend.resolve_pool_refs(pools, [0, 1])
             backend.pool_ref_reduce(refs, [(0, 4, (0, 1)), (4, 8, (0, 1))], add_zero=True)
             backend.flush()
             assert backend.shm_stats["payload_bytes"] == payload_bytes
-            assert backend.shm_stats["inline_fallbacks"] == fallbacks
             assert backend.shm_stats["reduces"] == 2
 
     def test_descriptor_shrinks_round_payload_bytes(self):

@@ -61,10 +61,10 @@ def test_world4_exploration_is_complete_and_small():
     assert result.states < 1_000, result.describe()
 
 
-def test_oversize_record_falls_back_inline_cleanly():
-    # A record larger than the ring travels inline over the pipe — the
-    # protocol handles it; only *forgetting* the fallback (force_place)
-    # is a bug.
+def test_oversize_record_grows_the_ring_cleanly():
+    # A batch larger than the ring is preceded by a remap of the rank's
+    # rings; only *skipping* the grow (force_place) or unlinking the old
+    # rings before the remap ack (early_retire) is a bug.
     result = explore(Workload(oversize=True))
     assert result.ok, result.describe()
 
@@ -138,6 +138,8 @@ _POR_SCENARIOS = [
         Faults(stale_seq=((0, 1),)),
     ),
     ("clean-reduce", Workload(world=2, reduce=True), Faults()),
+    ("clean-grow", Workload(oversize=True), Faults()),
+    ("early-retire", Workload(oversize=True), Faults(early_retire=(0,))),
     (
         "unmapped-poolref",
         Workload(world=2, reduce=True),

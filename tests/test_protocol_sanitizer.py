@@ -47,13 +47,17 @@ from repro.cluster.backends.base import BackendError, ProtocolEvent
 from repro.cluster.backends.local import BatchedBackend, LocalBackend
 from repro.cluster.transport import Message
 from repro.core import BaguaConfig, BaguaEngine
-from repro.tensor import SGD, Linear, ReLU, Sequential, Tensor
+from repro.tensor import DTYPE, SGD, Linear, ReLU, Sequential, Tensor
 from repro.tensor import functional as F
 
 
 def _task(pool, x):
     """Module-level so shm workers can pickle it by reference."""
     return x * 2
+
+
+def _failing_task(pool):
+    raise ValueError("worker failure")
 
 
 def _loss_fn(model, batch):
@@ -112,6 +116,16 @@ class TestLiveConformance:
         assert batch_posts, "shm run recorded no batch doorbells"
         covered = {(e.rank, e.seq) for e in batch_posts}
         assert {(e.rank, e.seq) for e in stages} <= covered
+
+    def test_error_acks_replay_clean(self):
+        # A failed task is acked with an error; the stream must not read
+        # as a dropped ack.
+        backend = SharedMemoryBackend(world_size=2, ring_bytes=1 << 14, sanitize=True)
+        with pytest.raises(BackendError, match="worker failure"):
+            backend.run_rank_tasks(_failing_task, {0: ()})
+        assert backend.run_rank_tasks(_task, {0: (5,)}) == {0: 10}
+        backend.close()
+        assert check_events(backend.protocol_events) == []
 
     @pytest.mark.parametrize("backend_cls", [LocalBackend, BatchedBackend])
     def test_sanitized_in_process_backends_are_clean(self, backend_cls):
@@ -292,6 +306,38 @@ class TestDoctoredStreams:
         finding = the_one_finding(check_events(doctored))
         assert finding.rule == RULE_BARRIER, finding.render()
         assert "never flushed" in finding.message
+
+
+# ----------------------------------------------------------------------
+# A ring grow: the budget check follows the new capacity, and the
+# replaced rings are unlinked only after the worker acked the remap.
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def grow_stream() -> list[ProtocolEvent]:
+    backend = SharedMemoryBackend(world_size=2, ring_bytes=1 << 14, sanitize=True)
+    big = np.ones(1 << 13, dtype=DTYPE)  # 32 KiB: one record larger than the ring
+    backend.route_round([Message(0, 1, big, big.nbytes, "big")])
+    backend.close()
+    return backend.protocol_events
+
+
+class TestRingGrow:
+    def test_grow_stream_is_clean(self, grow_stream):
+        grows = [e for e in grow_stream if e.kind == "grow"]
+        assert [(e.rank, e.detail) for e in grows] == [(1, (1 << 16,))]
+        assert _batch_post(grow_stream).detail[1] > 1 << 14  # over the initial capacity
+        assert check_events(grow_stream) == []
+
+    def test_replaced_ring_unlinked_before_the_remap_ack(self, grow_stream):
+        unlink = next(e for e in grow_stream if e.kind == "unlink" and e.op == "grow")
+        rest = [e for e in grow_stream if e is not unlink]
+        cut = next(i for i, e in enumerate(rest) if e.kind == "post" and e.op == "grow") + 1
+        finding = the_one_finding(check_events(rest[:cut] + [unlink] + rest[cut:]))
+        assert finding.rule == RULE_LIFECYCLE, finding.render()
+
+    def test_budget_check_needs_the_grow_event(self, grow_stream):
+        stream = [e for e in grow_stream if e.kind != "grow"]
+        assert the_one_finding(check_events(stream)).rule == RULE_BUDGET
 
 
 # ----------------------------------------------------------------------
