@@ -23,8 +23,8 @@ class AllreduceSGD(Algorithm):
         averaged = c_fp_s(
             grads, engine.group, hierarchical=engine.hierarchical, out=grads, average=True
         )
-        # The average landed in the rows it was read from (the workers' gradient
-        # buffers when flattened): each is (re)bound as is and stepped on.
+        # The average landed in the rows it was read from, the workers' gradient
+        # buffers: each is (re)bound as is and stepped on.
         for worker, grad in zip(engine.workers, averaged):
             worker.buckets[k].set_flat_grad(grad)
             worker.optimizer_step_on_bucket(k, grad)

@@ -34,8 +34,8 @@ class DecentralizedSGD(Algorithm):
         for worker in engine.workers:
             worker.optimizer_step_on_bucket(k)
         # Then gossip-average this bucket's weights with the step's peers,
-        # in the rows they were read from — the workers' weight buffers when
-        # flattened, which makes the store below a no-op.
+        # in the rows they were read from — the workers' weight buffers,
+        # which makes the store below a no-op.
         weights = engine.weights_of_bucket(k)
         averaged = d_fp_s(
             weights,

@@ -83,8 +83,6 @@ class OneBitAdam(Algorithm):
             v += (1 - self.beta2) * g * g
             x = worker.buckets[k].flat_data()
             x -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if not worker.buckets[k].flattened:
-                worker.buckets[k].set_flat_data(x)
 
     def _compressed_bucket(self, engine: BaguaEngine, k: int) -> None:
         worker_efs = [w.state["worker_ef"][k] for w in engine.workers]
@@ -113,5 +111,3 @@ class OneBitAdam(Algorithm):
             v = worker.state["v"][k]  # frozen preconditioner
             x = worker.buckets[k].flat_data()
             x -= self.lr * m_avg / (np.sqrt(v) + self.eps)
-            if not worker.buckets[k].flattened:
-                worker.buckets[k].set_flat_data(x)

@@ -5,7 +5,7 @@
 with a :class:`~repro.analysis.recorder.TraceRecorder` attached, and feeds
 the checker suite three subjects:
 
-* the **recorded trace** plus the live flattened-bucket layout (real byte
+* the **recorded trace** plus the live bucket layout (real byte
   addresses) — what the algorithm actually did;
 * the **plan lowering** — the execution optimizer's
   :class:`~repro.core.schedule.BucketSchedule` (planned extents) with every

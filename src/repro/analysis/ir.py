@@ -245,7 +245,7 @@ class BucketExtent:
     """A bucket's address range plus the parameter views it must contain.
 
     Addresses are element offsets in a shared space: real byte/element
-    addresses for live flattened buckets, planned cumulative offsets for
+    addresses for live buckets, planned cumulative offsets for
     lowered plans.  Two buckets whose extents intersect alias memory; a view
     outside its bucket's extent reads or writes another bucket's data.
     """

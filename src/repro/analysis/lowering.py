@@ -13,7 +13,7 @@ Two producers feed the checker suite without (or alongside) a dry run:
   verified before anything runs;
 * :func:`layout_from_schedule` / :func:`layout_from_buckets` produce the
   bucket address layout, planned (cumulative offsets) or real (byte
-  addresses of the live flattened buffers), for the aliasing analysis.
+  addresses of the live buckets' buffers), for the aliasing analysis.
 
 The per-rank event enumeration itself lives in :func:`emit_iteration`, which
 is parameterized by a :class:`CommPattern` — the algorithm-level shape of
@@ -310,44 +310,19 @@ def _real_extent(name: str, buffer: np.ndarray, arrays: Sequence[np.ndarray]) ->
 
 
 def layout_from_buckets(buckets: Sequence[TensorBucket]) -> tuple[BucketExtent, ...]:
-    """Real layout of live buckets.
+    """Real layout of live buckets, at actual byte addresses.
 
-    Flattened buckets use actual byte addresses — a parameter whose storage
-    was not re-pointed into the fused buffer, or two buffers that genuinely
-    share memory, show up as real aliasing violations.  Each contributes two
-    extents: its weights and, as ``{name}.grad``, its gradient buffer with
-    the slots its parameters accumulate into — gradients are reduced in
-    place, so a slot shared with another slot or with a weight is the same
-    silent corruption.  Non-flattened buckets have no shared buffer; they
-    get synthetic back-to-back extents so the structural checks (views
-    inside extent, no cross-bucket overlap) still apply.
+    A parameter whose storage was not re-pointed into the fused buffer, or
+    two buffers that genuinely share memory, show up as real aliasing
+    violations.  Each bucket contributes two extents: its weights and, as
+    ``{name}.grad``, its gradient buffer with the slots its parameters
+    accumulate into — gradients are reduced in place, so a slot shared with
+    another slot or with a weight is the same silent corruption.
     """
-    flattened = [b for b in buckets if b.buffer is not None]
-    if len(flattened) == len(buckets):
-        extents = []
-        for bucket in buckets:
-            buffer, grad_buffer = bucket.buffer, bucket.grad_buffer
-            assert buffer is not None and grad_buffer is not None  # flattened, checked above
-            extents.append(_real_extent(bucket.name, buffer, [p.data for p in bucket.params]))
-            extents.append(
-                _real_extent(f"{bucket.name}.grad", grad_buffer, bucket.bound_grad_slots())
-            )
-        return tuple(extents)
-
-    # Unflattened (or mixed): synthetic contiguous address space.
     extents = []
-    base = 0
     for bucket in buckets:
-        views = []
-        for i, (_param, lo, hi) in enumerate(bucket.param_slices()):
-            views.append(ParamView(name=f"{bucket.name}[{i}]", start=base + lo, stop=base + hi))
+        extents.append(_real_extent(bucket.name, bucket.buffer, [p.data for p in bucket.params]))
         extents.append(
-            BucketExtent(
-                name=bucket.name,
-                start=base,
-                stop=base + bucket.total_elements,
-                views=tuple(views),
-            )
+            _real_extent(f"{bucket.name}.grad", bucket.grad_buffer, bucket.bound_grad_slots())
         )
-        base += bucket.total_elements
     return tuple(extents)

@@ -16,21 +16,17 @@ from .batched import (
     ring_reduce_scatter_batched,
     scatter_reduce_batched,
 )
-from .chunking import chunk_bounds, chunk_sizes
+from .chunking import chunk_bounds
 from .collectives import (
-    allreduce_via_root,
     broadcast,
     gather,
-    reduce_to_root,
     ring_all_gather_chunks,
     ring_allreduce,
     ring_reduce_scatter,
-    send_recv,
 )
 from .group import CommGroup
 from .hierarchical import HierarchicalComm
 from .scatter_reduce import scatter_reduce
-from .tree import tree_allreduce, tree_broadcast, tree_reduce
 
 __all__ = [
     "CommGroup",
@@ -39,14 +35,8 @@ __all__ = [
     "ring_all_gather_chunks",
     "gather",
     "broadcast",
-    "reduce_to_root",
-    "allreduce_via_root",
-    "send_recv",
     "scatter_reduce",
     "HierarchicalComm",
-    "tree_broadcast",
-    "tree_reduce",
-    "tree_allreduce",
     # world-batched fast path
     "scatter_reduce_batched",
     "ring_allreduce_batched",
@@ -56,5 +46,4 @@ __all__ = [
     "alltoall_sizes",
     "allgather_sizes",
     "chunk_bounds",
-    "chunk_sizes",
 ]

@@ -41,11 +41,6 @@ def chunk_bounds(length: int, parts: int) -> tuple[tuple, ...]:
     return tuple(bounds)
 
 
-def chunk_sizes(length: int, parts: int) -> tuple[int, ...]:
-    """Chunk lengths of the canonical ``chunk_bounds`` layout."""
-    return tuple(hi - lo for lo, hi in chunk_bounds(length, parts))
-
-
 def check_arrays(arrays: Rows, group: CommGroup) -> None:
     """Validate the per-member input convention of the collectives.
 

@@ -4,14 +4,13 @@ Every function takes ``arrays`` — one 1-D numpy array per group member, in
 ``group.ranks`` order — and returns per-member results.  This god's-eye
 calling convention is how the lock-step trainer drives the simulated workers;
 the message schedules underneath are the real thing (ring reduce-scatter,
-all-gather, tree broadcast, ...), and the transport charges their simulated
+all-gather, star gather, ...), and the transport charges their simulated
 time and bytes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
@@ -25,17 +24,6 @@ from .batched import (
 from .chunking import check_arrays as _check_arrays
 from .chunking import chunk_bounds
 from .group import CommGroup
-
-
-# ----------------------------------------------------------------------
-# Point-to-point helpers
-# ----------------------------------------------------------------------
-def send_recv(group: CommGroup, src: int, dst: int, payload: Any) -> Any:
-    """One message from ``src`` to ``dst`` (global ranks); returns the payload."""
-    inbox = group.transport.exchange(
-        [Message(src, dst, payload, match_id=f"p2p:{src}->{dst}")]
-    )
-    return inbox[dst][0].payload
 
 
 # ----------------------------------------------------------------------
@@ -185,22 +173,6 @@ def broadcast(array: np.ndarray, group: CommGroup, root_index: int = 0) -> list[
     if messages:
         group.transport.exchange(messages)
     return results
-
-
-def reduce_to_root(
-    arrays: Sequence[np.ndarray], group: CommGroup, root_index: int = 0
-) -> np.ndarray:
-    """Sum all members' arrays at the root (gather + local sum)."""
-    gathered = gather(arrays, group, root_index=root_index)
-    return np.sum(gathered, axis=0)
-
-
-def allreduce_via_root(
-    arrays: Sequence[np.ndarray], group: CommGroup, root_index: int = 0
-) -> list[np.ndarray]:
-    """Reduce at root then broadcast — the naive PS-style allreduce."""
-    total = reduce_to_root(arrays, group, root_index=root_index)
-    return broadcast(total, group, root_index=root_index)
 
 
 def alltoall(parts: Sequence[Sequence], group: CommGroup) -> list[list]:

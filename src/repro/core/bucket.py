@@ -1,16 +1,16 @@
 """Tensor bucketing and memory flattening (paper §3.4).
 
-A :class:`TensorBucket` fuses several parameters into one logical unit of
-communication.  With flattening enabled, parameter storage is *re-pointed*
-into one contiguous buffer, so the flat view used for communication,
-compression and the optimizer step is zero-copy — exactly the paper's
-"align parameters within a bucket into a continuous memory space" trick
-(and Apex's flat-buffer optimizer).  Gradients get the same treatment: every
-parameter is bound to its slot of a second contiguous buffer, backward
-accumulates straight into it, and the flat gradient is that buffer.  With
-flattening disabled the bucket still groups tensors but every flat access
-gathers/scatters copies, which is the cost the F-ablation in Table 5
-measures.
+A :class:`TensorBucket` fuses parameters into one unit of communication and
+update, and its storage is always flat: every parameter is *re-pointed* into
+one contiguous weight buffer, so the flat view used for communication,
+compression and the optimizer step is zero-copy — the paper's "align
+parameters within a bucket into a continuous memory space" trick (and Apex's
+flat-buffer optimizer).  Gradients get the same treatment: every parameter
+is bound to its slot of a second contiguous buffer, backward accumulates
+straight into it, and the flat gradient is that buffer.  The F switch of
+:class:`~repro.core.optimizer_framework.BaguaConfig` only decides how many
+tensors a bucket fuses (one each when off); a one-tensor bucket is just as
+contiguous.
 """
 
 from __future__ import annotations
@@ -38,13 +38,12 @@ def _is_buffer(flat: np.ndarray, buffer: np.ndarray) -> bool:
 
 
 class TensorBucket:
-    """A fused group of parameters with optional flattened backing buffers."""
+    """A fused group of parameters over one weight and one gradient buffer."""
 
     def __init__(
         self,
         params: Sequence[Tensor],
         name: str = "",
-        flatten: bool = True,
         buffer: np.ndarray | None = None,
         grad_buffer: np.ndarray | None = None,
     ) -> None:
@@ -52,24 +51,14 @@ class TensorBucket:
             raise ValueError("bucket needs at least one tensor")
         self.params: list[Tensor] = list(params)
         self.name = name
-        self.flattened = flatten
         self._shapes = [p.data.shape for p in self.params]
         self._sizes = [p.data.size for p in self.params]
         self._offsets = np.concatenate([[0], np.cumsum(self._sizes)]).astype(int)
         self.total_elements = int(self._offsets[-1])
-
-        self._buffer: np.ndarray | None = None
-        self._grad_buffer: np.ndarray | None = None
         self._grad_slots: list[np.ndarray] = []
-        if flatten:
-            self._materialize(buffer, grad_buffer)
-        elif buffer is not None or grad_buffer is not None:
-            raise ValueError("an external buffer requires flatten=True")
-        else:
-            # Gradients of an unflattened bucket are born per parameter again,
-            # also for parameters an earlier flattened bucket had bound.
-            for p in self.params:
-                p._grad_slot = None
+        self._buffer = self._checked_buffer(buffer)
+        self._grad_buffer = self._checked_buffer(grad_buffer)
+        self._materialize()
 
     def _checked_buffer(self, buffer: np.ndarray | None) -> np.ndarray:
         if buffer is None:
@@ -81,41 +70,37 @@ class TensorBucket:
             )
         return buffer
 
-    def _materialize(self, buffer: np.ndarray | None, grad_buffer: np.ndarray | None) -> None:
-        """Copy parameters into one buffer and re-point their storage at it.
+    def _materialize(self) -> None:
+        """Copy parameters into the weight buffer and re-point their storage at it.
 
-        ``buffer`` / ``grad_buffer`` let the caller supply preallocated
-        slices (e.g. views into a per-worker flat pool shared by all
-        buckets) instead of private allocations — the zero-copy bucket path
-        of the fast-path engine.  Every parameter is bound to its slot of
-        ``grad_buffer``: gradients it accumulates from now on are born
-        there, and one it already holds (the profiling iteration's) moves in.
+        The buffers are the caller's preallocated slices when given (e.g.
+        views into a per-worker flat pool shared by all buckets — the
+        engine's zero-copy bucket path), private allocations otherwise.
+        Every parameter is bound to its slot of the gradient buffer:
+        gradients it accumulates from now on are born there, and one it
+        already holds (the profiling iteration's) moves in.
         """
-        buffer = self._checked_buffer(buffer)
-        grad_buffer = self._checked_buffer(grad_buffer)
         for p, lo, hi, shape in zip(self.params, self._offsets, self._offsets[1:], self._shapes):
-            buffer[lo:hi] = p.data.reshape(-1)
-            p.data = buffer[lo:hi].reshape(shape)
-            slot = grad_buffer[lo:hi].reshape(shape)
+            self._buffer[lo:hi] = p.data.reshape(-1)
+            p.data = self._buffer[lo:hi].reshape(shape)
+            slot = self._grad_buffer[lo:hi].reshape(shape)
             if p.grad is not None:
                 slot[...] = p.grad.reshape(shape)
                 p.grad = slot
             p._grad_slot = slot
             self._grad_slots.append(slot)
-        self._buffer = buffer
-        self._grad_buffer = grad_buffer
 
     # ------------------------------------------------------------------
     # Introspection (used by repro.analysis)
     # ------------------------------------------------------------------
     @property
-    def buffer(self) -> np.ndarray | None:
-        """The fused backing buffer, or ``None`` when not flattened."""
+    def buffer(self) -> np.ndarray:
+        """The fused weight buffer."""
         return self._buffer
 
     @property
-    def grad_buffer(self) -> np.ndarray | None:
-        """The fused gradient buffer, or ``None`` when not flattened."""
+    def grad_buffer(self) -> np.ndarray:
+        """The fused gradient buffer."""
         return self._grad_buffer
 
     def param_slices(self) -> list[tuple]:
@@ -128,8 +113,7 @@ class TensorBucket:
     def bound_grad_slots(self) -> list[np.ndarray]:
         """The slots this bucket's parameters accumulate gradients into *now*.
 
-        Inside :attr:`grad_buffer` unless a later bucket re-bound (or an
-        unflattened one unbound) a parameter.
+        Inside :attr:`grad_buffer` unless a later bucket re-bound a parameter.
         """
         return [p._grad_slot for p in self.params if p._grad_slot is not None]
 
@@ -137,25 +121,15 @@ class TensorBucket:
     # Flat views of parameters
     # ------------------------------------------------------------------
     def flat_data(self) -> np.ndarray:
-        """The bucket's parameters as one 1-D array.
-
-        Zero-copy (a view of the shared buffer) when flattened; otherwise a
-        gather copy.
-        """
-        if self._buffer is not None:
-            return self._buffer
-        return np.concatenate([p.data.reshape(-1) for p in self.params])
+        """The bucket's parameters as one 1-D array: the weight buffer itself."""
+        return self._buffer
 
     def set_flat_data(self, flat: np.ndarray) -> None:
-        """Write ``flat`` back into the parameters."""
+        """Write ``flat`` into the weight buffer (nothing when it is the buffer)."""
         if flat.shape != (self.total_elements,):
             raise ValueError(f"expected shape ({self.total_elements},), got {flat.shape}")
-        if self._buffer is not None:
-            if not _is_buffer(flat, self._buffer):
-                self._buffer[...] = flat
-            return
-        for p, lo, hi, shape in zip(self.params, self._offsets, self._offsets[1:], self._shapes):
-            p.data[...] = flat[lo:hi].reshape(shape)
+        if not _is_buffer(flat, self._buffer):
+            self._buffer[...] = flat
 
     # ------------------------------------------------------------------
     # Flat views of gradients
@@ -163,20 +137,12 @@ class TensorBucket:
     def flat_grad(self) -> np.ndarray:
         """Gradients of all parameters concatenated (missing grads are zero).
 
-        Zero-copy when flattened: the gradient buffer itself, live — writing
-        to it writes the parameters' gradients, and the next backward
-        overwrites it.  Only stragglers cost a store: a parameter without a
-        gradient has its slot zeroed (``.grad`` stays ``None``), an array
-        assigned to ``.grad`` from outside moves into the slot.  Otherwise a
-        gather copy.
+        Zero-copy: the gradient buffer itself, live — writing to it writes
+        the parameters' gradients, and the next backward overwrites it.  Only
+        stragglers cost a store: a parameter without a gradient has its slot
+        zeroed (``.grad`` stays ``None``), an array assigned to ``.grad`` from
+        outside moves into the slot.
         """
-        if self._grad_buffer is None:
-            alloc = np.empty if self.grads_ready() else np.zeros
-            out = alloc(self.total_elements, DTYPE)
-            for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:]):
-                if p.grad is not None:
-                    out[lo:hi] = p.grad.reshape(-1)
-            return out
         for p, slot in zip(self.params, self._grad_slots):
             if p.grad is None:
                 slot[...] = 0.0
@@ -186,20 +152,11 @@ class TensorBucket:
         return self._grad_buffer
 
     def set_flat_grad(self, flat: np.ndarray) -> None:
-        """Make ``flat`` the parameters' gradients.
-
-        Flattened: at most one contiguous store (none when ``flat`` is the
-        gradient buffer) and every ``.grad`` re-pointed at its slot.
-        Otherwise a scatter copy.
-        """
+        """Make ``flat`` the parameters' gradients: at most one contiguous
+        store (none when ``flat`` is the gradient buffer) and every ``.grad``
+        re-pointed at its slot."""
         if flat.shape != (self.total_elements,):
             raise ValueError(f"expected shape ({self.total_elements},), got {flat.shape}")
-        if self._grad_buffer is None:
-            for p, lo, hi, shape in zip(
-                self.params, self._offsets, self._offsets[1:], self._shapes
-            ):
-                p.grad = flat[lo:hi].reshape(shape).copy()
-            return
         if not _is_buffer(flat, self._grad_buffer):
             self._grad_buffer[...] = flat
         for p, slot in zip(self.params, self._grad_slots):
@@ -223,6 +180,5 @@ class TensorBucket:
     def __repr__(self) -> str:
         return (
             f"TensorBucket(name={self.name!r}, tensors={len(self.params)}, "
-            f"elements={self.total_elements}, flattened={self.flattened})"
+            f"elements={self.total_elements})"
         )
-

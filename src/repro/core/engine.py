@@ -2,7 +2,7 @@
 
 This is the reproduction's equivalent of ``bagua.bagua_init(model, optimizer,
 algorithm)``: it wraps per-worker model replicas, runs the profiling phase on
-the first iteration, builds the bucket schedule (bucketing/flattening per the
+the first iteration, builds the bucket schedule (bucket granularity per the
 :class:`~repro.core.optimizer_framework.BaguaConfig`), and hands aligned
 bucket views to the training algorithm after every backward pass.
 
@@ -58,9 +58,8 @@ class WorkerReplica:
     def optimizer_step_on_buckets(self, grads: Sequence[np.ndarray] | None = None) -> None:
         """Run the optimizer over the buckets' flat views (paper's flat update).
 
-        ``grads`` defaults to the buckets' own accumulated gradients.  When
-        buckets are flattened the update is in place on the fused buffers;
-        otherwise results are scattered back to the parameters.
+        ``grads`` defaults to the buckets' own accumulated gradients.  The
+        update is in place on the fused weight buffers.
         """
         tracer = self.ctx.transport.tracer
         if tracer is not None:
@@ -72,9 +71,6 @@ class WorkerReplica:
         if grads is None:
             grads = [b.flat_grad() for b in self.buckets]
         self.optimizer.step_on_slots(range(len(arrays)), arrays, list(grads))
-        for bucket, arr in zip(self.buckets, arrays):
-            if not bucket.flattened:
-                bucket.set_flat_data(arr)
 
     def optimizer_step_on_bucket(self, k: int, grad: np.ndarray | None = None) -> None:
         """Run the optimizer on bucket ``k`` alone (per-bucket update path).
@@ -93,8 +89,6 @@ class WorkerReplica:
         if grad is None:
             grad = bucket.flat_grad()
         self.optimizer.step_on_slots([k], [array], [grad])
-        if not bucket.flattened:
-            bucket.set_flat_data(array)
 
 
 class BaguaEngine:
@@ -253,12 +247,13 @@ class BaguaEngine:
         All replicas share the profile recorded on worker 0 — replicas are
         identical by construction, so the ready order is too.
 
-        With flattening on, each worker gets ONE contiguous ``DTYPE`` pool for
-        all of its buckets: weights in the first half, gradients in the
-        second, a bucket at the same offset in both, and every bucket's two
-        backing buffers are views into it.  Bucket-level flat views stay
-        zero-copy exactly as before, and the whole replica is additionally
-        contiguous (one allocation per worker instead of one per bucket).
+        Each worker gets ONE contiguous ``DTYPE`` pool for all of its
+        buckets, whatever ``flatten`` (which only sets how many tensors a
+        bucket fuses): weights in the first half, gradients in the second, a
+        bucket at the same offset in both, and every bucket's two backing
+        buffers are views into it.  Bucket-level flat views are zero-copy,
+        and the whole replica is contiguous (one allocation per worker
+        instead of one per bucket).
         The pool's storage comes from the transport backend: in-process
         backends hand back plain ndarrays, the shm backend maps a
         shared-memory segment visible to the rank's worker process as well —
@@ -266,30 +261,25 @@ class BaguaEngine:
         exactly as weight views do.
         """
         assert self.schedule is not None
-        flatten = self.config.flatten
         backend = self.group.transport.backend
         total = self.schedule.total_elements
         for worker in self.workers:
             by_name = dict(worker.model.named_parameters())
-            pool = backend.allocate_pool(worker.rank, 2 * total) if flatten else None
+            pool = backend.allocate_pool(worker.rank, 2 * total)
             offset = 0
             buckets = []
             for scheduled in self.schedule.buckets:
                 params = [by_name[name] for name, _elements in scheduled.views]
-                view = grad_view = None
-                if pool is not None:
-                    view = pool[offset : offset + scheduled.elements]
-                    grad_view = pool[total + offset : total + offset + scheduled.elements]
-                    offset += scheduled.elements
+                end = offset + scheduled.elements
                 buckets.append(
                     TensorBucket(
                         params,
                         name=scheduled.name,
-                        flatten=flatten,
-                        buffer=view,
-                        grad_buffer=grad_view,
+                        buffer=pool[offset:end],
+                        grad_buffer=pool[total + offset : total + end],
                     )
                 )
+                offset = end
             worker.buckets = buckets
             worker.state["flat_pool"] = pool
 

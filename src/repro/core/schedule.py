@@ -174,13 +174,13 @@ class ComputeModel:
     (timing-mode specs) they are used directly; the profiling phase of
     functional mode records no flops, so a per-element coefficient stands in
     — backward work is roughly proportional to parameter count for the dense
-    layers that dominate the reproduction's models.
+    layers that dominate the reproduction's models.  Forward is not priced:
+    functional clocks charge backward and communication only, and forward
+    time exists only in timing mode.
     """
 
     #: seconds of backward compute per bucket element when no flops are known
     bwd_seconds_per_element: float = 2e-9
-    #: fwd is roughly half of bwd for dense layers (one GEMM vs two)
-    fwd_seconds_per_element: float = 1e-9
     #: sustained FLOP/s used when the schedule carries real flop counts
     flops_per_second: float = 15.7e12
 
@@ -188,11 +188,6 @@ class ComputeModel:
         if bucket.bwd_flops > 0.0:
             return bucket.bwd_flops / self.flops_per_second
         return bucket.elements * self.bwd_seconds_per_element
-
-    def fwd_seconds(self, bucket: ScheduledBucket) -> float:
-        if bucket.fwd_flops > 0.0:
-            return bucket.fwd_flops / self.flops_per_second
-        return bucket.elements * self.fwd_seconds_per_element
 
 
 @dataclass

@@ -62,13 +62,12 @@ def make_group(
     return CommGroup(Transport(spec, backend=backend), list(range(spec.world_size)))
 
 
-def plan_buckets(params, bucket_bytes: float, flatten: bool = True) -> list[TensorBucket]:
+def plan_buckets(params, bucket_bytes: float) -> list[TensorBucket]:
     """The buckets the engine builds over ``params``, taken as the ready order.
 
     The execution optimizer plans the schedule with fusion on, so buckets
     hold several tensors up to the cap; each bucket is built from its
-    scheduled ``views``, as ``BaguaEngine._build_buckets`` does.  ``flatten``
-    only chooses whether those buckets are backed by contiguous memory.
+    scheduled ``views``, as ``BaguaEngine._build_buckets`` does.
     """
     profile = ExecutionProfile(
         [TensorRecord(str(i), p.data.size, ready_index=i) for i, p in enumerate(params)]
@@ -79,7 +78,6 @@ def plan_buckets(params, bucket_bytes: float, flatten: bool = True) -> list[Tens
         TensorBucket(
             [params[int(name)] for name, _elements in scheduled.views],
             name=scheduled.name,
-            flatten=flatten,
         )
         for scheduled in schedule.buckets
     ]

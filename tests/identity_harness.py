@@ -293,15 +293,18 @@ def compare(spec, base, run, legs, *, traced=True, pooled=False) -> dict[str, Le
     return runs
 
 
-def train_epoch(backend: str, algorithm=None, world: int = 2, per_node=None, hierarchical=False):
-    """One VGG16-proxy epoch on ``backend`` (at world 2 unless told); returns
-    the run's observables (losses, simulated times, traffic, final weights)
-    and the trainer, whose transport the caller closes."""
+def train_epoch(
+    backend: str, algorithm=None, world: int = 2, per_node=None, hierarchical=False, flatten=True
+):
+    """One VGG16-proxy epoch on ``backend`` (at world 2 unless told; with
+    ``flatten=False``, one tensor per bucket); returns the run's observables
+    (losses, simulated times, traffic, final weights) and the trainer, whose
+    transport the caller closes."""
     task = get_task("VGG16")
     trainer = DistributedTrainer(
         cluster(world, per_node), task.model_factory, task.make_optimizer,
         algorithm or QSGD(bits=8),
-        config=BaguaConfig(backend=backend, hierarchical=hierarchical), seed=0,
+        config=BaguaConfig(backend=backend, hierarchical=hierarchical, flatten=flatten), seed=0,
     )
     loaders = make_sharded_loaders(task.dataset_factory(0), world, 16, seed=0)
     record = trainer.train(loaders, task.loss_fn, epochs=1, label="parity")

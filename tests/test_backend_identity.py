@@ -339,6 +339,25 @@ class TestEngineEndToEnd:
         assert observed["shm"] == observed["local"]
         assert observed["loopshm"] == observed["local"]
 
+    def test_unfused_epoch_is_pool_resident_and_identical(self):
+        """F=off plans one tensor per bucket, and those buckets are views of
+        the engine's pool as well: the epoch keeps the oracle's bits on every
+        pool leg, and every bucket's weight and gradient rows resolve to pool
+        refs."""
+        observed = {}
+        for backend in POOL:
+            observed[backend], trainer = train_epoch(backend, flatten=False)
+            engine = trainer.engine
+            assert all(len(bucket) == 1 for w in engine.workers for bucket in w.buckets)
+            if backend == "batched":
+                ranks = [w.rank for w in engine.workers]
+                resolve = trainer.transport.backend.resolve_pool_refs
+                for k in range(engine.num_buckets):
+                    assert resolve(engine.weights_of_bucket(k), ranks) is not None
+                    assert resolve(engine.grads_of_bucket(k), ranks) is not None
+            trainer.transport.close()
+        assert observed["local"] == observed["batched"] == observed["shm"]
+
     def test_allreduce_gradients_reduce_in_place_on_shm(self):
         """Gradients are born in the backend's pool, so on shm the buckets
         ``allreduce`` hands to ``c_fp_s`` resolve to pool refs and take the

@@ -46,7 +46,7 @@ def backward_all(params, seed, skip=()):
 def test_flatten_mutate_roundtrip_bit_exact(shape_list, seed):
     params = make_params(shape_list, seed)
     before = [p.data.copy() for p in params]
-    bucket = TensorBucket(params, name="b", flatten=True)
+    bucket = TensorBucket(params, name="b")
 
     # Flattening itself must not perturb a single bit.
     for p, ref in zip(params, before):
@@ -67,27 +67,6 @@ def test_flatten_mutate_roundtrip_bit_exact(shape_list, seed):
     )
 
 
-@given(shape_list=shapes, seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=60, deadline=None)
-def test_unflattened_set_flat_data_roundtrip(shape_list, seed):
-    params = make_params(shape_list, seed)
-    bucket = TensorBucket(params, name="b", flatten=False)
-    assert bucket.buffer is None
-
-    # flat_data is a gather copy: mutating it must NOT touch the params.
-    before = [p.data.copy() for p in params]
-    flat = bucket.flat_data()
-    flat += 1.0
-    for p, ref in zip(params, before):
-        assert np.array_equal(p.data, ref)
-
-    # set_flat_data scatters back bit-exactly.
-    new = np.random.default_rng(seed + 1).normal(size=bucket.total_elements).astype(DTYPE)
-    bucket.set_flat_data(new)
-    for p, lo, hi in bucket.param_slices():
-        assert np.array_equal(p.data.reshape(-1), new[lo:hi])
-
-
 @given(
     shape_list=shapes,
     seed=st.integers(0, 2**31 - 1),
@@ -106,13 +85,12 @@ def test_partition_covers_every_param_once_in_order(shape_list, seed, bucket_byt
     shape_list=shapes,
     seed=st.integers(0, 2**31 - 1),
     bucket_bytes=st.floats(min_value=8.0, max_value=2048.0),
-    flatten=st.booleans(),
     skipped=st.sets(st.integers(0, 5)),
 )
 @settings(max_examples=60, deadline=None)
-def test_flat_grad_is_the_concatenated_gradients(shape_list, seed, bucket_bytes, flatten, skipped):
+def test_flat_grad_is_the_concatenated_gradients(shape_list, seed, bucket_bytes, skipped):
     params, twins = make_params(shape_list, seed), make_params(shape_list, seed)
-    buckets = plan_buckets(params, bucket_bytes, flatten=flatten)
+    buckets = plan_buckets(params, bucket_bytes)
     for _ in range(2):  # the second pass must not see the first one's values
         for p in params + twins:
             p.zero_grad()
@@ -124,13 +102,9 @@ def test_flat_grad_is_the_concatenated_gradients(shape_list, seed, bucket_bytes,
         flats = [bucket.flat_grad() for bucket in buckets]
         assert np.array_equal(np.concatenate(flats), expected)
         for bucket, flat in zip(buckets, flats):
-            if flatten:
-                # Zero-copy: the buffer itself, which is where the gradients live.
-                assert flat is bucket.grad_buffer
-                assert all(p.grad is None or np.shares_memory(p.grad, flat) for p in bucket.params)
-            else:
-                assert bucket.grad_buffer is None
-                assert all(p.grad is None or not np.shares_memory(p.grad, flat) for p in bucket.params)
+            # Zero-copy: the buffer itself, which is where the gradients live.
+            assert flat is bucket.grad_buffer
+            assert all(p.grad is None or np.shares_memory(p.grad, flat) for p in bucket.params)
         # Parameters the pass skipped read zero in the flat view, None directly.
         assert [p.grad is None for p in params] == [i in skipped for i in range(len(params))]
 
@@ -139,7 +113,7 @@ def test_flat_grad_is_the_concatenated_gradients(shape_list, seed, bucket_bytes,
 @settings(max_examples=40, deadline=None)
 def test_out_of_band_grad_is_adopted(shape_list, seed):
     params = make_params(shape_list, seed)
-    bucket = TensorBucket(params, name="b", flatten=True)
+    bucket = TensorBucket(params, name="b")
     backward_all(params, seed + 1)
     foreign = np.random.default_rng(seed + 2).normal(size=params[-1].shape).astype(DTYPE)
     params[-1].grad = foreign  # assigned from outside, not accumulated
@@ -150,21 +124,3 @@ def test_out_of_band_grad_is_adopted(shape_list, seed):
     # again and the caller's array is left alone.
     assert np.shares_memory(params[-1].grad, flat)
     assert not np.shares_memory(params[-1].grad, foreign)
-
-
-@given(shape_list=shapes, seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_rebucketing_without_flatten_unbinds(shape_list, seed):
-    params = make_params(shape_list, seed)
-    bound = TensorBucket(params, name="b", flatten=True)
-    backward_all(params, seed + 1)
-    first = bound.flat_grad().copy()
-    unbound = TensorBucket(params, name="u", flatten=False)
-    assert unbound.bound_grad_slots() == []
-    for p in params:
-        p.zero_grad()
-    backward_all(params, seed + 1)
-    # Gradients are born per parameter again: nothing lands in the old buffer
-    # and the gather copy still reads the right values.
-    assert not any(np.shares_memory(p.grad, bound.grad_buffer) for p in params)
-    assert np.array_equal(unbound.flat_grad(), first)

@@ -5,14 +5,11 @@ import pytest
 
 from repro.comm import (
     CommGroup,
-    allreduce_via_root,
     broadcast,
     chunk_bounds,
     gather,
-    reduce_to_root,
     ring_allreduce,
     ring_reduce_scatter,
-    send_recv,
 )
 from repro.comm.collectives import allgather_payloads, alltoall
 from repro.tensor import DTYPE
@@ -129,20 +126,6 @@ class TestStarCollectives:
         results = broadcast(x, group, root_index=1)
         for out in results:
             np.testing.assert_array_equal(out, x)
-
-    def test_reduce_to_root(self, group, arrays):
-        total = reduce_to_root(arrays, group)
-        np.testing.assert_allclose(total, np.sum(arrays, axis=0))
-
-    def test_allreduce_via_root(self, group, arrays):
-        expected = np.sum(arrays, axis=0)
-        for out in allreduce_via_root(arrays, group):
-            np.testing.assert_allclose(out, expected)
-
-    def test_send_recv(self, group, rng):
-        x = rng.standard_normal(4)
-        got = send_recv(group, 1, 6, x)
-        np.testing.assert_array_equal(got, x)
 
 
 class TestAllToAll:

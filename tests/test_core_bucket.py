@@ -18,7 +18,7 @@ def make_params(rng, shapes):
 class TestFlattening:
     def test_flat_data_is_view_of_shared_buffer(self, rng):
         params = make_params(rng, [(2, 3), (4,)])
-        bucket = TensorBucket(params, flatten=True)
+        bucket = TensorBucket(params)
         flat = bucket.flat_data()
         # Mutating the flat view mutates the parameters: zero-copy.
         flat[0] = 42.0
@@ -27,30 +27,15 @@ class TestFlattening:
     def test_parameters_repointed_into_buffer(self, rng):
         params = make_params(rng, [(3,), (2, 2)])
         original = [p.data.copy() for p in params]
-        bucket = TensorBucket(params, flatten=True)
+        bucket = TensorBucket(params)
         for p, orig in zip(params, original):
             np.testing.assert_array_equal(p.data, orig)
         # In-place update through a parameter reflects in the flat view.
         params[1].data[0, 0] = -7.0
         assert bucket.flat_data()[3] == -7.0
 
-    def test_unflattened_flat_data_is_copy(self, rng):
-        params = make_params(rng, [(2,), (2,)])
-        bucket = TensorBucket(params, flatten=False)
-        flat = bucket.flat_data()
-        flat[0] = 99.0
-        assert params[0].data[0] != 99.0
-
-    def test_set_flat_data_roundtrip_unflattened(self, rng):
-        params = make_params(rng, [(2,), (3,)])
-        bucket = TensorBucket(params, flatten=False)
-        target = np.arange(5.0)
-        bucket.set_flat_data(target)
-        np.testing.assert_array_equal(params[0].data, [0, 1])
-        np.testing.assert_array_equal(params[1].data, [2, 3, 4])
-
     def test_set_flat_data_shape_check(self, rng):
-        bucket = TensorBucket(make_params(rng, [(2,)]), flatten=True)
+        bucket = TensorBucket(make_params(rng, [(2,)]))
         with pytest.raises(ValueError):
             bucket.set_flat_data(np.zeros(3))
 
@@ -64,7 +49,7 @@ class TestGradients:
         params = make_params(rng, [(2,), (3,)])
         params[0].grad = np.array([1.0, 2.0])
         params[1].grad = np.array([3.0, 4.0, 5.0])
-        bucket = TensorBucket(params, flatten=True)
+        bucket = TensorBucket(params)
         np.testing.assert_array_equal(bucket.flat_grad(), [1, 2, 3, 4, 5])
 
     def test_missing_grad_is_zero(self, rng):
@@ -79,18 +64,10 @@ class TestGradients:
         bucket.set_flat_grad(np.arange(4.0))
         np.testing.assert_array_equal(params[1].grad, [[2, 3]])
 
-    def test_set_flat_grad_unflattened_copies(self, rng):
-        params = make_params(rng, [(2,), (1, 2)])
-        bucket = TensorBucket(params, flatten=False)
-        flat = np.arange(4.0)
-        bucket.set_flat_grad(flat)
-        np.testing.assert_array_equal(params[1].grad, [[2, 3]])
-        assert not np.shares_memory(params[1].grad, flat)
-
     def test_flat_grad_is_live_when_flattened(self, rng):
         """The contract since gradients are born in the bucket: a view, not a copy."""
         params = make_params(rng, [(2,), (3,)])
-        bucket = TensorBucket(params, flatten=True)
+        bucket = TensorBucket(params)
         bucket.set_flat_grad(np.arange(5.0))
         flat = bucket.flat_grad()
         flat *= 2.0
@@ -102,7 +79,7 @@ class TestGradients:
         params = make_params(rng, [(2,), (2,)])
         early = np.array([1.0, 2.0])
         params[0].grad = early  # e.g. the profiling iteration's
-        bucket = TensorBucket(params, flatten=True)
+        bucket = TensorBucket(params)
         assert np.shares_memory(params[0].grad, bucket.grad_buffer)
         assert not np.shares_memory(params[0].grad, early)
         assert params[1].grad is None
@@ -113,7 +90,7 @@ class TestGradients:
         """A re-sliced view of the buffer is the buffer: with the buffer
         read-only, any store into it would raise."""
         params = make_params(rng, [(2, 3), (4,)])
-        bucket = TensorBucket(params, flatten=True)
+        bucket = TensorBucket(params)
         bucket.set_flat_grad(np.arange(10.0))
         buffer = bucket.grad_buffer if which == "grad" else bucket.buffer
         get, put = (
@@ -136,9 +113,7 @@ class TestGradients:
     def test_external_grad_buffer_is_validated(self, rng):
         params = make_params(rng, [(2,), (2,)])
         with pytest.raises(ValueError):
-            TensorBucket(params, flatten=True, grad_buffer=np.zeros(3))
-        with pytest.raises(ValueError):
-            TensorBucket(params, flatten=False, grad_buffer=np.zeros(4))
+            TensorBucket(params, grad_buffer=np.zeros(3))
 
     def test_grads_ready(self, rng):
         params = make_params(rng, [(2,), (2,)])

@@ -56,8 +56,8 @@ class TestConfigInvariance:
         assert losses[-1] < losses[0] * 2  # no explosion
 
     def test_unflattened_buckets_update_weights(self):
-        # Regression guard: without flattening, optimizer results must be
-        # scattered back into parameter storage.
+        # Regression guard: with one tensor per bucket (F off), optimizer
+        # results must still land in parameter storage.
         config = BaguaConfig(flatten=False)
         task = get_task("VGG16")
         trainer = DistributedTrainer(

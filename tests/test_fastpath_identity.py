@@ -312,7 +312,7 @@ class TestBucketFlatPool:
             Tensor(np.ones(4, dtype=DTYPE)),
         ]
         pool = np.empty(10, dtype=DTYPE)
-        bucket = TensorBucket(params, flatten=True, buffer=pool)
+        bucket = TensorBucket(params, buffer=pool)
         assert bucket.buffer is pool
         for p in params:
             assert np.shares_memory(p.data, pool)

@@ -85,3 +85,13 @@ def test_one_bucketing_ir():
         "|partition_into" "_buckets|plan" "_fn|communication" "_units"
     )
     assert [str(path) for path in SOURCES if second_ir.search(path.read_text())] == []
+
+
+def test_one_bucket_layout():
+    """Every bucket is flat: ``flatten`` is the planner's bucket granularity,
+    not a second, gather / scatter bucket representation."""
+    from repro.core.bucket import TensorBucket
+
+    assert "flatten" not in inspect.signature(TensorBucket).parameters
+    # (spelled in halves, as above)
+    assert [str(path) for path in SOURCES if ".flat" "tened" in path.read_text()] == []

@@ -180,7 +180,7 @@ class TestBucketProperties:
         rng = np.random.default_rng(0)
         params = [Tensor(rng.standard_normal(s).astype(DTYPE), requires_grad=True) for s in shapes]
         originals = [p.data.copy() for p in params]
-        bucket = TensorBucket(params, flatten=True)
+        bucket = TensorBucket(params)
         # Values preserved by flattening.
         for p, orig in zip(params, originals):
             np.testing.assert_array_equal(p.data, orig)

@@ -77,8 +77,7 @@ def _run(algorithm, config, seed, inter_node=None, steps=3):
     optimizers = [SGD(m.parameters(), lr=0.05, momentum=0.9) for m in models]
     engine = BaguaEngine(
         models, optimizers, algorithm, workers, config=config,
-        compute_model=ComputeModel(bwd_seconds_per_element=1e-5,
-                                   fwd_seconds_per_element=5e-6),
+        compute_model=ComputeModel(bwd_seconds_per_element=1e-5),
     )
     for batches in _batches(spec.world_size, steps, seed):
         engine.step(batches, _loss)

@@ -294,7 +294,7 @@ class TestGradientOwnership:
     def test_leaves_behind_views_of_one_gradient_alias_nothing(self, rng, bound):
         a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        bucket = TensorBucket([a, b], flatten=True) if bound else None
+        bucket = TensorBucket([a, b]) if bound else None
         seed = rng.standard_normal(6)
         before = seed.copy()
         root = a.reshape(6) + b.transpose().reshape(6)  # both leaves are handed views of root.grad
@@ -316,7 +316,7 @@ class TestGradientOwnership:
         w, b = rng.standard_normal((3, 5)).astype(DTYPE), rng.standard_normal(3).astype(DTYPE)
         bound = [Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)]
         twin = [Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)]
-        return TensorBucket(bound, flatten=True), bound, twin
+        return TensorBucket(bound), bound, twin
 
     def test_bound_leaf_grad_is_its_slot_and_nothing_else(self, rng):
         bucket, (w, b), _ = self._bound_pair(rng)
@@ -384,7 +384,7 @@ class TestLinear:
         rng = np.random.default_rng(0)
         x, w, b = TestLinear._leaves(rng, x_shape, dtype=dtype)
         if bound:
-            TensorBucket([w, b], flatten=True)
+            TensorBucket([w, b])
             for p in (w, b):
                 p.data = p.data.astype(dtype)
         root = F.linear(x, w, b) if fused else x @ w.T + b
@@ -406,7 +406,7 @@ class TestLinear:
 
     def test_bound_weight_grad_is_its_slot(self, rng):
         x, w, b = self._leaves(rng, (4, 5))
-        bucket = TensorBucket([w, b], flatten=True)
+        bucket = TensorBucket([w, b])
         slot = w._grad_slot
         F.linear(x, w, b).backward(rng.standard_normal((4, 6)))
         assert w.grad is slot and np.shares_memory(w.grad, bucket.grad_buffer)
@@ -415,7 +415,7 @@ class TestLinear:
     def test_bound_backward_allocates_no_weight_sized_temporary(self, rng):
         x = Tensor(rng.standard_normal((8, 512)).astype(DTYPE))
         w = Tensor(rng.standard_normal((256, 512)).astype(DTYPE), requires_grad=True)
-        TensorBucket([w], flatten=True)
+        TensorBucket([w])
         root = F.linear(x, w)
         upstream = rng.standard_normal((8, 256)).astype(DTYPE)
         tracemalloc.start()
@@ -433,7 +433,7 @@ class TestLinear:
         x, w, _ = self._leaves(rng, (4, 6), dtype=DTYPE)
         twin = Tensor(w.data.copy(), requires_grad=True)
         if bound:
-            TensorBucket([w], flatten=True)
+            TensorBucket([w])
         upstream = rng.standard_normal((4, 6)).astype(DTYPE)
         F.linear(F.linear(x, w), w).backward(upstream)
         ((Tensor(x.data) @ twin.T) @ twin.T).backward(upstream)
