@@ -10,13 +10,17 @@ class AllreduceSGD(Algorithm):
     """Textbook data-parallel SGD: average gradients, then step.
 
     Each bucket's gradients are averaged across workers with the centralized
-    full-precision primitive the moment the bucket is ready, after which each
-    worker steps its optimizer on that bucket alone — replicas stay
-    bit-identical, and the scheduler can overlap bucket k's reduction with
-    the backward of earlier layers.
+    full-precision primitive the moment the bucket is ready, after which the
+    optimizer steps on that bucket alone — the scheduler can overlap bucket
+    k's reduction with the backward of earlier layers.  Every worker gets the
+    same averaged row, so the replicas stay bit-identical and share one copy
+    of the weights and of the optimizer state, stepped once per bucket.
     """
 
     name = "allreduce"
+
+    def setup(self, engine: BaguaEngine) -> None:
+        engine.share_replica_state()
 
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
         grads = engine.grads_of_bucket(k)
@@ -24,7 +28,6 @@ class AllreduceSGD(Algorithm):
             grads, engine.group, hierarchical=engine.hierarchical, out=grads, average=True
         )
         # The average landed in the rows it was read from, the workers' gradient
-        # buffers: each is (re)bound as is and stepped on.
-        for worker, grad in zip(engine.workers, averaged):
-            worker.buckets[k].set_flat_grad(grad)
-            worker.optimizer_step_on_bucket(k, grad)
+        # buffers: each is (re)bound as is, and the one shared copy of the
+        # weights steps on it once.
+        engine.step_on_average(k, averaged)

@@ -3,10 +3,11 @@
 Matches the paper's configuration: "QSGD [4], a quantized (8-bit) DP-SG
 algorithm, implemented with C_LP_S primitive without error compensation."
 QSGD's stochastic rounding is unbiased, so no residual state is needed.
+Every worker decodes the same averaged row, so the replicas stay
+bit-identical and share one copy of the weights and optimizer state.
 """
 
 from __future__ import annotations
-
 
 from ..compression.base import Compressor
 from ..compression.qsgd import QSGDCompressor
@@ -20,6 +21,9 @@ class QSGD(Algorithm):
     def __init__(self, bits: int = 8, compressor: Compressor | None = None) -> None:
         self.compressor = compressor or QSGDCompressor(bits=bits)
 
+    def setup(self, engine: BaguaEngine) -> None:
+        engine.share_replica_state()
+
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
         grads = engine.grads_of_bucket(k)
         averaged = c_lp_s(
@@ -31,7 +35,6 @@ class QSGD(Algorithm):
             average=True,
         )
         # The average landed in the rows it was read from, the workers' gradient
-        # buffers: each is (re)bound as is and stepped on.
-        for worker, grad in zip(engine.workers, averaged):
-            worker.buckets[k].set_flat_grad(grad)
-            worker.optimizer_step_on_bucket(k, grad)
+        # buffers: each is (re)bound as is, and the one shared copy of the
+        # weights steps on it once.
+        engine.step_on_average(k, averaged)

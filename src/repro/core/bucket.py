@@ -103,13 +103,6 @@ class TensorBucket:
         """The fused gradient buffer."""
         return self._grad_buffer
 
-    def param_slices(self) -> list[tuple]:
-        """``(param, start, stop)`` element offsets of each parameter."""
-        return [
-            (p, int(lo), int(hi))
-            for p, lo, hi in zip(self.params, self._offsets, self._offsets[1:])
-        ]
-
     def bound_grad_slots(self) -> list[np.ndarray]:
         """The slots this bucket's parameters accumulate gradients into *now*.
 
@@ -130,6 +123,23 @@ class TensorBucket:
             raise ValueError(f"expected shape ({self.total_elements},), got {flat.shape}")
         if not _is_buffer(flat, self._buffer):
             self._buffer[...] = flat
+
+    def borrow_weights(self, lead: TensorBucket) -> None:
+        """Re-point the parameters at ``lead``'s weight buffer, read-only.
+
+        For replicas that stay identical (the engine's
+        ``share_replica_state``): ``lead`` is updated in place for both, and
+        any write through this bucket or its parameters raises instead of
+        updating the shared weights a second time.  Gradients stay this
+        bucket's own.
+        """
+        if lead._shapes != self._shapes:
+            raise ValueError(f"bucket {self.name!r} cannot borrow {lead.name!r}: shapes differ")
+        view = lead._buffer.view()
+        view.flags.writeable = False
+        self._buffer = view
+        for p, lo, hi, shape in zip(self.params, self._offsets, self._offsets[1:], self._shapes):
+            p.data = view[lo:hi].reshape(shape)
 
     # ------------------------------------------------------------------
     # Flat views of gradients

@@ -7,10 +7,14 @@ the first iteration, builds the bucket schedule (bucket granularity per the
 bucket views to the training algorithm after every backward pass.
 
 The engine is "god-view": it owns all replicas and steps them together, which
-is how the simulated cluster executes SPMD programs in-process.  All
-per-worker state (parameters, optimizer state, error-feedback residuals, RNG
-streams) lives in per-worker objects, so the per-rank semantics of each
-algorithm are preserved exactly.
+is how the simulated cluster executes SPMD programs in-process.  Per-worker
+state (gradients, BatchNorm statistics, error-feedback residuals, RNG
+streams, algorithm state) lives in per-worker objects, so the per-rank
+semantics of each algorithm are preserved exactly.  Weights and optimizer
+state are per worker too, unless the algorithm asks the replicas to share
+them (:meth:`BaguaEngine.share_replica_state`): when every update consumes
+one averaged row, the replicas stay bit-identical, so the engine keeps one
+copy, owned by the first replica, and runs each update once.
 """
 
 from __future__ import annotations
@@ -61,12 +65,8 @@ class WorkerReplica:
         ``grads`` defaults to the buckets' own accumulated gradients.  The
         update is in place on the fused weight buffers.
         """
-        tracer = self.ctx.transport.tracer
-        if tracer is not None:
-            for bucket in self.buckets:
-                tracer.on_local(
-                    self.rank, "opt_step", bucket=bucket.name, elements=bucket.total_elements
-                )
+        for bucket in self.buckets:
+            self.trace_opt_step(bucket)
         arrays = [b.flat_data() for b in self.buckets]
         if grads is None:
             grads = [b.flat_grad() for b in self.buckets]
@@ -80,15 +80,19 @@ class WorkerReplica:
         buckets.
         """
         bucket = self.buckets[k]
+        self.trace_opt_step(bucket)
+        array = bucket.flat_data()
+        if grad is None:
+            grad = bucket.flat_grad()
+        self.optimizer.step_on_slots([k], [array], [grad])
+
+    def trace_opt_step(self, bucket: TensorBucket) -> None:
+        """Tell the tracer, if any, that this rank updates ``bucket``."""
         tracer = self.ctx.transport.tracer
         if tracer is not None:
             tracer.on_local(
                 self.rank, "opt_step", bucket=bucket.name, elements=bucket.total_elements
             )
-        array = bucket.flat_data()
-        if grad is None:
-            grad = bucket.flat_grad()
-        self.optimizer.step_on_slots([k], [array], [grad])
 
 
 class BaguaEngine:
@@ -153,6 +157,7 @@ class BaguaEngine:
         self.schedule: BucketSchedule | None = None
         self.executor: ScheduledExecutor | None = None
         self._step_index = 0
+        self._replicas_share = False
         self._verify_identical_replicas()
 
     # ------------------------------------------------------------------
@@ -183,6 +188,66 @@ class BaguaEngine:
     def set_weights_of_bucket(self, k: int, weights: Sequence[np.ndarray]) -> None:
         for w, x in zip(self.workers, weights):
             w.buckets[k].set_flat_data(x)
+
+    # ------------------------------------------------------------------
+    # Replicas that stay identical
+    # ------------------------------------------------------------------
+    def share_replica_state(self) -> None:
+        """Give every replica the first replica's weights and optimizer.
+
+        For algorithms whose every update consumes one averaged row
+        (:meth:`step_on_average`): the replicas then stay bit-identical, so
+        one weight copy and one update per bucket do for all of them.  Call
+        it from :meth:`Algorithm.setup`, before any update.  Each replica
+        r > 0 re-points its bucket weights at read-only views of replica 0's
+        buffers — a per-replica in-place write to them raises — and takes
+        replica 0's :class:`~repro.tensor.optim.Optimizer` object, so every
+        replica's ``state_dict()`` and checkpoint is the one that is updated.
+        Gradients, BatchNorm statistics, data, RNG streams and codec state
+        stay per replica.
+        """
+        lead = self.workers[0]
+        if not lead.buckets:
+            raise RuntimeError(
+                "share_replica_state() needs the buckets: call it from Algorithm.setup()"
+            )
+        for k in range(self.num_buckets):
+            self._check_rows_agree(k, self.weights_of_bucket(k), "weights")
+        for worker in self.workers[1:]:
+            for own, shared in zip(worker.buckets, lead.buckets):
+                own.borrow_weights(shared)
+            worker.optimizer = lead.optimizer
+        self._replicas_share = True
+
+    def step_on_average(self, k: int, averaged: Sequence[np.ndarray]) -> None:
+        """Make row r replica r's bucket-``k`` gradient and update on it.
+
+        Every rank's ``opt_step`` is traced, in rank order.  When the replicas
+        share state the update runs once, on replica 0's weights with row 0;
+        in protocol-sanitize mode every row is first checked to be row 0's
+        bits.  Otherwise each replica steps on its own row.
+        """
+        for worker, grad in zip(self.workers, averaged):
+            worker.buckets[k].set_flat_grad(grad)
+            if not self._replicas_share:
+                worker.optimizer_step_on_bucket(k, grad)
+        if self._replicas_share:
+            if self.group.transport.backend.sanitizing:
+                self._check_rows_agree(k, averaged, "averaged gradients")
+            self.workers[0].optimizer_step_on_bucket(k, averaged[0])
+            for worker in self.workers[1:]:
+                worker.trace_opt_step(worker.buckets[k])
+
+    def _check_rows_agree(self, k: int, rows: Sequence[np.ndarray], what: str) -> None:
+        """Raise unless every replica's row of bucket ``k`` is row 0's bits."""
+        first = rows[0].view(np.uint8)
+        for worker, row in zip(self.workers[1:], rows[1:]):
+            if not np.array_equal(row.view(np.uint8), first):
+                raise RuntimeError(
+                    f"bucket {self.workers[0].buckets[k].name!r}: rank {worker.rank}'s "
+                    f"{what} differ bitwise from rank {self.workers[0].rank}'s, so the "
+                    "replicas cannot share one weight copy"
+                )
 
     # ------------------------------------------------------------------
     # Training step
@@ -284,13 +349,13 @@ class BaguaEngine:
             worker.state["flat_pool"] = pool
 
     def _verify_identical_replicas(self) -> None:
-        reference = self.workers[0].model.state_dict()
+        reference = dict(self.workers[0].model.named_parameters())
         for worker in self.workers[1:]:
-            other = worker.model.state_dict()
+            other = dict(worker.model.named_parameters())
             if set(other) != set(reference):
                 raise ValueError("replica parameter names differ")
-            for name, value in reference.items():
-                if not np.array_equal(value, other[name]):
+            for name, param in reference.items():
+                if not np.array_equal(param.data, other[name].data):
                     raise ValueError(
                         f"replicas differ at parameter {name!r}; data-parallel "
                         "training requires identical initialization"
@@ -309,7 +374,8 @@ class Algorithm:
     and declare ``update_mode = "barrier"`` so the schedule gates it on all
     communication.  :meth:`setup` runs once, after the profiling iteration
     built the buckets — the place to allocate per-worker state (error
-    feedback, momentum buffers, peer views).
+    feedback, momentum buffers, peer views), or to give the replicas one
+    shared weight copy (:meth:`BaguaEngine.share_replica_state`).
     """
 
     #: registry name, e.g. "allreduce", "qsgd"

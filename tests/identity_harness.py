@@ -232,6 +232,8 @@ def snapshot(obj):
         return None if rng is None else rng.bit_generator.state
     if isinstance(obj, (list, tuple)):
         return [snapshot(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: snapshot(value) for key, value in obj.items()}
     return obj
 
 
@@ -294,18 +296,21 @@ def compare(spec, base, run, legs, *, traced=True, pooled=False) -> dict[str, Le
 
 
 def train_epoch(
-    backend: str, algorithm=None, world: int = 2, per_node=None, hierarchical=False, flatten=True
+    backend: str, algorithm=None, world: int = 2, per_node=None, hierarchical=False, flatten=True,
+    tracer=None,
 ):
     """One VGG16-proxy epoch on ``backend`` (at world 2 unless told; with
-    ``flatten=False``, one tensor per bucket); returns the run's observables
-    (losses, simulated times, traffic, final weights) and the trainer, whose
-    transport the caller closes."""
+    ``flatten=False``, one tensor per bucket; ``tracer`` installed on the
+    transport); returns the run's observables (losses, simulated times,
+    traffic, final weights) and the trainer, whose transport the caller
+    closes."""
     task = get_task("VGG16")
     trainer = DistributedTrainer(
         cluster(world, per_node), task.model_factory, task.make_optimizer,
         algorithm or QSGD(bits=8),
         config=BaguaConfig(backend=backend, hierarchical=hierarchical, flatten=flatten), seed=0,
     )
+    trainer.transport.tracer = tracer
     loaders = make_sharded_loaders(task.dataset_factory(0), world, 16, seed=0)
     record = trainer.train(loaders, task.loss_fn, epochs=1, label="parity")
     stats = trainer.transport.stats

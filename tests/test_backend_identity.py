@@ -11,14 +11,17 @@ the ``local`` oracle.  The wide-world in-process rows live in
 ``tests/test_fastpath_identity.py``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import make_algorithm
 from repro.cluster import Transport
 from repro.cluster.backends import BACKEND_REGISTRY
 from repro.comm import CommGroup, ring_allreduce, scatter_reduce
 from repro.compression import ErrorFeedback
+from repro.core import BaguaEngine
 from repro.core.primitives import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
 
 from .identity_harness import (
@@ -28,6 +31,7 @@ from .identity_harness import (
     PRIMITIVES,
     SHM,
     LoopShm,
+    Recorder,
     backend_for,
     close_shm_backends,
     centralized_run,
@@ -35,7 +39,9 @@ from .identity_harness import (
     compare,
     gossip_run,
     inputs,
+    snapshot,
     train_epoch,
+    transport_state,
 )
 
 
@@ -343,10 +349,14 @@ class TestEngineEndToEnd:
         """F=off plans one tensor per bucket, and those buckets are views of
         the engine's pool as well: the epoch keeps the oracle's bits on every
         pool leg, and every bucket's weight and gradient rows resolve to pool
-        refs."""
+        refs.  Decentralized SGD keeps per-replica weights and gossips them
+        in place (``allreduce`` / ``qsgd`` replicas share replica 0's weights:
+        ``tests/test_shared_replicas.py``)."""
         observed = {}
         for backend in POOL:
-            observed[backend], trainer = train_epoch(backend, flatten=False)
+            observed[backend], trainer = train_epoch(
+                backend, make_algorithm("decentralized"), flatten=False
+            )
             engine = trainer.engine
             assert all(len(bucket) == 1 for w in engine.workers for bucket in w.buckets)
             if backend == "batched":
@@ -373,3 +383,53 @@ class TestEngineEndToEnd:
         assert observed["local"] == observed["shm"]
         weights = observed["shm"][-1]
         assert weights[0] == weights[1]
+
+
+def _shared_epoch(leg, name, hierarchical, flatten):
+    """One 2 x 2 epoch of ``name`` on ``leg``: :func:`train_epoch`'s
+    observables plus clocks, traffic stats, traced rounds and events, the
+    codec's RNG state and every replica's model and optimizer state (what
+    its checkpoint holds); and whether the replicas shared one weight copy
+    and one optimizer."""
+    recorder = Recorder()
+    algorithm = make_algorithm(name)
+    observed, trainer = train_epoch(
+        leg, algorithm, world=4, per_node=2, hierarchical=hierarchical, flatten=flatten,
+        tracer=recorder,
+    )
+    workers = trainer.engine.workers
+    replicas = [
+        (snapshot(w.model.state_dict()), snapshot(w.optimizer.state_dict())) for w in workers
+    ]
+    state = (
+        observed, transport_state(trainer.transport), recorder.rounds, recorder.events,
+        snapshot(algorithm.compressor), replicas,
+    )
+    shared = [
+        w.optimizer is workers[0].optimizer
+        and all(np.shares_memory(b.buffer, a.buffer) for b, a in zip(w.buckets, workers[0].buckets))
+        for w in workers[1:]
+    ]
+    trainer.transport.close()
+    return state, shared
+
+
+class TestSharedReplicaIdentity:
+    """``allreduce`` and ``qsgd`` keep one weight copy and one optimizer for
+    all replicas and step each bucket once: on every pool leg, bitwise the
+    per-replica execution on the ``local`` oracle (``share_replica_state``
+    patched to a no-op) — weights, losses, virtual clocks, traffic stats,
+    traced rounds and events, codec RNG state and every replica's model and
+    optimizer state — flat and under H, F on and off."""
+
+    @pytest.mark.parametrize("flatten", [True, False], ids=["F", "noF"])
+    @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "H"])
+    @pytest.mark.parametrize("name", ["allreduce", "qsgd"])
+    def test_shared_is_per_replica(self, name, hierarchical, flatten, monkeypatch):
+        runs = {leg: _shared_epoch(leg, name, hierarchical, flatten) for leg in POOL}
+        monkeypatch.setattr(BaguaEngine, "share_replica_state", lambda engine: None)
+        reference, shared = _shared_epoch("local", name, hierarchical, flatten)
+        assert shared == [False] * 3
+        for leg, (state, shared) in runs.items():
+            assert shared == [True] * 3, leg
+            assert state == reference, leg

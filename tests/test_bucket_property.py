@@ -56,7 +56,7 @@ def test_flatten_mutate_roundtrip_bit_exact(shape_list, seed):
     # Mutating through the flat view is observed exactly by each param view.
     new = np.random.default_rng(seed + 1).normal(size=bucket.total_elements).astype(DTYPE)
     bucket.flat_data()[...] = new
-    for p, lo, hi in bucket.param_slices():
+    for p, lo, hi in zip(bucket.params, bucket._offsets, bucket._offsets[1:]):
         assert np.array_equal(p.data.reshape(-1), new[lo:hi])
 
     # ... and the other direction: writing a param shows up in the flat view.

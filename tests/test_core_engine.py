@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.algorithms import AllreduceSGD
+from repro.algorithms import AllreduceSGD, LocalSGD
 from repro.cluster import ClusterSpec, make_workers
 from repro.core import Algorithm, BaguaConfig, BaguaEngine
 from repro.tensor import DTYPE, Linear, ReLU, SGD, Sequential, Tensor
@@ -180,7 +180,9 @@ class TestDPSGEquivalence:
 
 class TestBucketAccessors:
     def test_grads_and_weights_roundtrip(self, rng):
-        engine = make_engine()
+        # Local SGD keeps per-replica weights (allreduce's are one shared,
+        # read-only-for-the-others copy: tests/test_shared_replicas.py).
+        engine = make_engine(algorithm=LocalSGD())
         engine.step(make_batches(rng, 4), loss_fn)
         new = [np.full(b.total_elements, 7.0) for b in engine.workers[0].buckets]
         for k in range(engine.num_buckets):

@@ -321,13 +321,16 @@ class TestBucketFlatPool:
         assert float(params[0].data[0, 0]) == 42.0
 
     def test_engine_allocates_one_pool_per_worker(self):
-        _observed, trainer = train_epoch("batched")
+        # Decentralized SGD keeps per-replica weights (``allreduce`` / ``qsgd``
+        # replicas share replica 0's: tests/test_shared_replicas.py).
+        _observed, trainer = train_epoch("batched", DecentralizedSGD())
         for worker in trainer.engine.workers:
             pool = worker.state["flat_pool"]
             assert pool is not None
             assert pool.dtype == DTYPE
             for bucket in worker.buckets:
                 assert np.shares_memory(bucket.buffer, pool)
+                assert np.shares_memory(bucket.grad_buffer, pool)
 
 
 class TestEpochLossParity:
