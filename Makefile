@@ -1,7 +1,8 @@
 # Developer entry points.  `make check` is the pre-PR gate: lint + typecheck
 # (when ruff/mypy are available), the tier-1 test suite, the static analyzer
-# sweep — with the happens-before pass — over every registered algorithm and
-# baseline across all O/F/H x update-mode schedule variants, the symbolic
+# sweep — the happens-before engine plus three structural rules — over every
+# registered algorithm and baseline across all O/F/H x update-mode schedule
+# variants, the symbolic
 # plan-space sweep (`make plans`), which verifies every enumerated plan
 # point without constructing a transport or executing a step, and the
 # transport-protocol gate (`make protocol`): exhaustive interleaving
@@ -63,10 +64,10 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 analyze:
-	$(PYTHON) -m repro analyze --all --hb
+	$(PYTHON) -m repro analyze --all
 
 plans:
-	$(PYTHON) -m repro analyze --plans --hb
+	$(PYTHON) -m repro analyze --plans
 
 protocol:
 	$(PYTHON) -m repro analyze --protocol

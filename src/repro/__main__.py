@@ -51,10 +51,9 @@ def _run_plans(args) -> int:
     points = enumerate_points(
         algorithms=algorithms,
         world_shapes=((args.nodes, args.gpus_per_node),),
-        include_baselines=args.hb,
     )
     try:
-        report = sweep_planspace(points, hb=True)
+        report = sweep_planspace(points)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -85,6 +84,10 @@ def _run_analyze(args) -> int:
     if args.explain is not None and args.explain < 0:
         print("--explain takes a non-negative finding index", file=sys.stderr)
         return 2
+    if args.explain is not None and (args.plans or args.protocol):
+        print("--explain applies to a single-algorithm or --all report, not to "
+              "--plans or --protocol", file=sys.stderr)
+        return 2
     if args.protocol:
         return _run_protocol(args)
     if args.plans:
@@ -92,14 +95,13 @@ def _run_analyze(args) -> int:
     if args.all:
         report = analyze_all(
             num_nodes=args.nodes, gpus_per_node=args.gpus_per_node, steps=args.steps,
-            hb=args.hb,
         )
         findings = report.all_findings()
     else:
         if args.algorithm is None:
             print("analyze needs an algorithm name or --all", file=sys.stderr)
             return 2
-        known = set(ALGORITHM_REGISTRY) | (set(BASELINE_REGISTRY) if args.hb else set())
+        known = set(ALGORITHM_REGISTRY) | set(BASELINE_REGISTRY)
         if args.algorithm not in known:
             print(
                 f"unknown algorithm {args.algorithm!r}; options: {sorted(known)}",
@@ -111,7 +113,6 @@ def _run_analyze(args) -> int:
             num_nodes=args.nodes,
             gpus_per_node=args.gpus_per_node,
             steps=args.steps,
-            hb=args.hb,
         )
         findings = report.findings
     if args.explain is not None:
@@ -189,9 +190,11 @@ def main(argv=None) -> int:
         "analyze",
         help="statically verify an algorithm's communication schedule",
         description=(
-            "Dry-run an algorithm on a small simulated cluster, lower its "
-            "execution plan, and run the checker suite (rank-symmetry, "
-            "peer-matching, overlap-race, buffer-aliasing, ef-invariant). "
+            "Dry-run an algorithm or baseline on a small simulated cluster, "
+            "lower its execution plan and every O/F/H x update-mode variant, "
+            "and run the rule suite (buffer-aliasing, ef-invariant, "
+            "peer-matching, and the happens-before engine's hb-deadlock, "
+            "hb-race, hb-lost-update and hb-staleness). "
             "Exit code 1 when any error-severity finding fires."
         ),
     )
@@ -199,7 +202,8 @@ def main(argv=None) -> int:
         "algorithm", nargs="?", default=None, help="registry name, e.g. 'allreduce'"
     )
     analyze_parser.add_argument(
-        "--all", action="store_true", help="sweep every registered algorithm"
+        "--all", action="store_true",
+        help="sweep every registered algorithm and baseline",
     )
     analyze_parser.add_argument("--nodes", type=int, default=2)
     analyze_parser.add_argument("--gpus-per-node", type=int, default=2)
@@ -208,15 +212,6 @@ def main(argv=None) -> int:
     )
     analyze_parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
-    )
-    analyze_parser.add_argument(
-        "--hb", action="store_true",
-        help=(
-            "run the happens-before pass (vector-clock race/deadlock/"
-            "lost-update/staleness rules) and sweep every O/F/H x "
-            "update-mode schedule variant; includes the baseline registry "
-            "under --all"
-        ),
     )
     analyze_parser.add_argument(
         "--explain", type=int, default=None, metavar="N",
@@ -244,9 +239,9 @@ def main(argv=None) -> int:
         help=(
             "symbolic plan-space sweep: enumerate O/F/H x algorithm plan "
             "points, verify each with the static rules plus the lowered "
-            "checker and happens-before suites — no transport, no dry run. "
-            "An algorithm name restricts the sweep; --hb widens it to the "
-            "baseline registry; exit 1 on any error-severity finding"
+            "rule suite — no transport, no dry run. Covers every algorithm "
+            "and baseline; an algorithm name restricts the sweep; exit 1 on "
+            "any error-severity finding"
         ),
     )
 

@@ -32,7 +32,8 @@ from ..core.primitives import RingPeers
 class LowPrecisionDecentralizedSGD(Algorithm):
     name = "decentralized-8bit"
     #: fixed communication topology; the analyzer's peer-matching rule
-    #: verifies the traced neighbor sets against it
+    #: verifies the traced neighbor sets are this ring (hb-deadlock proves
+    #: they reciprocate)
     topology = "ring"
 
     def __init__(self, bits: int = 8, compressor: Compressor | None = None) -> None:

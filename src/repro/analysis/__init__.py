@@ -6,6 +6,8 @@ introduce — mismatched collectives across ranks, asymmetric gossip peers,
 optimizer updates racing overlapped communication, aliasing bucket buffers,
 and biased compressors running without error-feedback state — *before* a
 run, from a recorded one-iteration dry run or a lowered bucket schedule.
+The ordering and matching faults are all proved by one happens-before
+engine; three structural rules cover what a partial order cannot see.
 
 Layers:
 
@@ -15,8 +17,9 @@ Layers:
   instrumentation mode of the communication stack;
 * :mod:`~repro.analysis.lowering` — :func:`lower_schedule` /
   :func:`layout_from_buckets`, the static producers;
-* :mod:`~repro.analysis.checkers` — the five heuristic rules plus the four
-  happens-before rules;
+* :mod:`~repro.analysis.checkers` — :func:`run_checkers`, the one rule
+  suite: buffer-aliasing, ef-invariant and declared-ring peer-matching, then
+  the happens-before engine;
 * :mod:`~repro.analysis.hb` — the happens-before engine: vector clocks over
   (rank, thread, event) triples, race/deadlock/lost-update/staleness
   detection with printable witnesses;
@@ -40,18 +43,10 @@ Layers:
 """
 
 from .checkers import (  # noqa: F401
-    ALL_CHECKERS,
-    HB_CHECKERS,
     BufferAliasingChecker,
     Checker,
     EFInvariantChecker,
-    HBDeadlockChecker,
-    HBLostUpdateChecker,
-    HBRaceChecker,
-    HBStalenessChecker,
-    OverlapRaceChecker,
     PeerMatchingChecker,
-    RankSymmetryChecker,
     run_checkers,
 )
 from .driver import analyze_algorithm, analyze_all  # noqa: F401
@@ -100,7 +95,6 @@ from .symbolic import (  # noqa: F401
 )
 
 __all__ = [
-    "ALL_CHECKERS",
     "AnalysisReport",
     "AnalysisSubject",
     "BucketExtent",
@@ -112,21 +106,14 @@ __all__ = [
     "EFInvariantChecker",
     "Faults",
     "Finding",
-    "HB_CHECKERS",
-    "HBDeadlockChecker",
     "HBEvent",
     "HBGraph",
-    "HBLostUpdateChecker",
-    "HBRaceChecker",
-    "HBStalenessChecker",
-    "OverlapRaceChecker",
     "ParamView",
     "PeerMatchingChecker",
     "PlanPoint",
     "PlanSpaceReport",
     "PlanVerdict",
     "ProtocolReport",
-    "RankSymmetryChecker",
     "SweepReport",
     "TraceRecorder",
     "Workload",

@@ -1,32 +1,29 @@
-"""The checker suite: five static rules over the comm-op IR.
+"""The analyzer's rule suite over the comm-op IR.
 
-Every checker consumes an :class:`~repro.analysis.ir.AnalysisSubject` and
-returns :class:`~repro.analysis.report.Finding` objects.  The rules encode
-the failure modes that BAGUA-style schedule rewriting (overlap / fusion /
-hierarchy, paper §3.4) can introduce silently:
+Every rule consumes an :class:`~repro.analysis.ir.AnalysisSubject` and
+returns :class:`~repro.analysis.report.Finding` objects.
+:func:`run_checkers` is the one entry: three structural rules, then the
+happens-before engine of :mod:`repro.analysis.hb`, which proves what
+BAGUA-style schedule rewriting (overlap / fusion / hierarchy, paper §3.4)
+could break in ordering and matching — mismatched collectives, asymmetric
+gossip peers and unmatched point-to-point messages (``hb-deadlock``),
+updates racing in-flight communication (``hb-race``), residual writes
+(``hb-lost-update``) and stale gradients (``hb-staleness``).  The
+structural rules see what no partial order can:
 
-* ``rank-symmetry`` — within each communication group, every member issues
-  the same collective sequence with matching sizes/codecs; a divergence is a
-  deadlock (one rank waits in a collective the others never enter) or a
-  silent size mismatch;
-* ``peer-matching`` — decentralized gossip neighbor sets are symmetric per
-  round (i lists j iff j lists i), consistent with a declared ring topology,
-  and every point-to-point send has a matching receive;
-* ``overlap-race`` — in an O-optimized schedule no optimizer update or
-  error-feedback write touches a bucket whose communication was issued but
-  not yet awaited, and nothing issued is left un-awaited;
 * ``buffer-aliasing`` — fused bucket extents never overlap and every
   parameter view stays inside its bucket's extent;
 * ``ef-invariant`` — a biased compressor is never used in a collective
   without error-feedback state (§2.2's two-sided error compensation is what
-  the convergence proofs assume).
+  the convergence proofs assume);
+* ``peer-matching`` — gossip neighbors are the declared ring's; a symmetric
+  off-ring pairing neither wedges nor races, so the engine cannot see it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from .ir import GOSSIP_KINDS, AnalysisSubject, CommOp
+from .hb import HB_RULES, check_hb
+from .ir import GOSSIP_KINDS, AnalysisSubject
 from .report import Finding
 
 
@@ -40,265 +37,6 @@ class Checker:
 
     def finding(self, message: str, severity: str = "error", **loc) -> Finding:
         return Finding(rule=self.rule, severity=severity, message=message, **loc)
-
-
-# ----------------------------------------------------------------------
-# rank-symmetry
-# ----------------------------------------------------------------------
-class RankSymmetryChecker(Checker):
-    """Every member of a group must run the same collective sequence."""
-
-    rule = "rank-symmetry"
-
-    def check(self, subject: AnalysisSubject) -> list[Finding]:
-        trace = subject.trace
-        if trace is None:
-            return []
-        findings: list[Finding] = []
-        # Ops are compared within each communication group: hierarchical
-        # schedules legally run extra collectives on the leader subgroup, so
-        # ranks are only held to the groups they are members of.
-        by_group: dict[tuple[int, ...], dict[int, list[CommOp]]] = {}
-        for rank in trace.ranks:
-            for op in trace.collective_ops(rank):
-                if not op.group:
-                    continue
-                by_group.setdefault(op.group, {}).setdefault(rank, []).append(op)
-
-        for group, per_rank in sorted(by_group.items()):
-            members = list(group)
-            reference_rank = members[0]
-            reference = per_rank.get(reference_rank, [])
-            for rank in members[1:]:
-                ops = per_rank.get(rank, [])
-                findings.extend(self._compare(group, reference_rank, reference, rank, ops))
-        return findings
-
-    def _compare(
-        self,
-        group: tuple[int, ...],
-        ref_rank: int,
-        reference: list[CommOp],
-        rank: int,
-        ops: list[CommOp],
-    ) -> list[Finding]:
-        for i in range(min(len(reference), len(ops))):
-            if reference[i].signature() != ops[i].signature():
-                return [
-                    self.finding(
-                        f"collective sequence diverges in group {list(group)}: rank "
-                        f"{ref_rank} op #{i} is {reference[i].describe()} but rank "
-                        f"{rank} issues {ops[i].describe()} — ranks would deadlock "
-                        "or reduce mismatched payloads",
-                        rank=rank,
-                        seq=ops[i].seq,
-                        step=ops[i].step,
-                    )
-                ]
-        if len(reference) != len(ops):
-            shorter, longer = (rank, ref_rank) if len(ops) < len(reference) else (ref_rank, rank)
-            missing = (reference if len(ops) < len(reference) else ops)[min(len(reference), len(ops))]
-            return [
-                self.finding(
-                    f"rank {shorter} issues {min(len(reference), len(ops))} collective(s) in "
-                    f"group {list(group)} but rank {longer} issues "
-                    f"{max(len(reference), len(ops))}; first unmatched op is "
-                    f"{missing.describe()} — rank {longer} would block forever",
-                    rank=shorter,
-                    seq=missing.seq,
-                    step=missing.step,
-                )
-            ]
-        return []
-
-
-# ----------------------------------------------------------------------
-# peer-matching
-# ----------------------------------------------------------------------
-class PeerMatchingChecker(Checker):
-    """Gossip peer sets are symmetric; sends and receives pair up."""
-
-    rule = "peer-matching"
-
-    def check(self, subject: AnalysisSubject) -> list[Finding]:
-        trace = subject.trace
-        if trace is None:
-            return []
-        findings = self._check_gossip(subject)
-        findings.extend(self._check_p2p(subject))
-        return findings
-
-    def _check_gossip(self, subject: AnalysisSubject) -> list[Finding]:
-        trace = subject.trace
-        findings: list[Finding] = []
-        # k-th gossip op of each member of a group forms round k.
-        by_group: dict[tuple[int, ...], dict[int, list[CommOp]]] = {}
-        for rank in trace.ranks:
-            for op in trace.collective_ops(rank):
-                if op.kind in GOSSIP_KINDS and op.group:
-                    by_group.setdefault(op.group, {}).setdefault(rank, []).append(op)
-
-        for group, per_rank in sorted(by_group.items()):
-            rounds = min((len(ops) for ops in per_rank.values()), default=0)
-            if len(per_rank) < len(group):
-                rounds = 0  # missing ranks entirely — rank-symmetry reports it
-            for k in range(rounds):
-                peers_of = {rank: set(per_rank[rank][k].peers) for rank in group}
-                for rank in group:
-                    op = per_rank[rank][k]
-                    for peer in sorted(peers_of[rank]):
-                        if peer not in peers_of:
-                            findings.append(
-                                self.finding(
-                                    f"gossip round {k}: rank {rank} lists peer {peer} "
-                                    f"outside group {list(group)}",
-                                    rank=rank,
-                                    seq=op.seq,
-                                    step=op.step,
-                                )
-                            )
-                        elif rank not in peers_of[peer]:
-                            findings.append(
-                                self.finding(
-                                    f"gossip round {k}: rank {rank} exchanges with "
-                                    f"{peer} but rank {peer}'s peer set is "
-                                    f"{sorted(peers_of[peer])} — rank {rank} would "
-                                    "wait on a recv that is never posted",
-                                    rank=rank,
-                                    seq=op.seq,
-                                    step=op.step,
-                                )
-                            )
-                if subject.expected_topology == "ring":
-                    findings.extend(self._check_ring(group, per_rank, k))
-        return findings
-
-    def _check_ring(
-        self,
-        group: tuple[int, ...],
-        per_rank: dict[int, list[CommOp]],
-        k: int,
-    ) -> list[Finding]:
-        findings: list[Finding] = []
-        n = len(group)
-        for i, rank in enumerate(group):
-            op = per_rank[rank][k]
-            expected = set() if n == 1 else {group[(i - 1) % n], group[(i + 1) % n]}
-            if set(op.peers) != expected:
-                findings.append(
-                    self.finding(
-                        f"ring topology declared but gossip round {k} pairs rank "
-                        f"{rank} with {sorted(op.peers)} instead of ring neighbors "
-                        f"{sorted(expected)}",
-                        rank=rank,
-                        seq=op.seq,
-                        step=op.step,
-                    )
-                )
-        return findings
-
-    def _check_p2p(self, subject: AnalysisSubject) -> list[Finding]:
-        trace = subject.trace
-        findings: list[Finding] = []
-        # Pair (src, dst, nbytes) sends against receives within each round.
-        rounds: dict[int, dict[str, list[CommOp]]] = {}
-        for rank in trace.ranks:
-            for op in trace.p2p_ops(rank):
-                rounds.setdefault(op.round, {"send": [], "recv": []})[op.kind].append(op)
-        for round_id in sorted(rounds):
-            sends = rounds[round_id]["send"]
-            recvs = rounds[round_id]["recv"]
-            unmatched = list(recvs)
-            for send in sends:
-                dst = send.peers[0] if send.peers else None
-                match = next(
-                    (
-                        r
-                        for r in unmatched
-                        if r.rank == dst and r.peers == (send.rank,) and r.nbytes == send.nbytes
-                    ),
-                    None,
-                )
-                if match is None:
-                    findings.append(
-                        self.finding(
-                            f"round {round_id}: send from rank {send.rank} to {dst} "
-                            f"({send.nbytes:.0f} B) has no matching recv",
-                            rank=send.rank,
-                            seq=send.seq,
-                            step=send.step,
-                        )
-                    )
-                else:
-                    unmatched.remove(match)
-            for recv in unmatched:
-                src = recv.peers[0] if recv.peers else None
-                findings.append(
-                    self.finding(
-                        f"round {round_id}: rank {recv.rank} expects {recv.nbytes:.0f} B "
-                        f"from rank {src} but no such send exists — the recv blocks "
-                        "forever",
-                        rank=recv.rank,
-                        seq=recv.seq,
-                        step=recv.step,
-                    )
-                )
-        return findings
-
-
-# ----------------------------------------------------------------------
-# overlap-race
-# ----------------------------------------------------------------------
-class OverlapRaceChecker(Checker):
-    """No local write to a bucket while its communication is in flight."""
-
-    rule = "overlap-race"
-
-    WRITE_KINDS = frozenset({"opt_step", "ef_write"})
-
-    def check(self, subject: AnalysisSubject) -> list[Finding]:
-        trace = subject.trace
-        if trace is None:
-            return []
-        findings: list[Finding] = []
-        for rank in trace.ranks:
-            outstanding: dict[str, CommOp] = {}
-            for op in trace.ops_of(rank):
-                if op.kind == "issue":
-                    outstanding[op.bucket] = op
-                elif op.kind == "await":
-                    outstanding.pop(op.bucket, None)
-                elif op.kind in self.WRITE_KINDS:
-                    racing = (
-                        sorted(outstanding) if not op.bucket else
-                        ([op.bucket] if op.bucket in outstanding else [])
-                    )
-                    for bucket in racing:
-                        findings.append(
-                            self.finding(
-                                f"{op.kind} on {bucket} while its communication "
-                                f"(issued at op {outstanding[bucket].seq}) has not "
-                                "been awaited — the reduction would read or clobber "
-                                "concurrently-written memory",
-                                rank=rank,
-                                seq=op.seq,
-                                bucket=bucket,
-                                step=op.step,
-                            )
-                        )
-            for bucket, issue in sorted(outstanding.items()):
-                findings.append(
-                    self.finding(
-                        f"communication of {bucket} issued at op {issue.seq} is never "
-                        "awaited — its result is never observed and the next "
-                        "iteration races it",
-                        rank=rank,
-                        seq=issue.seq,
-                        bucket=bucket,
-                        step=issue.step,
-                    )
-                )
-        return findings
 
 
 # ----------------------------------------------------------------------
@@ -387,96 +125,59 @@ class EFInvariantChecker(Checker):
 
 
 # ----------------------------------------------------------------------
-# Happens-before rules (vector clocks; see repro.analysis.hb)
+# peer-matching
 # ----------------------------------------------------------------------
-class HBChecker(Checker):
-    """Base for the vector-clock rules: builds/reuses the subject's HB graph.
+class PeerMatchingChecker(Checker):
+    """Gossip neighbors conform to the algorithm's declared ring topology."""
 
-    Unlike the heuristic rules above, these consume the cross-rank partial
-    order of :mod:`repro.analysis.hb` — the graph is built once per subject
-    (cached in ``subject.notes``) and shared by all four.
-    """
+    rule = "peer-matching"
 
     def check(self, subject: AnalysisSubject) -> list[Finding]:
-        from . import hb
-
-        graph = hb.build_hb(subject)
-        return [f for f in self._check_graph(graph) if f.rule == self.rule]
-
-    def _check_graph(self, graph) -> list[Finding]:
-        raise NotImplementedError
-
-
-class HBRaceChecker(HBChecker):
-    """Overlapping-interval accesses with ≥1 write and no HB order."""
-
-    rule = "hb-race"
-
-    def _check_graph(self, graph) -> list[Finding]:
-        from .hb import check_races
-
-        return check_races(graph)
-
-
-class HBDeadlockChecker(HBChecker):
-    """Wait-for cycles and unsatisfiable waits across ranks."""
-
-    rule = "hb-deadlock"
-
-    def _check_graph(self, graph) -> list[Finding]:
-        from .hb import check_deadlocks
-
-        return check_deadlocks(graph)
-
-
-class HBLostUpdateChecker(HBChecker):
-    """Error-feedback residual writes unordered with another access."""
-
-    rule = "hb-lost-update"
-
-    def _check_graph(self, graph) -> list[Finding]:
-        from .hb import check_lost_updates
-
-        return check_lost_updates(graph)
+        trace = subject.trace
+        if trace is None or subject.expected_topology != "ring":
+            return []
+        findings: list[Finding] = []
+        for rank in trace.ranks:
+            # The k-th gossip op of a rank in a group is that group's round k.
+            round_of: dict[tuple[int, ...], int] = {}
+            for op in trace.collective_ops(rank):
+                group = op.group
+                if op.kind not in GOSSIP_KINDS or rank not in group:
+                    continue
+                k = round_of[group] = round_of.get(group, -1) + 1
+                i = group.index(rank)
+                expected = (
+                    set() if len(group) == 1
+                    else {group[i - 1], group[(i + 1) % len(group)]}
+                )
+                if set(op.peers) != expected:
+                    findings.append(
+                        self.finding(
+                            f"ring topology declared but gossip round {k} pairs rank "
+                            f"{rank} with {sorted(op.peers)} instead of ring neighbors "
+                            f"{sorted(expected)}",
+                            rank=rank,
+                            seq=op.seq,
+                            step=op.step,
+                        )
+                    )
+        return findings
 
 
-class HBStalenessChecker(HBChecker):
-    """Async updates consuming gradients older than the declared bound."""
-
-    rule = "hb-staleness"
-
-    def _check_graph(self, graph) -> list[Finding]:
-        from .hb import check_staleness
-
-        return check_staleness(graph)
-
-
-#: The default suite, in reporting order.
-ALL_CHECKERS: tuple[Checker, ...] = (
-    RankSymmetryChecker(),
-    PeerMatchingChecker(),
-    OverlapRaceChecker(),
+_CHECKERS: tuple[Checker, ...] = (
     BufferAliasingChecker(),
     EFInvariantChecker(),
+    PeerMatchingChecker(),
 )
 
-#: The happens-before suite (``repro analyze --hb``).  Kept separate from
-#: :data:`ALL_CHECKERS` so heuristic-rule counterexamples keep firing exactly
-#: one rule; the driver opts in with ``hb=True``.
-HB_CHECKERS: tuple[Checker, ...] = (
-    HBDeadlockChecker(),
-    HBRaceChecker(),
-    HBLostUpdateChecker(),
-    HBStalenessChecker(),
-)
+#: Every rule :func:`run_checkers` reports, in reporting order.
+RULES: tuple[str, ...] = tuple(c.rule for c in _CHECKERS) + HB_RULES
 
 
-def run_checkers(
-    subject: AnalysisSubject,
-    checkers: Sequence[Checker] | None = None,
-) -> list[Finding]:
-    """Run ``checkers`` (default: the full suite) over one subject."""
+def run_checkers(subject: AnalysisSubject) -> list[Finding]:
+    """Run every rule over one subject."""
     findings: list[Finding] = []
-    for checker in checkers if checkers is not None else ALL_CHECKERS:
+    for checker in _CHECKERS:
         findings.extend(checker.check(subject))
+    findings.extend(check_hb(subject))
     return findings

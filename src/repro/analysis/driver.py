@@ -3,7 +3,8 @@
 ``analyze_algorithm`` is the front door: it builds a small simulated cluster
 (default 2 nodes x 2 GPUs), trains a tiny probe model for a handful of steps
 with a :class:`~repro.analysis.recorder.TraceRecorder` attached, and feeds
-the checker suite three subjects:
+the rule suite (:func:`~repro.analysis.checkers.run_checkers`, the
+happens-before engine included) these subjects:
 
 * the **recorded trace** plus the live bucket layout (real byte
   addresses) — what the algorithm actually did;
@@ -13,17 +14,16 @@ the checker suite three subjects:
   anything;
 * the **lowered bucket schedule** — the gated event stream the
   :class:`~repro.core.schedule.ScheduledExecutor` drives, so the op order
-  being verified is the one the executor actually runs.
+  being verified is the one the executor actually runs;
+* every **O/F/H × update-mode variant** of that schedule — a cheap static
+  enumeration (:meth:`~repro.core.schedule.BucketSchedule.variants`)
+  proving each rewrite the execution optimizer could emit race- and
+  deadlock-free, not just the one that ran.
 
-``analyze_all`` sweeps every algorithm in :mod:`repro.algorithms.registry`,
-which is the pre-PR correctness gate wired into ``python -m repro analyze``.
-
-With ``hb=True`` (the ``--hb`` flag) the happens-before suite runs on every
-subject, and the lowered :class:`~repro.core.schedule.BucketSchedule` is
-additionally swept over every O/F/H × update-mode combination — a cheap
-static enumeration (:meth:`~repro.core.schedule.BucketSchedule.variants`)
-proving each rewrite the execution optimizer could emit race- and
-deadlock-free, and the sweep widens to the baseline registry.
+``analyze_all`` sweeps every algorithm in :mod:`repro.algorithms.registry`
+and every baseline in :mod:`repro.baselines` (they are
+:class:`~repro.core.engine.Algorithm` subclasses too): the pre-PR
+correctness gate wired into ``python -m repro analyze``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ..tensor.layers import Linear
 from ..tensor.module import Module
 from ..tensor.optim import SGD
 from ..tensor.tensor import Tensor
-from .checkers import HB_CHECKERS, BufferAliasingChecker, run_checkers
+from .checkers import RULES, BufferAliasingChecker, run_checkers
 from .ir import AnalysisSubject
 from .lowering import layout_from_buckets, lower_schedule
 from .recorder import TraceRecorder
@@ -139,27 +139,18 @@ def analyze_algorithm(
     seed: int = 0,
     config: BaguaConfig | None = None,
     algorithm: Algorithm | None = None,
-    hb: bool = False,
 ) -> AnalysisReport:
-    """Run the full checker suite for one algorithm; returns its report.
-
-    ``hb=True`` adds the happens-before rules to every subject and sweeps
-    the lowered schedule across all O/F/H × update-mode variants.
-    """
+    """Run the full rule suite for one algorithm; returns its report."""
     algorithm = algorithm or probe_algorithm(name)
     spec = ClusterSpec(num_nodes=num_nodes, workers_per_node=gpus_per_node)
     engine, recorder = record_dry_run(algorithm, spec, steps, seed, config)
 
     expected_topology = "ring" if algorithm.topology == "ring" else None
 
-    checker_names = ["rank-symmetry", "peer-matching", "overlap-race",
-                     "buffer-aliasing", "ef-invariant"]
-    if hb:
-        checker_names += ["hb-deadlock", "hb-race", "hb-lost-update", "hb-staleness"]
     report = AnalysisReport(
         algorithm=name,
         world=f"{num_nodes}x{gpus_per_node}",
-        checkers=checker_names,
+        checkers=list(RULES),
     )
     nodes = spec.node_groups()
 
@@ -167,8 +158,6 @@ def analyze_algorithm(
         if algorithm.staleness_bound is not None:
             subject.notes.setdefault("staleness_bound", algorithm.staleness_bound)
         report.findings.extend(run_checkers(subject))
-        if hb:
-            report.findings.extend(run_checkers(subject, HB_CHECKERS))
         report.sources.append(subject.source)
         report.num_ops += subject.trace.num_ops if subject.trace is not None else 0
 
@@ -214,12 +203,11 @@ def analyze_algorithm(
         scheduled = lower_schedule(engine.schedule, spec.world_size, nodes=nodes)
         check_subject(scheduled)
 
-        # Under --hb, statically sweep every O/F/H × update-mode variant of
-        # the schedule: each rewrite the execution optimizer could emit must
-        # be provably race- and deadlock-free, not just the one that ran.
-        if hb:
-            for variant in engine.schedule.variants():
-                check_subject(lower_schedule(variant, spec.world_size, nodes=nodes))
+        # Statically sweep every O/F/H × update-mode variant of the schedule:
+        # each rewrite the execution optimizer could emit must be provably
+        # race- and deadlock-free, not just the one that ran.
+        for variant in engine.schedule.variants():
+            check_subject(lower_schedule(variant, spec.world_size, nodes=nodes))
 
     return report
 
@@ -229,19 +217,10 @@ def analyze_all(
     gpus_per_node: int = 2,
     steps: int = 5,
     seed: int = 0,
-    hb: bool = False,
 ) -> SweepReport:
-    """Analyze every registered algorithm; the test-suite/CI sweep.
-
-    With ``hb=True`` the sweep also covers the baseline registry (they are
-    :class:`~repro.core.engine.Algorithm` subclasses too) and every report
-    includes the happens-before pass.
-    """
+    """Analyze every registered algorithm and baseline; the CI sweep."""
     sweep = SweepReport()
-    names = sorted(ALGORITHM_REGISTRY)
-    if hb:
-        names += sorted(BASELINE_REGISTRY)
-    for name in names:
+    for name in sorted(ALGORITHM_REGISTRY) + sorted(BASELINE_REGISTRY):
         sweep.reports.append(
             analyze_algorithm(
                 name,
@@ -249,7 +228,6 @@ def analyze_all(
                 gpus_per_node=gpus_per_node,
                 steps=steps,
                 seed=seed,
-                hb=hb,
             )
         )
     return sweep

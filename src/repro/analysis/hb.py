@@ -1,11 +1,10 @@
 """Happens-before engine: vector clocks over (rank, thread, event) triples.
 
-The per-rank heuristics in :mod:`repro.analysis.checkers` verify properties
-of one rank's op list at a time.  This module builds the *cross-rank partial
-order* the paper's correctness argument actually rests on (the rewritten
-schedule must preserve the dependency structure of the original DAG — Shi et
-al.'s DAG model of synchronous SGD) and assigns every event a vector clock,
-from three edge sources:
+This is the analyzer's ordering and matching checker.  It builds the
+*cross-rank partial order* the paper's correctness argument rests on (a
+rewritten schedule must preserve the dependency structure of the original
+DAG — Shi et al.'s DAG model of synchronous SGD) and assigns every event a
+vector clock, from three edge sources:
 
 * **program order** — consecutive ops of one ``(rank, thread)`` stream;
 * **communication matching** — a collective is an all-to-all synchronization
@@ -17,15 +16,24 @@ from three edge sources:
   bucket's issue, ``backward_end`` after every issue, ``comm_done`` after
   the bucket's collective phases, ``barrier`` after every collective.
 
+An ``issue``..``await`` window whose trace names no comm op of its bucket
+(a hand-built trace; the lowerings always emit one) is itself the bucket's
+in-flight communication: the engine synthesizes an ``in_flight`` event on a
+thread of its own, after the issue and before the await, that reads and
+writes the bucket's gradient (and its residual when the issue carries
+``error_feedback``).
+
 Construction is operational: an abstract scheduler executes the per-thread
 streams, completing a collective only when every participant reached it and
 a recv only when its send ran.  If the scheduler wedges, the stuck state is
 a *provable deadlock* — either a cycle in the cross-rank wait-for graph
-(mismatched collective orders) or an unsatisfiable wait (asymmetric gossip
-peers, a recv whose send never exists).  On top of the clocks, four rules:
+(mismatched collective orders) or an unsatisfiable wait (asymmetric or
+out-of-group gossip peers, a recv whose send never exists, a send no recv
+consumes).  On top of the clocks, four rules:
 
 * ``hb-race`` — two same-rank events touching overlapping byte intervals,
-  at least one a write, with no happens-before order;
+  at least one a write, with no happens-before order; and an issue that is
+  never awaited, whose in-flight access the rank never retires;
 * ``hb-deadlock`` — the stuck states above, with the wait cycle as witness;
 * ``hb-lost-update`` — an error-feedback residual write unordered with
   another access to the same residual;
@@ -38,7 +46,7 @@ Every finding carries a printable witness (``repro analyze --explain``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 
 from ..core.schedule import (
@@ -47,7 +55,7 @@ from ..core.schedule import (
     GATE_COMM_DONE,
     GATE_GRAD_READY,
 )
-from .ir import GOSSIP_KINDS, AnalysisSubject, CommOp
+from .ir import GOSSIP_KINDS, IN_FLIGHT, AnalysisSubject, CommOp
 from .report import Finding
 
 #: Memory spaces an event footprint can live in.  Gradients, parameters and
@@ -115,6 +123,34 @@ class Deadlock:
     step: int | None = None
 
 
+def _bare_windows(ops: Sequence[CommOp]) -> dict[int, int | None]:
+    """The ``issue``..``await`` windows of one rank that name no comm op.
+
+    Maps each such window's issue position in ``ops`` to its await's
+    position, or ``None`` when the issue is never awaited.  An await retires
+    the latest open issue of its bucket.
+    """
+    open_windows: dict[str, list[list]] = {}  # bucket -> [[issue pos, has comm]]
+    bare: dict[int, int | None] = {}
+    for pos, op in enumerate(ops):
+        if op.kind == "issue":
+            open_windows.setdefault(op.bucket, []).append([pos, False])
+        elif op.kind == "await":
+            windows = open_windows.get(op.bucket)
+            if windows:
+                issue_pos, has_comm = windows.pop()
+                if not has_comm:
+                    bare[issue_pos] = pos
+        elif op.scope != "schedule" and op.bucket in open_windows:
+            for window in open_windows[op.bucket]:
+                window[1] = True
+    for windows in open_windows.values():
+        for issue_pos, has_comm in windows:
+            if not has_comm:
+                bare[issue_pos] = None
+    return bare
+
+
 def _footprints(op: CommOp, extent_of: dict[str, tuple[int, int]]) -> tuple[Footprint, ...]:
     """The memory intervals ``op`` touches, by kind.
 
@@ -123,8 +159,8 @@ def _footprints(op: CommOp, extent_of: dict[str, tuple[int, int]]) -> tuple[Foot
     bucket with no known extent gets a synthetic one (distinct per name), so
     same-bucket conflicts are still caught on hand-built traces.
     """
-    if not op.bucket and op.kind != "ef_write":
-        return ()
+    if not op.bucket:
+        return ()  # a bucket-less ef_write gets every residual in HBGraph._build
     if op.start >= 0 and op.stop >= 0 and op.stop > op.start:
         lo, hi = op.start, op.stop
     elif op.bucket in extent_of:
@@ -138,8 +174,9 @@ def _footprints(op: CommOp, extent_of: dict[str, tuple[int, int]]) -> tuple[Foot
     def touch(space: str, reads: bool, writes: bool) -> None:
         prints.append(Footprint(space + space_key, lo, hi, reads, writes))
 
-    if op.kind in ("allreduce", "compressed_allreduce", "reduce", "broadcast"):
-        # Reductions read and overwrite the bucket's gradient in place.
+    if op.kind in ("allreduce", "compressed_allreduce", "reduce", "broadcast", IN_FLIGHT):
+        # Reductions (and an in-flight window standing in for one) read and
+        # overwrite the bucket's gradient in place.
         touch(SPACE_GRAD, reads=True, writes=True)
         if op.error_feedback:
             touch(SPACE_EF, reads=True, writes=True)
@@ -168,6 +205,8 @@ class HBGraph:
         self.threads: list[tuple[int, str]] = []
         self.events: list[HBEvent] = []
         self.deadlocks: list[Deadlock] = []
+        #: issues of in-flight windows that are never awaited
+        self.unretired: list[HBEvent] = []
         self._by_rank: dict[int, list[HBEvent]] = {}
         self._build()
 
@@ -242,25 +281,63 @@ class HBGraph:
         # Event table and per-(rank, thread) streams in program order.
         tid_of: dict[tuple[int, str], int] = {}
         streams: list[list[int]] = []
+        #: gate edges of the in-flight windows: uid -> uids it waits on
+        window_gates: dict[int, list[int]] = {}
+
+        def add_event(op: CommOp) -> HBEvent:
+            key = (op.rank, op.thread)
+            if key not in tid_of:
+                tid_of[key] = len(self.threads)
+                self.threads.append(key)
+                streams.append([])
+            event = HBEvent(
+                uid=len(self.events),
+                op=op,
+                tid=tid_of[key],
+                footprints=_footprints(op, extent_of),
+            )
+            self.events.append(event)
+            streams[event.tid].append(event.uid)
+            self._by_rank.setdefault(op.rank, []).append(event)
+            return event
+
         for rank in trace.ranks:
-            for op in trace.ops_of(rank):
-                key = (rank, op.thread)
-                if key not in tid_of:
-                    tid_of[key] = len(self.threads)
-                    self.threads.append(key)
-                    streams.append([])
-                uid = len(self.events)
-                event = HBEvent(
-                    uid=uid,
-                    op=op,
-                    tid=tid_of[key],
-                    footprints=_footprints(op, extent_of),
+            ops = trace.ops_of(rank)
+            bare = _bare_windows(ops)
+            flight_before: dict[int, HBEvent] = {}  # await pos -> its window
+            for pos, op in enumerate(ops):
+                event = add_event(op)
+                if pos in flight_before:
+                    window_gates[event.uid] = [flight_before[pos].uid]
+                if pos in bare:
+                    # Each window runs on a thread of its own: two windows
+                    # in flight at once are unordered with each other.
+                    flight = add_event(
+                        replace(op, kind=IN_FLIGHT, thread=f"in-flight#{op.seq}", gate="")
+                    )
+                    window_gates[flight.uid] = [event.uid]
+                    if bare[pos] is None:
+                        self.unretired.append(event)
+                    else:
+                        flight_before[bare[pos]] = flight
+
+            # A bucket-less ef_write rewrites every residual the rank holds.
+            events = self._by_rank.get(rank, [])
+            blanket = [e for e in events if e.op.kind == "ef_write" and not e.op.bucket]
+            if blanket:
+                residuals = sorted(
+                    {(f.space, f.start, f.stop) for e in events
+                     for f in e.footprints if f.space.startswith(SPACE_EF)}
                 )
-                self.events.append(event)
-                streams[tid_of[key]].append(uid)
-                self._by_rank.setdefault(rank, []).append(event)
+                for event in blanket:
+                    event.footprints = tuple(
+                        Footprint(space, lo, hi, reads=False, writes=True)
+                        for space, lo, hi in residuals
+                    )
 
         gate_preds = self._resolve_gates()
+        for uid, preds in window_gates.items():
+            gate_preds.setdefault(uid, []).extend(preds)
         matches = self._match_sync_ops()
 
         n_threads = len(self.threads)
@@ -367,6 +444,18 @@ class HBGraph:
         ]
         if blocked:
             self._diagnose_deadlock(blocked, gate_preds, matches, executed, streams, heads)
+
+        # A send no recv consumes never completes: an unsatisfiable wait.
+        consumed = set(matches.send_of.values())
+        for event in self.events:
+            op = event.op
+            if op.kind == "send" and event.uid not in consumed:
+                dst = op.peers[0] if op.peers else "?"
+                self._unsatisfiable(
+                    event,
+                    f"send of {op.nbytes:.0f} B to rank {dst} has no matching recv "
+                    f"— rank {dst} never consumes it",
+                )
 
     def _gossip_cluster(self, uid, matches, local_ready) -> list[int] | None:
         """The mutual-peer closure of ``uid``'s gossip op, if all are ready.
@@ -553,8 +642,17 @@ class HBGraph:
                                 )
                             )
             elif op.kind in GOSSIP_KINDS:
-                for peer_uid, mutual in matches.gossip_peers.get(uid, []):
-                    if peer_uid is None:
+                resolved = matches.gossip_peers.get(uid, [])
+                for peer, (peer_uid, mutual) in zip(op.peers, resolved):
+                    if peer_uid is None and peer not in op.group:
+                        reasons.append(
+                            (
+                                None,
+                                f"rank {op.rank} lists peer {peer} outside group "
+                                f"{list(op.group)} — the recv is never posted",
+                            )
+                        )
+                    elif peer_uid is None:
                         reasons.append(
                             (
                                 None,
@@ -612,18 +710,7 @@ class HBGraph:
         for uid in blocked:
             for target, text in waits.get(uid, []):
                 if target is None:
-                    event = self.events[uid]
-                    self.deadlocks.append(
-                        Deadlock(
-                            message=f"{event.describe()}: {text}",
-                            events=[uid],
-                            witness=[f"{event.describe()} is blocked: {text}"],
-                            rank=event.op.rank,
-                            seq=event.op.seq,
-                            bucket=event.op.bucket or None,
-                            step=event.op.step if event.op.step >= 0 else None,
-                        )
-                    )
+                    self._unsatisfiable(self.events[uid], text)
                     reported.add(uid)
 
         # 2) Cycles in the wait-for graph among the remaining blocked events.
@@ -673,6 +760,20 @@ class HBGraph:
                     bucket=event.op.bucket or None,
                 )
             )
+
+    def _unsatisfiable(self, event: HBEvent, text: str) -> None:
+        """Record ``event`` as blocked on a wait nothing can ever satisfy."""
+        self.deadlocks.append(
+            Deadlock(
+                message=f"{event.describe()}: {text}",
+                events=[event.uid],
+                witness=[f"{event.describe()} is blocked: {text}"],
+                rank=event.op.rank,
+                seq=event.op.seq,
+                bucket=event.op.bucket or None,
+                step=event.op.step if event.op.step >= 0 else None,
+            )
+        )
 
     @staticmethod
     def _find_cycle(graph: dict[int, list[tuple[int, str]]]) -> list[int] | None:
@@ -736,10 +837,27 @@ def _pair_witness(graph: HBGraph, a: HBEvent, b: HBEvent) -> tuple[str, ...]:
 
 
 def check_races(graph: HBGraph) -> list[Finding]:
-    """hb-race: same-rank interval conflicts with no happens-before order."""
+    """hb-race: same-rank interval conflicts with no happens-before order,
+    and issues whose in-flight access is never retired."""
+    findings = [
+        Finding(
+            rule="hb-race",
+            severity="error",
+            message=(
+                f"{issue.op.describe()} on rank {issue.op.rank} is never awaited — "
+                "its in-flight access is never retired, so its result is never "
+                "observed and the next iteration races it"
+            ),
+            rank=issue.op.rank,
+            seq=issue.op.seq,
+            bucket=issue.op.bucket or None,
+            step=issue.op.step if issue.op.step >= 0 else None,
+            witness=(f"{issue.describe()} has no later await of its bucket",),
+        )
+        for issue in graph.unretired
+    ]
     if graph.deadlocked:
-        return []  # clocks past the wedge are meaningless
-    findings: list[Finding] = []
+        return findings  # clocks past the wedge are meaningless
     for events in graph._by_rank.values():
         touching = [e for e in events if e.footprints and e.clock]
         for i, a in enumerate(touching):
@@ -897,6 +1015,10 @@ def check_staleness(graph: HBGraph) -> list[Finding]:
                 )
             )
     return findings
+
+
+#: The rules :func:`check_hb` reports, in reporting order.
+HB_RULES: tuple[str, ...] = ("hb-deadlock", "hb-race", "hb-lost-update", "hb-staleness")
 
 
 def check_hb(subject: AnalysisSubject) -> list[Finding]:

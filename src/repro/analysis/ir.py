@@ -38,8 +38,11 @@ COLLECTIVE_KINDS = frozenset(
 )
 #: Op kinds with point-to-point scope.
 P2P_KINDS = frozenset({"send", "recv"})
-#: Local scheduling kinds (no communication; used by the overlap analysis).
-SCHEDULE_KINDS = frozenset({"issue", "await", "opt_step", "ef_write"})
+#: The in-flight communication of an ``issue``..``await`` window that names
+#: no comm op; only the happens-before engine synthesizes it.
+IN_FLIGHT = "in_flight"
+#: Local scheduling kinds (no communication of their own).
+SCHEDULE_KINDS = frozenset({"issue", "await", "opt_step", "ef_write", IN_FLIGHT})
 #: Gossip kinds (peer-wise synchronization instead of a group barrier).
 GOSSIP_KINDS = frozenset({"gossip", "compressed_gossip"})
 
@@ -121,7 +124,7 @@ class CommOp:
 #: in :meth:`CommTrace.add`.  The generated dataclass ``__init__`` costs one
 #: ``object.__setattr__`` per field (the class is frozen); a plain
 #: ``__dict__.update`` builds an identical instance ~8x faster, which is
-#: what keeps the symbolic plan sweep and the ``--hb`` variant sweep cheap
+#: what keeps the symbolic plan sweep and the driver's variant sweep cheap
 #: (they emit one op stream per rank x variant x world size).
 _OP_DEFAULTS: dict[str, object] = {
     f.name: f.default for f in CommOp.__dataclass_fields__.values()
@@ -268,7 +271,8 @@ class AnalysisSubject:
     trace: CommTrace | None = None
     layout: tuple[BucketExtent, ...] = ()
     #: declared peer topology ("ring") when the algorithm commits to one;
-    #: peer-matching then verifies gossip neighbors against it.
+    #: peer-matching then verifies gossip neighbors against it (that the
+    #: peers reciprocate is the happens-before engine's to prove).
     expected_topology: str | None = None
     #: free-form description of where this subject came from (for reports).
     source: str = ""

@@ -5,8 +5,8 @@ a combinatorial space — algorithm × overlap × fusion × hierarchy × bucket
 cap × codec × topology.  Timing every point is expensive; *checking* every
 point is not: :func:`verify_point` runs the static rules of
 :mod:`repro.analysis.symbolic` and, when those prove nothing wrong, lowers
-the point symbolically and runs the full checker suite (plus the
-happens-before rules) over IR that never touched a transport.
+the point symbolically and runs the full rule suite (the happens-before
+engine included) over IR that never touched a transport.
 
 :func:`enumerate_points` walks the knob grid; :func:`sweep_planspace` turns
 it into a :class:`PlanSpaceReport` (the ``repro analyze --plans`` artifact);
@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 
 from ..algorithms.registry import ALGORITHM_REGISTRY
 from ..baselines import BASELINE_REGISTRY
-from .checkers import HB_CHECKERS, run_checkers
+from .checkers import run_checkers
 from .report import Finding
 from .symbolic import (
     PROBE_BUCKET_BYTES,
@@ -139,7 +139,7 @@ class PlanSpaceReport:
         }
 
 
-def verify_point(point: PlanPoint, hb: bool = True, profile=None) -> PlanVerdict:
+def verify_point(point: PlanPoint, profile=None) -> PlanVerdict:
     """Verify one plan point: static rules first, lowered IR second.
 
     A static *error* is final — the lowering is skipped, both because the
@@ -156,11 +156,8 @@ def verify_point(point: PlanPoint, hb: bool = True, profile=None) -> PlanVerdict
         )
     subject = lower_point(point, profile)
     label = point.describe()
-    checker_findings = run_checkers(subject)
-    if hb:
-        checker_findings.extend(run_checkers(subject, HB_CHECKERS))
     findings.extend(
-        f if f.plan else replace(f, plan=label) for f in checker_findings
+        f if f.plan else replace(f, plan=label) for f in run_checkers(subject)
     )
     return PlanVerdict(
         point=point,
@@ -176,19 +173,17 @@ def enumerate_points(
     bucket_bytes_options: Sequence[float] = (PROBE_BUCKET_BYTES,),
     compressors: Sequence[str | None] = (None,),
     topologies: Sequence[str | None] = (None,),
-    include_baselines: bool = False,
     steps: int = 1,
 ) -> list[PlanPoint]:
     """Walk the plan-space grid: O/F/H × shape × bucket cap × codec × topology.
 
+    ``algorithms`` defaults to every registered algorithm and baseline.
     ``None`` entries in ``compressors``/``topologies`` mean each algorithm's
     natural choice; explicit entries apply to every algorithm (the pruner
     then rejects the incompatible combinations — that is the point).
     """
     if algorithms is None:
-        algorithms = sorted(ALGORITHM_REGISTRY)
-        if include_baselines:
-            algorithms += sorted(BASELINE_REGISTRY)
+        algorithms = sorted(ALGORITHM_REGISTRY) + sorted(BASELINE_REGISTRY)
     points = []
     for name in algorithms:
         overrides = PLAN_OVERRIDES.get(name, {})
@@ -220,7 +215,6 @@ def enumerate_points(
 
 def sweep_planspace(
     points: Iterable[PlanPoint] | None = None,
-    hb: bool = True,
     profile=None,
 ) -> PlanSpaceReport:
     """Verify every point; the ``repro analyze --plans`` entry point."""
@@ -228,13 +222,12 @@ def sweep_planspace(
         points = enumerate_points()
     report = PlanSpaceReport()
     for point in points:
-        report.verdicts.append(verify_point(point, hb=hb, profile=profile))
+        report.verdicts.append(verify_point(point, profile=profile))
     return report
 
 
 def prune_points(
     points: Iterable[PlanPoint],
-    hb: bool = True,
     profile=None,
 ) -> tuple[list[PlanPoint], list[PlanVerdict]]:
     """Split ``points`` into (accepted, rejected-with-reasons).
@@ -246,7 +239,7 @@ def prune_points(
     accepted: list[PlanPoint] = []
     rejected: list[PlanVerdict] = []
     for point in points:
-        verdict = verify_point(point, hb=hb, profile=profile)
+        verdict = verify_point(point, profile=profile)
         if verdict.ok:
             accepted.append(point)
         else:

@@ -358,7 +358,7 @@ def lower_point(
 def sweep_variants(
     point: PlanPoint, profile: ExecutionProfile | None = None
 ) -> list[AnalysisSubject]:
-    """The symbolic twin of the driver's ``--hb`` variant sweep.
+    """The symbolic twin of the driver's O/F/H x update-mode variant sweep.
 
     Mirrors :func:`repro.analysis.driver.analyze_algorithm` exactly: the
     bucket structure is planned once (F on, probe cap) and swept through

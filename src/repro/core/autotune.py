@@ -172,7 +172,7 @@ def _verify_candidate(
             world_size=min(full.world_size, _VERIFY_NODES * _VERIFY_WORKERS),
             workers_per_node=min(full.workers_per_node, _VERIFY_WORKERS),
         )
-    verdict = verify_point(scaled, hb=True, profile=profile)
+    verdict = verify_point(scaled, profile=profile)
     return None if verdict.ok else verdict
 
 

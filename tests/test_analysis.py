@@ -1,4 +1,4 @@
-"""Static analyzer: algorithm sweep, per-rule counterexamples, CLI."""
+"""Static analyzer: per-rule counterexamples and the CLI."""
 
 import json
 
@@ -7,12 +7,12 @@ import pytest
 
 from repro.__main__ import main
 from repro.algorithms.registry import ALGORITHM_REGISTRY
+from repro.baselines import BASELINE_REGISTRY
 from repro.analysis import (
     AnalysisSubject,
     BucketExtent,
     CommTrace,
     ParamView,
-    analyze_algorithm,
     layout_from_buckets,
     run_checkers,
 )
@@ -25,30 +25,12 @@ def fired_rules(findings):
 
 
 # ----------------------------------------------------------------------
-# Positive sweep: every registered algorithm is clean on a 2x2 cluster.
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY))
-def test_registered_algorithm_passes_all_checkers(name):
-    report = analyze_algorithm(name, num_nodes=2, gpus_per_node=2)
-    assert report.ok, report.render()
-    assert report.findings == []
-    assert report.num_ops > 0
-    # both the dry-run trace and (when planned) the lowered plan were checked
-    assert any("dry-run" in s for s in report.sources)
-
-
-# ----------------------------------------------------------------------
-# Negative: each counterexample trips exactly its own rule.
+# Negative: each counterexample trips exactly one rule.  The ordering and
+# matching faults below are the happens-before engine's (hb-*); the positive
+# registry sweep lives in test_analysis_hb.py.
 # ----------------------------------------------------------------------
 class TestRankSymmetry:
-    def test_dropped_collective_on_rank_1(self):
-        trace = CommTrace(world_size=4)
-        group = (0, 1, 2, 3)
-        for rank in (0, 2, 3):  # rank 1 never enters the collective
-            trace.add(rank, "allreduce", bucket="b0", elements=64, group=group)
-        findings = run_checkers(AnalysisSubject(world_size=4, trace=trace))
-        assert fired_rules(findings) == {"rank-symmetry"}
-        assert any(f.rank == 1 for f in findings)
+    """Group members that diverge in their collective sequence wedge."""
 
     def test_size_mismatch_flags_first_divergent_op(self):
         trace = CommTrace(world_size=2)
@@ -58,9 +40,28 @@ class TestRankSymmetry:
         trace.add(1, "allreduce", bucket="b0", elements=64, group=group)
         trace.add(1, "allreduce", bucket="b1", elements=48, group=group)  # diverges
         findings = run_checkers(AnalysisSubject(world_size=2, trace=trace))
-        assert fired_rules(findings) == {"rank-symmetry"}
-        assert len(findings) == 1
-        assert findings[0].seq == 1
+        assert fired_rules(findings) == {"hb-deadlock"}
+        assert {f.seq for f in findings} == {1}
+        assert all("never issues a matching" in f.message for f in findings)
+
+    @pytest.mark.parametrize(
+        "codec",
+        [
+            {"compressor": "qsgd-4bit"},  # same size, different codec
+            {"compressor": "qsgd-8bit", "error_feedback": True},  # EF on one side
+        ],
+        ids=["codec", "error-feedback"],
+    )
+    def test_codec_or_error_feedback_mismatch_at_equal_size(self, codec):
+        trace = CommTrace(world_size=2)
+        group = (0, 1)
+        trace.add(0, "compressed_allreduce", bucket="b0", elements=64, group=group,
+                  compressor="qsgd-8bit")
+        trace.add(1, "compressed_allreduce", bucket="b0", elements=64, group=group,
+                  **codec)
+        findings = run_checkers(AnalysisSubject(world_size=2, trace=trace))
+        assert fired_rules(findings) == {"hb-deadlock"}
+        assert {f.rank for f in findings} == {0, 1}
 
     def test_symmetric_trace_is_clean(self):
         trace = CommTrace(world_size=2)
@@ -70,34 +71,38 @@ class TestRankSymmetry:
 
 
 class TestPeerMatching:
-    def test_asymmetric_gossip_peers(self):
-        trace = CommTrace(world_size=4)
-        group = (0, 1, 2, 3)
-        peer_sets = {0: (1,), 1: (0,), 2: (3,), 3: (0,)}  # 3 lists 0; 0 lists only 1
-        for rank, peers in peer_sets.items():
-            trace.add(rank, "gossip", bucket="b0", elements=64, group=group, peers=peers)
-        findings = run_checkers(AnalysisSubject(world_size=4, trace=trace))
-        assert fired_rules(findings) == {"peer-matching"}
-
     def test_ring_topology_violation(self):
         trace = CommTrace(world_size=4)
         group = (0, 1, 2, 3)
-        ring = {0: (3, 1), 1: (0, 2), 2: (1, 3), 3: (2, 0)}
-        ring[1] = (0, 3)  # symmetric with 3's (2, 0)? keep it symmetric but off-ring
-        ring[3] = (2, 0, 1)
-        for rank, peers in ring.items():
+        # The ring 0-1-3-2: every pairing is mutual, but not the declared ring.
+        peer_sets = {0: (1, 2), 1: (0, 3), 2: (3, 0), 3: (1, 2)}
+        for rank, peers in peer_sets.items():
             trace.add(rank, "gossip", bucket="b0", elements=64, group=group, peers=peers)
         subject = AnalysisSubject(world_size=4, trace=trace, expected_topology="ring")
         findings = run_checkers(subject)
         assert fired_rules(findings) == {"peer-matching"}
-        assert any("ring" in f.message for f in findings)
+        assert all("ring" in f.message for f in findings)
+        assert {f.rank for f in findings} == {0, 1, 2, 3}
+
+    def test_gossip_peer_outside_group(self):
+        trace = CommTrace(world_size=3)
+        group = (0, 1)
+        trace.add(0, "gossip", bucket="b0", elements=64, group=group, peers=(1, 2))
+        trace.add(1, "gossip", bucket="b0", elements=64, group=group, peers=(0,))
+        findings = run_checkers(AnalysisSubject(world_size=3, trace=trace))
+        assert fired_rules(findings) == {"hb-deadlock"}
+        assert len(findings) == 1
+        assert "outside group [0, 1]" in findings[0].message
+        assert findings[0].rank == 0
 
     def test_unmatched_send(self):
         trace = CommTrace(world_size=2)
         trace.add(0, "send", peers=(1,), nbytes=256.0, round=0)
         findings = run_checkers(AnalysisSubject(world_size=2, trace=trace))
-        assert fired_rules(findings) == {"peer-matching"}
+        assert fired_rules(findings) == {"hb-deadlock"}
+        assert len(findings) == 1
         assert "no matching recv" in findings[0].message
+        assert (findings[0].rank, findings[0].seq) == (0, 0)
 
     def test_matched_p2p_is_clean(self):
         trace = CommTrace(world_size=2)
@@ -107,13 +112,17 @@ class TestPeerMatching:
 
 
 class TestOverlapRace:
+    """An issue..await window that names no comm op is the bucket's
+    in-flight communication: it reads and writes the bucket's gradient."""
+
     def test_opt_step_before_await(self):
         trace = CommTrace(world_size=1)
         trace.add(0, "issue", bucket="b0")
         trace.add(0, "opt_step", bucket="b0")  # races the in-flight reduction
         trace.add(0, "await", bucket="b0")
         findings = run_checkers(AnalysisSubject(world_size=1, trace=trace))
-        assert fired_rules(findings) == {"overlap-race"}
+        assert fired_rules(findings) == {"hb-race"}
+        assert len(findings) == 1
         assert findings[0].bucket == "b0"
 
     def test_never_awaited_issue(self):
@@ -121,16 +130,25 @@ class TestOverlapRace:
         trace.add(0, "issue", bucket="b0")
         trace.add(0, "opt_step", bucket="b1")
         findings = run_checkers(AnalysisSubject(world_size=1, trace=trace))
-        assert fired_rules(findings) == {"overlap-race"}
-        assert any("never" in f.message for f in findings)
+        assert fired_rules(findings) == {"hb-race"}
+        assert len(findings) == 1
+        assert "never awaited" in findings[0].message
+        assert (findings[0].rank, findings[0].seq, findings[0].bucket) == (0, 0, "b0")
 
     def test_bucketless_write_races_any_outstanding_comm(self):
         trace = CommTrace(world_size=1)
-        trace.add(0, "issue", bucket="b0")
-        trace.add(0, "ef_write")  # empty bucket = touches everything
+        trace.add(0, "issue", bucket="b0", error_feedback=True)
+        trace.add(0, "ef_write")  # empty bucket = every residual
         trace.add(0, "await", bucket="b0")
         findings = run_checkers(AnalysisSubject(world_size=1, trace=trace))
-        assert fired_rules(findings) == {"overlap-race"}
+        assert fired_rules(findings) == {"hb-lost-update"}
+
+    def test_bucketless_write_without_residual_is_clean(self):
+        trace = CommTrace(world_size=1)
+        trace.add(0, "issue", bucket="b0")  # no residual in flight to race
+        trace.add(0, "ef_write")
+        trace.add(0, "await", bucket="b0")
+        assert run_checkers(AnalysisSubject(world_size=1, trace=trace)) == []
 
     def test_issue_await_write_is_clean(self):
         trace = CommTrace(world_size=1)
@@ -272,6 +290,6 @@ class TestCLI:
     def test_all_sweep_exits_zero(self, capsys):
         assert main(["analyze", "--all"]) == 0
         out = capsys.readouterr().out
-        for name in ALGORITHM_REGISTRY:
+        for name in [*ALGORITHM_REGISTRY, *BASELINE_REGISTRY]:
             assert name in out
         assert "0 failing" in out

@@ -1,11 +1,11 @@
 """Happens-before engine tests: seeded defects, clean sweeps, witnesses.
 
 One counterexample per ``hb-*`` rule — each a few-line trace with exactly
-one planted bug — must fire *exactly* its rule and carry a printable
-witness (what ``repro analyze --explain`` renders).  The positive direction
-is covered twice: every registered algorithm and baseline analyzes clean
-under ``hb=True`` (including the O/F/H × update-mode schedule sweep), and a
-Hypothesis property in ``test_schedule_executor_hb.py`` checks arbitrary
+one planted bug — must fire *exactly* its rule across the whole suite and
+carry a printable witness (what ``repro analyze --explain`` renders).  The
+positive direction is covered twice: every registered algorithm and
+baseline analyzes clean (including the O/F/H × update-mode schedule sweep),
+and a Hypothesis property in ``test_schedule_executor.py`` checks arbitrary
 generated schedules.
 """
 
@@ -14,23 +14,19 @@ import pytest
 from repro.__main__ import main
 from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.analysis import (
-    HB_CHECKERS,
     AnalysisSubject,
     CommTrace,
     analyze_algorithm,
     build_hb,
     run_checkers,
 )
+from repro.analysis.hb import HB_RULES
 from repro.baselines import BASELINE_REGISTRY
 from repro.core import GATE_COMM_DONE, GATE_GRAD_READY
 
 
 def fired_rules(findings):
     return {f.rule for f in findings}
-
-
-def hb_check(subject):
-    return run_checkers(subject, HB_CHECKERS)
 
 
 # ----------------------------------------------------------------------
@@ -50,12 +46,12 @@ class TestSeededDefects:
         return AnalysisSubject(world_size=1, trace=trace)
 
     def test_update_on_unawaited_bucket_is_race(self):
-        findings = hb_check(self._race_subject())
+        findings = run_checkers(self._race_subject())
         assert fired_rules(findings) == {"hb-race"}
         assert len(findings) == 1
 
     def test_race_witness_names_both_events_and_ancestor(self):
-        (finding,) = hb_check(self._race_subject())
+        (finding,) = run_checkers(self._race_subject())
         witness = "\n".join(finding.witness)
         assert "A:" in witness and "B:" in witness
         assert "allreduce" in witness and "opt_step" in witness
@@ -74,7 +70,7 @@ class TestSeededDefects:
                   gate=GATE_COMM_DONE, start=0, stop=64)
         trace.add(0, "opt_step", bucket="b0", elements=64, thread="main",
                   start=0, stop=64)
-        assert hb_check(AnalysisSubject(world_size=1, trace=trace)) == []
+        assert run_checkers(AnalysisSubject(world_size=1, trace=trace)) == []
 
     def _collective_order_deadlock_subject(self):
         # Rank 0 reduces b0 then b1; rank 1 reduces b1 then b0 — each waits
@@ -87,13 +83,13 @@ class TestSeededDefects:
         return AnalysisSubject(world_size=2, trace=trace)
 
     def test_collective_order_mismatch_is_deadlock(self):
-        findings = hb_check(self._collective_order_deadlock_subject())
+        findings = run_checkers(self._collective_order_deadlock_subject())
         assert fired_rules(findings) == {"hb-deadlock"}
         assert len(findings) == 1
         assert "wait cycle" in findings[0].message
 
     def test_deadlock_witness_shows_the_cycle(self):
-        (finding,) = hb_check(self._collective_order_deadlock_subject())
+        (finding,) = run_checkers(self._collective_order_deadlock_subject())
         assert len(finding.witness) == 2  # one hop per blocked rank
         witness = "\n".join(finding.witness)
         assert "rank 0" in witness and "rank 1" in witness
@@ -108,13 +104,13 @@ class TestSeededDefects:
         return AnalysisSubject(world_size=2, trace=trace)
 
     def test_asymmetric_gossip_peers_is_deadlock(self):
-        findings = hb_check(self._asymmetric_gossip_subject())
+        findings = run_checkers(self._asymmetric_gossip_subject())
         assert fired_rules(findings) == {"hb-deadlock"}
         assert len(findings) == 1
         assert "does not list rank 0" in findings[0].message
 
     def test_gossip_deadlock_witness_is_printable(self):
-        (finding,) = hb_check(self._asymmetric_gossip_subject())
+        (finding,) = run_checkers(self._asymmetric_gossip_subject())
         assert finding.witness
         assert "never posted" in finding.explain()
 
@@ -122,7 +118,7 @@ class TestSeededDefects:
         trace = CommTrace(2)
         trace.add(0, "gossip", bucket="b0", elements=64, group=(0, 1), peers=(1,))
         trace.add(1, "gossip", bucket="b0", elements=64, group=(0, 1), peers=(0,))
-        assert hb_check(AnalysisSubject(world_size=2, trace=trace)) == []
+        assert run_checkers(AnalysisSubject(world_size=2, trace=trace)) == []
 
     def _lost_update_subject(self):
         # The error-feedback residual is rewritten on main while the
@@ -137,20 +133,22 @@ class TestSeededDefects:
         return AnalysisSubject(world_size=1, trace=trace)
 
     def test_unordered_ef_write_is_lost_update(self):
-        findings = hb_check(self._lost_update_subject())
+        findings = run_checkers(self._lost_update_subject())
         assert fired_rules(findings) == {"hb-lost-update"}
         assert len(findings) == 1
         assert "residual" in findings[0].message
 
     def test_lost_update_witness_names_both_events(self):
-        (finding,) = hb_check(self._lost_update_subject())
+        (finding,) = run_checkers(self._lost_update_subject())
         witness = "\n".join(finding.witness)
         assert "ef_write" in witness and "compressed_allreduce" in witness
 
     def _staleness_subject(self, bound):
-        # The step-3 update consumes the gradient computed at step 0.
+        # The step-3 update consumes the gradient computed at step 0 (and
+        # awaited then, so only its age is wrong).
         trace = CommTrace(1)
         trace.add(0, "issue", bucket="b0", elements=64, step=0, start=0, stop=64)
+        trace.add(0, "await", bucket="b0", elements=64, step=0, start=0, stop=64)
         trace.add(0, "opt_step", bucket="b0", elements=64, step=3,
                   start=0, stop=64)
         subject = AnalysisSubject(world_size=1, trace=trace)
@@ -158,25 +156,26 @@ class TestSeededDefects:
         return subject
 
     def test_stale_gradient_beyond_bound_fires(self):
-        findings = hb_check(self._staleness_subject(bound=1))
+        findings = run_checkers(self._staleness_subject(bound=1))
         assert fired_rules(findings) == {"hb-staleness"}
         assert len(findings) == 1
         assert "3 step(s) old" in findings[0].message
 
     def test_staleness_witness_is_an_hb_path(self):
-        (finding,) = hb_check(self._staleness_subject(bound=1))
+        (finding,) = run_checkers(self._staleness_subject(bound=1))
         witness = "\n".join(finding.witness)
         assert "issue" in witness and "opt_step" in witness
         assert "staleness 3 > bound 1" in witness
 
     def test_staleness_within_bound_is_clean(self):
-        assert hb_check(self._staleness_subject(bound=3)) == []
+        assert run_checkers(self._staleness_subject(bound=3)) == []
 
     def test_no_declared_bound_no_staleness_findings(self):
         trace = CommTrace(1)
         trace.add(0, "issue", bucket="b0", elements=64, step=0)
+        trace.add(0, "await", bucket="b0", elements=64, step=0)
         trace.add(0, "opt_step", bucket="b0", elements=64, step=9)
-        assert hb_check(AnalysisSubject(world_size=1, trace=trace)) == []
+        assert run_checkers(AnalysisSubject(world_size=1, trace=trace)) == []
 
 
 # ----------------------------------------------------------------------
@@ -184,11 +183,25 @@ class TestSeededDefects:
 # ----------------------------------------------------------------------
 class TestHBGraph:
     def test_missing_collective_partner_is_unsatisfiable_wait(self):
-        trace = CommTrace(2)
-        trace.add(0, "allreduce", bucket="b0", elements=64, group=(0, 1))
-        findings = hb_check(AnalysisSubject(world_size=2, trace=trace))
+        trace = CommTrace(4)
+        for rank in (0, 2, 3):  # rank 1 never enters the collective
+            trace.add(rank, "allreduce", bucket="b0", elements=64, group=(0, 1, 2, 3))
+        findings = run_checkers(AnalysisSubject(world_size=4, trace=trace))
         assert fired_rules(findings) == {"hb-deadlock"}
-        assert "never issues a matching" in findings[0].message
+        assert {f.rank for f in findings} == {0, 2, 3}
+        assert all("rank 1 never issues a matching" in f.message for f in findings)
+
+    def test_in_flight_window_sits_between_issue_and_await(self):
+        trace = CommTrace(1)
+        trace.add(0, "issue", bucket="b0", elements=4)
+        trace.add(0, "opt_step", bucket="b0", elements=4)
+        trace.add(0, "await", bucket="b0", elements=4)
+        graph = build_hb(AnalysisSubject(world_size=1, trace=trace))
+        issue, flight, step, wait = graph.events
+        assert flight.op.kind == "in_flight" and flight.tid != issue.tid
+        assert graph.happens_before(issue, flight)
+        assert graph.happens_before(flight, wait)
+        assert not graph.ordered(flight, step)
 
     def test_send_recv_edge_orders_cross_rank_events(self):
         trace = CommTrace(2)
@@ -202,7 +215,7 @@ class TestHBGraph:
     def test_recv_without_send_blocks_forever(self):
         trace = CommTrace(2)
         trace.add(1, "recv", nbytes=64.0, round=0, peers=(0,), match="m0")
-        findings = hb_check(AnalysisSubject(world_size=2, trace=trace))
+        findings = run_checkers(AnalysisSubject(world_size=2, trace=trace))
         assert fired_rules(findings) == {"hb-deadlock"}
         assert "no matching send" in findings[0].message
 
@@ -232,29 +245,41 @@ class TestHBGraph:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY) + sorted(BASELINE_REGISTRY))
 def test_registry_and_baselines_hb_clean(name):
-    report = analyze_algorithm(name, steps=3, hb=True)
-    assert report.findings == [], report.render()
-    assert "hb-race" in report.checkers
+    report = analyze_algorithm(name, steps=3)
+    assert report.ok, report.render()
+    assert report.findings == []
+    assert report.num_ops > 0
+    # both the dry-run trace and (when planned) the lowered plan were checked
+    assert any("dry-run" in s for s in report.sources)
+    assert set(HB_RULES) <= set(report.checkers)
 
 
 # ----------------------------------------------------------------------
-# CLI: --hb and --explain
+# CLI: the variant sweep, baselines and --explain
 # ----------------------------------------------------------------------
 class TestCLI:
+    # The two test_hb_flag_* cases predate the retired --hb flag: the variant
+    # sweep and the baseline registry it switched on are now always on.
     def test_hb_flag_single_algorithm(self, capsys):
-        assert main(["analyze", "allreduce", "--hb", "--steps", "2"]) == 0
+        assert main(["analyze", "allreduce", "--steps", "2"]) == 0
         out = capsys.readouterr().out
         assert "PASS allreduce" in out
         assert "updates=barrier" in out  # the schedule-variant sweep ran
 
     def test_hb_flag_accepts_baselines(self, capsys):
-        assert main(["analyze", "horovod", "--hb", "--steps", "2"]) == 0
+        assert main(["analyze", "horovod", "--steps", "2"]) == 0
         assert "PASS horovod" in capsys.readouterr().out
 
     def test_explain_out_of_range_is_usage_error(self, capsys):
-        assert main(["analyze", "allreduce", "--hb", "--steps", "2",
-                     "--explain", "99"]) == 2
+        assert main(["analyze", "allreduce", "--steps", "2", "--explain", "99"]) == 2
         assert "only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["--plans", "--protocol"])
+    def test_explain_is_refused_under_plans_and_protocol(self, mode, capsys):
+        assert main(["analyze", mode, "--explain", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "--explain" in captured.err and mode in captured.err
+        assert captured.out == ""
 
     def test_explain_negative_is_usage_error(self, capsys):
         assert main(["analyze", "allreduce", "--explain", "-1"]) == 2

@@ -15,7 +15,6 @@ import pytest
 
 from repro.algorithms.registry import ALGORITHM_REGISTRY
 from repro.analysis import run_checkers
-from repro.analysis.checkers import HB_CHECKERS
 from repro.analysis.driver import probe_algorithm, record_dry_run
 from repro.analysis.lowering import lower_schedule
 from repro.analysis.planspace import verify_point
@@ -182,7 +181,7 @@ def test_symbolic_sweep_builds_no_engine_and_issues_no_rounds(monkeypatch):
 @pytest.mark.parametrize("name", ["decentralized", "decentralized-8bit"])
 def test_gossip_point_lowers_clean(name):
     subject = lower_point(PlanPoint(algorithm=name, world_size=4, workers_per_node=2))
-    findings = run_checkers(subject) + run_checkers(subject, HB_CHECKERS)
+    findings = run_checkers(subject)
     assert findings == [], [f.render() for f in findings]
     kinds = {op.kind for op in subject.trace.all_ops()}
     assert kinds & {"gossip", "compressed_gossip"}
@@ -233,7 +232,7 @@ def test_local_sgd_alternates_silent_and_synchronized_steps():
         if op.kind == "opt_step" and op.step in (0, 2)
     ]
     assert silent_updates and all(op.gate == "" for op in silent_updates)
-    findings = run_checkers(subject) + run_checkers(subject, HB_CHECKERS)
+    findings = run_checkers(subject)
     assert findings == [], [f.render() for f in findings]
 
 
@@ -251,7 +250,7 @@ def test_1bit_adam_warmup_runs_full_precision_then_compresses():
     assert compressed
     for op in compressed:
         assert op.compressor == "1bit" and op.biased and op.error_feedback
-    findings = run_checkers(subject) + run_checkers(subject, HB_CHECKERS)
+    findings = run_checkers(subject)
     assert findings == [], [f.render() for f in findings]
 
 
@@ -281,7 +280,7 @@ def test_registered_class_is_lowered_checked_and_verified_from_its_declaration(m
         assert (op.kind, op.compressor, op.biased, op.error_feedback) == (
             "compressed_allreduce", "signsgd", True, True
         )
-    verdict = verify_point(point, hb=True)
+    verdict = verify_point(point)
     assert verdict.ok and verdict.num_ops > 0, verdict.render()
 
     # The same class declared without EF is refuted by the static rule alone.

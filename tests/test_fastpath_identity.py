@@ -255,7 +255,7 @@ class TestScheduleAndAnalysisUnchanged:
         reports = {}
         for backend in IN_PROCESS:
             monkeypatch.setenv("REPRO_BACKEND", backend)
-            reports[backend] = analyze_algorithm("allreduce", steps=2, hb=True).to_dict()
+            reports[backend] = analyze_algorithm("allreduce", steps=2).to_dict()
         assert reports["local"] == reports["batched"]
         assert reports["batched"]["ok"]
 

@@ -120,16 +120,14 @@ class TestWeightMatrix:
 # ----------------------------------------------------------------------
 class TestVerifyAndPrune:
     def test_static_error_skips_lowering(self):
-        verdict = verify_point(
-            PlanPoint(algorithm="qsgd", compressor="signsgd"), hb=True
-        )
+        verdict = verify_point(PlanPoint(algorithm="qsgd", compressor="signsgd"))
         assert not verdict.ok
         assert verdict.num_ops == 0
         assert "lowering skipped" in verdict.source
         assert "error feedback" in verdict.rejection
 
     def test_clean_point_lowers_and_counts_ops(self):
-        verdict = verify_point(PlanPoint(algorithm="qsgd"), hb=True)
+        verdict = verify_point(PlanPoint(algorithm="qsgd"))
         assert verdict.ok
         assert verdict.num_ops > 0
         assert "symbolic lowering" in verdict.source
@@ -143,7 +141,7 @@ class TestVerifyAndPrune:
                 hierarchical=True,
             ),
         ]
-        accepted, rejected = prune_points(points, hb=True)
+        accepted, rejected = prune_points(points)
         assert accepted == [points[0]]
         assert len(rejected) == 2
         rules = {v.errors[0].rule for v in rejected}
@@ -152,9 +150,7 @@ class TestVerifyAndPrune:
             assert verdict.rejection
 
     def test_default_sweep_is_clean_including_baselines(self):
-        report = sweep_planspace(
-            enumerate_points(include_baselines=True), hb=True
-        )
+        report = sweep_planspace(enumerate_points())
         assert report.ok, report.render()
         assert report.rejected() == []
         # 14 algorithms x 8 O/F/H combinations at the default world shape
@@ -166,8 +162,7 @@ class TestVerifyAndPrune:
             [
                 PlanPoint(algorithm="qsgd"),
                 PlanPoint(algorithm="qsgd", compressor="signsgd"),
-            ],
-            hb=True,
+            ]
         )
         assert not report.ok
         text = report.render()

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import AllreduceSGD
-from repro.analysis import HB_CHECKERS, build_hb, lower_schedule, run_checkers
+from repro.analysis import build_hb, check_hb, lower_schedule, run_checkers
 from repro.cluster import ClusterSpec, Link, Transport
 from repro.cluster.worker import make_workers
 from repro.core import BaguaConfig
@@ -133,7 +133,7 @@ def test_any_schedule_lowers_hb_clean(config, seed, per_bucket):
     assert engine.schedule is not None
     variant = dataclasses.replace(engine.schedule, per_bucket_updates=per_bucket)
     subject = lower_schedule(variant, engine.world_size, nodes=NODE_GROUPS)
-    assert run_checkers(subject, HB_CHECKERS) == []
+    assert check_hb(subject) == []
     assert not build_hb(subject).deadlocks
 
 
