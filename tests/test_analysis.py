@@ -13,6 +13,7 @@ from repro.analysis import (
     BucketExtent,
     CommTrace,
     ParamView,
+    analyze_algorithm,
     layout_from_buckets,
     run_checkers,
 )
@@ -25,9 +26,23 @@ def fired_rules(findings):
 
 
 # ----------------------------------------------------------------------
+# Positive sweep: every registered algorithm is clean on a 2x2 cluster.
+# (test_analysis_hb.py sweeps the registry and the baselines on the
+# default cluster.)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY))
+def test_registered_algorithm_passes_all_checkers(name):
+    report = analyze_algorithm(name, num_nodes=2, gpus_per_node=2)
+    assert report.ok, report.render()
+    assert report.findings == []
+    assert report.num_ops > 0
+    # both the dry-run trace and (when planned) the lowered plan were checked
+    assert any("dry-run" in s for s in report.sources)
+
+
+# ----------------------------------------------------------------------
 # Negative: each counterexample trips exactly one rule.  The ordering and
-# matching faults below are the happens-before engine's (hb-*); the positive
-# registry sweep lives in test_analysis_hb.py.
+# matching faults below are the happens-before engine's (hb-*).
 # ----------------------------------------------------------------------
 class TestRankSymmetry:
     """Group members that diverge in their collective sequence wedge."""
