@@ -27,7 +27,7 @@ class TernGradCompressor(Compressor):
             ternary = np.zeros(array.size, dtype=np.int8)
         else:
             prob = np.abs(array) / scale
-            keep = self.rng.random(array.size) < prob
+            keep = self.rng.random(array.size, dtype=DTYPE) < prob
             ternary = (np.sign(array) * keep).astype(np.int8)
         return CompressedPayload(
             codec=self.name,
@@ -44,6 +44,10 @@ class TernGradCompressor(Compressor):
     ) -> np.ndarray:
         """Vectorized roundtrip; one row-major RNG draw replaces per-cell draws.
 
+        The draws are ``DTYPE``, as in the scalar path: a float32 stream does
+        not depend on how it is split, so one ``(rows, n)`` draw consumes the
+        generator exactly as the per-cell draws do.
+
         A zero-scale segment skips its draw in the scalar path, so that case
         falls back to the per-cell reference loop before consuming any RNG
         state.
@@ -56,7 +60,7 @@ class TernGradCompressor(Compressor):
             scales[:, j] = np.abs(matrix[:, lo:hi]).max(axis=1, initial=0.0)
         if not scales.all():
             return super().batch_roundtrip(matrix, bounds)
-        draws = self.rng.random(matrix.shape)
+        draws = self.rng.random(matrix.shape, dtype=DTYPE)
         out = np.empty_like(matrix)
         for j, (lo, hi) in enumerate(bounds):
             seg = matrix[:, lo:hi]

@@ -1,5 +1,7 @@
 """Compression codecs: round-trip fidelity, wire sizes, error feedback."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,53 @@ class TestQSGD:
         with pytest.raises(ValueError):
             QSGDCompressor(bits=20)
 
+    def test_refuses_a_32_bit_raw_generator(self):
+        """MT19937's raw word carries 32 bits: two of four lanes would be 0."""
+        with pytest.raises(ValueError, match="MT19937"):
+            QSGDCompressor(rng=np.random.Generator(np.random.MT19937(0)))
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64],
+        ids=lambda b: b.__name__,
+    )
+    def test_accepted_generators_round_trip(self, bit_generator):
+        bounds = ((0, 13), (13, 27), (27, 40))
+        matrix = np.random.default_rng(3).standard_normal((2, 40)).astype(DTYPE)
+        fast = QSGDCompressor(rng=np.random.Generator(bit_generator(5)))
+        ref = QSGDCompressor(rng=np.random.Generator(bit_generator(5)))
+        out = fast.batch_roundtrip(matrix, bounds)
+        assert out.tobytes() == Compressor.batch_roundtrip(ref, matrix, bounds).tobytes()
+        # Philox's state holds arrays, so compare the words that come next.
+        assert (fast.rng.bit_generator.random_raw(4) == ref.rng.bit_generator.random_raw(4)).all()
+        for row, got in zip(matrix, out):
+            for lo, hi in bounds:  # within one step of the input
+                step = np.linalg.norm(row[lo:hi].astype(np.float64)) / fast.levels
+                assert np.abs(got[lo:hi] - row[lo:hi]).max() <= step * (1 + 1e-6)
+
+    @pytest.mark.parametrize("bits", [2, 8, 16])
+    @pytest.mark.parametrize("value", [0.3, -0.3])
+    def test_dither_bias_is_at_most_one_lane(self, bits, value):
+        """Every one of the 65 536 lanes once, on a constant run of 65 536
+        elements: the mean of its ``q`` is within ``2**-16`` of ``t``, plus the
+        float32 rounding of ``t + u``.  Four larger elements after the run
+        (one raw word) set the norm, so ``t`` is not a multiple of ``2**-16``."""
+        n = 1 << 16
+        lanes = np.random.default_rng(bits).permutation(n).astype(np.uint16)
+        lanes = np.concatenate([lanes, np.full(4, 0x8000, np.uint16)])
+        stub = SimpleNamespace(random_raw=lambda size: lanes.view(np.uint64)[:size])
+        stub.bit_generator = stub
+        codec = QSGDCompressor(bits=bits)
+        codec.rng = stub
+        segment = np.full(n + 4, value, DTYPE)
+        segment[n:] *= 50
+        q = codec.compress(segment).fields["q"][:n]
+        norm = np.sqrt(np.square(segment, dtype=np.float64).sum())
+        t = float(segment[0] * DTYPE.type(codec.levels / norm))
+        assert t * 2**16 != round(t * 2**16)
+        rounding = float(np.spacing(DTYPE.type(abs(t) + 1))) / 2
+        assert abs(q.mean(dtype=np.float64) - t) <= 2.0**-16 + rounding
+
 
 class TestQSGDBatchRoundtrip:
     """The blocked in-place kernel against the base class's per-cell loop."""
@@ -186,36 +235,39 @@ class TestQSGDBatchRoundtrip:
         out, expected, fast, _ = self._both(8, matrix, bounds)
         assert out.tobytes() == expected.tobytes()
         reference = np.random.default_rng(7)
-        reference.random(rows * n, dtype=DTYPE)
+        for _ in range(rows):
+            for lo, hi in bounds:  # ceil(w / 4) raw words per cell
+                reference.bit_generator.random_raw(-(-(hi - lo) // 4))
         assert fast.rng.bit_generator.state == reference.bit_generator.state
 
     class _ConstantDraws:
-        """A generator stand-in whose every uniform is ``value``."""
+        """A generator stand-in whose every raw word is four ``lane`` lanes."""
 
-        def __init__(self, value):
-            self.value = value
+        def __init__(self, lane):
+            self.bit_generator = self
+            self.word = np.uint64(lane * 0x0001_0001_0001_0001)
 
-        def random(self, size=None, dtype=np.float64, out=None):
-            out = np.empty(size, dtype) if out is None else out
-            out.fill(self.value)
-            return out
+        def random_raw(self, size=None):
+            return np.full(size, self.word, np.uint64)
 
     @pytest.mark.parametrize("bits", [2, 8, 16])
     @pytest.mark.parametrize(
         "value, draw",
         [
-            # t = levels exactly; a draw just below 1 rounds t + u to levels + 1.
-            (1.0, np.nextafter(DTYPE.type(1), DTYPE.type(0))),
+            # t = levels exactly; the largest dither, 1 - 2**-16, rounds
+            # t + u to levels + 1 (at 16 bits; at 2 and 8 bits it is exact).
+            (1.0, 0xFFFF),
             # The scale rounds up, so t lies just below -levels and floors
             # to -(levels + 1) (at 8 and 16 bits; at 2 bits t = -1 exactly).
-            (-0.09497874, 0.0),
+            (-0.09497874, 0),
         ],
         ids=["above", "below"],
     )
     def test_quantized_magnitude_never_exceeds_levels(self, bits, value, draw):
         """Segments of one nonzero element, at the draw that pushes ``t + u``
         furthest out on its side: ``|q|`` stays at ``levels``."""
-        codec = QSGDCompressor(bits=bits, rng=self._ConstantDraws(draw))
+        codec = QSGDCompressor(bits=bits)
+        codec.rng = self._ConstantDraws(draw)
         bounds = self._bounds([9, 9])
         matrix = np.zeros((2, 18), DTYPE)
         matrix[0, 4] = matrix[0, 13] = matrix[1, 2] = matrix[1, 11] = value
@@ -228,6 +280,27 @@ class TestQSGDBatchRoundtrip:
         assert out.tobytes() == Compressor.batch_roundtrip(codec, matrix, bounds).tobytes()
         step = DTYPE.type(abs(float(DTYPE.type(value))) / codec.levels)
         assert (out[matrix != 0] == DTYPE.type(signed_levels) * step).all()
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_lane_layout_is_fixed_per_segment(self, bits, monkeypatch):
+        """A segment of ``w`` columns reads ``ceil(w / 4)`` raw words, lane for
+        lane the same whatever ``_BLOCK_ELEMENTS`` is."""
+        widths = [1, 5, 7, 63, 130, 40_001]
+        bounds = self._bounds(widths)
+        matrix = np.random.default_rng(bits).standard_normal((3, sum(widths))).astype(DTYPE)
+        outs = []
+        for block in (4, 64, 16384):
+            monkeypatch.setattr(qsgd_module, "_BLOCK_ELEMENTS", block)
+            codec = QSGDCompressor(bits=bits, rng=np.random.default_rng(11))
+            outs.append(codec.batch_roundtrip(matrix, bounds).tobytes())
+            reference = np.random.default_rng(11)
+            for _ in range(3):
+                for w in widths:
+                    reference.bit_generator.random_raw(-(-w // 4))
+            assert codec.rng.bit_generator.state == reference.bit_generator.state
+        assert outs[0] == outs[1] == outs[2]
+        scalar = QSGDCompressor(bits=bits, rng=np.random.default_rng(11))
+        assert outs[0] == Compressor.batch_roundtrip(scalar, matrix, bounds).tobytes()
 
     @pytest.mark.parametrize("poison", [0.0, np.inf, -np.inf, np.nan, 1e200])
     def test_zero_and_non_finite_norms_take_the_reference(self, poison, monkeypatch):

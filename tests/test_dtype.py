@@ -165,7 +165,9 @@ class TestCodecDtype:
                 expected[i, lo:hi] = cell
         assert got.tobytes() == expected.tobytes()
         reference = np.random.default_rng(9)
-        reference.random(rows * n, dtype=DTYPE)  # exactly rows * n DTYPE draws
+        for _ in range(rows):
+            for lo, hi in bounds:  # exactly ceil(w / 4) raw words per cell
+                reference.bit_generator.random_raw(-(-(hi - lo) // 4))
         assert batched.rng.bit_generator.state == reference.bit_generator.state
         assert scalar.rng.bit_generator.state == reference.bit_generator.state
 
