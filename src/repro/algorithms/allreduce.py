@@ -13,14 +13,13 @@ class AllreduceSGD(Algorithm):
     full-precision primitive the moment the bucket is ready, after which the
     optimizer steps on that bucket alone — the scheduler can overlap bucket
     k's reduction with the backward of earlier layers.  Every worker gets the
-    same averaged row, so the replicas stay bit-identical and share one copy
-    of the weights and of the optimizer state, stepped once per bucket.
+    same averaged row, so the replicas stay bit-identical: it declares
+    ``replicas_identical``, and they share one copy of the weights and of the
+    optimizer state, stepped once per bucket.
     """
 
     name = "allreduce"
-
-    def setup(self, engine: BaguaEngine) -> None:
-        engine.share_replica_state()
+    replicas_identical = True
 
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
         grads = engine.grads_of_bucket(k)

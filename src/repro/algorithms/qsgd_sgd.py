@@ -4,7 +4,8 @@ Matches the paper's configuration: "QSGD [4], a quantized (8-bit) DP-SG
 algorithm, implemented with C_LP_S primitive without error compensation."
 QSGD's stochastic rounding is unbiased, so no residual state is needed.
 Every worker decodes the same averaged row, so the replicas stay
-bit-identical and share one copy of the weights and optimizer state.
+bit-identical: it declares ``replicas_identical``, and they share one copy of
+the weights and optimizer state.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from ..core.primitives import c_lp_s
 
 class QSGD(Algorithm):
     name = "qsgd"
+    replicas_identical = True
 
     def __init__(self, bits: int = 8, compressor: Compressor | None = None) -> None:
         self.compressor = compressor or QSGDCompressor(bits=bits)
-
-    def setup(self, engine: BaguaEngine) -> None:
-        engine.share_replica_state()
 
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
         grads = engine.grads_of_bucket(k)

@@ -172,7 +172,8 @@ def analyze_algorithm(
     check_subject(dynamic)
 
     # Remaining ranks' live layouts: each replica's own gradient buffers, and
-    # its own weights or, when the algorithm shares them, replica 0's.
+    # its own weights or, when the algorithm declares replicas_identical,
+    # read-only views of replica 0's.
     aliasing = BufferAliasingChecker()
     for worker in engine.workers[1:]:
         replica = AnalysisSubject(

@@ -9,8 +9,10 @@ push to the server state immediately (the paper's Table 1 credits BytePS
 with async centralized full-precision support).
 
 Functionally, sync BytePS is exact gradient averaging — same convergence as
-allreduce; async BytePS exhibits bounded staleness like
-:class:`~repro.algorithms.async_sgd.AsyncSGD`.
+allreduce, and every worker pulls the same average, so its replicas stay
+bit-identical and share one weight copy and one optimizer; async BytePS
+exhibits bounded staleness like :class:`~repro.algorithms.async_sgd.AsyncSGD`,
+and its replicas differ.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class BytePS(Algorithm):
         # Sync mode steps the optimizer once after all pulls (worker-side
         # optimizer, server only aggregates); async applies pushes in place.
         self.update_mode = "per_bucket" if asynchronous else "barrier"
+        self.replicas_identical = not asynchronous
         self.lr = lr
 
     def setup(self, engine: BaguaEngine) -> None:
@@ -53,8 +56,7 @@ class BytePS(Algorithm):
     def on_step_end(self, engine: BaguaEngine, step: int) -> None:
         if self.asynchronous:
             return
-        for worker in engine.workers:
-            worker.optimizer_step_on_buckets()
+        engine.update_replicas()
         # Keep server shards in sync with the (identical) worker replicas.
         for k, server in enumerate(self._servers):
             flat = engine.workers[0].buckets[k].flat_data()

@@ -22,11 +22,14 @@ class RingAllreduceBaseline(Algorithm):
     Each bucket's gradients are ring-allreduced and averaged in ready order
     (overlapping backward where the system's timing profile allows it); the
     three differ in those profiles only (:mod:`repro.simulation.systems`).
+    Every rank gets the ring's same sum, so the replicas stay bit-identical
+    and share one weight copy and one optimizer, stepped once.
     """
 
     # One optimizer step after all communication: DDP / Horovod semantics,
     # and what makes Vanilla the unoptimized baseline.
     update_mode = "barrier"
+    replicas_identical = True
 
     def comm_bucket(self, engine: BaguaEngine, k: int, step: int) -> None:
         self.allreduce_mean(engine, k, engine.grads_of_bucket(k))
@@ -37,8 +40,7 @@ class RingAllreduceBaseline(Algorithm):
         engine.set_grads_of_bucket(k, [s / n for s in summed])
 
     def on_step_end(self, engine: BaguaEngine, step: int) -> None:
-        for worker in engine.workers:
-            worker.optimizer_step_on_buckets()
+        engine.update_replicas()
 
 
 class VanillaDPSG(RingAllreduceBaseline):

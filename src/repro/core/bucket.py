@@ -75,13 +75,17 @@ class TensorBucket:
 
         The buffers are the caller's preallocated slices when given (e.g.
         views into a per-worker flat pool shared by all buckets — the
-        engine's zero-copy bucket path), private allocations otherwise.
+        engine's zero-copy bucket path), private allocations otherwise.  A
+        read-only weight buffer is another replica's weights, which the
+        caller has checked hold the parameters' bits: the parameters are
+        re-pointed at it without a copy, and a write through them raises.
         Every parameter is bound to its slot of the gradient buffer:
         gradients it accumulates from now on are born there, and one it
         already holds (the profiling iteration's) moves in.
         """
         for p, lo, hi, shape in zip(self.params, self._offsets, self._offsets[1:], self._shapes):
-            self._buffer[lo:hi] = p.data.reshape(-1)
+            if self._buffer.flags.writeable:
+                self._buffer[lo:hi] = p.data.reshape(-1)
             p.data = self._buffer[lo:hi].reshape(shape)
             slot = self._grad_buffer[lo:hi].reshape(shape)
             if p.grad is not None:
@@ -123,23 +127,6 @@ class TensorBucket:
             raise ValueError(f"expected shape ({self.total_elements},), got {flat.shape}")
         if not _is_buffer(flat, self._buffer):
             self._buffer[...] = flat
-
-    def borrow_weights(self, lead: TensorBucket) -> None:
-        """Re-point the parameters at ``lead``'s weight buffer, read-only.
-
-        For replicas that stay identical (the engine's
-        ``share_replica_state``): ``lead`` is updated in place for both, and
-        any write through this bucket or its parameters raises instead of
-        updating the shared weights a second time.  Gradients stay this
-        bucket's own.
-        """
-        if lead._shapes != self._shapes:
-            raise ValueError(f"bucket {self.name!r} cannot borrow {lead.name!r}: shapes differ")
-        view = lead._buffer.view()
-        view.flags.writeable = False
-        self._buffer = view
-        for p, lo, hi, shape in zip(self.params, self._offsets, self._offsets[1:], self._shapes):
-            p.data = view[lo:hi].reshape(shape)
 
     # ------------------------------------------------------------------
     # Flat views of gradients

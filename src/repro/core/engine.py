@@ -11,10 +11,9 @@ is how the simulated cluster executes SPMD programs in-process.  Per-worker
 state (gradients, BatchNorm statistics, error-feedback residuals, RNG
 streams, algorithm state) lives in per-worker objects, so the per-rank
 semantics of each algorithm are preserved exactly.  Weights and optimizer
-state are per worker too, unless the algorithm asks the replicas to share
-them (:meth:`BaguaEngine.share_replica_state`): when every update consumes
-one averaged row, the replicas stay bit-identical, so the engine keeps one
-copy, owned by the first replica, and runs each update once.
+state are per worker too, unless the algorithm declares that its replicas
+stay bit-identical (:attr:`Algorithm.replicas_identical`): then the engine
+keeps one copy, owned by the first replica, and runs each update once.
 """
 
 from __future__ import annotations
@@ -157,7 +156,6 @@ class BaguaEngine:
         self.schedule: BucketSchedule | None = None
         self.executor: ScheduledExecutor | None = None
         self._step_index = 0
-        self._replicas_share = False
         self._verify_identical_replicas()
 
     # ------------------------------------------------------------------
@@ -190,63 +188,41 @@ class BaguaEngine:
             w.buckets[k].set_flat_data(x)
 
     # ------------------------------------------------------------------
-    # Replicas that stay identical
+    # Updates
     # ------------------------------------------------------------------
-    def share_replica_state(self) -> None:
-        """Give every replica the first replica's weights and optimizer.
-
-        For algorithms whose every update consumes one averaged row
-        (:meth:`step_on_average`): the replicas then stay bit-identical, so
-        one weight copy and one update per bucket do for all of them.  Call
-        it from :meth:`Algorithm.setup`, before any update.  Each replica
-        r > 0 re-points its bucket weights at read-only views of replica 0's
-        buffers — a per-replica in-place write to them raises — and takes
-        replica 0's :class:`~repro.tensor.optim.Optimizer` object, so every
-        replica's ``state_dict()`` and checkpoint is the one that is updated.
-        Gradients, BatchNorm statistics, data, RNG streams and codec state
-        stay per replica.
-        """
-        lead = self.workers[0]
-        if not lead.buckets:
-            raise RuntimeError(
-                "share_replica_state() needs the buckets: call it from Algorithm.setup()"
-            )
-        for k in range(self.num_buckets):
-            self._check_rows_agree(k, self.weights_of_bucket(k), "weights")
-        for worker in self.workers[1:]:
-            for own, shared in zip(worker.buckets, lead.buckets):
-                own.borrow_weights(shared)
-            worker.optimizer = lead.optimizer
-        self._replicas_share = True
-
     def step_on_average(self, k: int, averaged: Sequence[np.ndarray]) -> None:
         """Make row r replica r's bucket-``k`` gradient and update on it.
 
-        Every rank's ``opt_step`` is traced, in rank order.  When the replicas
-        share state the update runs once, on replica 0's weights with row 0;
-        in protocol-sanitize mode every row is first checked to be row 0's
-        bits.  Otherwise each replica steps on its own row.
+        When the replicas share state the update runs on row 0 alone, so in
+        protocol-sanitize mode every row is first checked to be row 0's bits.
         """
-        for worker, grad in zip(self.workers, averaged):
-            worker.buckets[k].set_flat_grad(grad)
-            if not self._replicas_share:
-                worker.optimizer_step_on_bucket(k, grad)
-        if self._replicas_share:
-            if self.group.transport.backend.sanitizing:
-                self._check_rows_agree(k, averaged, "averaged gradients")
-            self.workers[0].optimizer_step_on_bucket(k, averaged[0])
-            for worker in self.workers[1:]:
-                worker.trace_opt_step(worker.buckets[k])
+        self.set_grads_of_bucket(k, averaged)
+        if self.algorithm.replicas_identical and self.group.transport.backend.sanitizing:
+            self._check_rows_agree(k, averaged)
+        self.update_replicas(k)
 
-    def _check_rows_agree(self, k: int, rows: Sequence[np.ndarray], what: str) -> None:
+    def update_replicas(self, k: int | None = None) -> None:
+        """Step bucket ``k`` (every bucket, in one barrier step, when ``k`` is
+        ``None``): once, on replica 0, when the replicas share state, else on
+        every replica.  Every rank's ``opt_step`` is traced, in rank order."""
+        for i, worker in enumerate(self.workers):
+            if i and self.algorithm.replicas_identical:
+                for j in range(self.num_buckets) if k is None else (k,):
+                    worker.trace_opt_step(worker.buckets[j])
+            elif k is None:
+                worker.optimizer_step_on_buckets()
+            else:
+                worker.optimizer_step_on_bucket(k)
+
+    def _check_rows_agree(self, k: int, rows: Sequence[np.ndarray]) -> None:
         """Raise unless every replica's row of bucket ``k`` is row 0's bits."""
         first = rows[0].view(np.uint8)
         for worker, row in zip(self.workers[1:], rows[1:]):
             if not np.array_equal(row.view(np.uint8), first):
                 raise RuntimeError(
                     f"bucket {self.workers[0].buckets[k].name!r}: rank {worker.rank}'s "
-                    f"{what} differ bitwise from rank {self.workers[0].rank}'s, so the "
-                    "replicas cannot share one weight copy"
+                    f"averaged gradients differ bitwise from rank {self.workers[0].rank}'s, "
+                    "so the replicas cannot share one weight copy"
                 )
 
     # ------------------------------------------------------------------
@@ -324,24 +300,48 @@ class BaguaEngine:
         shared-memory segment visible to the rank's worker process as well —
         one registered pool per rank, so gradient views resolve to pool refs
         exactly as weight views do.
+
+        With :attr:`Algorithm.replicas_identical`, replica r > 0 gets a
+        gradient-only pool, read-only views of replica 0's weight buffers
+        (its parameters re-pointed at them once their bits are checked) and
+        replica 0's optimizer, whose ``state_dict()`` every replica reports.
         """
         assert self.schedule is not None
         backend = self.group.transport.backend
         total = self.schedule.total_elements
+        lead = self.workers[0]
         for worker in self.workers:
             by_name = dict(worker.model.named_parameters())
-            pool = backend.allocate_pool(worker.rank, 2 * total)
+            shares = worker is not lead and self.algorithm.replicas_identical
+            if shares:
+                pool = grads = backend.allocate_pool(worker.rank, total)
+                weights = lead.state["flat_pool"][:total]
+                weights.flags.writeable = False
+                worker.optimizer = lead.optimizer
+            else:
+                pool = backend.allocate_pool(worker.rank, 2 * total)
+                weights, grads = pool[:total], pool[total:]
             offset = 0
             buckets = []
             for scheduled in self.schedule.buckets:
                 params = [by_name[name] for name, _elements in scheduled.views]
+                # Bitwise, with no copy: DTYPE (float32) viewed as int32.
+                if shares and not all(
+                    np.array_equal(mine.data.view(np.int32), theirs.data.view(np.int32))
+                    for mine, theirs in zip(params, lead.buckets[len(buckets)].params)
+                ):
+                    raise RuntimeError(
+                        f"bucket {scheduled.name!r}: rank {worker.rank}'s weights differ "
+                        f"bitwise from rank {lead.rank}'s, so the replicas cannot share one "
+                        "weight copy"
+                    )
                 end = offset + scheduled.elements
                 buckets.append(
                     TensorBucket(
                         params,
                         name=scheduled.name,
-                        buffer=pool[offset:end],
-                        grad_buffer=pool[total + offset : total + end],
+                        buffer=weights[offset:end],
+                        grad_buffer=grads[offset:end],
                     )
                 )
                 offset = end
@@ -374,8 +374,7 @@ class Algorithm:
     and declare ``update_mode = "barrier"`` so the schedule gates it on all
     communication.  :meth:`setup` runs once, after the profiling iteration
     built the buckets — the place to allocate per-worker state (error
-    feedback, momentum buffers, peer views), or to give the replicas one
-    shared weight copy (:meth:`BaguaEngine.share_replica_state`).
+    feedback, momentum buffers, peer views).
     """
 
     #: registry name, e.g. "allreduce", "qsgd"
@@ -408,6 +407,9 @@ class Algorithm:
     warmup_steps: int = 0
     #: relaxes synchronization (Table 1's "async" rows)
     asynchronous: bool = False
+    #: every update consumes one averaged row, so the replicas stay
+    #: bit-identical and share one weight copy and optimizer, stepped once
+    replicas_identical: bool = False
 
     def setup(self, engine: BaguaEngine) -> None:  # noqa: B027 (intentional no-op)
         pass

@@ -21,7 +21,6 @@ from repro.cluster import Transport
 from repro.cluster.backends import BACKEND_REGISTRY
 from repro.comm import CommGroup, ring_allreduce, scatter_reduce
 from repro.compression import ErrorFeedback
-from repro.core import BaguaEngine
 from repro.core.primitives import RandomPeers, RingPeers, c_fp_s, c_lp_s, d_fp_s, d_lp_s
 
 from .identity_harness import (
@@ -43,6 +42,7 @@ from .identity_harness import (
     train_epoch,
     transport_state,
 )
+from .test_shared_replicas import SHARING
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -385,14 +385,17 @@ class TestEngineEndToEnd:
         assert weights[0] == weights[1]
 
 
-def _shared_epoch(leg, name, hierarchical, flatten):
+def _shared_epoch(leg, name, hierarchical, flatten, per_replica=False):
     """One 2 x 2 epoch of ``name`` on ``leg``: :func:`train_epoch`'s
     observables plus clocks, traffic stats, traced rounds and events, the
     codec's RNG state and every replica's model and optimizer state (what
     its checkpoint holds); and whether the replicas shared one weight copy
-    and one optimizer."""
+    and one optimizer.  ``per_replica`` withdraws the algorithm's
+    ``replicas_identical`` declaration: the reference execution."""
     recorder = Recorder()
-    algorithm = make_algorithm(name)
+    algorithm = SHARING[name]()
+    if per_replica:
+        algorithm.replicas_identical = False
     observed, trainer = train_epoch(
         leg, algorithm, world=4, per_node=2, hierarchical=hierarchical, flatten=flatten,
         tracer=recorder,
@@ -415,20 +418,31 @@ def _shared_epoch(leg, name, hierarchical, flatten):
 
 
 class TestSharedReplicaIdentity:
-    """``allreduce`` and ``qsgd`` keep one weight copy and one optimizer for
-    all replicas and step each bucket once: on every pool leg, bitwise the
-    per-replica execution on the ``local`` oracle (``share_replica_state``
-    patched to a no-op) — weights, losses, virtual clocks, traffic stats,
-    traced rounds and events, codec RNG state and every replica's model and
-    optimizer state — flat and under H, F on and off."""
+    """Every algorithm and baseline that declares ``replicas_identical`` keeps
+    one weight copy and one optimizer for all replicas and steps each bucket
+    once: on every pool leg, bitwise the per-replica execution on the
+    ``local`` oracle (the declaration withdrawn on the instance) — weights,
+    losses, virtual clocks, traffic stats, traced rounds and events, codec
+    RNG state and every replica's model and optimizer state — flat and under
+    H, F on and off.  The baselines share the barrier update and run two
+    corners, flat + F and H + noF: the whole grid costs ~15 s more."""
 
-    @pytest.mark.parametrize("flatten", [True, False], ids=["F", "noF"])
-    @pytest.mark.parametrize("hierarchical", [False, True], ids=["flat", "H"])
-    @pytest.mark.parametrize("name", ["allreduce", "qsgd"])
-    def test_shared_is_per_replica(self, name, hierarchical, flatten, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, hierarchical, flatten",
+        [
+            pytest.param(
+                name, hierarchical, flatten,
+                id=f"{name}-{'H' if hierarchical else 'flat'}-{'F' if flatten else 'noF'}",
+            )
+            for name in sorted(SHARING)
+            for hierarchical in (True, False)
+            for flatten in (True, False)
+            if name in ("allreduce", "qsgd") or hierarchical != flatten
+        ],
+    )
+    def test_shared_is_per_replica(self, name, hierarchical, flatten):
         runs = {leg: _shared_epoch(leg, name, hierarchical, flatten) for leg in POOL}
-        monkeypatch.setattr(BaguaEngine, "share_replica_state", lambda engine: None)
-        reference, shared = _shared_epoch("local", name, hierarchical, flatten)
+        reference, shared = _shared_epoch("local", name, hierarchical, flatten, per_replica=True)
         assert shared == [False] * 3
         for leg, (state, shared) in runs.items():
             assert shared == [True] * 3, leg

@@ -70,6 +70,7 @@ def test_algorithm_declaration_fields_and_defaults():
         "frequency": 1,
         "warmup_steps": 0,
         "asynchronous": False,
+        "replicas_identical": False,
     }
     # (spelled in halves so that grepping the repo for them finds nothing)
     mirrors = re.compile("COMM" "_MODELS|_BAGUA" "_ALGOS|class Comm" "Model")

@@ -1,12 +1,15 @@
 """Replicas that stay identical share one weight copy and one optimizer.
 
-``allreduce`` and ``qsgd`` update every replica with the same averaged row,
-so their ``setup`` calls ``BaguaEngine.share_replica_state()``: replicas
-r > 0 read replica 0's bucket weights through read-only views and hold its
-optimizer, and ``step_on_average`` steps each bucket once.  No other
+An algorithm declares ``replicas_identical`` when every update consumes one
+averaged row: ``allreduce``, ``qsgd``, the ring-allreduce baselines
+(``vanilla``, ``pytorch-ddp``, ``horovod``, ``horovod-16bit``) and sync
+``byteps``.  ``BaguaEngine._build_buckets`` then gives replicas r > 0 a
+gradient-only pool, read-only views of replica 0's bucket weights and its
+optimizer, and ``update_replicas`` steps each bucket once.  No other
 algorithm or baseline shares, local SGD and QSparse at ``frequency=1``
-included (they step on local gradients before they average weights).  The
-bitwise identity with per-replica execution, on every pool leg, is in
+included (they step on local gradients before they average weights); a
+wrong declaration raises at the first step.  The bitwise identity with
+per-replica execution, on every pool leg, is in
 ``tests/test_backend_identity.py::TestSharedReplicaIdentity``.
 """
 
@@ -16,17 +19,33 @@ import pytest
 from repro.algorithms import (
     ALGORITHM_REGISTRY,
     AllreduceSGD,
+    DecentralizedSGD,
     LocalSGD,
     QSparseLocalSGD,
     make_algorithm,
 )
-from repro.baselines import BASELINE_REGISTRY
-from repro.cluster import ClusterSpec, make_workers
+from repro.baselines import BASELINE_REGISTRY, BytePS, Horovod
+from repro.cluster import ClusterSpec, Transport, make_workers
 from repro.core import BaguaConfig, BaguaEngine
 from repro.core.primitives import c_fp_s
 from repro.tensor import SGD
 
+from .identity_harness import POOL, backend_for, close_shm_backends
 from .test_core_engine import loss_fn, make_batches, make_engine, make_model
+
+# Every algorithm and baseline that declares ``replicas_identical``.
+SHARING = {
+    "allreduce": ALGORITHM_REGISTRY["allreduce"],
+    "qsgd": ALGORITHM_REGISTRY["qsgd"],
+    **BASELINE_REGISTRY,
+    "horovod-16bit": lambda: Horovod(fp16=True),
+}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _shutdown_cached_backends():
+    yield
+    close_shm_backends()
 
 
 def _shares(engine):
@@ -42,9 +61,9 @@ def _shares(engine):
 
 
 class TestEligibility:
-    @pytest.mark.parametrize("name", ["allreduce", "qsgd"])
+    @pytest.mark.parametrize("name", sorted(SHARING))
     def test_averaging_algorithms_share(self, rng, name):
-        engine = make_engine(algorithm=make_algorithm(name))
+        engine = make_engine(algorithm=SHARING[name]())
         engine.step(make_batches(rng, 4), loss_fn)  # the profiling step builds buckets
         assert _shares(engine) == [(True, True)] * 3
         lead = engine.workers[0]
@@ -77,29 +96,45 @@ class TestEligibility:
             assert resolve(engine.grads_of_bucket(k), ranks) is not None
             assert resolve(engine.weights_of_bucket(k)[:1], ranks[:1]) is not None
 
+    @pytest.mark.parametrize("leg", POOL)
+    def test_only_replica_0s_pool_holds_weights(self, rng, leg):
+        """Replica 0's pool holds the one weight half and its gradients;
+        every other replica's pool holds its gradients alone."""
+        spec = ClusterSpec(num_nodes=2, workers_per_node=2)
+        workers = make_workers(spec, Transport(spec, backend=backend_for(leg, 4)))
+        models = [make_model() for _ in range(4)]
+        engine = BaguaEngine(
+            models, [SGD(m.parameters(), lr=0.1) for m in models], AllreduceSGD(), workers,
+            config=BaguaConfig(backend=leg),
+        )
+        engine.step(make_batches(rng, 4), loss_fn)
+        total = engine.schedule.total_elements
+        assert [w.state["flat_pool"].size for w in engine.workers] == [2 * total] + [total] * 3
+        engine.step(make_batches(rng, 4), loss_fn)  # and the world trains on that layout
+
     @pytest.mark.parametrize(
         "make",
         [
-            *(make for name, make in sorted(ALGORITHM_REGISTRY.items())
-              if name not in ("allreduce", "qsgd")),
+            *(make for name, make in sorted(ALGORITHM_REGISTRY.items()) if name not in SHARING),
             lambda: LocalSGD(frequency=1),
             lambda: QSparseLocalSGD(frequency=1),
-            *(make for _name, make in sorted(BASELINE_REGISTRY.items())),
+            lambda: BytePS(asynchronous=True),
         ],
     )
     def test_everything_else_shares_nothing(self, rng, make):
         engine = make_engine(algorithm=make())
-        engine.step(make_batches(rng, 4), loss_fn)  # setup ran: sharing is decided
+        engine.step(make_batches(rng, 4), loss_fn)  # the profiling step built the buckets
         lead = engine.workers[0]
         for worker in engine.workers[1:]:
             assert worker.optimizer is not lead.optimizer
+            assert worker.state["flat_pool"].size == 2 * engine.schedule.total_elements
             for bucket, theirs in zip(worker.buckets, lead.buckets):
                 assert not np.shares_memory(bucket.buffer, theirs.buffer)
                 assert bucket.buffer.flags.writeable
 
 
 class SharesThenStepsPerReplica(AllreduceSGD):
-    """A wrong request: shares the weights, then updates every replica."""
+    """A wrong declaration: shares the weights, then updates every replica."""
 
     name = "shares-then-steps-per-replica"
 
@@ -122,6 +157,20 @@ class TestReadOnlyGuard:
         weights = engine.weights_of_bucket(0)
         with pytest.raises(ValueError, match="read-only"):
             engine.set_weights_of_bucket(0, [w + 1.0 for w in weights])
+
+    @pytest.mark.parametrize(
+        "make", [lambda: LocalSGD(frequency=1), DecentralizedSGD], ids=["local-sgd-1", "decentralized"]
+    )
+    def test_wrong_declaration_fails_at_the_first_step(self, rng, make):
+        """The field is stated, not inferred: declaring it on an algorithm
+        whose replicas step on their own gradients or gossip their weights
+        raises on the first step instead of updating the shared weights n
+        times."""
+        algorithm = make()
+        algorithm.replicas_identical = True
+        engine = make_engine(algorithm=algorithm)
+        with pytest.raises(ValueError, match="read-only"):
+            engine.step(make_batches(rng, 4), loss_fn)
 
     def test_diverged_replicas_refuse_to_share(self, rng):
         engine = make_engine()
