@@ -23,13 +23,18 @@ thread of its own, after the issue and before the await, that reads and
 writes the bucket's gradient (and its residual when the issue carries
 ``error_feedback``).
 
-Construction is operational: an abstract scheduler executes the per-thread
-streams, completing a collective only when every participant reached it and
-a recv only when its send ran.  If the scheduler wedges, the stuck state is
-a *provable deadlock* — either a cycle in the cross-rank wait-for graph
-(mismatched collective orders) or an unsatisfiable wait (asymmetric or
-out-of-group gossip peers, a recv whose send never exists, a send no recv
-consumes).  On top of the clocks, four rules:
+Construction is operational: an abstract scheduler replays the per-thread
+streams under one wait relation, which says what holds a thread's head
+back — an unexecuted gate predecessor, a collective partner not yet at its
+thread's head or held by its own gate, a group rank that never issues the
+collective, a gossip peer that does not reciprocate, a recv's missing or
+unexecuted send.  An event's sync set runs exactly when it has no wait, and
+the deadlock diagnosis reads the same waits, so a wedged replay always
+reports a *provable deadlock*: an unsatisfiable wait (asymmetric or
+out-of-group gossip peers, a missing group rank, a recv whose send never
+exists) or a cycle in the cross-rank wait-for graph (mismatched collective
+orders, also through a partner held by its gate).  A send no recv consumes
+is reported as an unsatisfiable wait too.  On top of the clocks, four rules:
 
 * ``hb-race`` — two same-rank events touching overlapping byte intervals,
   at least one a write, with no happens-before order; and an issue that is
@@ -46,8 +51,9 @@ Every finding carries a printable witness (``repro analyze --explain``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
+from itertools import product
 
 from ..core.schedule import (
     GATE_BACKWARD_END,
@@ -108,19 +114,9 @@ class HBEvent:
         return " ".join(parts)
 
 
-@dataclass
-class Deadlock:
-    """One provable deadlock: a wait cycle or an unsatisfiable wait."""
-
-    message: str
-    #: uids of the blocked events, in cycle order for wait cycles
-    events: list[int] = field(default_factory=list)
-    #: human-readable wait-for chain, one line per hop
-    witness: list[str] = field(default_factory=list)
-    rank: int | None = None
-    seq: int | None = None
-    bucket: str | None = None
-    step: int | None = None
+#: What holds an event back: the event it waits on (``None`` when nothing
+#: can ever satisfy the wait) and the reason, as printed in witnesses.
+Wait = tuple[int | None, str]
 
 
 def _bare_windows(ops: Sequence[CommOp]) -> dict[int, int | None]:
@@ -204,7 +200,7 @@ class HBGraph:
         self.subject = subject
         self.threads: list[tuple[int, str]] = []
         self.events: list[HBEvent] = []
-        self.deadlocks: list[Deadlock] = []
+        self.deadlocks: list[Finding] = []
         #: issues of in-flight windows that are never awaited
         self.unretired: list[HBEvent] = []
         self._by_rank: dict[int, list[HBEvent]] = {}
@@ -339,114 +335,143 @@ class HBGraph:
         for uid, preds in window_gates.items():
             gate_preds.setdefault(uid, []).extend(preds)
         matches = self._match_sync_ops()
+        send_of = matches.send_of
+        set_of = matches.set_of
+        members_of = matches.members_of
+        gossip_peers = matches.gossip_peers
 
         n_threads = len(self.threads)
-        clocks: dict[int, list[int]] = {}
         executed: set[int] = set()
         heads = [0] * n_threads
 
         def head(tid: int) -> int | None:
             return streams[tid][heads[tid]] if heads[tid] < len(streams[tid]) else None
 
-        def local_ready(uid: int) -> bool:
-            """At stream head with every gate predecessor executed."""
-            event = self.events[uid]
-            if head(event.tid) != uid:
-                return False
-            return all(p in executed for p in gate_preds.get(uid, ()))
+        def gate_waits(uid: int) -> list[int]:
+            return [p for p in gate_preds.get(uid, ()) if p not in executed]
 
-        def join(uids: Sequence[int]) -> list[int]:
-            clock = [0] * n_threads
-            for uid in uids:
-                for i, value in enumerate(clocks[uid]):
-                    if value > clock[i]:
-                        clock[i] = value
-            return clock
+        def hold(uid: int) -> tuple[list[int], list[Wait], list[int]]:
+            """What holds thread head ``uid`` back.
 
-        def execute(members: Sequence[int]) -> None:
+            Returns its sync set (matched collective members, mutual-peer
+            gossip closure, or ``uid`` alone), the set's waits, and extra
+            happens-before predecessors (a recv's send).  The set runs
+            exactly when it has no waits.  A wait's target is an unexecuted
+            event, so the wait is stuck wherever that event's thread is.
+            """
+            op = self.events[uid].op
+            waits: list[Wait] = [
+                (p, f"gate {op.gate!r} waits on {self.events[p].describe()}")
+                for p in gate_waits(uid)
+            ]
+            if op.kind in GOSSIP_KINDS:
+                members = [uid]
+                for current in members:  # grows into the mutual-peer closure
+                    for p, mutual in gossip_peers.get(current, ()):
+                        if p is not None and mutual and p not in members:
+                            members.append(p)
+                held = any(
+                    head(self.events[m].tid) != m
+                    or gate_waits(m)
+                    or not all(mutual for _p, mutual in gossip_peers.get(m, ()))
+                    for m in members
+                )
+                for peer, (peer_uid, mutual) in zip(op.peers, gossip_peers.get(uid, ())):
+                    if peer_uid is None and peer not in op.group:
+                        waits.append((None, f"rank {op.rank} lists peer {peer} outside group "
+                                            f"{list(op.group)} — the recv is never posted"))
+                    elif peer_uid is None:
+                        waits.append((None, "waits on a peer that never reaches this gossip "
+                                            f"round — {op.describe()}"))
+                    elif not mutual:
+                        peer_op = self.events[peer_uid].op
+                        waits.append((None, f"rank {op.rank} exchanges with rank {peer_op.rank} "
+                                            f"but rank {peer_op.rank}'s peer set "
+                                            f"{sorted(peer_op.peers)} does not list rank "
+                                            f"{op.rank} — the recv is never posted"))
+                    elif held:
+                        waits.append((peer_uid, f"waits for {self.events[peer_uid].describe()}"))
+                return members, waits, []
+            if op.scope == "collective":
+                members = members_of.get(set_of.get(uid, ()), [uid])
+                present = {self.events[m].op.rank for m in members}
+                waits += [
+                    (None, f"rank {peer} never issues a matching {op.describe()} "
+                           f"— rank {op.rank} blocks forever")
+                    for peer in op.group if peer not in present
+                ]
+                for member in members:
+                    if member == uid:
+                        continue
+                    partner = self.events[member]
+                    rank = partner.op.rank
+                    # A partner of an unexecuted set is never past its thread's end.
+                    at = streams[partner.tid][heads[partner.tid]]
+                    why = (
+                        [(at, f"rank {rank} is at")] if at != member
+                        else [(p, f"gate {partner.op.gate!r} waits on") for p in gate_waits(member)]
+                    )
+                    waits += [
+                        (p, f"waits for rank {rank} to reach {partner.describe()}, but "
+                            f"{reason} {self.events[p].describe()}")
+                        for p, reason in why
+                    ]
+                return members, waits, []
+            if op.kind == "recv":
+                send = send_of.get(uid)
+                if send is None:
+                    src = op.peers[0] if op.peers else "?"
+                    waits.append((None, f"recv of {op.nbytes:.0f} B from rank {src} has no "
+                                        "matching send — it blocks forever"))
+                    return [uid], waits, []
+                if send not in executed:
+                    waits.append((send, f"waits for {self.events[send].describe()}"))
+                return [uid], waits, [send]
+            return [uid], waits, []  # sends and local schedule events run eagerly
+
+        def execute(members: Sequence[int], extra: Sequence[int]) -> None:
             """Run ``members`` as one synchronization; assign their clocks."""
-            pre: list[int] = []
+            pre = list(extra)
             for uid in members:
-                event = self.events[uid]
-                stream = streams[event.tid]
-                pos = stream.index(uid)
-                if pos > 0:
-                    pre.append(stream[pos - 1])
+                tid = self.events[uid].tid
+                if heads[tid] > 0:
+                    pre.append(streams[tid][heads[tid] - 1])
                 pre.extend(gate_preds.get(uid, ()))
-            base = join(pre)
+            base = [0] * n_threads
+            for uid in pre:
+                base = [max(pair) for pair in zip(base, self.events[uid].clock)]
+            preds = tuple(sorted(set(pre)))
             for uid in members:
                 event = self.events[uid]
                 clock = list(base)
-                clock[event.tid] = max(
-                    clock[event.tid],
-                    max((clocks[p][event.tid] for p in pre), default=0),
-                ) + 1
-                clocks[uid] = clock
+                clock[event.tid] += 1
                 event.clock = tuple(clock)
-                event.preds = tuple(sorted(set(pre)))
+                event.preds = preds
                 executed.add(uid)
                 heads[event.tid] += 1
-
-        def execute_recv(uid: int, send_uid: int) -> None:
-            event = self.events[uid]
-            stream = streams[event.tid]
-            pos = stream.index(uid)
-            pre = [stream[pos - 1]] if pos > 0 else []
-            pre.extend(gate_preds.get(uid, ()))
-            pre.append(send_uid)  # the send itself happens-before the recv
-            clock = join(pre)
-            clock[event.tid] += 1
-            clocks[uid] = clock
-            event.clock = tuple(clock)
-            event.preds = tuple(sorted(set(pre)))
-            executed.add(uid)
-            heads[event.tid] += 1
-
-        send_of = matches.send_of
-        set_of = matches.set_of
-        members_of = matches.members_of
 
         progress = True
         while progress:
             progress = False
             for tid in range(n_threads):
                 uid = head(tid)
-                if uid is None or not local_ready(uid):
+                if uid is None:
                     continue
-                event = self.events[uid]
-                op = event.op
-                if op.scope == "collective" and op.kind not in GOSSIP_KINDS:
-                    members = members_of.get(set_of.get(uid), [uid])
-                    present = {self.events[m].op.rank for m in members}
-                    if op.group and not set(op.group) <= present:
-                        continue  # a group member never issues this collective
-                    if all(local_ready(m) for m in members):
-                        execute(members)
-                        progress = True
-                elif op.kind in GOSSIP_KINDS:
-                    cluster = self._gossip_cluster(uid, matches, local_ready)
-                    if cluster is not None:
-                        execute(cluster)
-                        progress = True
-                elif op.kind == "recv":
-                    send_uid = send_of.get(uid)
-                    if send_uid is not None and send_uid in executed:
-                        execute_recv(uid, send_uid)
-                        progress = True
-                else:  # send and local schedule events run eagerly
-                    execute([uid])
+                members, waits, extra = hold(uid)
+                if not waits:
+                    execute(members, extra)
                     progress = True
 
-        blocked = [
-            streams[tid][heads[tid]]
+        stuck_at = {
+            tid: streams[tid][heads[tid]]
             for tid in range(n_threads)
             if heads[tid] < len(streams[tid])
-        ]
-        if blocked:
-            self._diagnose_deadlock(blocked, gate_preds, matches, executed, streams, heads)
+        }
+        if stuck_at:
+            self._diagnose_deadlock(stuck_at, {uid: hold(uid)[1] for uid in stuck_at.values()})
 
         # A send no recv consumes never completes: an unsatisfiable wait.
-        consumed = set(matches.send_of.values())
+        consumed = set(send_of.values())
         for event in self.events:
             op = event.op
             if op.kind == "send" and event.uid not in consumed:
@@ -456,29 +481,6 @@ class HBGraph:
                     f"send of {op.nbytes:.0f} B to rank {dst} has no matching recv "
                     f"— rank {dst} never consumes it",
                 )
-
-    def _gossip_cluster(self, uid, matches, local_ready) -> list[int] | None:
-        """The mutual-peer closure of ``uid``'s gossip op, if all are ready.
-
-        Returns ``None`` while any member still has to arrive; an op whose
-        peer never reciprocates simply never becomes executable and is later
-        diagnosed as a deadlock.
-        """
-        cluster: set[int] = set()
-        frontier = [uid]
-        while frontier:
-            current = frontier.pop()
-            if current in cluster:
-                continue
-            cluster.add(current)
-            for peer_uid, mutual in matches.gossip_peers.get(current, []):
-                if peer_uid is None or not mutual:
-                    return None  # waits on a peer that never reciprocates
-                if peer_uid not in cluster:
-                    frontier.append(peer_uid)
-        if all(local_ready(m) for m in cluster):
-            return sorted(cluster)
-        return None
 
     # ------------------------------------------------------------------
     # Matching
@@ -596,182 +598,65 @@ class HBGraph:
     # Deadlock diagnosis
     # ------------------------------------------------------------------
     def _diagnose_deadlock(
-        self, blocked, gate_preds, matches, executed, streams, heads
+        self, stuck_at: dict[int, int], waits: dict[int, list[Wait]]
     ) -> None:
-        blocked_set = set(blocked)
-        waits: dict[int, list[tuple[int | None, str]]] = {}
+        """Report the wedged replay from the waits of each blocked head.
 
-        def head_of_thread(tid: int) -> int | None:
-            return streams[tid][heads[tid]] if heads[tid] < len(streams[tid]) else None
-
-        for uid in blocked:
-            event = self.events[uid]
-            op = event.op
-            reasons: list[tuple[int | None, str]] = []
-            for pred in gate_preds.get(uid, ()):
-                if pred not in executed:
-                    reasons.append(
-                        (pred, f"gate {op.gate!r} waits on {self.events[pred].describe()}")
-                    )
-            if op.scope == "collective" and op.kind not in GOSSIP_KINDS and op.group:
-                members = matches.members_of.get(matches.set_of.get(uid), [uid])
-                present = {self.events[m].op.rank for m in members}
-                for peer in op.group:
-                    if peer == op.rank:
-                        continue
-                    if peer not in present:
-                        reasons.append(
-                            (
-                                None,
-                                f"rank {peer} never issues a matching "
-                                f"{op.describe()} — rank {op.rank} blocks forever",
-                            )
-                        )
-                for member in members:
-                    if member != uid and member not in executed:
-                        peer_rank = self.events[member].op.rank
-                        peer_tid = self.events[member].tid
-                        stuck_on = head_of_thread(peer_tid)
-                        if stuck_on is not None and stuck_on != member:
-                            reasons.append(
-                                (
-                                    stuck_on,
-                                    f"waits for rank {peer_rank} to reach "
-                                    f"{self.events[member].describe()}, but rank "
-                                    f"{peer_rank} is at {self.events[stuck_on].describe()}",
-                                )
-                            )
-            elif op.kind in GOSSIP_KINDS:
-                resolved = matches.gossip_peers.get(uid, [])
-                for peer, (peer_uid, mutual) in zip(op.peers, resolved):
-                    if peer_uid is None and peer not in op.group:
-                        reasons.append(
-                            (
-                                None,
-                                f"rank {op.rank} lists peer {peer} outside group "
-                                f"{list(op.group)} — the recv is never posted",
-                            )
-                        )
-                    elif peer_uid is None:
-                        reasons.append(
-                            (
-                                None,
-                                f"waits on a peer that never reaches this gossip "
-                                f"round — {op.describe()}",
-                            )
-                        )
-                    elif not mutual:
-                        peer_op = self.events[peer_uid].op
-                        reasons.append(
-                            (
-                                None,
-                                f"rank {op.rank} exchanges with rank {peer_op.rank} "
-                                f"but rank {peer_op.rank}'s peer set "
-                                f"{sorted(peer_op.peers)} does not list rank "
-                                f"{op.rank} — the recv is never posted",
-                            )
-                        )
-                    elif peer_uid not in executed:
-                        reasons.append(
-                            (
-                                peer_uid,
-                                f"waits for {self.events[peer_uid].describe()}",
-                            )
-                        )
-            elif op.kind == "recv":
-                send_uid = matches.send_of.get(uid)
-                if send_uid is None:
-                    reasons.append(
-                        (
-                            None,
-                            f"recv of {op.nbytes:.0f} B from rank "
-                            f"{op.peers[0] if op.peers else '?'} has no matching "
-                            "send — it blocks forever",
-                        )
-                    )
-                elif send_uid not in executed:
-                    reasons.append(
-                        (send_uid, f"waits for {self.events[send_uid].describe()}")
-                    )
-            waits[uid] = reasons
-
-        # A wait target that is not itself blocked resolves to the event its
-        # thread is actually stuck on (the head of that thread).
-        def resolve(target: int | None) -> int | None:
-            if target is None:
-                return None
-            if target in blocked_set:
-                return target
-            stuck = head_of_thread(self.events[target].tid)
-            return stuck if stuck in blocked_set else None
-
-        # 1) Unsatisfiable waits are root causes on their own.
+        ``stuck_at`` maps each unfinished thread to its head and ``waits``
+        each such head to what holds it back.  A wait nothing can satisfy
+        is a root cause on its own; every other wait is an edge to the head
+        its target's thread is stuck at.  Every blocked head has a wait, so
+        when none is unsatisfiable the wait-for graph has a cycle.
+        """
+        graph: dict[int, list[tuple[int, str]]] = {}
         reported: set[int] = set()
-        for uid in blocked:
-            for target, text in waits.get(uid, []):
+        for uid, reasons in waits.items():
+            graph[uid] = []
+            for target, text in reasons:
                 if target is None:
                     self._unsatisfiable(self.events[uid], text)
                     reported.add(uid)
-
-        # 2) Cycles in the wait-for graph among the remaining blocked events.
-        graph: dict[int, list[tuple[int, str]]] = {}
-        for uid in blocked:
-            edges = []
-            for target, text in waits.get(uid, []):
-                resolved = resolve(target)
-                if resolved is not None:
-                    edges.append((resolved, text))
-            graph[uid] = edges
+                else:
+                    graph[uid].append((stuck_at[self.events[target].tid], text))
 
         cycle = self._find_cycle(graph)
-        if cycle is not None and not any(uid in reported for uid in cycle):
+        if cycle is not None and not reported.intersection(cycle):
             witness = []
             for i, uid in enumerate(cycle):
                 nxt = cycle[(i + 1) % len(cycle)]
-                text = next((t for v, t in graph[uid] if v == nxt), "waits for")
+                text = next(t for v, t in graph[uid] if v == nxt)
                 witness.append(f"{self.events[uid].describe()} -> {text}")
-            first = self.events[cycle[0]]
+            first = self.events[cycle[0]].op
             ranks = sorted({self.events[uid].op.rank for uid in cycle})
             self.deadlocks.append(
-                Deadlock(
+                Finding(
+                    rule="hb-deadlock",
+                    severity="error",
                     message=(
                         f"wait cycle across ranks {ranks}: "
                         + " ; ".join(self.events[uid].op.describe() for uid in cycle)
                     ),
-                    events=list(cycle),
-                    witness=witness,
-                    rank=first.op.rank,
-                    seq=first.op.seq,
-                    bucket=first.op.bucket or None,
-                    step=first.op.step if first.op.step >= 0 else None,
-                )
-            )
-        elif cycle is None and not reported:
-            # Blocked without a local root cause: report the first stuck event.
-            event = self.events[blocked[0]]
-            reasons = "; ".join(t for _v, t in waits.get(event.uid, [])) or "unknown wait"
-            self.deadlocks.append(
-                Deadlock(
-                    message=f"{event.describe()} never becomes runnable: {reasons}",
-                    events=[event.uid],
-                    witness=[f"{event.describe()} is blocked: {reasons}"],
-                    rank=event.op.rank,
-                    seq=event.op.seq,
-                    bucket=event.op.bucket or None,
+                    rank=first.rank,
+                    seq=first.seq,
+                    bucket=first.bucket or None,
+                    step=first.step if first.step >= 0 else None,
+                    witness=tuple(witness),
                 )
             )
 
     def _unsatisfiable(self, event: HBEvent, text: str) -> None:
         """Record ``event`` as blocked on a wait nothing can ever satisfy."""
+        op = event.op
         self.deadlocks.append(
-            Deadlock(
+            Finding(
+                rule="hb-deadlock",
+                severity="error",
                 message=f"{event.describe()}: {text}",
-                events=[event.uid],
-                witness=[f"{event.describe()} is blocked: {text}"],
-                rank=event.op.rank,
-                seq=event.op.seq,
-                bucket=event.op.bucket or None,
-                step=event.op.step if event.op.step >= 0 else None,
+                rank=op.rank,
+                seq=op.seq,
+                bucket=op.bucket or None,
+                step=op.step if op.step >= 0 else None,
+                witness=(f"{event.describe()} is blocked: {text}",),
             )
         )
 
@@ -836,6 +721,36 @@ def _pair_witness(graph: HBGraph, a: HBEvent, b: HBEvent) -> tuple[str, ...]:
     return tuple(lines)
 
 
+def _conflicts(
+    graph: HBGraph, residual: bool
+) -> Iterator[tuple[HBEvent, HBEvent, Footprint, Footprint]]:
+    """Same-rank cross-thread event pairs with no happens-before order whose
+    footprints conflict: overlapping bytes, at least one a write.
+
+    ``residual`` selects error-feedback residual footprints (else the rest).
+    Yields the first conflicting footprint pair of each event pair, in
+    program order; nothing once the replay wedged (clocks past it are
+    meaningless).
+    """
+    if graph.deadlocked:
+        return
+    for events in graph._by_rank.values():
+        touching = [
+            (e, prints)
+            for e in events
+            if e.clock
+            and (prints := [f for f in e.footprints if f.space.startswith(SPACE_EF) == residual])
+        ]
+        for i, (a, prints_a) in enumerate(touching):
+            for b, prints_b in touching[i + 1:]:
+                if a.tid == b.tid or graph.ordered(a, b):
+                    continue
+                for fa, fb in product(prints_a, prints_b):
+                    if fa.overlaps(fb) and (fa.writes or fb.writes):
+                        yield a, b, fa, fb
+                        break
+
+
 def check_races(graph: HBGraph) -> list[Finding]:
     """hb-race: same-rank interval conflicts with no happens-before order,
     and issues whose in-flight access is never retired."""
@@ -856,112 +771,55 @@ def check_races(graph: HBGraph) -> list[Finding]:
         )
         for issue in graph.unretired
     ]
-    if graph.deadlocked:
-        return findings  # clocks past the wedge are meaningless
-    for events in graph._by_rank.values():
-        touching = [e for e in events if e.footprints and e.clock]
-        for i, a in enumerate(touching):
-            for b in touching[i + 1:]:
-                if a.tid == b.tid or graph.ordered(a, b):
-                    continue
-                for fa in a.footprints:
-                    if fa.space.startswith(SPACE_EF):
-                        continue  # residual conflicts are hb-lost-update's
-                    for fb in b.footprints:
-                        if fb.space.startswith(SPACE_EF):
-                            continue
-                        if fa.overlaps(fb) and (fa.writes or fb.writes):
-                            findings.append(
-                                Finding(
-                                    rule="hb-race",
-                                    severity="error",
-                                    message=(
-                                        f"{a.op.describe()} and {b.op.describe()} "
-                                        f"touch overlapping {fa.space} bytes "
-                                        f"[{max(fa.start, fb.start)}, "
-                                        f"{min(fa.stop, fb.stop)}) on rank "
-                                        f"{a.op.rank} with no happens-before "
-                                        "order — one concurrently clobbers what "
-                                        "the other reads or writes"
-                                    ),
-                                    rank=a.op.rank,
-                                    seq=a.op.seq,
-                                    bucket=a.op.bucket or b.op.bucket or None,
-                                    step=a.op.step if a.op.step >= 0 else None,
-                                    witness=_pair_witness(graph, a, b),
-                                )
-                            )
-                            break
-                    else:
-                        continue
-                    break
+    findings.extend(
+        Finding(
+            rule="hb-race",
+            severity="error",
+            message=(
+                f"{a.op.describe()} and {b.op.describe()} touch overlapping "
+                f"{fa.space} bytes [{max(fa.start, fb.start)}, "
+                f"{min(fa.stop, fb.stop)}) on rank {a.op.rank} with no "
+                "happens-before order — one concurrently clobbers what the "
+                "other reads or writes"
+            ),
+            rank=a.op.rank,
+            seq=a.op.seq,
+            bucket=a.op.bucket or b.op.bucket or None,
+            step=a.op.step if a.op.step >= 0 else None,
+            witness=_pair_witness(graph, a, b),
+        )
+        for a, b, fa, fb in _conflicts(graph, residual=False)
+    )
     return findings
 
 
 def check_deadlocks(graph: HBGraph) -> list[Finding]:
     """hb-deadlock: wait cycles and unsatisfiable waits."""
-    findings: list[Finding] = []
-    for deadlock in graph.deadlocks:
-        findings.append(
-            Finding(
-                rule="hb-deadlock",
-                severity="error",
-                message=deadlock.message,
-                rank=deadlock.rank,
-                seq=deadlock.seq,
-                bucket=deadlock.bucket,
-                step=deadlock.step,
-                witness=tuple(deadlock.witness),
-            )
-        )
-    return findings
+    return list(graph.deadlocks)
 
 
 def check_lost_updates(graph: HBGraph) -> list[Finding]:
     """hb-lost-update: unordered accesses to error-feedback residuals."""
-    if graph.deadlocked:
-        return []
     findings: list[Finding] = []
-    for events in graph._by_rank.values():
-        touching = [
-            e
-            for e in events
-            if e.clock and any(f.space.startswith(SPACE_EF) for f in e.footprints)
-        ]
-        for i, a in enumerate(touching):
-            for b in touching[i + 1:]:
-                if a.tid == b.tid or graph.ordered(a, b):
-                    continue
-                for fa in a.footprints:
-                    if not fa.space.startswith(SPACE_EF):
-                        continue
-                    for fb in b.footprints:
-                        if fb.space != fa.space or not fa.overlaps(fb):
-                            continue
-                        if fa.writes or fb.writes:
-                            writer, other = (a, b) if fa.writes else (b, a)
-                            findings.append(
-                                Finding(
-                                    rule="hb-lost-update",
-                                    severity="error",
-                                    message=(
-                                        f"error-feedback residual write "
-                                        f"{writer.op.describe()} is unordered "
-                                        f"with {other.op.describe()} on rank "
-                                        f"{writer.op.rank} — the compensation "
-                                        "state one of them observes is lost"
-                                    ),
-                                    rank=writer.op.rank,
-                                    seq=writer.op.seq,
-                                    bucket=writer.op.bucket or other.op.bucket or None,
-                                    step=writer.op.step if writer.op.step >= 0 else None,
-                                    witness=_pair_witness(graph, a, b),
-                                )
-                            )
-                            break
-                    else:
-                        continue
-                    break
+    for a, b, fa, _fb in _conflicts(graph, residual=True):
+        writer, other = (a, b) if fa.writes else (b, a)
+        findings.append(
+            Finding(
+                rule="hb-lost-update",
+                severity="error",
+                message=(
+                    f"error-feedback residual write {writer.op.describe()} is "
+                    f"unordered with {other.op.describe()} on rank "
+                    f"{writer.op.rank} — the compensation state one of them "
+                    "observes is lost"
+                ),
+                rank=writer.op.rank,
+                seq=writer.op.seq,
+                bucket=writer.op.bucket or other.op.bucket or None,
+                step=writer.op.step if writer.op.step >= 0 else None,
+                witness=_pair_witness(graph, a, b),
+            )
+        )
     return findings
 
 

@@ -58,32 +58,28 @@ class WorkerReplica:
     def rank(self) -> int:
         return self.ctx.rank
 
-    def optimizer_step_on_buckets(self, grads: Sequence[np.ndarray] | None = None) -> None:
+    def optimizer_step_on_buckets(self) -> None:
         """Run the optimizer over the buckets' flat views (paper's flat update).
 
-        ``grads`` defaults to the buckets' own accumulated gradients.  The
-        update is in place on the fused weight buffers.
+        Each bucket steps on its own accumulated gradient; the update is in
+        place on the fused weight buffers.
         """
         for bucket in self.buckets:
             self.trace_opt_step(bucket)
         arrays = [b.flat_data() for b in self.buckets]
-        if grads is None:
-            grads = [b.flat_grad() for b in self.buckets]
-        self.optimizer.step_on_slots(range(len(arrays)), arrays, list(grads))
+        grads = [b.flat_grad() for b in self.buckets]
+        self.optimizer.step_on_slots(range(len(arrays)), arrays, grads)
 
-    def optimizer_step_on_bucket(self, k: int, grad: np.ndarray | None = None) -> None:
+    def optimizer_step_on_bucket(self, k: int) -> None:
         """Run the optimizer on bucket ``k`` alone (per-bucket update path).
 
-        Uses the bucket index as the optimizer state slot, so per-bucket
-        stepping in ready order is bit-identical to one barrier step over all
-        buckets.
+        Steps on the bucket's own gradient and uses the bucket index as the
+        optimizer state slot, so per-bucket stepping in ready order is
+        bit-identical to one barrier step over all buckets.
         """
         bucket = self.buckets[k]
         self.trace_opt_step(bucket)
-        array = bucket.flat_data()
-        if grad is None:
-            grad = bucket.flat_grad()
-        self.optimizer.step_on_slots([k], [array], [grad])
+        self.optimizer.step_on_slots([k], [bucket.flat_data()], [bucket.flat_grad()])
 
     def trace_opt_step(self, bucket: TensorBucket) -> None:
         """Tell the tracer, if any, that this rank updates ``bucket``."""

@@ -6,10 +6,13 @@ carry a printable witness (what ``repro analyze --explain`` renders).  The
 positive direction is covered twice: every registered algorithm and
 baseline analyzes clean (including the O/F/H × update-mode schedule sweep),
 and a Hypothesis property in ``test_schedule_executor.py`` checks arbitrary
-generated schedules.
+generated schedules.  A second property here replays random hand-built
+traces and checks that every wedged replay is reported and located.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.algorithms.registry import ALGORITHM_REGISTRY
@@ -22,7 +25,7 @@ from repro.analysis import (
 )
 from repro.analysis.hb import HB_RULES
 from repro.baselines import BASELINE_REGISTRY
-from repro.core import GATE_COMM_DONE, GATE_GRAD_READY
+from repro.core import GATE_BACKWARD_END, GATE_BARRIER, GATE_COMM_DONE, GATE_GRAD_READY
 
 
 def fired_rules(findings):
@@ -94,6 +97,29 @@ class TestSeededDefects:
         witness = "\n".join(finding.witness)
         assert "rank 0" in witness and "rank 1" in witness
         assert "waits for" in witness
+
+    def _gated_partner_cycle_subject(self):
+        # Rank 0 reduces b0 then b1.  Rank 1 reduces b1 on main before it
+        # issues b0, and reduces b0 on comm once b0 is issued: rank 0's b0
+        # waits for a partner held by its grad_ready gate, which waits
+        # behind rank 1's b1, which waits for rank 0 — a wait cycle.
+        trace = CommTrace(2)
+        trace.add(0, "allreduce", bucket="b0", elements=64, group=(0, 1))
+        trace.add(0, "allreduce", bucket="b1", elements=64, group=(0, 1))
+        trace.add(1, "allreduce", bucket="b1", elements=64, group=(0, 1))
+        trace.add(1, "issue", bucket="b0", elements=64)
+        trace.add(1, "allreduce", bucket="b0", elements=64, group=(0, 1),
+                  thread="comm", gate=GATE_GRAD_READY)
+        return AnalysisSubject(world_size=2, trace=trace)
+
+    def test_cycle_through_a_gated_partner_is_deadlock(self):
+        (finding,) = run_checkers(self._gated_partner_cycle_subject())
+        assert finding.rule == "hb-deadlock"
+        assert finding.message.startswith("wait cycle across ranks [0, 1]")
+        assert len(finding.witness) == 2  # one hop per blocked rank
+        witness = "\n".join(finding.witness)
+        assert "rank 1 thread 'comm' op#2 allreduce b0" in witness
+        assert "but gate 'grad_ready' waits on rank 1 thread 'main' op#1 issue b0" in witness
 
     def _asymmetric_gossip_subject(self):
         # Rank 0 exchanges with rank 1, but rank 1's peer set is empty: the
@@ -238,6 +264,52 @@ class TestHBGraph:
         trace.add(0, "opt_step", bucket="b0", elements=4)
         subject = AnalysisSubject(world_size=1, trace=trace)
         assert build_hb(subject) is build_hb(subject)
+
+
+# ----------------------------------------------------------------------
+# Property: a wedged replay always carries a finding it can locate
+# ----------------------------------------------------------------------
+@st.composite
+def hand_built_subjects(draw):
+    """Small traces of every op family on 1-4 ranks, two threads, any gate."""
+    world = draw(st.integers(1, 4))
+    trace = CommTrace(world)
+    for rank in range(world):
+        for _ in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from(
+                ("allreduce", "barrier", "gossip", "send", "recv",
+                 "issue", "await", "opt_step", "ef_write")
+            ))
+            fields = {
+                "bucket": draw(st.sampled_from(("b0", "b1"))),
+                "elements": 64,
+                "thread": draw(st.sampled_from(("main", "comm"))),
+                "gate": draw(st.sampled_from(
+                    ("", GATE_GRAD_READY, GATE_BACKWARD_END, GATE_COMM_DONE, GATE_BARRIER)
+                )),
+            }
+            if kind in ("allreduce", "barrier", "gossip"):
+                fields["group"] = tuple(range(world))
+            if kind == "gossip":
+                fields["peers"] = tuple(sorted(draw(st.sets(st.integers(0, world), max_size=2))))
+            elif kind in ("send", "recv"):
+                del fields["bucket"]
+                fields.update(peers=(draw(st.integers(0, world - 1)),), nbytes=64.0, round=0)
+            trace.add(rank, kind, **fields)
+    return AnalysisSubject(world_size=world, trace=trace)
+
+
+@given(subject=hand_built_subjects())
+@settings(max_examples=200)
+def test_wedged_replay_always_carries_a_located_finding(subject):
+    graph = build_hb(subject)
+    if any(not event.clock for event in graph.events):
+        assert graph.deadlocks
+    for finding in graph.deadlocks:
+        assert finding.rule == "hb-deadlock"
+        assert finding.rank is not None and finding.seq is not None
+        assert finding.witness
+        assert "never becomes runnable" not in finding.message
 
 
 # ----------------------------------------------------------------------

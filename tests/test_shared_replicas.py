@@ -140,9 +140,9 @@ class SharesThenStepsPerReplica(AllreduceSGD):
 
     def comm_bucket(self, engine, k, step):
         grads = engine.grads_of_bucket(k)
-        averaged = c_fp_s(grads, engine.group, out=grads, average=True)
-        for worker, grad in zip(engine.workers, averaged):
-            worker.optimizer_step_on_bucket(k, grad)
+        c_fp_s(grads, engine.group, out=grads, average=True)
+        for worker in engine.workers:
+            worker.optimizer_step_on_bucket(k)
 
 
 class TestReadOnlyGuard:
